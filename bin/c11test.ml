@@ -600,15 +600,6 @@ let fuzz_cmd =
     in
     Arg.(value & opt string "mixed" & info [ "profile" ] ~docv:"PROFILE" ~doc)
   in
-  let certify_every_arg =
-    let doc =
-      "Deprecated no-op: streaming certification is always on, so every \
-       program is certified regardless of $(docv).  Kept as an alias so \
-       existing invocations keep working (a stderr warning is printed when \
-       the value differs from 1)."
-    in
-    Arg.(value & opt int 1 & info [ "certify-every" ] ~docv:"N" ~doc)
-  in
   let findings_arg =
     let doc =
       "Write findings as NDJSON (one JSON object per line, shrunk repro \
@@ -657,7 +648,7 @@ let fuzz_cmd =
     Arg.(
       value & opt int Corpus.default_round & info [ "round" ] ~docv:"N" ~doc)
   in
-  let run programs ops threads profile_name certify_every seed jobs findings
+  let run programs ops threads profile_name seed jobs findings
       json mutant_name coverage progress workers cache_spec corpus_spec
       mutate_pct round =
     match Fuzz.profile_of_string profile_name with
@@ -688,10 +679,8 @@ let fuzz_cmd =
         validate_workers workers @@ fun () ->
         with_cache cache_spec @@ fun cache ->
         with_corpus corpus_spec @@ fun corpus ->
-        if programs < 0 || ops < 1 || threads < 1 || certify_every < 0 then begin
-          Printf.eprintf
-            "--programs must be >= 0, --ops and --threads >= 1, \
-             --certify-every >= 0\n";
+        if programs < 0 || ops < 1 || threads < 1 then begin
+          Printf.eprintf "--programs must be >= 0, --ops and --threads >= 1\n";
           2
         end
         else if mutate_pct < 0 || mutate_pct > 100 || round < 1 then begin
@@ -714,7 +703,6 @@ let fuzz_cmd =
               Fuzz.c_programs = programs;
               c_seed = Int64.of_int seed;
               c_jobs = jobs;
-              c_certify_every = certify_every;
               c_gen =
                 {
                   Fuzz.default_gen_cfg with
@@ -810,7 +798,6 @@ let fuzz_cmd =
                    ("seed", Jsonx.Int seed);
                    ("jobs", Jsonx.Int jobs);
                    ("gen_profile", Jsonx.String (Fuzz.profile_name profile));
-                   ("certify_every", Jsonx.Int certify_every);
                    ( "mutant",
                      match mutation with
                      | None -> Jsonx.Null
@@ -830,7 +817,7 @@ let fuzz_cmd =
   let term =
     Term.(
       const run $ programs_arg $ ops_arg $ threads_arg $ fuzz_profile_arg
-      $ certify_every_arg $ seed_arg $ jobs_arg $ findings_arg $ json_arg
+      $ seed_arg $ jobs_arg $ findings_arg $ json_arg
       $ mutant_arg $ coverage_arg $ progress_arg $ workers_arg $ cache_arg
       $ corpus_arg $ mutate_pct_arg $ round_arg)
   in

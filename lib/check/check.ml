@@ -406,101 +406,184 @@ let check_rf_wf c =
                  r.seq r.value s.seq s.value))
     c.trace
 
-(* Reachability over the final mo-graph by explicit search (edges + rmw
-   links), never by clock vectors: one traversal per write, collecting the
-   same-location writes it reaches.  [reach] maps a live write's seq to
-   the seq set of its same-location mo-successors. *)
-let graph_reach graph (writes : Action.t list) =
-  let target = Hashtbl.create 16 in
-  List.iter (fun (w : Action.t) -> Hashtbl.replace target w.seq ()) writes;
-  let reach = Hashtbl.create 16 in
-  List.iter
-    (fun (w : Action.t) ->
-      match Mograph.find_node graph w with
-      | None -> ()
-      | Some start ->
-        let found = Hashtbl.create 16 in
-        let visited = Hashtbl.create 64 in
-        let rec go (n : Mograph.node) =
-          if not (Hashtbl.mem visited n.action.seq) then begin
-            Hashtbl.add visited n.action.seq ();
-            if n.action.seq <> w.seq && Hashtbl.mem target n.action.seq then
-              Hashtbl.replace found n.action.seq ();
-            for i = 0 to n.nedges - 1 do
-              go n.edges.(i)
-            done;
-            match n.rmw with Some r -> go r | None -> ()
-          end
-        in
-        go start;
-        Hashtbl.replace reach w.seq found)
-    writes;
-  reach
+(* Per-location mo-graph families: coherence (cycle, CoWW, CoWR) and the
+   Theorem-1 differential, over one dense view of the location.  The
+   view holds the location's actions in an array (trace order, hence
+   ascending seq), their certified clocks fetched once, write <-> action
+   index maps, and mo reachability between the location's writes as a
+   w×w bitset.  Every pair check is then an array read, and the view's
+   cost is proportional to the location, not to any fixed table size. *)
+type view = {
+  acts : Action.t array;
+  clk : int array option array;  (** action -> certified clock *)
+  wr : int array;  (** write index -> action index *)
+  wof : int array;  (** action index -> write index, or -1 *)
+  wnode : Mograph.node option array;  (** write -> its live graph node *)
+  reach : Bytes.t;  (** bit [i * w + j]: write i -mo->⁺ write j, i <> j *)
+}
 
-let mo_dfs reach (a : Action.t) (b : Action.t) =
-  match Hashtbl.find_opt reach a.seq with
-  | Some found -> Hashtbl.mem found b.seq
+(* index of the action with this seq, or -1 *)
+let act_index v seq =
+  let lo = ref 0 and hi = ref (Array.length v.acts - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if v.acts.(mid).Action.seq < seq then lo := mid + 1 else hi := mid
+  done;
+  if !lo = !hi && v.acts.(!lo).Action.seq = seq then !lo else -1
+
+let write_index v seq =
+  let i = act_index v seq in
+  if i < 0 then -1 else v.wof.(i)
+
+let reach_bit v wi wj = (wi * Array.length v.wr) + wj
+
+(* mo reachability between two write indices; -1 (not a write of the
+   view) reaches and is reached by nothing *)
+let mo v wi wj =
+  wi >= 0 && wj >= 0
+  &&
+  let b = reach_bit v wi wj in
+  Char.code (Bytes.get v.reach (b lsr 3)) land (1 lsl (b land 7)) <> 0
+
+(* Reachability over the final mo-graph by explicit search (edges + rmw
+   links), never by clock vectors: one traversal per live write, setting
+   the bits of the same-location writes it reaches.  Visits are stamped
+   per traversal, in an array for the view's writes and in a table for
+   any other node met on the way (a write the stream already retired). *)
+let fill_reach v =
+  let nw = Array.length v.wr in
+  let stamp = Array.make nw 0 in
+  let other = Hashtbl.create 8 in
+  for i = 0 to nw - 1 do
+    match v.wnode.(i) with
+    | None -> ()
+    | Some start ->
+      let rec go (n : Mograph.node) =
+        let seq = n.action.seq in
+        let j = write_index v seq in
+        let fresh =
+          if j >= 0 then stamp.(j) <> i + 1
+          else Hashtbl.find_opt other seq <> Some (i + 1)
+        in
+        if fresh then begin
+          if j >= 0 then begin
+            stamp.(j) <- i + 1;
+            if j <> i then begin
+              let b = reach_bit v i j in
+              let byte = Char.code (Bytes.get v.reach (b lsr 3)) in
+              Bytes.set v.reach (b lsr 3)
+                (Char.unsafe_chr (byte lor (1 lsl (b land 7))))
+            end
+          end
+          else Hashtbl.replace other seq (i + 1);
+          for k = 0 to n.nedges - 1 do
+            go n.edges.(k)
+          done;
+          match n.rmw with Some r -> go r | None -> ()
+        end
+      in
+      go start
+  done
+
+let loc_view ~acv ~graph (acts : Action.t list) =
+  let acts = Array.of_list acts in
+  let n = Array.length acts in
+  let wof = Array.make n (-1) in
+  let nw = ref 0 in
+  Array.iteri
+    (fun i a ->
+      if Action.is_write a then begin
+        wof.(i) <- !nw;
+        incr nw
+      end)
+    acts;
+  let wr = Array.make !nw 0 in
+  Array.iteri (fun i w -> if w >= 0 then wr.(w) <- i) wof;
+  let v =
+    {
+      acts;
+      clk = Array.map (fun (a : Action.t) -> Hashtbl.find_opt acv a.seq) acts;
+      wr;
+      wof;
+      wnode = Array.map (fun i -> Mograph.find_node graph acts.(i)) wr;
+      reach = Bytes.make (((!nw * !nw) + 7) / 8) '\000';
+    }
+  in
+  fill_reach v;
+  v
+
+(* Strict certified happens-before between two of the view's actions *)
+let view_hb v i j =
+  i <> j
+  &&
+  match v.clk.(j) with
+  | Some bc ->
+    let a = v.acts.(i) in
+    a.tid < Array.length bc && bc.(a.tid) >= a.seq
   | None -> false
 
 (* Per-location coherence: acyclicity of hb|loc ∪ rf ∪ mo ∪ fr over the
    location's actions, plus — when the graph is exact (nothing pruned) —
    the completeness obligations CoWW and CoWR that catch a dropped mo
-   edge (a merely missing edge never creates a cycle). *)
-let check_location c ~graph ~graph_exact ~loc (acts : Action.t list) =
-  let writes = List.filter Action.is_write acts in
-  let reach = graph_reach graph writes in
-  let live w = Mograph.find_node graph w <> None in
-  (* adjacency for the union relation *)
-  let adj = Hashtbl.create 32 in
-  let add_edge a b =
-    let l = try Hashtbl.find adj a with Not_found -> [] in
-    Hashtbl.replace adj a (b :: l)
-  in
-  List.iter
-    (fun (a : Action.t) ->
-      List.iter
-        (fun (b : Action.t) ->
-          if a.seq <> b.seq then begin
-            if cert_hb c a b then add_edge a.seq b.seq;
-            if Action.is_write a && Action.is_write b && mo_dfs reach a b then
-              add_edge a.seq b.seq
-          end)
-        acts;
-      (if Action.is_read a then
-         match a.rf with
-         | Some s when s.loc = a.loc ->
-           add_edge s.seq a.seq;
-           (* fr = rf⁻¹ ; mo *)
-           List.iter
-             (fun (w : Action.t) ->
-               if w.seq <> s.seq && w.seq <> a.seq && mo_dfs reach s w then
-                 add_edge a.seq w.seq)
-             writes
-         | Some _ | None -> ()))
-    acts;
+   edge (a merely missing edge never creates a cycle), and the Theorem 1
+   differential: on the final (unpruned) graph, the engine's O(threads)
+   clock-vector reachability must agree with explicit search for every
+   live same-location write pair.  [add] records a violation. *)
+let check_location ~acv ~graph ~graph_exact ~loc acts add =
+  let v = loc_view ~acv ~graph acts in
+  let n = Array.length v.acts and nw = Array.length v.wr in
+  let live w = v.wnode.(w) <> None in
+  let seq i = v.acts.(i).Action.seq in
+  (* adjacency for the union relation, newest edge first *)
+  let adj = Array.make n [] in
+  let add_edge i j = adj.(i) <- j :: adj.(i) in
+  for i = 0 to n - 1 do
+    let a = v.acts.(i) in
+    for j = 0 to n - 1 do
+      if i <> j then begin
+        if view_hb v i j then add_edge i j;
+        if mo v v.wof.(i) v.wof.(j) then add_edge i j
+      end
+    done;
+    if Action.is_read a then
+      match a.rf with
+      | Some s when s.loc = a.loc ->
+        (* a store outside the view has no incoming edge here, so its
+           out-edges cannot close a cycle *)
+        let si = act_index v s.seq in
+        if si >= 0 then add_edge si i;
+        (* fr = rf⁻¹ ; mo *)
+        let ws = if si >= 0 then v.wof.(si) else -1 in
+        for w = 0 to nw - 1 do
+          let k = v.wr.(w) in
+          if k <> si && k <> i && mo v ws w then add_edge i k
+        done
+      | Some _ | None -> ()
+  done;
   (* cycle detection with path extraction *)
-  let color = Hashtbl.create 32 in
+  let color = Bytes.make n '\000' in
   let cycle = ref None in
-  let rec visit path seq =
+  let rec visit path i =
     if !cycle = None then
-      match Hashtbl.find_opt color seq with
-      | Some 1 ->
+      match Bytes.get color i with
+      | '\001' ->
         let rec cut = function
-          | [] -> [ seq ]
-          | x :: rest -> if x = seq then [ x ] else x :: cut rest
+          | [] -> [ i ]
+          | x :: rest -> if x = i then [ x ] else x :: cut rest
         in
-        cycle := Some (seq :: List.rev (cut path))
-      | Some _ -> ()
-      | None ->
-        Hashtbl.add color seq 1;
-        List.iter (visit (seq :: path))
-          (try Hashtbl.find adj seq with Not_found -> []);
-        Hashtbl.replace color seq 2
+        cycle := Some (i :: List.rev (cut path))
+      | '\002' -> ()
+      | _ ->
+        Bytes.set color i '\001';
+        List.iter (visit (i :: path)) adj.(i);
+        Bytes.set color i '\002'
   in
-  List.iter (fun (a : Action.t) -> visit [] a.seq) acts;
+  for i = 0 to n - 1 do
+    visit [] i
+  done;
   (match !cycle with
   | Some cyc ->
-    add_violation c Coherence cyc
+    add Coherence (List.map seq cyc)
       (Printf.sprintf
          "loc %d: hb|loc ∪ rf ∪ mo ∪ fr has a cycle through %d actions" loc
          (List.length cyc - 1))
@@ -508,50 +591,66 @@ let check_location c ~graph ~graph_exact ~loc (acts : Action.t list) =
   if graph_exact then begin
     let count = ref 0 in
     (* CoWW: hb-ordered same-location writes must be mo-ordered *)
-    List.iter
-      (fun (a : Action.t) ->
-        List.iter
-          (fun (b : Action.t) ->
-            if
-              !count < cap && a.seq <> b.seq && live a && live b
-              && cert_hb c a b
-              && not (mo_dfs reach a b)
-            then begin
-              incr count;
-              add_violation c Coherence [ a.seq; b.seq ]
-                (Printf.sprintf
-                   "loc %d: CoWW incomplete — write #%d happens before \
-                    write #%d but is not mo-before it"
-                   loc a.seq b.seq)
-            end)
-          writes)
-      writes;
+    for wa = 0 to nw - 1 do
+      for wb = 0 to nw - 1 do
+        let a = v.wr.(wa) and b = v.wr.(wb) in
+        if
+          !count < cap && a <> b && live wa && live wb && view_hb v a b
+          && not (mo v wa wb)
+        then begin
+          incr count;
+          add Coherence [ seq a; seq b ]
+            (Printf.sprintf
+               "loc %d: CoWW incomplete — write #%d happens before write #%d \
+                but is not mo-before it"
+               loc (seq a) (seq b))
+        end
+      done
+    done;
     (* CoWR: a write hb-visible to a read must be mo-before the write the
        read actually observed *)
-    List.iter
-      (fun (r : Action.t) ->
-        if Action.is_read r then
-          match r.rf with
-          | Some s when s.loc = r.loc && live s ->
-            List.iter
-              (fun (w : Action.t) ->
-                if
-                  !count < cap && w.seq <> s.seq && w.seq <> r.seq && live w
-                  && cert_hb c w r
-                  && not (mo_dfs reach w s)
-                then begin
-                  incr count;
-                  add_violation c Coherence [ w.seq; r.seq; s.seq ]
-                    (Printf.sprintf
-                       "loc %d: CoWR incomplete — write #%d happens before \
-                        read #%d but is not mo-before its store #%d"
-                       loc w.seq r.seq s.seq)
-                end)
-              writes
-          | Some _ | None -> ())
-      acts
-  end;
-  (writes, reach)
+    for r = 0 to n - 1 do
+      let ra = v.acts.(r) in
+      if Action.is_read ra then
+        match ra.rf with
+        | Some s when s.loc = ra.loc && Mograph.find_node graph s <> None ->
+          let ws = write_index v s.seq in
+          for w = 0 to nw - 1 do
+            let k = v.wr.(w) in
+            if
+              !count < cap && w <> ws && k <> r && live w && view_hb v k r
+              && not (mo v w ws)
+            then begin
+              incr count;
+              add Coherence [ seq k; ra.seq; s.seq ]
+                (Printf.sprintf
+                   "loc %d: CoWR incomplete — write #%d happens before read \
+                    #%d but is not mo-before its store #%d"
+                   loc (seq k) ra.seq s.seq)
+            end
+          done
+        | Some _ | None -> ()
+    done;
+    (* Theorem 1: clock-vector reachability against the search above *)
+    let count = ref 0 in
+    for wa = 0 to nw - 1 do
+      for wb = 0 to nw - 1 do
+        if !count < cap && wa <> wb && live wa && live wb then begin
+          let a = v.acts.(v.wr.(wa)) and b = v.acts.(v.wr.(wb)) in
+          let cv = Mograph.reaches graph a b in
+          let dfs = mo v wa wb in
+          if cv <> dfs then begin
+            incr count;
+            add Theorem1_differential [ a.seq; b.seq ]
+              (Printf.sprintf
+                 "loc %d: #%d reaches #%d is %b by clock vectors but %b by \
+                  graph search"
+                 loc a.seq b.seq cv dfs)
+          end
+        end
+      done
+    done
+  end
 
 let check_rmw_atomicity c ~graph =
   let claimed = Hashtbl.create 8 in
@@ -643,34 +742,6 @@ let check_sc c =
     sc;
   List.length sc
 
-(* Theorem 1 differential: on the final (unpruned) graph, the engine's
-   O(threads) clock-vector reachability must agree with explicit search
-   for every live same-location write pair. *)
-let check_theorem1 c ~graph ~loc (writes : Action.t list) reach =
-  let count = ref 0 in
-  List.iter
-    (fun (a : Action.t) ->
-      List.iter
-        (fun (b : Action.t) ->
-          if
-            !count < cap && a.seq <> b.seq
-            && Mograph.find_node graph a <> None
-            && Mograph.find_node graph b <> None
-          then begin
-            let cv = Mograph.reaches graph a b in
-            let dfs = mo_dfs reach a b in
-            if cv <> dfs then begin
-              incr count;
-              add_violation c Theorem1_differential [ a.seq; b.seq ]
-                (Printf.sprintf
-                   "loc %d: #%d reaches #%d is %b by clock vectors but %b \
-                    by graph search"
-                   loc a.seq b.seq cv dfs)
-            end
-          end)
-        writes)
-    writes
-
 (* ------------------------------------------------------------------ *)
 
 let na_total_mo =
@@ -734,10 +805,8 @@ let certify (exec : Execution.t) =
     in
     List.iter
       (fun (loc, acts) ->
-        let writes, reach =
-          check_location c ~graph ~graph_exact ~loc acts
-        in
-        if graph_exact then check_theorem1 c ~graph ~loc writes reach)
+        check_location ~acv:c.acv ~graph ~graph_exact ~loc acts
+          (add_violation c))
       locs;
     check_rmw_atomicity c ~graph;
     let sc_actions = check_sc c in
@@ -896,20 +965,23 @@ module Stream = struct
 
   let mk_tstate () = { cl = [||]; pend = [||]; relf_cv = None }
 
+  (* Every table starts small and grows with the window: a stream is
+     created per execution, most executions are short, and a large
+     initial table would be allocated straight into the major heap. *)
   let create ~exec ~counted =
     {
       exec;
       counted;
       nthreads = 0;
       ts = [||];
-      acv = Hashtbl.create 4096;
-      rel_cv = Hashtbl.create 1024;
-      rel_snaps = Hashtbl.create 64;
-      claimed = Hashtbl.create 256;
-      by_loc = Hashtbl.create 64;
+      acv = Hashtbl.create 16;
+      rel_cv = Hashtbl.create 16;
+      rel_snaps = Hashtbl.create 16;
+      claimed = Hashtbl.create 16;
+      by_loc = Hashtbl.create 16;
       live = [];
       obligs = [];
-      fed = Bytes.create 1024;
+      fed = Bytes.make 16 '\000';
       v_sync = [];
       c_sync = 0;
       v_irr = [];
@@ -1532,37 +1604,22 @@ module Stream = struct
     else begin
       let graph = exec.Execution.graph in
       let graph_exact = exec.Execution.pruned_count = 0 in
-      (* mo-graph families over the live residue, with the exact post-hoc
-         code: build a window-scoped cert whose acv is the stream's *)
-      let mini =
-        {
-          nthreads = s.nthreads;
-          trace = [||];
-          by_seq = Hashtbl.create 1;
-          edges = [||];
-          acv = s.acv;
-          heads = Hashtbl.create 1;
-          last_rel_fence = Hashtbl.create 1;
-          violations = [];
-        }
+      (* mo-graph families over the live residue, with the post-hoc code
+         reading the stream's certified clocks *)
+      let mo_found = ref [] in
+      let add axiom actions detail =
+        mo_found := { axiom; actions; detail } :: !mo_found
       in
       let locs =
         Hashtbl.fold
-          (fun loc l acc ->
-            if l.l_acts_rev = [] && Hashtbl.length s.by_loc > 0 then
-              (loc, []) :: acc
-            else (loc, List.rev l.l_acts_rev) :: acc)
+          (fun loc l acc -> (loc, List.rev l.l_acts_rev) :: acc)
           s.by_loc []
         |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
       in
       List.iter
         (fun (loc, acts) ->
-          if acts <> [] then begin
-            let writes, reach =
-              check_location mini ~graph ~graph_exact ~loc acts
-            in
-            if graph_exact then check_theorem1 mini ~graph ~loc writes reach
-          end)
+          if acts <> [] then
+            check_location ~acv:s.acv ~graph ~graph_exact ~loc acts add)
         locs;
       (* rmw immediacy candidates re-probed against the final graph: a
          pruned end makes immediacy unobservable, as post-hoc *)
@@ -1590,7 +1647,7 @@ module Stream = struct
             List.rev s.v_irr;
             List.rev s.v_diff;
             List.rev s.v_rf;
-            List.rev mini.violations;
+            List.rev !mo_found;
             rmw;
             List.rev s.v_sc_pair;
             List.rev s.v_sc_read;

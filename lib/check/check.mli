@@ -38,9 +38,9 @@
       load observes the last seq_cst store to its location or a
       non-hb-superseded non-sc store (Section 29.3 statement 3);
     - {b theorem-1-differential} — on the final mo-graph,
-      {!Mograph.reaches} (clock-vector comparison) must agree with
-      {!Mograph.reaches_dfs} (graph search) on every live same-location
-      write pair.
+      {!Mograph.reaches} (clock-vector comparison) must agree with the
+      certifier's own depth-first search over the graph's edges and rmw
+      links on every live same-location write pair.
 
     Pruned executions ({!Pruner}) deliberately over-approximate node
     clocks, so the mo-graph differential and the completeness obligations
@@ -126,7 +126,9 @@ module Stream : sig
       must say whether thread [tid] still contributes to the readability
       frontier — live and not parked on an unconditional acquire (a join,
       or a lock of a mutex someone holds); retirement only trusts the
-      engine clocks of counted threads. *)
+      engine clocks of counted threads.  Every table starts small and
+      grows with the window, so a short execution pays only for what it
+      feeds. *)
   val create : exec:Execution.t -> counted:(int -> bool) -> t
 
   (** The sink to install with {!Execution.set_cert_sink}. *)

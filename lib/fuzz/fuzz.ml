@@ -719,7 +719,6 @@ type campaign_cfg = {
   c_programs : int;
   c_seed : int64;
   c_jobs : int;
-  c_certify_every : int;
   c_shrink_execs : int;
   c_gen : gen_cfg;
   c_mutation : Execution.mutation option;
@@ -732,7 +731,6 @@ let default_campaign_cfg =
     c_programs = 200;
     c_seed = 1L;
     c_jobs = 1;
-    c_certify_every = 1;
     c_shrink_execs = 8;
     c_gen = default_gen_cfg;
     c_mutation = None;
@@ -865,9 +863,11 @@ let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profil
       incr lint_potential;
       Metrics.incr metrics "fuzz.lint_potential"
     end;
-    (* Certification is always on: streaming retirement made the
-       per-execution cost cheap enough that c_certify_every rationing is
-       obsolete (the field survives only as a no-op alias). *)
+    (* Every program is certified: the certifier is the oracle, and an
+       execution it skips cannot yield a finding.  Certification costs
+       in proportion to the execution (window-sized stream tables, a
+       dense per-location coherence core), so short programs stay cheap
+       to certify. *)
     let t1 = Profile.start profile in
     let primary_status, outcome =
       run_one_full ~config:exec_config ~certify:true
@@ -1149,10 +1149,6 @@ let campaign ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.nul
     ?(coverage = false) ?(progress = Progress.null) cfg =
   if cfg.c_programs < 0 then invalid_arg "Fuzz.campaign: c_programs must be >= 0";
   if cfg.c_jobs < 1 then invalid_arg "Fuzz.campaign: c_jobs must be >= 1";
-  if cfg.c_certify_every <> 1 then
-    prerr_endline
-      "c11test: warning: certify-every is deprecated and ignored; streaming \
-       certification is always on";
   if cfg.c_shrink_execs < 1 then invalid_arg "Fuzz.campaign: c_shrink_execs must be >= 1";
   let jobs = max 1 (min cfg.c_jobs (max 1 cfg.c_programs)) in
   (* corpus guidance defines novelty by coverage fingerprints, so a

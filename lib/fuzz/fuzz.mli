@@ -206,12 +206,6 @@ type campaign_cfg = {
   c_programs : int;
   c_seed : int64;
   c_jobs : int;  (** >= 1 *)
-  c_certify_every : int;
-      (** {b Deprecated no-op alias.}  Streaming certification (hb-closed
-          prefix retirement) made always-on certification affordable, so
-          every program is certified regardless of this value.  Any value
-          other than the old default of 1 prints a one-line stderr
-          deprecation warning at campaign start. *)
   c_shrink_execs : int;  (** executions per reproduction probe *)
   c_gen : gen_cfg;
   c_mutation : Execution.mutation option;  (** seeded engine fault *)

@@ -155,15 +155,6 @@ let test_clean_campaign () =
   check_int "no crashes" 0 report.Fuzz.r_crashes;
   check_int "no findings" 0 (List.length report.Fuzz.r_findings)
 
-let test_certify_every () =
-  (* c_certify_every is a deprecated no-op alias: streaming certification
-     is always on, so stride 3 and even 0 certify every program. *)
-  let cfg = campaign_cfg ~seed:99L () in
-  let report = Fuzz.campaign { cfg with Fuzz.c_certify_every = 3 } in
-  check_int "stride 3 ignored: certified all" 300 report.Fuzz.r_certified;
-  let report = Fuzz.campaign { cfg with Fuzz.c_certify_every = 0 } in
-  check_int "stride 0 ignored: certified all" 300 report.Fuzz.r_certified
-
 (* ---------- mutation testing: the fuzzer finds seeded engine bugs ------ *)
 
 let mutant_budget = 300
@@ -315,7 +306,6 @@ let suite =
     Alcotest.test_case "grammar reach per profile" `Quick test_grammar_reach;
     Alcotest.test_case "sc-heavy profile biases seq_cst" `Quick test_sc_heavy_bias;
     Alcotest.test_case "clean campaign: zero rejections" `Quick test_clean_campaign;
-    Alcotest.test_case "certify-every stride" `Quick test_certify_every;
     Alcotest.test_case "mutant: skip-acquire-merge caught" `Quick
       (test_mutant Execution.Skip_acquire_merge);
     Alcotest.test_case "mutant: drop-mo-edge caught" `Quick

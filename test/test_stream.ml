@@ -199,6 +199,180 @@ let test_parallel_parity () =
   check "all executions certified" true
     (s1.Tester.certified_executions = 40)
 
+(* ---------- a fresh stream knows nothing was fed ---------- *)
+
+(* The stream's fed-action bitset must start zeroed: a store that was
+   never fed is "not in the trace", whatever bytes the allocator's last
+   user left behind.  Fill the minor heap with 0xFF bytes, let it be
+   collected, and only then create each stream, so an uninitialised
+   bitset would read the garbage. *)
+let test_fresh_stream_unfed () =
+  let rng = Rng.create 7L and race = Race.create () in
+  let t =
+    Execution.create ~certify:true ~mode:Execution.Full_c11 ~rng ~race ()
+  in
+  let t0 = Execution.new_thread t ~parent:None in
+  let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
+  Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
+    1;
+  ignore
+    (Execution.atomic_load t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed
+       ~volatile:false);
+  let load =
+    List.find
+      (fun (a : Action.t) -> a.kind = Action.Load)
+      (Execution.cert_trace t)
+  in
+  for round = 1 to 20 do
+    Gc.minor ();
+    let junk = List.init 512 (fun _ -> Bytes.make 2000 '\xff') in
+    ignore (Sys.opaque_identity junk);
+    Gc.minor ();
+    let s = Check.Stream.create ~exec:t ~counted:(fun _ -> true) in
+    (Check.Stream.sink s).Execution.cs_action load;
+    let reported =
+      match Check.Stream.finalize s with
+      | Check.Rejected vs ->
+        List.exists
+          (fun (v : Check.violation) ->
+            v.axiom = Check.Rf_wf
+            && v.detail
+               = Printf.sprintf "read #%d reads-from #%d, not in the trace"
+                   load.seq (Option.get load.rf).seq)
+          vs
+      | Check.Certified _ | Check.Not_applicable _ -> false
+    in
+    check
+      (Printf.sprintf "round %d: unfed store reported as not in the trace"
+         round)
+      true reported
+  done
+
+(* ---------- certification allocates in proportion to the execution --- *)
+
+(* A short certified execution must not pay for tables sized for long
+   ones: arrays over 256 words skip the minor heap, so oversized initial
+   tables show up as major-heap words on every execution. *)
+let test_major_words_per_execution () =
+  let t = Option.get (Litmus.find "mp_rel_acq") in
+  let run seed =
+    (Engine.run
+       { Engine.default_config with certify = true; seed }
+       (fun () -> ignore (t.Litmus.run_once ())))
+      .Engine.certificate
+  in
+  ignore (run 0L);
+  let n = 200 in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for i = 1 to n do
+    match run (Int64.of_int i) with
+    | Some (Check.Certified _) -> ()
+    | Some v -> Alcotest.failf "seed %d: %a" i Check.pp_verdict v
+    | None -> Alcotest.failf "seed %d: no verdict" i
+  done;
+  Gc.minor ();
+  let per_exec =
+    ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int n
+  in
+  if per_exec >= 1000.0 then
+    Alcotest.failf "%.0f major-heap words per certified execution (limit 1000)"
+      per_exec
+
+(* ---------- pinned violation output ---------- *)
+
+(* The complete violation lists (axiom, actions, detail, key) of fixed
+   rejected executions, in both certifier modes.  Fuzz findings embed
+   these lists, so detection order, cycle extraction and the per-family
+   caps must stay exactly as they are, not merely produce the same
+   sorted keys the equivalence tests compare. *)
+let pinned_cycle =
+  {|{"axiom":"coherence","actions":[19,19,14],"detail":"loc 0: hb|loc ∪ rf ∪ mo ∪ fr has a cycle through 2 actions","key":"coherence:loc 0: hb|loc ∪ rf ∪ mo ∪ fr has a cycle through 2 actions"}|}
+
+let pinned_hb_diff a =
+  Printf.sprintf
+    {|{"axiom":"hb-differential","actions":[%d,18],"detail":"#%d -hb-> #18 is true under the certified (sb ∪ sw)⁺ closure but false under the engine's clock vectors","key":"hb-differential:# -hb-> # is true under the certified (sb ∪ sw)⁺ closure but false under the engine's clock vectors"}|}
+    a a
+
+let pinned_coww loc a b =
+  Printf.sprintf
+    {|{"axiom":"coherence","actions":[%d,%d],"detail":"loc %d: CoWW incomplete — write #%d happens before write #%d but is not mo-before it","key":"coherence:loc %d: CoWW incomplete — write # happens before write # but is not mo-before it"}|}
+    a b loc a b loc
+
+let pinned_theorem1 a b =
+  Printf.sprintf
+    {|{"axiom":"theorem1-differential","actions":[%d,%d],"detail":"loc 1: #%d reaches #%d is true by clock vectors but false by graph search","key":"theorem1-differential:loc 1: # reaches # is true by clock vectors but false by graph search"}|}
+    a b a b
+
+let pinned_drop_mo =
+  [
+    pinned_coww 1 2 6;
+    pinned_coww 1 2 12;
+    pinned_coww 1 12 14;
+    pinned_coww 1 12 15;
+    pinned_coww 1 14 15;
+    pinned_theorem1 12 14;
+    pinned_theorem1 12 15;
+    pinned_theorem1 14 15;
+    pinned_coww 2 3 16;
+  ]
+
+(* (case, mutation, program seed, exec seed, streaming list, post-hoc
+   list).  The first is the default fuzz campaign's known finding
+   (program 4684 of seed 1); the mutants' are the first program of
+   test_mutant's sequence, which each of them rejects. *)
+let pinned_cases =
+  [
+    ( "seed-1 coherence finding",
+      None,
+      0xe3471902d31f2cbL,
+      0x6a9a6f2de8b37cc8L,
+      [ pinned_cycle ],
+      [ pinned_cycle ] );
+    ( "skip-acquire-merge",
+      Some Execution.Skip_acquire_merge,
+      0xbdd732262feb6e95L,
+      0x57e1faba65107204L,
+      [ pinned_hb_diff 13; pinned_hb_diff 6 ],
+      [ pinned_hb_diff 6; pinned_hb_diff 13 ] );
+    ( "drop-mo-edge",
+      Some Execution.Drop_mo_edge,
+      0xbdd732262feb6e95L,
+      0x57e1faba65107204L,
+      pinned_drop_mo,
+      pinned_drop_mo );
+    ( "weak-release-store",
+      Some Execution.Weak_release_store,
+      0xbdd732262feb6e95L,
+      0x57e1faba65107204L,
+      [ pinned_hb_diff 13; pinned_hb_diff 6 ],
+      [ pinned_hb_diff 6; pinned_hb_diff 13 ] );
+  ]
+
+let test_pinned_violations () =
+  List.iter
+    (fun (name, mutation, prog_seed, exec_seed, want_stream, want_post) ->
+      let prog = Fuzz.generate ~cfg:Fuzz.default_gen_cfg ~seed:prog_seed in
+      let config =
+        { (Fuzz.engine_config ~mutation) with
+          Engine.seed = exec_seed; certify = true }
+      in
+      List.iter
+        (fun (mode, cert_stream, want) ->
+          let outcome =
+            Engine.run { config with Engine.cert_stream } (Fuzz.to_closure prog)
+          in
+          let got =
+            match outcome.Engine.certificate with
+            | Some (Check.Rejected vs) ->
+              List.map (fun v -> Jsonx.to_string (Check.violation_to_json v)) vs
+            | Some v -> Alcotest.failf "%s, %s: %a" name mode Check.pp_verdict v
+            | None -> Alcotest.failf "%s, %s: no verdict" name mode
+          in
+          Alcotest.(check (list string)) (name ^ ", " ^ mode) want got)
+        [ ("streaming", true, want_stream); ("post-hoc", false, want_post) ])
+    pinned_cases
+
 let suite =
   [
     Alcotest.test_case "litmus catalog equivalence" `Quick
@@ -217,4 +391,10 @@ let suite =
       test_counters;
     Alcotest.test_case "parallel parity with streaming on" `Quick
       test_parallel_parity;
+    Alcotest.test_case "fresh stream: unfed store not in the trace" `Quick
+      test_fresh_stream_unfed;
+    Alcotest.test_case "major-heap words per certified execution" `Quick
+      test_major_words_per_execution;
+    Alcotest.test_case "pinned violation lists, both modes" `Quick
+      test_pinned_violations;
   ]
