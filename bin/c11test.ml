@@ -65,17 +65,6 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* Validated in command bodies, not an Arg.conv: cmdliner reports conv
-   failures with its own CLI-error exit code, and the contract here is
-   that every usage error exits 2. *)
-let validate_jobs jobs k =
-  if jobs <= 0 then begin
-    Printf.eprintf
-      "--jobs must be positive (got %d); pick 1 for a sequential run\n" jobs;
-    2
-  end
-  else k jobs
-
 let workers_arg =
   let doc =
     "Run the campaign on $(docv) worker $(i,processes) (fork/exec of this \
@@ -103,32 +92,36 @@ let cache_arg =
     & opt ~vopt:(Some "") (some string) None
     & info [ "cache" ] ~docv:"DIR" ~doc)
 
-(* Same contract as [validate_jobs]: a non-positive worker count is a
-   usage error (exit 2), validated in the command body. *)
-let validate_workers workers k =
-  match workers with
-  | Some w when w <= 0 ->
+(* --jobs, --workers and --cache, shared by every campaign command, are
+   validated in command bodies, not by an Arg.conv: cmdliner reports conv
+   failures with its own CLI-error exit code, and the contract here is
+   that every usage error exits 2.  An unwritable cache directory is such
+   an error, discovered before any campaign work starts, like an
+   unwritable --coverage path.  [k] gets the opened cache. *)
+let with_campaign_opts ~jobs ~workers ~cache_spec k =
+  if jobs <= 0 then begin
     Printf.eprintf
-      "--workers must be positive (got %d); pick 1 for a single worker \
-       process\n"
-      w;
+      "--jobs must be positive (got %d); pick 1 for a sequential run\n" jobs;
     2
-  | _ -> k ()
+  end
+  else
+    match (workers, cache_spec) with
+    | Some w, _ when w <= 0 ->
+      Printf.eprintf
+        "--workers must be positive (got %d); pick 1 for a single worker \
+         process\n"
+        w;
+      2
+    | _, None -> k None
+    | _, Some spec -> (
+      let dir = if spec = "" then Cache.default_dir () else spec in
+      match Cache.open_dir dir with
+      | Ok c -> k (Some c)
+      | Error msg ->
+        Printf.eprintf "cannot use cache directory %s: %s\n" dir msg;
+        2)
 
-(* An unwritable cache directory is a usage error discovered before any
-   campaign work starts, like an unwritable --coverage path. *)
-let with_cache cache_spec k =
-  match cache_spec with
-  | None -> k None
-  | Some spec -> (
-    let dir = if spec = "" then Cache.default_dir () else spec in
-    match Cache.open_dir dir with
-    | Ok c -> k (Some c)
-    | Error msg ->
-      Printf.eprintf "cannot use cache directory %s: %s\n" dir msg;
-      2)
-
-(* Same contract as [with_cache]: an unusable corpus directory is a
+(* Same contract as --cache: an unusable corpus directory is a
    usage error (exit 2) discovered before any campaign work starts. *)
 let with_corpus corpus_spec k =
   match corpus_spec with
@@ -140,30 +133,33 @@ let with_corpus corpus_spec k =
       Printf.eprintf "cannot use corpus directory %s: %s\n" dir msg;
       2)
 
-(* The fabric engages iff --workers or --cache was given; otherwise the
-   in-process runners keep the CLI's legacy single-process behaviour. *)
-let fabric_engaged ~workers ~cache_spec = workers <> None || cache_spec <> None
+(* Where a campaign runs, for its header line: the fabric engages iff
+   --workers or --cache was given.  [sep] " on" gives " on 2 workers on 4
+   domains", "," gives ", 2 workers, 4 domains". *)
+let placement ~sep ~workers ~cache_spec ~jobs =
+  (if workers <> None || cache_spec <> None then
+     Printf.sprintf "%s %d workers" sep (Option.value ~default:1 workers)
+   else "")
+  ^ if jobs > 1 then Printf.sprintf "%s %d domains" sep jobs else ""
 
-let run_fabric ?cache ~progress ~workers ~jobs campaign k =
-  match Svc.run_campaign ?cache ~progress ~workers ~jobs campaign with
+(* Every campaign command runs its surface's instance through here: in
+   process on [jobs] domains, or on the fabric when --workers or --cache
+   was given.  [k] gets the merged result and the fabric's statistics. *)
+let campaign ?profile ?metrics ~progress ~jobs ~workers ?cache instance k =
+  match Svc.run ?profile ?metrics ~progress ?cache ?workers ~jobs instance with
   | Error msg ->
     Printf.eprintf "campaign fabric: %s\n" msg;
     2
-  | Ok (merged, st) ->
-    if st.Svc.st_failed <> [] then
+  | Ok (result, svc_stats) ->
+    (match svc_stats with
+    | Some st when st.Svc.st_failed <> [] ->
       Printf.eprintf
         "warning: %d worker shard range(s) lost after re-claim (worker \
          indices: %s); the summary covers the surviving shards only\n"
         (List.length st.Svc.st_failed)
-        (String.concat ", " (List.map string_of_int st.Svc.st_failed));
-    k (merged, st)
-
-(* Fabric fields for the --json reports.  Only present when the fabric
-   ran, so single-process reports (and their goldens) are unchanged. *)
-let svc_json_fields = function
-  | None -> []
-  | Some (st : Svc.stats) ->
-    [ ("workers", Jsonx.Int st.Svc.st_workers); ("svc", Svc.stats_to_json st) ]
+        (String.concat ", " (List.map string_of_int st.Svc.st_failed))
+    | _ -> ());
+    k result svc_stats
 
 let scale_arg =
   let doc =
@@ -261,6 +257,29 @@ let with_out_file path f =
       Printf.eprintf "cannot write %s: %s\n" path msg;
       exit 1
 
+let output_ndjson oc docs =
+  List.iter
+    (fun j ->
+      output_string oc (Jsonx.to_string j);
+      output_char oc '\n')
+    docs
+
+(* A command's --json report.  The fabric's fields are present only when
+   it ran, so single-process reports (and their goldens) are unchanged. *)
+let write_report path fields svc_stats =
+  let fabric =
+    match svc_stats with
+    | None -> []
+    | Some (st : Svc.stats) ->
+      [
+        ("workers", Jsonx.Int st.Svc.st_workers);
+        ("svc", Svc.stats_to_json st);
+      ]
+  in
+  with_out_file path (fun oc ->
+      output_string oc (Jsonx.to_pretty_string (Jsonx.Obj (fields @ fabric)));
+      output_char oc '\n')
+
 (* Coverage/progress sinks are opened before the campaign starts, so an
    unwritable path is a usage error (exit 2) rather than a failure after
    minutes of work.  Returns the channel and whether we own (must close)
@@ -310,11 +329,7 @@ let emit_coverage cov_sink = function
     match cov_sink with
     | None -> ()
     | Some (oc, _) ->
-      List.iter
-        (fun j ->
-          output_string oc (Jsonx.to_string j);
-          output_char oc '\n')
-        (Cov.summary_to_ndjson summary);
+      output_ndjson oc (Cov.summary_to_ndjson summary);
       flush oc)
 
 let prune_of_string = function
@@ -359,9 +374,7 @@ let run_cmd =
         prerr_endline e;
         2
       | Ok prune, Ok (scale, tier) ->
-        validate_jobs jobs @@ fun jobs ->
-        validate_workers workers @@ fun () ->
-        with_cache cache_spec @@ fun cache ->
+        with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
         (* the tier contract: streaming certification always on, graph
            pruning on (the engine is quadratic without it), and a step
            budget that fits a 10M-op execution *)
@@ -400,34 +413,16 @@ let run_cmd =
           if profile_flag || json <> None then Profile.create ()
           else Profile.null
         in
-        let fabric = fabric_engaged ~workers ~cache_spec in
-        let nworkers = Option.value ~default:1 workers in
         if not quiet then
           Printf.printf
-            "%s (%s variant) under %s, %d executions, scale %d%s%s\n"
+            "%s (%s variant) under %s, %d executions, scale %d%s\n"
             w.Registry.name (Variant.to_string variant) (Tool.name tool) iters
             scale
-            (if fabric then Printf.sprintf ", %d workers" nworkers else "")
-            (if jobs > 1 then Printf.sprintf ", %d domains" jobs else "");
-        let fabric_result k =
-          if fabric then
-            run_fabric ?cache ~progress:progress_handle ~workers:nworkers
-              ~jobs
-              (Svc.Run_c
-                 { workload = w.Registry.name; buggy; scale; config; iters })
-              (fun (merged, st) ->
-                match merged with
-                | Svc.M_run s -> k (s, Some st)
-                | _ ->
-                  Printf.eprintf "campaign fabric: internal payload mismatch\n";
-                  2)
-          else
-            k
-              ( Tester.run_parallel ~profile ~metrics
-                  ~progress:progress_handle ~jobs ~config ~iters body,
-                None )
-        in
-        fabric_result @@ fun (summary, svc_stats) ->
+            (placement ~sep:"," ~workers ~cache_spec ~jobs);
+        campaign ~profile ~metrics ~progress:progress_handle ~jobs ~workers
+          ?cache
+          (Svc.run_instance w ~buggy ~scale ~config ~iters)
+        @@ fun summary svc_stats ->
         emit_coverage cov_sink summary.Tester.coverage;
         if not quiet then
           Format.printf "%a@." Tester.pp_summary summary;
@@ -467,28 +462,23 @@ let run_cmd =
         | None -> ()
         | Some path ->
           let gc = Gc.quick_stat () in
-          let doc =
-            Jsonx.Obj
-              ([
-                 ("schema", Jsonx.String "c11obs-run-v1");
-                 ("workload", Jsonx.String w.Registry.name);
-                 ("variant", Jsonx.String (Variant.to_string variant));
-                 ("tool", Jsonx.String (Tool.name tool));
-                 ("iters", Jsonx.Int iters);
-                 ("seed", Jsonx.Int seed);
-                 ("jobs", Jsonx.Int jobs);
-                 ("scale", Jsonx.Int scale);
-                 ("scale_tier", Jsonx.Bool tier);
-                 ("gc_top_heap_words", Jsonx.Int gc.Gc.top_heap_words);
-                 ("summary", Tester.summary_to_json summary);
-                 ("metrics", Metrics.to_json metrics);
-                 ("profile", Profile.to_json profile);
-               ]
-              @ svc_json_fields svc_stats)
-          in
-          with_out_file path (fun oc ->
-              output_string oc (Jsonx.to_pretty_string doc);
-              output_char oc '\n'));
+          write_report path
+            [
+              ("schema", Jsonx.String "c11obs-run-v1");
+              ("workload", Jsonx.String w.Registry.name);
+              ("variant", Jsonx.String (Variant.to_string variant));
+              ("tool", Jsonx.String (Tool.name tool));
+              ("iters", Jsonx.Int iters);
+              ("seed", Jsonx.Int seed);
+              ("jobs", Jsonx.Int jobs);
+              ("scale", Jsonx.Int scale);
+              ("scale_tier", Jsonx.Bool tier);
+              ("gc_top_heap_words", Jsonx.Int gc.Gc.top_heap_words);
+              ("summary", Tester.summary_to_json summary);
+              ("metrics", Metrics.to_json metrics);
+              ("profile", Profile.to_json profile);
+            ]
+            svc_stats);
         if summary.Tester.buggy_executions > 0 then 1 else 0)
   in
   let term =
@@ -512,9 +502,7 @@ let litmus_cmd =
       Printf.eprintf "unknown litmus test %S; try `c11test list'\n" name;
       2
     | Some t ->
-      validate_jobs jobs @@ fun jobs ->
-      validate_workers workers @@ fun () ->
-      with_cache cache_spec @@ fun cache ->
+      with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
       with_sinks ~coverage ~progress ~total:iters
       @@ fun cov_sink progress_handle ->
       let config =
@@ -526,30 +514,15 @@ let litmus_cmd =
         }
       in
       let quiet = coverage = Some "-" || progress = Some "-" in
-      let fabric = fabric_engaged ~workers ~cache_spec in
-      let nworkers = Option.value ~default:1 workers in
       if not quiet then
-        Printf.printf "%s under %s, %d executions%s%s\n%s\n\n" t.Litmus.name
+        Printf.printf "%s under %s, %d executions%s\n%s\n\n" t.Litmus.name
           (Tool.name tool) iters
-          (if fabric then Printf.sprintf " on %d workers" nworkers else "")
-          (if jobs > 1 then Printf.sprintf " on %d domains" jobs else "")
+          (placement ~sep:" on" ~workers ~cache_spec ~jobs)
           t.Litmus.description;
-      let fabric_result k =
-        if fabric then
-          run_fabric ?cache ~progress:progress_handle ~workers:nworkers ~jobs
-            (Svc.Litmus_c { name = t.Litmus.name; config; iters })
-            (fun (merged, _st) ->
-              match merged with
-              | Svc.M_litmus (s, hist) -> k (s, Litmus.rank_hist hist)
-              | _ ->
-                Printf.eprintf "campaign fabric: internal payload mismatch\n";
-                2)
-        else
-          k
-            (Litmus.explore_summary ~progress:progress_handle ~jobs ~config
-               ~iters t)
-      in
-      fabric_result @@ fun (summary, hist) ->
+      campaign ~progress:progress_handle ~jobs ~workers ?cache
+        (Svc.litmus_instance t ~config ~iters)
+      @@ fun (summary, hist) _ ->
+      let hist = Litmus.rank_hist hist in
       emit_coverage cov_sink summary.Tester.coverage;
       if not quiet then begin
         List.iter
@@ -675,9 +648,7 @@ let fuzz_cmd =
           s;
         2
       | Ok mutation ->
-        validate_jobs jobs @@ fun jobs ->
-        validate_workers workers @@ fun () ->
-        with_cache cache_spec @@ fun cache ->
+        with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
         with_corpus corpus_spec @@ fun corpus ->
         if programs < 0 || ops < 1 || threads < 1 then begin
           Printf.eprintf "--programs must be >= 0, --ops and --threads >= 1\n";
@@ -720,11 +691,9 @@ let fuzz_cmd =
           in
           let metrics = if json <> None then Metrics.create () else Metrics.null in
           let profiler = Profile.create () in
-          let fabric = fabric_engaged ~workers ~cache_spec in
-          let nworkers = Option.value ~default:1 workers in
           if not quiet then
             Printf.printf
-              "fuzzing %d programs (profile %s, <=%d threads, <=%d ops%s%s%s)%s%s\n"
+              "fuzzing %d programs (profile %s, <=%d threads, <=%d ops%s%s%s)%s\n"
               programs (Fuzz.profile_name profile) threads ops
               ", certifying all"
               (match mutation with
@@ -735,27 +704,11 @@ let fuzz_cmd =
               | Some pl ->
                 Printf.sprintf ", corpus %d entries"
                   (List.length pl.Corpus.pl_entries))
-              (if fabric then Printf.sprintf " on %d workers" nworkers else "")
-              (if jobs > 1 then Printf.sprintf " on %d domains" jobs else "");
-          let fabric_result k =
-            if fabric then
-              run_fabric ?cache ~progress:progress_handle ~workers:nworkers
-                ~jobs
-                (Svc.Fuzz_c { cfg; coverage = coverage <> None; range = None })
-                (fun (merged, st) ->
-                  match merged with
-                  | Svc.M_fuzz r -> k (r, Some st)
-                  | _ ->
-                    Printf.eprintf
-                      "campaign fabric: internal payload mismatch\n";
-                    2)
-            else
-              k
-                ( Fuzz.campaign ~profile:profiler ~metrics
-                    ~coverage:(coverage <> None) ~progress:progress_handle cfg,
-                  None )
-          in
-          fabric_result @@ fun (report, svc_stats) ->
+              (placement ~sep:" on" ~workers ~cache_spec ~jobs);
+          campaign ~profile:profiler ~metrics ~progress:progress_handle ~jobs
+            ~workers ?cache
+            (Svc.fuzz_instance ~coverage:(coverage <> None) cfg)
+          @@ fun report svc_stats ->
           emit_coverage cov_sink report.Fuzz.r_coverage;
           (* persist the campaign's admissions; store is first-wins, so a
              digest already on disk (from a prior campaign) is skipped *)
@@ -782,35 +735,27 @@ let fuzz_cmd =
           | None -> ()
           | Some path ->
             with_out_file path (fun oc ->
-                List.iter
-                  (fun f ->
-                    output_string oc (Jsonx.to_string (Fuzz.finding_to_json f));
-                    output_char oc '\n')
-                  report.Fuzz.r_findings));
+                output_ndjson oc
+                  (List.map Fuzz.finding_to_json report.Fuzz.r_findings)));
           (match json with
           | None -> ()
           | Some path ->
-            let doc =
-              Jsonx.Obj
-                ([
-                   ("schema", Jsonx.String "c11fuzz-v1");
-                   ("programs", Jsonx.Int programs);
-                   ("seed", Jsonx.Int seed);
-                   ("jobs", Jsonx.Int jobs);
-                   ("gen_profile", Jsonx.String (Fuzz.profile_name profile));
-                   ( "mutant",
-                     match mutation with
-                     | None -> Jsonx.Null
-                     | Some m -> Jsonx.String (Execution.mutation_name m) );
-                   ("report", Fuzz.report_to_json report);
-                   ("metrics", Metrics.to_json metrics);
-                   ("profile", Profile.to_json profiler);
-                 ]
-                @ svc_json_fields svc_stats)
-            in
-            with_out_file path (fun oc ->
-                output_string oc (Jsonx.to_pretty_string doc);
-                output_char oc '\n'));
+            write_report path
+              [
+                ("schema", Jsonx.String "c11fuzz-v1");
+                ("programs", Jsonx.Int programs);
+                ("seed", Jsonx.Int seed);
+                ("jobs", Jsonx.Int jobs);
+                ("gen_profile", Jsonx.String (Fuzz.profile_name profile));
+                ( "mutant",
+                  match mutation with
+                  | None -> Jsonx.Null
+                  | Some m -> Jsonx.String (Execution.mutation_name m) );
+                ("report", Fuzz.report_to_json report);
+                ("metrics", Metrics.to_json metrics);
+                ("profile", Profile.to_json profiler);
+              ]
+              svc_stats);
           if report.Fuzz.r_findings <> [] then 1 else 0
         end)
   in
@@ -861,9 +806,7 @@ let sweep_cmd =
         family_name;
       2
     | Some family ->
-      validate_jobs jobs @@ fun jobs ->
-      validate_workers workers @@ fun () ->
-      with_cache cache_spec @@ fun cache ->
+      with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
       if iters < 1 then begin
         Printf.eprintf "--iters must be positive (got %d)\n" iters;
         2
@@ -875,83 +818,36 @@ let sweep_cmd =
         let quiet =
           json = Some "-" || ndjson = Some "-" || progress = Some "-"
         in
-        let fabric = fabric_engaged ~workers ~cache_spec in
-        let nworkers = Option.value ~default:1 workers in
         let seed64 = Int64.of_int seed in
         if not quiet then
-          Printf.printf "sweeping %s: %d cells x %d executions%s%s\n"
+          Printf.printf "sweeping %s: %d cells x %d executions%s\n"
             family.Sweep.fa_name
             (List.length family.Sweep.fa_cells)
             iters
-            (if fabric then Printf.sprintf " on %d workers" nworkers else "")
-            (if jobs > 1 then Printf.sprintf " on %d domains" jobs else "");
-        let fabric_result k =
-          if fabric then
-            run_fabric ?cache ~progress:progress_handle ~workers:nworkers
-              ~jobs
-              (Svc.Sweep_c
-                 { sw_family = family.Sweep.fa_name; sw_iters = iters;
-                   sw_seed = seed64 })
-              (fun (merged, st) ->
-                match merged with
-                | Svc.M_sweep r -> k (r, Some st)
-                | _ ->
-                  Printf.eprintf "campaign fabric: internal payload mismatch\n";
-                  2)
-          else begin
-            let shards =
-              if jobs = 1 then
-                [
-                  Sweep.run_shard ~progress:progress_handle ~family ~iters
-                    ~seed:seed64 ~start:0 ~stride:1 ();
-                ]
-              else
-                Array.to_list
-                  (Par.spawn_workers ~jobs (fun ~worker ->
-                       Sweep.run_shard ~progress:progress_handle ~family
-                         ~iters ~seed:seed64 ~start:worker ~stride:jobs ()))
-            in
-            let r = Sweep.merge ~family ~iters ~seed:seed64 shards in
-            let findings =
-              List.length
-                (List.filter
-                   (fun c -> c.Sweep.cr_verdict = Sweep.V_cert_rejected)
-                   r.Sweep.rs_cells)
-            in
-            Progress.finish ~novel:0 ~findings progress_handle;
-            k (r, None)
-          end
-        in
-        fabric_result @@ fun (result, svc_stats) ->
+            (placement ~sep:" on" ~workers ~cache_spec ~jobs);
+        campaign ~progress:progress_handle ~jobs ~workers ?cache
+          (Svc.sweep_instance family ~iters ~seed:seed64)
+        @@ fun result svc_stats ->
         if not quiet then
           Format.printf "%a@." Sweep.pp_matrix result;
         (match ndjson with
         | None -> ()
         | Some path ->
           with_out_file path (fun oc ->
-              List.iter
-                (fun j ->
-                  output_string oc (Jsonx.to_string j);
-                  output_char oc '\n')
-                (Sweep.result_to_ndjson result)));
+              output_ndjson oc (Sweep.result_to_ndjson result)));
         (match json with
         | None -> ()
         | Some path ->
-          let doc =
-            Jsonx.Obj
-              ([
-                 ("schema", Jsonx.String "c11sweep-campaign-v1");
-                 ("family", Jsonx.String family.Sweep.fa_name);
-                 ("iters", Jsonx.Int iters);
-                 ("seed", Jsonx.Int seed);
-                 ("jobs", Jsonx.Int jobs);
-                 ("result", Sweep.result_to_json result);
-               ]
-              @ svc_json_fields svc_stats)
-          in
-          with_out_file path (fun oc ->
-              output_string oc (Jsonx.to_pretty_string doc);
-              output_char oc '\n'));
+          write_report path
+            [
+              ("schema", Jsonx.String "c11sweep-campaign-v1");
+              ("family", Jsonx.String family.Sweep.fa_name);
+              ("iters", Jsonx.Int iters);
+              ("seed", Jsonx.Int seed);
+              ("jobs", Jsonx.Int jobs);
+              ("result", Sweep.result_to_json result);
+            ]
+            svc_stats);
         Sweep.exit_code result
       end
   in
@@ -1031,9 +927,7 @@ let lint_cmd =
           2
         end
         else begin
-          validate_jobs jobs @@ fun jobs ->
-          validate_workers workers @@ fun () ->
-          with_cache cache_spec @@ fun cache ->
+          with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
           let targets =
             if targets <> [] then targets
             else List.map fst Lmodel.all @ List.map fst Wmodel.all
@@ -1069,70 +963,18 @@ let lint_cmd =
           let quiet =
             json = Some "-" || ndjson = Some "-" || progress = Some "-"
           in
-          let fabric = fabric_engaged ~workers ~cache_spec in
-          let nworkers = Option.value ~default:1 workers in
           if not quiet then
             Printf.printf
-              "linting %d named target(s) and %d generated program(s)%s%s\n"
+              "linting %d named target(s) and %d generated program(s)%s\n"
               (List.length targets) programs
-              (if fabric then Printf.sprintf " on %d workers" nworkers else "")
-              (if jobs > 1 then Printf.sprintf " on %d domains" jobs else "");
-          let fabric_result k =
-            if fabric then
-              run_fabric ?cache ~progress:progress_handle ~workers:nworkers
-                ~jobs
-                (Svc.Lint_c
-                   {
-                     lt_targets = targets;
-                     lt_programs = programs;
-                     lt_seed = seed64;
-                     lt_gen = gen;
-                   })
-                (fun (merged, st) ->
-                  match merged with
-                  | Svc.M_lint results -> k (results, Some st)
-                  | _ ->
-                    Printf.eprintf
-                      "campaign fabric: internal payload mismatch\n";
-                    2)
-            else begin
-              let tarr = Array.of_list targets in
-              let shards =
-                if jobs = 1 then
-                  [
-                    Svc.lint_shard ~progress:progress_handle ~targets:tarr
-                      ~gen ~seed:seed64 ~total ~start:0 ~stride:1;
-                  ]
-                else
-                  Par.spawn_workers ~jobs (fun ~worker ->
-                      Svc.lint_shard ~progress:progress_handle ~targets:tarr
-                        ~gen ~seed:seed64 ~total ~start:worker ~stride:jobs)
-                  |> Array.to_list
-              in
-              let results =
-                Par.Merge.dedup_indexed
-                  ~key:(fun (r : Lint.result) -> r.Lint.res_target)
-                  shards
-              in
-              let findings =
-                List.length
-                  (List.filter
-                     (fun (_, r) -> not r.Lint.res_race_free)
-                     results)
-              in
-              Progress.finish ~novel:0 ~findings progress_handle;
-              k (results, None)
-            end
-          in
-          fabric_result @@ fun (results, svc_stats) ->
+              (placement ~sep:" on" ~workers ~cache_spec ~jobs);
+          campaign ~progress:progress_handle ~jobs ~workers ?cache
+            (Svc.lint_instance ~targets ~programs ~seed:seed64 ~gen)
+          @@ fun results svc_stats ->
           (match nd_sink with
           | None -> ()
           | Some (oc, _) ->
-            List.iter
-              (fun j ->
-                output_string oc (Jsonx.to_string j);
-                output_char oc '\n')
-              (Lint.campaign_to_ndjson results);
+            output_ndjson oc (Lint.campaign_to_ndjson results);
             flush oc);
           let unclean = List.filter (fun (_, r) -> not (Lint.clean r)) results in
           let racy =
@@ -1181,32 +1023,27 @@ let lint_cmd =
           (match json with
           | None -> ()
           | Some path ->
-            let doc =
-              Jsonx.Obj
-                ([
-                   ("schema", Jsonx.String "c11lint-report-v1");
-                   ("targets", Jsonx.Int (List.length results));
-                   ("programs", Jsonx.Int programs);
-                   ("seed", Jsonx.Int seed);
-                   ("jobs", Jsonx.Int jobs);
-                   ("gen_profile", Jsonx.String (Fuzz.profile_name profile));
-                   ("clean", Jsonx.Int (List.length results - List.length unclean));
-                   ("race_potential", Jsonx.Int (List.length racy));
-                   ( "rule_hits",
-                     Jsonx.Obj
-                       (List.map (fun (r, n) -> (r, Jsonx.Int n)) rule_counts)
-                   );
-                   ( "results",
-                     Jsonx.List
-                       (List.map
-                          (fun (i, r) -> Lint.result_to_json ~index:i r)
-                          results) );
-                 ]
-                @ svc_json_fields svc_stats)
-            in
-            with_out_file path (fun oc ->
-                output_string oc (Jsonx.to_pretty_string doc);
-                output_char oc '\n'));
+            write_report path
+              [
+                ("schema", Jsonx.String "c11lint-report-v1");
+                ("targets", Jsonx.Int (List.length results));
+                ("programs", Jsonx.Int programs);
+                ("seed", Jsonx.Int seed);
+                ("jobs", Jsonx.Int jobs);
+                ("gen_profile", Jsonx.String (Fuzz.profile_name profile));
+                ("clean", Jsonx.Int (List.length results - List.length unclean));
+                ("race_potential", Jsonx.Int (List.length racy));
+                ( "rule_hits",
+                  Jsonx.Obj
+                    (List.map (fun (r, n) -> (r, Jsonx.Int n)) rule_counts)
+                );
+                ( "results",
+                  Jsonx.List
+                    (List.map
+                       (fun (i, r) -> Lint.result_to_json ~index:i r)
+                       results) );
+              ]
+              svc_stats);
           if unclean <> [] then 1 else 0
         end)
   in

@@ -757,11 +757,13 @@ type report = {
   r_lint_potential : int;
   r_lint_unsound : int;
   r_corpus : corpus_stats option;
+  r_certified_ops : int;
+  r_retired_prefix_ops : int;
 }
 
 (* A corpus-admission candidate: a program whose execution produced at
    least one shard-novel coverage key.  Whether any of those keys are
-   *globally* novel is decided at the round barrier ([corpus_absorb]),
+   *globally* novel is decided at the round barrier ([run_rounds]),
    where every shard's candidates are replayed in ascending global index
    order — so admissions are a pure function of the campaign, not of the
    sharding. *)
@@ -783,6 +785,8 @@ type shard = {
   sh_fresh : int;
   sh_mutated : int;
   sh_cands : (int * cand) list;  (** ascending global index *)
+  sh_certified_ops : int;  (** streaming-certifier totals, primary probes *)
+  sh_retired_ops : int;
 }
 
 (* One worker's leapfrog shard: global indices worker, worker+jobs, ...
@@ -823,6 +827,8 @@ let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profil
   let fresh = ref 0 in
   let mutated = ref 0 in
   let cands = ref [] in
+  let certified_ops = ref 0 in
+  let retired_ops = ref 0 in
   let stop = match stop with Some s -> s | None -> cfg.c_programs in
   let index = ref start in
   while !index < stop do
@@ -897,10 +903,13 @@ let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profil
       | s -> s
     in
     (match outcome with
-    | Some o when progress_on ->
-      Progress.account_certified progress ~certified:o.Engine.certified_ops
-        ~retired:o.Engine.retired_prefix_ops
-    | _ -> ());
+    | Some o ->
+      certified_ops := !certified_ops + o.Engine.certified_ops;
+      retired_ops := !retired_ops + o.Engine.retired_prefix_ops;
+      if progress_on then
+        Progress.account_certified progress ~certified:o.Engine.certified_ops
+          ~retired:o.Engine.retired_prefix_ops
+    | None -> ());
     (* Shard-novel keys this program produced, collected in a fixed
        emission order (races, violation, shape) so a candidate's key list
        is deterministic.  Lint rule hits stay out of the corpus novelty
@@ -1018,79 +1027,9 @@ let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profil
     sh_fresh = !fresh;
     sh_mutated = !mutated;
     sh_cands = List.rev !cands;
+    sh_certified_ops = !certified_ops;
+    sh_retired_ops = !retired_ops;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Corpus admission
-
-   The campaign runs in rounds of [pl_round] programs.  Within a round
-   every shard records its *shard*-novel executions as candidates; at the
-   round barrier [corpus_absorb] replays all candidates in ascending
-   global index order against the accumulated key set.  A key's globally
-   first producer is also shard-first in every sharding, so it is a
-   candidate in every sharding, which makes the admitted entry list (and
-   each entry's [en_keys]) a pure function of the campaign — the -j N /
-   --workers N parity argument. *)
-
-type corpus_state = {
-  cs_known : (string, unit) Hashtbl.t;
-  cs_digests : (string, unit) Hashtbl.t;
-  cs_seeded : Corpus.entry list;
-  mutable cs_admitted_rev : Corpus.entry list;
-}
-
-let corpus_state (pl : Corpus.plan) =
-  let known = Hashtbl.create 64 in
-  let digests = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Corpus.entry) ->
-      Hashtbl.replace digests e.Corpus.en_digest ();
-      Hashtbl.replace known ("shape:" ^ e.Corpus.en_digest) ();
-      List.iter (fun k -> Hashtbl.replace known k ()) e.Corpus.en_keys)
-    pl.Corpus.pl_entries;
-  {
-    cs_known = known;
-    cs_digests = digests;
-    cs_seeded = pl.Corpus.pl_entries;
-    cs_admitted_rev = [];
-  }
-
-let corpus_admitted st = List.rev st.cs_admitted_rev
-let corpus_entries st = st.cs_seeded @ corpus_admitted st
-
-let corpus_absorb st shards =
-  let cands =
-    List.concat_map (fun s -> s.sh_cands) shards
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  in
-  let admitted =
-    List.filter_map
-      (fun (i, cd) ->
-        let novel_keys =
-          List.filter (fun k -> not (Hashtbl.mem st.cs_known k)) cd.cd_keys
-        in
-        (* mark *all* the candidate's keys: later candidates must not
-           re-claim a key their global predecessor produced *)
-        List.iter (fun k -> Hashtbl.replace st.cs_known k ()) cd.cd_keys;
-        if
-          novel_keys = [] || cd.cd_digest = ""
-          || Hashtbl.mem st.cs_digests cd.cd_digest
-        then None
-        else begin
-          Hashtbl.replace st.cs_digests cd.cd_digest ();
-          Some
-            {
-              Corpus.en_digest = cd.cd_digest;
-              en_index = i;
-              en_seed = cd.cd_program.p_seed;
-              en_keys = novel_keys;
-              en_program = cd.cd_program;
-            }
-        end)
-      cands
-  in
-  st.cs_admitted_rev <- List.rev_append admitted st.cs_admitted_rev;
-  admitted
 
 let merge_shards ?admitted cfg shards =
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 shards in
@@ -1125,7 +1064,74 @@ let merge_shards ?admitted cfg shards =
             k_mutated = sum (fun s -> s.sh_mutated);
             k_admitted = Option.value admitted ~default:[];
           });
+    r_certified_ops = sum (fun s -> s.sh_certified_ops);
+    r_retired_prefix_ops = sum (fun s -> s.sh_retired_ops);
   }
+
+(* The round loop shared by every campaign driver.  A corpus campaign runs
+   in rounds of [pl_round] programs.  Within a round every shard records
+   its *shard*-novel executions as candidates; at the round barrier all
+   candidates are replayed in ascending global index order against the
+   accumulated key set.  A key's globally first producer is also
+   shard-first in every sharding, so it is a candidate in every sharding,
+   which makes the admitted entry list (and each entry's [en_keys]) a pure
+   function of the campaign — the -j N / --workers N parity argument. *)
+let run_rounds ~wave cfg =
+  match cfg.c_corpus with
+  | None -> Result.map (merge_shards cfg) (wave ~cfg ~lo:0 ~hi:cfg.c_programs)
+  | Some plan0 ->
+    let known = Hashtbl.create 64 in
+    let digests = Hashtbl.create 64 in
+    List.iter
+      (fun (e : Corpus.entry) ->
+        Hashtbl.replace digests e.Corpus.en_digest ();
+        Hashtbl.replace known ("shape:" ^ e.Corpus.en_digest) ();
+        List.iter (fun k -> Hashtbl.replace known k ()) e.Corpus.en_keys)
+      plan0.Corpus.pl_entries;
+    let absorb shards =
+      List.concat_map (fun s -> s.sh_cands) shards
+      |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+      |> List.filter_map (fun (i, cd) ->
+             let novel_keys =
+               List.filter (fun k -> not (Hashtbl.mem known k)) cd.cd_keys
+             in
+             (* mark *all* the candidate's keys: later candidates must not
+                re-claim a key their global predecessor produced *)
+             List.iter (fun k -> Hashtbl.replace known k ()) cd.cd_keys;
+             if
+               novel_keys = [] || cd.cd_digest = ""
+               || Hashtbl.mem digests cd.cd_digest
+             then None
+             else begin
+               Hashtbl.replace digests cd.cd_digest ();
+               Some
+                 {
+                   Corpus.en_digest = cd.cd_digest;
+                   en_index = i;
+                   en_seed = cd.cd_program.p_seed;
+                   en_keys = novel_keys;
+                   en_program = cd.cd_program;
+                 }
+             end)
+    in
+    let rec round lo admitted_rev shards_rev =
+      if lo >= cfg.c_programs then
+        Ok
+          (merge_shards ~admitted:(List.rev admitted_rev) cfg
+             (List.concat (List.rev shards_rev)))
+      else
+        let hi = min cfg.c_programs (lo + plan0.Corpus.pl_round) in
+        (* the whole round mutates from one snapshot: seeded entries plus
+           everything admitted at earlier barriers *)
+        let entries = plan0.Corpus.pl_entries @ List.rev admitted_rev in
+        let plan = { plan0 with Corpus.pl_entries = entries } in
+        match wave ~cfg:{ cfg with c_corpus = Some plan } ~lo ~hi with
+        | Error e -> Error e
+        | Ok shards ->
+          let admitted_rev = List.rev_append (absorb shards) admitted_rev in
+          round hi admitted_rev (shards :: shards_rev)
+    in
+    round 0 [] []
 
 (* Shard-level entry points for the multi-process fabric (lib/svc): a
    worker process probes its arithmetic progression of program indices and
@@ -1156,7 +1162,7 @@ let campaign ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.nul
   let coverage = coverage || cfg.c_corpus <> None in
   let wave ~cfg ~lo ~hi =
     if jobs = 1 then
-      [
+      Ok [
         run_shard ~coverage ~progress ~obs ~profile ~metrics ~cfg ~start:lo
           ~stop:hi ~stride:1 ();
       ]
@@ -1181,31 +1187,10 @@ let campaign ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.nul
           if Metrics.enabled metrics then Metrics.absorb ~into:metrics m)
         results;
       Obs.flush obs;
-      Array.to_list (Array.map fst results)
+      Ok (Array.to_list (Array.map fst results))
     end
   in
-  let shards, admitted =
-    match cfg.c_corpus with
-    | None -> (wave ~cfg ~lo:0 ~hi:cfg.c_programs, None)
-    | Some plan0 ->
-      (* Rounds of [pl_round] programs with admission barriers between
-         them: every round's shards mutate from the same snapshot, so the
-         round is embarrassingly parallel, and the barrier replays
-         candidates index-ascending so admissions are sharding-independent. *)
-      let st = corpus_state plan0 in
-      let all = ref [] in
-      let lo = ref 0 in
-      while !lo < cfg.c_programs do
-        let hi = min cfg.c_programs (!lo + plan0.Corpus.pl_round) in
-        let plan_r = { plan0 with Corpus.pl_entries = corpus_entries st } in
-        let round_shards = wave ~cfg:{ cfg with c_corpus = Some plan_r } ~lo:!lo ~hi in
-        ignore (corpus_absorb st round_shards);
-        all := !all @ round_shards;
-        lo := hi
-      done;
-      (!all, Some (corpus_admitted st))
-  in
-  let report = merge_shards ?admitted cfg shards in
+  let report = Result.get_ok (run_rounds ~wave cfg) in
   if Progress.enabled progress then
     Progress.finish
       ?novel:(Option.map Cov.distinct_shapes report.r_coverage)

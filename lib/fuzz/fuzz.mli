@@ -255,6 +255,11 @@ type report = {
       (** programs whose final status was {!Lint_unsound} — zero on a
           sound engine *)
   r_corpus : corpus_stats option;  (** [Some _] iff [c_corpus] was set *)
+  r_certified_ops : int;
+      (** actions the streaming certifier consumed over the primary
+          probes — with [r_retired_prefix_ops], what a campaign's [final]
+          progress record reports; neither appears in {!report_to_json} *)
+  r_retired_prefix_ops : int;
 }
 
 (** [campaign cfg] generates and probes [c_programs] programs, shrinks
@@ -305,28 +310,22 @@ val campaign_shard :
     corpus driver's accumulated admissions into [r_corpus]. *)
 val merge_shard_list : ?admitted:Corpus.entry list -> campaign_cfg -> shard list -> report
 
-(** {2 Corpus admission (round-barrier state machine)}
-
-    Shared by the in-process round loop in {!campaign} and the
-    multi-process wave driver in lib/svc, so both produce byte-identical
-    admissions for the same campaign. *)
-
-type corpus_state
-
-(** Seed the known-key and known-digest sets from a plan's snapshot. *)
-val corpus_state : Corpus.plan -> corpus_state
-
-(** Snapshot + admitted so far — the entry list the next round's plan
-    mutates from. *)
-val corpus_entries : corpus_state -> Corpus.entry list
-
-val corpus_admitted : corpus_state -> Corpus.entry list
-
-(** Replay one round's candidates (all shards of that round, any order)
-    ascending by global index; returns the entries admitted by this
-    round.  A key's globally-first producer is shard-first under every
-    sharding, so the result is sharding-independent. *)
-val corpus_absorb : corpus_state -> shard list -> Corpus.entry list
+(** [run_rounds ~wave cfg] is the campaign round loop, shared by the
+    in-process {!campaign} (a wave fans out to domains) and the
+    multi-process fabric in lib/svc (a wave fans out to worker processes).
+    [wave ~cfg ~lo ~hi] must probe programs [lo, hi) of [cfg], sharded any
+    way, and return their shards.  A plain campaign is one wave over
+    [0, c_programs).  A corpus campaign ([c_corpus = Some plan]) is one
+    wave per admission round of [pl_round] programs; each wave's [cfg]
+    carries a plan holding the snapshot plus everything admitted at
+    earlier barriers, and a round's candidates are admitted at its barrier
+    in ascending global index order — so admissions, and the merged
+    report, do not depend on how the waves were sharded.  The first
+    [Error] from [wave] ends the loop. *)
+val run_rounds :
+  wave:(cfg:campaign_cfg -> lo:int -> hi:int -> (shard list, 'e) result) ->
+  campaign_cfg ->
+  (report, 'e) result
 
 val finding_to_json : finding -> Jsonx.t
 val report_to_json : report -> Jsonx.t

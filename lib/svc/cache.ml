@@ -15,7 +15,7 @@ type stats = {
   store_bytes : int;
 }
 
-let magic = "c11svc-cache-v1"
+let magic = "c11svc-cache-v2"
 
 let default_dir () =
   match Sys.getenv_opt "XDG_CACHE_HOME" with
@@ -72,10 +72,14 @@ let lookup (type a) t ~key : a option =
       (fun () ->
         if input_line ic <> magic then failwith "bad magic";
         if input_line ic <> key then failwith "key mismatch";
-        let body_pos = pos_in ic in
-        let len = in_channel_length ic - body_pos in
-        let bytes = really_input_string ic len in
-        (Marshal.from_string bytes 0 : a), len)
+        let digest = input_line ic in
+        let len = in_channel_length ic - pos_in ic in
+        let body = really_input_string ic len in
+        (* a flipped byte can keep the Marshal framing intact and replay
+           a wrong value, so the body is checked before it is decoded *)
+        if Digest.to_hex (Digest.string body) <> digest then
+          failwith "body digest mismatch";
+        ((Marshal.from_string body 0 : a), len))
   in
   match read () with
   | v, len ->
@@ -104,6 +108,8 @@ let store t ~key v =
      output_string oc magic;
      output_char oc '\n';
      output_string oc key;
+     output_char oc '\n';
+     output_string oc (Digest.to_hex (Digest.string body));
      output_char oc '\n';
      output_string oc body;
      close_out oc

@@ -12,10 +12,12 @@
     concurrent campaigns over one cache directory never observe a torn
     entry; a corrupt or truncated entry reads as a miss and is deleted.
     Values are stored with [Marshal] (shards are closure-free plain data)
-    behind a header line carrying the format version and the full key —
-    both are verified on load, and the cache key itself is salted with a
-    digest of the executable, so a rebuilt binary can never replay a stale
-    entry (which also makes the [Marshal] round-trip safe). *)
+    behind three header lines: the format version, the full key and the
+    MD5 of the body.  All three are verified on load, the digest before
+    the body is unmarshalled, so a flipped byte is a miss rather than a
+    wrong value.  The cache key itself is salted with a digest of the
+    executable, so a rebuilt binary can never replay a stale entry (which
+    also makes the [Marshal] round-trip safe). *)
 
 type t
 
@@ -38,8 +40,8 @@ val open_dir : string -> (t, string) result
 val dir : t -> string
 
 (** [lookup t ~key] replays the entry stored under [key], or [None].
-    Unreadable, version-skewed or corrupt entries are misses (and are
-    removed). *)
+    Unreadable, version-skewed, truncated or corrupt entries (a body whose
+    digest does not match) are misses, and are removed. *)
 val lookup : t -> key:string -> 'a option
 
 (** [store t ~key v] persists [v] under [key] (atomic rename; last writer

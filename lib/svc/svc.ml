@@ -1,11 +1,12 @@
-(* C11svc — multi-process campaign fabric.  See svc.mli for the protocol
-   overview.  Design constraints, in order:
+(* C11svc — the campaign runner: one instance per surface, run in process
+   or on the multi-process fabric.  See svc.mli for the protocol overview.
+   Design constraints, in order:
 
    1. Determinism: the merged observables of a --workers N campaign are
-      byte-identical to -j 1.  Workers therefore ship the *same* shard
-      values the in-process runners merge ({!Tester.shard} /
-      {!Fuzz.shard} — closure-free plain data, exact under [Marshal]),
-      and the coordinator folds them with the same {!Par.Merge} algebra.
+      byte-identical to -j 1.  A surface's instance has one shard runner
+      and one merge; domains, worker processes and cache replays all feed
+      the same closure-free shard values (exact under [Marshal]) to that
+      merge, which folds them with the {!Par.Merge} algebra.
    2. No partial-result ambiguity: a worker's results count only after
       its [shard] record arrived intact; a worker that dies earlier
       contributes nothing, its range is re-claimed once, and a second
@@ -29,7 +30,7 @@ type campaign =
       coverage : bool;
       range : (int * int) option;
           (* [Some (lo, hi)]: probe global program indices [lo, hi) only —
-             how the corpus wave driver scopes one admission round.
+             how a corpus campaign's fabric run scopes one admission round.
              [None] is the whole campaign. *)
     }
   | Sweep_c of { sw_family : string; sw_iters : int; sw_seed : int64 }
@@ -68,19 +69,6 @@ let stats_to_json s =
     match s.st_cache with
     | None -> []
     | Some c -> [ ("cache", Cache.stats_to_json c) ])
-
-let total = function
-  | Run_c { iters; _ } | Litmus_c { iters; _ } -> iters
-  | Fuzz_c { cfg; range; _ } -> (
-    match range with
-    | Some (lo, hi) -> hi - lo
-    | None -> cfg.Fuzz.c_programs)
-  | Sweep_c { sw_family; sw_iters; _ } -> (
-    match Sweep.find sw_family with
-    | Some family -> Sweep.total ~family ~iters:sw_iters
-    | None -> 0)
-  | Lint_c { lt_targets; lt_programs; _ } ->
-    List.length lt_targets + lt_programs
 
 (* ------------------------------------------------------------------ *)
 (* Base64 (standard alphabet, padded): the line-oriented wire protocol
@@ -144,7 +132,8 @@ let b64_decode s =
   Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
-(* Campaign fingerprints and the cache key. *)
+(* Campaign fingerprints and the code-version salt; {!cache_key} follows
+   the instances, whose parts carry the campaign fingerprints. *)
 
 let sched_fp = function
   | Schedule.Controlled_random { batch_stores } ->
@@ -190,81 +179,6 @@ let config_fp (c : Engine.config) =
       ("coverage", Jsonx.Bool c.Engine.coverage);
     ]
 
-let campaign_fp = function
-  | Run_c { workload; buggy; scale; config; iters } ->
-    Jsonx.Obj
-      [
-        ("kind", Jsonx.String "run");
-        ("workload", Jsonx.String workload);
-        ("buggy", Jsonx.Bool buggy);
-        ("scale", Jsonx.Int scale);
-        ("iters", Jsonx.Int iters);
-        ("config", config_fp config);
-      ]
-  | Litmus_c { name; config; iters } ->
-    Jsonx.Obj
-      [
-        ("kind", Jsonx.String "litmus");
-        ("name", Jsonx.String name);
-        ("iters", Jsonx.Int iters);
-        ("config", config_fp config);
-      ]
-  | Fuzz_c { cfg; coverage; range } ->
-    let g = cfg.Fuzz.c_gen in
-    Jsonx.Obj
-      [
-        ("kind", Jsonx.String "fuzz");
-        ("programs", Jsonx.Int cfg.Fuzz.c_programs);
-        ("seed", Jsonx.String (Int64.to_string cfg.Fuzz.c_seed));
-        ("shrink_execs", Jsonx.Int cfg.Fuzz.c_shrink_execs);
-        ("lint_execs", Jsonx.Int cfg.Fuzz.c_lint_execs);
-        ("threads", Jsonx.Int g.Fuzz.g_threads);
-        ("ops", Jsonx.Int g.Fuzz.g_ops);
-        ("atomic_locs", Jsonx.Int g.Fuzz.g_atomic_locs);
-        ("na_locs", Jsonx.Int g.Fuzz.g_na_locs);
-        ("mutexes", Jsonx.Int g.Fuzz.g_mutexes);
-        ("profile", Jsonx.String (Fuzz.profile_name g.Fuzz.g_profile));
-        ("sc_bias", Jsonx.Int g.Fuzz.g_sc_bias);
-        ( "mutation",
-          match cfg.Fuzz.c_mutation with
-          | None -> Jsonx.Null
-          | Some m -> Jsonx.String (Execution.mutation_name m) );
-        ("coverage", Jsonx.Bool coverage);
-        (* the corpus snapshot is part of what each program index runs, so
-           it must be part of the cache identity *)
-        ( "corpus",
-          match cfg.Fuzz.c_corpus with
-          | None -> Jsonx.Null
-          | Some pl -> Jsonx.String (Corpus.plan_digest pl) );
-        ( "range",
-          match range with
-          | None -> Jsonx.Null
-          | Some (lo, hi) -> Jsonx.List [ Jsonx.Int lo; Jsonx.Int hi ] );
-      ]
-  | Sweep_c { sw_family; sw_iters; sw_seed } ->
-    Jsonx.Obj
-      [
-        ("kind", Jsonx.String "sweep");
-        ("family", Jsonx.String sw_family);
-        ("iters", Jsonx.Int sw_iters);
-        ("seed", Jsonx.String (Int64.to_string sw_seed));
-      ]
-  | Lint_c { lt_targets; lt_programs; lt_seed; lt_gen } ->
-    Jsonx.Obj
-      [
-        ("kind", Jsonx.String "lint");
-        ("targets", Jsonx.List (List.map (fun t -> Jsonx.String t) lt_targets));
-        ("programs", Jsonx.Int lt_programs);
-        ("seed", Jsonx.String (Int64.to_string lt_seed));
-        ("threads", Jsonx.Int lt_gen.Fuzz.g_threads);
-        ("ops", Jsonx.Int lt_gen.Fuzz.g_ops);
-        ("atomic_locs", Jsonx.Int lt_gen.Fuzz.g_atomic_locs);
-        ("na_locs", Jsonx.Int lt_gen.Fuzz.g_na_locs);
-        ("mutexes", Jsonx.Int lt_gen.Fuzz.g_mutexes);
-        ("profile", Jsonx.String (Fuzz.profile_name lt_gen.Fuzz.g_profile));
-        ("sc_bias", Jsonx.Int lt_gen.Fuzz.g_sc_bias);
-      ]
-
 (* Code-version salt: the digest of the worker binary itself.  A rebuilt
    engine gets a fresh cache namespace, which both keeps results honest
    and makes the Marshal round-trip safe. *)
@@ -278,35 +192,16 @@ let exe_digest exe =
     Hashtbl.add exe_digests exe d;
     d
 
-let cache_key ~exe ~workers ~jobs ~worker c =
-  let doc =
-    Jsonx.Obj
-      [
-        ("schema", Jsonx.String "c11svc-cache-key-v1");
-        ("code", Jsonx.String (exe_digest exe));
-        ("campaign", campaign_fp c);
-        ("total", Jsonx.Int (total c));
-        ("workers", Jsonx.Int workers);
-        ("worker", Jsonx.Int worker);
-        ("jobs", Jsonx.Int jobs);
-      ]
-  in
-  Digest.to_hex (Digest.string (Jsonx.to_string doc))
-
 (* ------------------------------------------------------------------ *)
 (* Wire records. *)
 
 let schema = "c11svc-v1"
 
-(* What a worker ships back.  The constructor is part of the Marshal
-   payload, so a coordinator detects a campaign-kind mismatch (possible
-   only via a corrupted cache) instead of misinterpreting bytes. *)
-type payload =
-  | P_run of unit Tester.shard list
-  | P_litmus of Litmus.outcome Tester.shard list
-  | P_fuzz of Fuzz.shard list
-  | P_sweep of Sweep.shard list
-  | P_lint of (int * Lint.result) list list
+(* A worker ships back [(kind, shards)]: the coordinator checks the kind
+   before it reads the shards, so a payload of another campaign kind
+   (possible only through a cache entry written for other data) is an
+   error, not misread bytes. *)
+type 'p payload = string * 'p list
 
 (* The full job description a worker receives on stdin. *)
 type spec = {
@@ -330,6 +225,16 @@ let emit_json oc j =
   output_string oc (Jsonx.to_string j);
   output_char oc '\n';
   flush oc
+
+let emit_record ~worker kind fields =
+  emit_json stdout
+    (Jsonx.Obj
+       ([
+          ("schema", Jsonx.String schema);
+          ("kind", Jsonx.String kind);
+          ("worker", Jsonx.Int worker);
+        ]
+       @ fields))
 
 (* ------------------------------------------------------------------ *)
 (* Lint campaigns: one work item per named target (resolved against the
@@ -365,92 +270,371 @@ let lint_shard ~progress ~targets ~gen ~seed ~total ~start ~stride =
   go start []
 
 (* ------------------------------------------------------------------ *)
-(* Worker side. *)
+(* Surface instances.
 
-let worker_payload spec progress =
-  let w = spec.sp_worker and ws = spec.sp_workers and j = spec.sp_jobs in
-  let n = total spec.sp_campaign in
-  (* Nested leapfrog: domain [d] of [j] inside worker [w] of [ws] runs
-     start = w + d*ws, stride = j*ws — a partition of the worker's global
-     indices, so the shard list merges like any other sharding. *)
-  let tester_shards ~config f =
-    if j = 1 then
-      [ Tester.run_shard ~progress ~config ~total:n ~start:w ~stride:ws f ]
-    else
-      Par.spawn_workers ~jobs:j (fun ~worker ->
-          Tester.run_shard ~progress ~config ~total:n
-            ~start:(w + (worker * ws))
-            ~stride:(j * ws) f)
-      |> Array.to_list
+   Each surface (run, litmus, fuzz, sweep, lint) is defined once, as an
+   instance: the fan-out it runs ([part]: the closure-free spec a worker
+   is handed, its cache fingerprint, index-space size and shard runner),
+   the merge of its shards into the surface's result together with the
+   campaign's exact final progress counts, and an in-process runner.  The
+   fabric, the worker and the in-process path below are written once
+   against that shape; [instance] is the only place that tells the
+   campaign kinds apart. *)
+
+(* The [final] progress record's counts, and a worker's latest heartbeat. *)
+type counts = {
+  done_ : int;
+  novel : int;
+  findings : int;
+  certified : int;
+  retired : int;
+}
+
+let no_counts =
+  { done_ = 0; novel = 0; findings = 0; certified = 0; retired = 0 }
+
+let add_counts a b =
+  {
+    done_ = a.done_ + b.done_;
+    novel = a.novel + b.novel;
+    findings = a.findings + b.findings;
+    certified = a.certified + b.certified;
+    retired = a.retired + b.retired;
+  }
+
+let observe progress c =
+  Progress.observe progress ~done_:c.done_ ~novel:c.novel ~findings:c.findings
+    ~certified_ops:c.certified ~retired_prefix_ops:c.retired
+
+(* Heartbeats lag the merge; the final record carries the exact merged
+   counts, so it is identical however the campaign ran. *)
+let finish_progress progress c =
+  if Progress.enabled progress then begin
+    observe progress c;
+    Progress.finish ~novel:c.novel ~findings:c.findings progress
+  end
+
+let count p l = List.length (List.filter p l)
+let shapes = function None -> 0 | Some c -> Cov.distinct_shapes c
+
+type 'p part = {
+  spec : campaign;
+  kind : string;
+  fingerprint : Jsonx.t Lazy.t;
+      (* built only for a cache key: a corpus plan's digest serializes
+         every entry *)
+  total : int;
+  shard : progress:Progress.t -> start:int -> stride:int -> 'p;
+}
+
+type handles = {
+  obs : Obs.t;
+  profile : Profile.t;
+  metrics : Metrics.t;
+  progress : Progress.t;
+  jobs : int;
+}
+
+type 'r instance =
+  | Instance : {
+      part : 'p part;
+      drive :
+        ('p part -> ('p list, string) result) -> ('r * counts, string) result;
+          (* the whole campaign, given a fan-out that runs one part *)
+      local : handles -> 'r;
+    }
+      -> 'r instance
+
+let part ~spec ~kind ~total fields shard =
+  {
+    spec;
+    kind;
+    total;
+    shard;
+    fingerprint =
+      lazy (Jsonx.Obj (("kind", Jsonx.String kind) :: Lazy.force fields));
+  }
+
+(* The domain fan-out, in process and inside a worker: domain [d] of
+   [jobs] takes the sub-progression [start + d*stride] by [jobs*stride],
+   so worker [w] of [W] nests its domains under the process leapfrog. *)
+let domains ?(start = 0) ?(stride = 1) ~progress ~jobs part =
+  Par.spawn_workers ~jobs (fun ~worker ->
+      part.shard ~progress
+        ~start:(start + (worker * stride))
+        ~stride:(jobs * stride))
+  |> Array.to_list
+
+(* By default a campaign is one fan-out over its part, and it runs in
+   process on domains. *)
+let make ?drive ?local part merge =
+  let drive =
+    Option.value drive ~default:(fun fan -> Result.map merge (fan part))
   in
-  match spec.sp_campaign with
-  | Run_c { workload; buggy; scale; config; _ } -> (
-    match Registry.find workload with
-    | None -> Error (Printf.sprintf "unknown workload %S" workload)
-    | Some reg ->
-      let variant = if buggy then Variant.Buggy else Variant.Correct in
-      Ok (P_run (tester_shards ~config (reg.Registry.run ~variant ~scale))))
-  | Litmus_c { name; config; _ } -> (
-    match Litmus.find name with
-    | None -> Error (Printf.sprintf "unknown litmus test %S" name)
-    | Some t -> Ok (P_litmus (tester_shards ~config t.Litmus.run_once)))
-  | Fuzz_c { cfg; coverage; range } ->
-    (* a ranged campaign (one corpus round) leapfrogs the same way, just
-       offset to [lo] and stopped at [hi] *)
-    let lo, hi =
-      match range with Some r -> r | None -> (0, cfg.Fuzz.c_programs)
-    in
-    let shards =
-      if j = 1 then
-        [
-          Fuzz.campaign_shard ~coverage ~progress ~stop:hi ~cfg ~start:(lo + w)
-            ~stride:ws ();
-        ]
+  let local =
+    Option.value local ~default:(fun h ->
+        let r, c = merge (domains ~progress:h.progress ~jobs:h.jobs part) in
+        finish_progress h.progress c;
+        r)
+  in
+  Instance { part; drive; local }
+
+let map f (Instance i) =
+  Instance
+    {
+      part = i.part;
+      drive = (fun fan -> Result.map (fun (r, c) -> (f r, c)) (i.drive fan));
+      local = (fun h -> f (i.local h));
+    }
+
+let tester_instance ~spec ~kind ~config ~iters fields body project =
+  make
+    (part ~spec ~kind ~total:iters
+       (lazy
+         (fields
+         @ [ ("iters", Jsonx.Int iters); ("config", config_fp config) ]))
+       (fun ~progress ~start ~stride ->
+         Tester.run_shard ~progress ~config ~total:iters ~start ~stride body))
+    ~local:(fun h ->
+      project
+        (Tester.run_collect_parallel ~obs:h.obs ~profile:h.profile
+           ~metrics:h.metrics ~progress:h.progress ~jobs:h.jobs ~config ~iters
+           body))
+    (fun shards ->
+      let ((s, _) as r) = Tester.merge_shard_list shards in
+      ( project r,
+        {
+          done_ = s.Tester.executions;
+          novel = shapes s.Tester.coverage;
+          findings =
+            List.length s.Tester.distinct_races
+            + List.length s.Tester.distinct_cert_violations;
+          certified = s.Tester.certified_ops;
+          retired = s.Tester.retired_prefix_ops;
+        } ))
+
+let run_instance (w : Registry.t) ~buggy ~scale ~config ~iters =
+  let variant = if buggy then Variant.Buggy else Variant.Correct in
+  tester_instance ~kind:"run" ~config ~iters
+    ~spec:(Run_c { workload = w.Registry.name; buggy; scale; config; iters })
+    [
+      ("workload", Jsonx.String w.Registry.name);
+      ("buggy", Jsonx.Bool buggy);
+      ("scale", Jsonx.Int scale);
+    ]
+    (w.Registry.run ~variant ~scale)
+    fst
+
+let litmus_instance (t : Litmus.t) ~config ~iters =
+  tester_instance ~kind:"litmus" ~config ~iters
+    ~spec:(Litmus_c { name = t.Litmus.name; config; iters })
+    [ ("name", Jsonx.String t.Litmus.name) ]
+    t.Litmus.run_once Fun.id
+
+let gen_fp (g : Fuzz.gen_cfg) =
+  [
+    ("threads", Jsonx.Int g.Fuzz.g_threads);
+    ("ops", Jsonx.Int g.Fuzz.g_ops);
+    ("atomic_locs", Jsonx.Int g.Fuzz.g_atomic_locs);
+    ("na_locs", Jsonx.Int g.Fuzz.g_na_locs);
+    ("mutexes", Jsonx.Int g.Fuzz.g_mutexes);
+    ("profile", Jsonx.String (Fuzz.profile_name g.Fuzz.g_profile));
+    ("sc_bias", Jsonx.Int g.Fuzz.g_sc_bias);
+  ]
+
+let fuzz_part ~coverage ~range cfg =
+  let lo, hi =
+    match range with Some r -> r | None -> (0, cfg.Fuzz.c_programs)
+  in
+  part ~spec:(Fuzz_c { cfg; coverage; range }) ~kind:"fuzz" ~total:(hi - lo)
+    (lazy
+      ([
+         ("programs", Jsonx.Int cfg.Fuzz.c_programs);
+         ("seed", Jsonx.String (Int64.to_string cfg.Fuzz.c_seed));
+         ("shrink_execs", Jsonx.Int cfg.Fuzz.c_shrink_execs);
+         ("lint_execs", Jsonx.Int cfg.Fuzz.c_lint_execs);
+       ]
+      @ gen_fp cfg.Fuzz.c_gen
+      @ [
+          ( "mutation",
+            match cfg.Fuzz.c_mutation with
+            | None -> Jsonx.Null
+            | Some m -> Jsonx.String (Execution.mutation_name m) );
+          ("coverage", Jsonx.Bool coverage);
+          (* the corpus snapshot is part of what each program index runs,
+             so it must be part of the cache identity *)
+          ( "corpus",
+            match cfg.Fuzz.c_corpus with
+            | None -> Jsonx.Null
+            | Some pl -> Jsonx.String (Corpus.plan_digest pl) );
+          ( "range",
+            match range with
+            | None -> Jsonx.Null
+            | Some (lo, hi) -> Jsonx.List [ Jsonx.Int lo; Jsonx.Int hi ] );
+        ]))
+    (fun ~progress ~start ~stride ->
+      Fuzz.campaign_shard ~coverage ~progress ~stop:hi ~cfg ~start:(lo + start)
+        ~stride ())
+
+let with_fuzz_counts (r : Fuzz.report) =
+  ( r,
+    {
+      done_ = r.Fuzz.r_programs;
+      novel = shapes r.Fuzz.r_coverage;
+      findings = List.length r.Fuzz.r_findings;
+      certified = r.Fuzz.r_certified_ops;
+      retired = r.Fuzz.r_retired_prefix_ops;
+    } )
+
+let fuzz_ranged ~coverage ~range cfg =
+  let part = fuzz_part ~coverage ~range cfg in
+  let merge shards = with_fuzz_counts (Fuzz.merge_shard_list cfg shards) in
+  if range <> None then make part merge
+  else
+    (* A corpus campaign fans out once per admission round, each round a
+       ranged campaign of its own (corpus novelty forces coverage on).  A
+       zero-program one has no rounds, so it makes the plain campaign's
+       one empty fan-out instead, which still reports worker and cache
+       statistics. *)
+    let drive fan =
+      if cfg.Fuzz.c_corpus = None || cfg.Fuzz.c_programs = 0 then
+        Result.map merge (fan part)
       else
-        Par.spawn_workers ~jobs:j (fun ~worker ->
-            Fuzz.campaign_shard ~coverage ~progress ~stop:hi ~cfg
-              ~start:(lo + w + (worker * ws))
-              ~stride:(j * ws) ())
-        |> Array.to_list
+        Fuzz.run_rounds cfg ~wave:(fun ~cfg ~lo ~hi ->
+            fan (fuzz_part ~coverage:true ~range:(Some (lo, hi)) cfg))
+        |> Result.map with_fuzz_counts
     in
-    Ok (P_fuzz shards)
-  | Sweep_c { sw_family; sw_iters; sw_seed } -> (
-    match Sweep.find sw_family with
-    | None -> Error (Printf.sprintf "unknown sweep family %S" sw_family)
-    | Some family ->
-      let shards =
-        if j = 1 then
-          [
-            Sweep.run_shard ~progress ~family ~iters:sw_iters ~seed:sw_seed
-              ~start:w ~stride:ws ();
+    make part merge ~drive ~local:(fun h ->
+        Fuzz.campaign ~obs:h.obs ~profile:h.profile ~metrics:h.metrics
+          ~coverage ~progress:h.progress
+          { cfg with Fuzz.c_jobs = h.jobs })
+
+let fuzz_instance ~coverage cfg = fuzz_ranged ~coverage ~range:None cfg
+
+let sweep_instance (family : Sweep.family) ~iters ~seed =
+  let name = family.Sweep.fa_name in
+  make
+    (part ~kind:"sweep"
+       ~spec:(Sweep_c { sw_family = name; sw_iters = iters; sw_seed = seed })
+       ~total:(Sweep.total ~family ~iters)
+       (lazy
+         [
+           ("family", Jsonx.String name);
+           ("iters", Jsonx.Int iters);
+           ("seed", Jsonx.String (Int64.to_string seed));
+         ])
+       (fun ~progress ~start ~stride ->
+         Sweep.run_shard ~progress ~family ~iters ~seed ~start ~stride ()))
+    (fun shards ->
+      let r = Sweep.merge ~family ~iters ~seed shards in
+      let cells = r.Sweep.rs_cells in
+      ( r,
+        {
+          no_counts with
+          done_ =
+            List.fold_left
+              (fun a c -> a + c.Sweep.cr_stats.Sweep.st_execs)
+              0 cells;
+          findings =
+            count (fun c -> c.Sweep.cr_verdict = Sweep.V_cert_rejected) cells;
+        } ))
+
+let lint_instance ~targets ~programs ~seed ~gen =
+  let tarr = Array.of_list targets in
+  let total = Array.length tarr + programs in
+  make
+    (part ~kind:"lint" ~total
+       ~spec:
+         (Lint_c
+            {
+              lt_targets = targets;
+              lt_programs = programs;
+              lt_seed = seed;
+              lt_gen = gen;
+            })
+       (lazy
+         ([
+            ( "targets",
+              Jsonx.List (List.map (fun t -> Jsonx.String t) targets) );
+            ("programs", Jsonx.Int programs);
+            ("seed", Jsonx.String (Int64.to_string seed));
           ]
-        else
-          Par.spawn_workers ~jobs:j (fun ~worker ->
-              Sweep.run_shard ~progress ~family ~iters:sw_iters ~seed:sw_seed
-                ~start:(w + (worker * ws))
-                ~stride:(j * ws) ())
-          |> Array.to_list
+         @ gen_fp gen))
+       (fun ~progress ~start ~stride ->
+         lint_shard ~progress ~targets:tarr ~gen ~seed ~total ~start ~stride))
+    (fun shards ->
+      (* every index is analyzed exactly once, so the targets are already
+         distinct — dedup_indexed here is just the ascending-index merge *)
+      let results =
+        Par.Merge.dedup_indexed
+          ~key:(fun (r : Lint.result) -> r.Lint.res_target)
+          shards
       in
-      Ok (P_sweep shards))
-  | Lint_c { lt_targets; lt_programs = _; lt_seed; lt_gen } -> (
+      ( results,
+        {
+          no_counts with
+          done_ = List.length results;
+          findings = count (fun (_, r) -> not r.Lint.res_race_free) results;
+        } ))
+
+let instance campaign =
+  let find what lookup name =
+    match lookup name with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "unknown %s %S" what name)
+  in
+  match campaign with
+  | Run_c { workload; buggy; scale; config; iters } ->
+    Result.map
+      (fun w ->
+        map (fun s -> M_run s) (run_instance w ~buggy ~scale ~config ~iters))
+      (find "workload" Registry.find workload)
+  | Litmus_c { name; config; iters } ->
+    Result.map
+      (fun t ->
+        map
+          (fun (s, hist) -> M_litmus (s, hist))
+          (litmus_instance t ~config ~iters))
+      (find "litmus test" Litmus.find name)
+  | Fuzz_c { cfg; coverage; range } ->
+    Ok (map (fun r -> M_fuzz r) (fuzz_ranged ~coverage ~range cfg))
+  | Sweep_c { sw_family; sw_iters; sw_seed } ->
+    Result.map
+      (fun family ->
+        map (fun r -> M_sweep r)
+          (sweep_instance family ~iters:sw_iters ~seed:sw_seed))
+      (find "sweep family" Sweep.find sw_family)
+  | Lint_c { lt_targets; lt_programs; lt_seed; lt_gen } -> (
     match List.find_opt (fun t -> lint_resolve t = None) lt_targets with
     | Some t -> Error (Printf.sprintf "unknown lint target %S" t)
     | None ->
-      let targets = Array.of_list lt_targets in
-      let shards =
-        if j = 1 then
-          [
-            lint_shard ~progress ~targets ~gen:lt_gen ~seed:lt_seed ~total:n
-              ~start:w ~stride:ws;
-          ]
-        else
-          Par.spawn_workers ~jobs:j (fun ~worker ->
-              lint_shard ~progress ~targets ~gen:lt_gen ~seed:lt_seed ~total:n
-                ~start:(w + (worker * ws))
-                ~stride:(j * ws))
-          |> Array.to_list
-      in
-      Ok (P_lint shards))
+      Ok
+        (map (fun r -> M_lint r)
+           (lint_instance ~targets:lt_targets ~programs:lt_programs
+              ~seed:lt_seed ~gen:lt_gen)))
+
+let part_key ~exe ~workers ~jobs ~worker part =
+  let doc =
+    Jsonx.Obj
+      [
+        ("schema", Jsonx.String "c11svc-cache-key-v1");
+        ("code", Jsonx.String (exe_digest exe));
+        ("campaign", Lazy.force part.fingerprint);
+        ("total", Jsonx.Int part.total);
+        ("workers", Jsonx.Int workers);
+        ("worker", Jsonx.Int worker);
+        ("jobs", Jsonx.Int jobs);
+      ]
+  in
+  Digest.to_hex (Digest.string (Jsonx.to_string doc))
+
+let cache_key ~exe ~workers ~jobs ~worker c =
+  match instance c with
+  | Ok (Instance i) -> part_key ~exe ~workers ~jobs ~worker i.part
+  | Error msg -> invalid_arg ("Svc.cache_key: " ^ msg)
+
+(* ------------------------------------------------------------------ *)
+(* Worker side. *)
 
 let worker_main line =
   match decode_spec line with
@@ -458,55 +642,36 @@ let worker_main line =
     Printf.eprintf "c11test worker: malformed spec: %s\n" msg;
     2
   | Ok spec -> (
-    emit_json stdout
-      (Jsonx.Obj
-         [
-           ("schema", Jsonx.String schema);
-           ("kind", Jsonx.String "hello");
-           ("worker", Jsonx.Int spec.sp_worker);
-           ("pid", Jsonx.Int (Unix.getpid ()));
-         ]);
+    let w = spec.sp_worker and ws = spec.sp_workers in
+    emit_record ~worker:w "hello" [ ("pid", Jsonx.Int (Unix.getpid ())) ];
     (* Test-only fault injection: die uncleanly after claiming the shard
        and before producing any result, like a crashed or killed worker. *)
     (match spec.sp_kill with
-    | Some (victim, attempts)
-      when victim = spec.sp_worker && spec.sp_attempt <= attempts ->
+    | Some (victim, attempts) when victim = w && spec.sp_attempt <= attempts
+      ->
       exit 70
     | _ -> ());
-    let progress =
-      if spec.sp_progress then
-        Progress.create ~out:stdout ~interval_ns:250_000_000
-          ~total:
-            (Par.shard_size ~jobs:spec.sp_workers
-               ~total:(total spec.sp_campaign) ~worker:spec.sp_worker)
-      else Progress.null
-    in
-    match worker_payload spec progress with
+    match instance spec.sp_campaign with
     | Error msg ->
       Printf.eprintf "c11test worker: %s\n" msg;
       2
-    | Ok payload ->
-      (* parting [final] heartbeat: the worker's exact cumulative counts.
-         Interval-throttled heartbeats may lag or never fire on a fast
-         shard; the coordinator folds this one like any other, so its
-         post-campaign sums are exact. *)
-      if spec.sp_progress then Progress.finish progress;
-      emit_json stdout
-        (Jsonx.Obj
-           [
-             ("schema", Jsonx.String schema);
-             ("kind", Jsonx.String "shard");
-             ("worker", Jsonx.Int spec.sp_worker);
-             ( "payload",
-               Jsonx.String (b64_encode (Marshal.to_string payload [])) );
-           ]);
-      emit_json stdout
-        (Jsonx.Obj
-           [
-             ("schema", Jsonx.String schema);
-             ("kind", Jsonx.String "done");
-             ("worker", Jsonx.Int spec.sp_worker);
-           ]);
+    | Ok (Instance i) ->
+      let progress =
+        if spec.sp_progress then
+          Progress.create ~out:stdout ~interval_ns:250_000_000
+            ~total:(Par.shard_size ~jobs:ws ~total:i.part.total ~worker:w)
+        else Progress.null
+      in
+      let shards =
+        domains ~progress ~start:w ~stride:ws ~jobs:spec.sp_jobs i.part
+      in
+      (* parting [final] heartbeat: the worker's exact cumulative counts,
+         so the live aggregate catches up even on a fast shard *)
+      Progress.finish progress;
+      let payload : _ payload = (i.part.kind, shards) in
+      let b64 = b64_encode (Marshal.to_string payload []) in
+      emit_record ~worker:w "shard" [ ("payload", Jsonx.String b64) ];
+      emit_record ~worker:w "done" [];
       0)
 
 (* ------------------------------------------------------------------ *)
@@ -527,17 +692,14 @@ let locate_exe () =
         "_build/default/bin/c11test.exe";
       ]
 
-type wstate = {
+type 'p wstate = {
   w_index : int;
   mutable w_pid : int;
   mutable w_fd : Unix.file_descr option;
   w_buf : Buffer.t;
-  mutable w_payload : payload option;
+  mutable w_payload : 'p payload option;
   mutable w_attempt : int;
-  mutable w_failed : bool;
-  (* latest cumulative heartbeat counts:
-     done, novel, findings, certified_ops, retired_prefix_ops *)
-  mutable w_counts : int * int * int * int * int;
+  mutable w_counts : counts;  (* latest cumulative heartbeat *)
 }
 
 let spawn ~exe spec =
@@ -579,17 +741,19 @@ let handle_line st ~on_counts line =
         match Option.bind (Jsonx.member "payload" j) Jsonx.to_str with
         | None -> ()
         | Some b64 -> (
-          match (Marshal.from_string (b64_decode b64) 0 : payload) with
+          match Marshal.from_string (b64_decode b64) 0 with
           | p -> st.w_payload <- Some p
           | exception _ -> () (* treated as a crash at EOF *)))
       | _ -> () (* hello / done: informational ack *))
     | Some "c11progress-v1" ->
       st.w_counts <-
-        ( int_of j "done",
-          int_of j "novel",
-          int_of j "findings",
-          int_of j "certified_ops",
-          int_of j "retired_prefix_ops" );
+        {
+          done_ = int_of j "done";
+          novel = int_of j "novel";
+          findings = int_of j "findings";
+          certified = int_of j "certified_ops";
+          retired = int_of j "retired_prefix_ops";
+        };
       on_counts ()
     | _ -> ())
 
@@ -605,110 +769,145 @@ let drain_lines st ~on_counts =
     |> List.iter (fun line ->
            if String.trim line <> "" then handle_line st ~on_counts line)
 
-exception Payload_mismatch
-
-let fuzz_shards =
-  List.concat_map (function P_fuzz s -> s | _ -> raise Payload_mismatch)
-
-let merge_payloads campaign payloads =
-  let run_shards =
-    List.concat_map (function P_run s -> s | _ -> raise Payload_mismatch)
-  in
-  let litmus_shards =
-    List.concat_map (function P_litmus s -> s | _ -> raise Payload_mismatch)
-  in
-  let sweep_shards =
-    List.concat_map (function P_sweep s -> s | _ -> raise Payload_mismatch)
-  in
-  let lint_shards =
-    List.concat_map (function P_lint s -> s | _ -> raise Payload_mismatch)
-  in
-  match campaign with
-  | Run_c _ -> M_run (fst (Tester.merge_shard_list (run_shards payloads)))
-  | Litmus_c _ ->
-    let summary, hist = Tester.merge_shard_list (litmus_shards payloads) in
-    M_litmus (summary, hist)
-  | Fuzz_c { cfg; _ } -> M_fuzz (Fuzz.merge_shard_list cfg (fuzz_shards payloads))
-  | Sweep_c { sw_family; sw_iters; sw_seed } -> (
-    match Sweep.find sw_family with
-    | None -> raise Payload_mismatch
-    | Some family ->
-      M_sweep
-        (Sweep.merge ~family ~iters:sw_iters ~seed:sw_seed
-           (sweep_shards payloads)))
-  | Lint_c _ ->
-    (* every index is analyzed exactly once, so the targets are already
-       distinct — dedup_indexed here is just the ascending-index merge *)
-    M_lint
-      (Par.Merge.dedup_indexed
-         ~key:(fun (r : Lint.result) -> r.Lint.res_target)
-         (lint_shards payloads))
-
-(* Heartbeats from workers are throttled, so the coordinator's counters
-   may lag (or, on a fast campaign, never move).  Before [final], set
-   them to the exact merged totals — the final record is part of the
-   deterministic surface and must match the in-process runners'. *)
-let finish_progress progress merged ~observed_cert_ops =
-  if Progress.enabled progress then begin
-    let done_, novel, findings, certified_ops, retired_prefix_ops =
-      match merged with
-      | M_run s | M_litmus (s, _) ->
-        ( s.Tester.executions,
-          Option.value ~default:0
-            (Option.map Cov.distinct_shapes s.Tester.coverage),
-          List.length s.Tester.distinct_races
-          + List.length s.Tester.distinct_cert_violations,
-          s.Tester.certified_ops,
-          s.Tester.retired_prefix_ops )
-      | M_fuzz r ->
-        (* the fuzz report carries no certification-op totals; the summed
-           worker finals (exact — see worker_main) stand in for them *)
-        let obs_co, obs_ro = observed_cert_ops in
-        ( r.Fuzz.r_programs,
-          Option.value ~default:0
-            (Option.map Cov.distinct_shapes r.Fuzz.r_coverage),
-          List.length r.Fuzz.r_findings,
-          obs_co,
-          obs_ro )
-      | M_sweep r ->
-        let obs_co, obs_ro = observed_cert_ops in
-        ( List.fold_left
-            (fun a c -> a + c.Sweep.cr_stats.Sweep.st_execs)
-            0 r.Sweep.rs_cells,
-          0,
-          List.length
-            (List.filter
-               (fun c -> c.Sweep.cr_verdict = Sweep.V_cert_rejected)
-               r.Sweep.rs_cells),
-          obs_co,
-          obs_ro )
-      | M_lint results ->
-        ( List.length results,
-          0,
-          List.length
-            (List.filter (fun (_, r) -> not r.Lint.res_race_free) results),
-          0,
-          0 )
-    in
-    Progress.observe progress ~done_ ~novel ~findings ~certified_ops
-      ~retired_prefix_ops;
-    Progress.finish ~novel ~findings progress
-  end
-
-(* Drive one fan-out: spawn workers (or replay their shards from the
-   cache), pump the protocol, persist fresh shards, audit ranges.  Returns
-   the bare pieces — the callers merge and finish: [run_campaign] directly
-   for a one-shot campaign, the corpus wave driver once after its last
-   round.  [counts_base] offsets the aggregated heartbeat counters, so a
-   wave's progress stream continues from where the previous wave ended. *)
-let drive_single ?exe ?cache ?(progress = Progress.null) ?kill
-    ?(counts_base = (0, 0, 0, 0, 0)) ~workers ~jobs campaign =
-  let n = total campaign in
+(* One fan-out of [part] over worker processes: replay shards from the
+   cache, spawn workers for the rest, pump the protocol, persist fresh
+   shards, audit ranges.  [base] holds the heartbeat counts of the run's
+   earlier fan-outs, so the live progress stream keeps counting across a
+   corpus campaign's rounds. *)
+let fan_out ~exe ?cache ~progress ?kill ~base ~workers ~jobs part =
+  let n = part.total in
   let workers = max 1 (min workers (max 1 n)) in
   let jobs = max 1 jobs in
-  match
-    match exe with Some e -> Some e | None -> locate_exe ()
-  with
+  let key w = part_key ~exe ~workers ~jobs ~worker:w part in
+  let spawned = ref 0 in
+  (* cache replay first: a hit shard spawns no process at all *)
+  let cached =
+    Array.init workers (fun w ->
+        Option.bind cache (fun c -> Cache.lookup c ~key:(key w)))
+  in
+  let states =
+    Array.init workers (fun w ->
+        {
+          w_index = w;
+          w_pid = -1;
+          w_fd = None;
+          w_buf = Buffer.create 256;
+          w_payload = cached.(w);
+          w_attempt = 0;
+          w_counts = no_counts;
+        })
+  in
+  let launch st =
+    st.w_attempt <- st.w_attempt + 1;
+    Buffer.clear st.w_buf;
+    incr spawned;
+    let pid, fd =
+      spawn ~exe
+        {
+          sp_campaign = part.spec;
+          sp_worker = st.w_index;
+          sp_workers = workers;
+          sp_jobs = jobs;
+          sp_progress = Progress.enabled progress;
+          sp_attempt = st.w_attempt;
+          sp_kill = kill;
+        }
+    in
+    st.w_pid <- pid;
+    st.w_fd <- Some fd
+  in
+  Array.iter (fun st -> if st.w_payload = None then launch st) states;
+  (* aggregate the workers' cumulative heartbeat counts into the
+     campaign's single progress stream *)
+  let heartbeat_sum () =
+    Array.fold_left (fun acc st -> add_counts acc st.w_counts) no_counts states
+  in
+  let on_counts () =
+    if Progress.enabled progress then
+      observe progress (add_counts !base (heartbeat_sum ()))
+  in
+  let chunk = Bytes.create 65536 in
+  let on_exit st =
+    (match st.w_fd with
+    | Some fd -> Unix.close fd
+    | None -> ());
+    st.w_fd <- None;
+    (try ignore (Unix.waitpid [] st.w_pid) with Unix.Unix_error _ -> ());
+    (* crashed shard range: re-claim once, then leave it lost *)
+    if st.w_payload = None && st.w_attempt < 2 then launch st
+  in
+  let rec drive () =
+    let live =
+      Array.to_list states
+      |> List.filter_map (fun st -> Option.map (fun fd -> (fd, st)) st.w_fd)
+    in
+    if live <> [] then begin
+      (match Unix.select (List.map fst live) [] [] (-1.0) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | ready, _, _ ->
+        List.iter
+          (fun (fd, st) ->
+            if List.mem fd ready then
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 ->
+                drain_lines st ~on_counts;
+                on_exit st
+              | nread ->
+                Buffer.add_subbytes st.w_buf chunk 0 nread;
+                drain_lines st ~on_counts
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+          live);
+      drive ()
+    end
+  in
+  drive ();
+  base := add_counts !base (heartbeat_sum ());
+  let present =
+    Array.to_list states
+    |> List.filter_map (fun st ->
+           Option.map (fun p -> (st.w_index, p)) st.w_payload)
+  in
+  if List.exists (fun (_, (kind, _)) -> kind <> part.kind) present then
+    Error "shard payload does not match the campaign kind"
+  else if present = [] && n > 0 then
+    Error
+      (Printf.sprintf
+         "no worker produced a shard (%d spawned); is %s a c11test binary?"
+         !spawned exe)
+  else begin
+    (* persist fresh shards (cache hits are already on disk) *)
+    Option.iter
+      (fun c ->
+        List.iter
+          (fun (w, p) -> if cached.(w) = None then Cache.store c ~key:(key w) p)
+          present)
+      cache;
+    let fresh_execs =
+      List.fold_left
+        (fun acc (w, _) ->
+          if cached.(w) = None then
+            acc + Par.shard_size ~jobs:workers ~total:n ~worker:w
+          else acc)
+        0 present
+    in
+    Ok
+      ( List.concat_map (fun (_, (_, shards)) -> shards) present,
+        {
+          st_workers = workers;
+          st_spawned = !spawned;
+          st_failed =
+            (Par.Merge.check_ranges ~workers ~total:n (List.map fst present))
+              .Par.Merge.missing;
+          st_executions_run = fresh_execs;
+          st_cache = Option.map Cache.stats cache;
+        } )
+  end
+
+(* Run an instance's campaign on worker processes: every fan-out its
+   [drive] asks for goes through [fan_out], and the statistics of all of
+   them add up into one. *)
+let run_fabric ?exe ?cache ~progress ?kill ~workers ~jobs (Instance i) =
+  match match exe with Some e -> Some e | None -> locate_exe () with
   | None -> Error "cannot locate the c11test worker binary"
   | Some exe when not (Sys.file_exists exe) ->
     Error (Printf.sprintf "worker binary %s does not exist" exe)
@@ -720,260 +919,50 @@ let drive_single ?exe ?cache ?(progress = Progress.null) ?kill
       with Invalid_argument _ -> None
     in
     Fun.protect
-      ~finally:(fun () ->
-        match old_sigpipe with
-        | Some b -> Sys.set_signal Sys.sigpipe b
-        | None -> ())
+      ~finally:(fun () -> Option.iter (Sys.set_signal Sys.sigpipe) old_sigpipe)
       (fun () ->
-        let spawned = ref 0 in
-        (* cache replay first: a hit shard spawns no process at all *)
-        let cached = Array.make workers None in
-        (match cache with
-        | None -> ()
-        | Some c ->
-          for w = 0 to workers - 1 do
-            let key = cache_key ~exe ~workers ~jobs ~worker:w campaign in
-            cached.(w) <- Cache.lookup c ~key
-          done);
-        let states =
-          Array.init workers (fun w ->
-              {
-                w_index = w;
-                w_pid = -1;
-                w_fd = None;
-                w_buf = Buffer.create 256;
-                w_payload = cached.(w);
-                w_attempt = 0;
-                w_failed = false;
-                w_counts = (0, 0, 0, 0, 0);
-              })
+        let base = ref no_counts in
+        let stats =
+          ref
+            {
+              st_workers = 1;
+              st_spawned = 0;
+              st_failed = [];
+              st_executions_run = 0;
+              st_cache = None;
+            }
         in
-        let spec_of st =
-          {
-            sp_campaign = campaign;
-            sp_worker = st.w_index;
-            sp_workers = workers;
-            sp_jobs = jobs;
-            sp_progress = Progress.enabled progress;
-            sp_attempt = st.w_attempt;
-            sp_kill = kill;
-          }
+        let fan part =
+          fan_out ~exe ?cache ~progress ?kill ~base ~workers ~jobs part
+          |> Result.map (fun (shards, st) ->
+                 let s = !stats in
+                 stats :=
+                   {
+                     st_workers = max s.st_workers st.st_workers;
+                     st_spawned = s.st_spawned + st.st_spawned;
+                     st_failed =
+                       List.sort_uniq compare (s.st_failed @ st.st_failed);
+                     st_executions_run =
+                       s.st_executions_run + st.st_executions_run;
+                     st_cache = st.st_cache;
+                   };
+                 shards)
         in
-        let launch st =
-          st.w_attempt <- st.w_attempt + 1;
-          Buffer.clear st.w_buf;
-          incr spawned;
-          let pid, fd = spawn ~exe (spec_of st) in
-          st.w_pid <- pid;
-          st.w_fd <- Some fd
-        in
-        Array.iter (fun st -> if st.w_payload = None then launch st) states;
-        (* aggregate the workers' cumulative heartbeat counts into the
-           campaign's single progress stream *)
-        let on_counts () =
-          if Progress.enabled progress then begin
-            let bd, bn, bf, bc, br = counts_base in
-            let d = ref bd and nv = ref bn and f = ref bf in
-            let co = ref bc and ro = ref br in
-            Array.iter
-              (fun st ->
-                let dd, nn, ff, cc, rr = st.w_counts in
-                d := !d + dd;
-                nv := !nv + nn;
-                f := !f + ff;
-                co := !co + cc;
-                ro := !ro + rr)
-              states;
-            Progress.observe progress ~done_:!d ~novel:!nv ~findings:!f
-              ~certified_ops:!co ~retired_prefix_ops:!ro
-          end
-        in
-        let chunk = Bytes.create 65536 in
-        let on_exit st =
-          (match st.w_fd with
-          | Some fd -> Unix.close fd
-          | None -> ());
-          st.w_fd <- None;
-          (try ignore (Unix.waitpid [] st.w_pid) with Unix.Unix_error _ -> ());
-          if st.w_payload = None then
-            (* crashed shard range: re-claim once, then record the loss *)
-            if st.w_attempt < 2 then launch st else st.w_failed <- true
-        in
-        let rec drive () =
-          let live =
-            Array.to_list states
-            |> List.filter_map (fun st ->
-                   Option.map (fun fd -> (fd, st)) st.w_fd)
-          in
-          if live <> [] then begin
-            (match Unix.select (List.map fst live) [] [] (-1.0) with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | ready, _, _ ->
-              List.iter
-                (fun (fd, st) ->
-                  if List.mem fd ready then
-                    match Unix.read fd chunk 0 (Bytes.length chunk) with
-                    | 0 ->
-                      drain_lines st ~on_counts;
-                      on_exit st
-                    | nread ->
-                      Buffer.add_subbytes st.w_buf chunk 0 nread;
-                      drain_lines st ~on_counts
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-                live);
-            drive ()
-          end
-        in
-        drive ();
-        (* persist fresh shards (cache hits are already on disk) *)
-        (match cache with
-        | None -> ()
-        | Some c ->
-          Array.iter
-            (fun st ->
-              match st.w_payload with
-              | Some p when cached.(st.w_index) = None ->
-                let key =
-                  cache_key ~exe ~workers ~jobs ~worker:st.w_index campaign
-                in
-                Cache.store c ~key p
-              | _ -> ())
-            states);
-        let present =
-          Array.to_list states
-          |> List.filter_map (fun st ->
-                 Option.map (fun p -> (st.w_index, p)) st.w_payload)
-        in
-        let audit =
-          Par.Merge.check_ranges ~workers ~total:n (List.map fst present)
-        in
-        let executions_run =
-          Array.fold_left
-            (fun acc st ->
-              if st.w_payload <> None && cached.(st.w_index) = None then
-                acc + Par.shard_size ~jobs:workers ~total:n ~worker:st.w_index
-              else acc)
-            0 states
-        in
-        if present = [] && n > 0 then
-          Error
-            (Printf.sprintf
-               "no worker produced a shard (%d spawned); is %s a c11test \
-                binary?"
-               !spawned exe)
-        else
-          let observed_cert_ops =
-            Array.fold_left
-              (fun (co, ro) st ->
-                let _, _, _, c, r = st.w_counts in
-                (co + c, ro + r))
-              (0, 0) states
-          in
-          Ok
-            ( List.map snd present,
-              {
-                st_workers = workers;
-                st_spawned = !spawned;
-                st_failed = audit.Par.Merge.missing;
-                st_executions_run = executions_run;
-                st_cache = Option.map Cache.stats cache;
-              },
-              observed_cert_ops ))
+        i.drive fan
+        |> Result.map (fun (r, counts) ->
+               finish_progress progress counts;
+               (r, !stats)))
 
-(* Corpus wave driver: one ranged Fuzz_c fan-out per admission round, the
-   round barrier between waves, a single merge and [final] record at the
-   end — the multi-process mirror of the in-process round loop in
-   {!Fuzz.campaign}, built on the same {!Fuzz.corpus_absorb} state
-   machine, so admissions (and therefore every subsequent round's
-   programs) are byte-identical to [-j N]. *)
-let run_corpus_waves ?exe ?cache ?(progress = Progress.null) ?kill ~workers
-    ~jobs ~cfg ~coverage plan0 =
-  let n = cfg.Fuzz.c_programs in
-  let st = Fuzz.corpus_state plan0 in
-  let payloads = ref [] in
-  let wused = ref 1 in
-  let spawned = ref 0 in
-  let failed = ref [] in
-  let execs = ref 0 in
-  let co = ref 0 and ro = ref 0 in
-  let done_base = ref 0 in
-  let err = ref None in
-  let lo = ref 0 in
-  while !lo < n && !err = None do
-    let hi = min n (!lo + plan0.Corpus.pl_round) in
-    let plan_r =
-      { plan0 with Corpus.pl_entries = Fuzz.corpus_entries st }
-    in
-    let campaign_r =
-      Fuzz_c
-        {
-          cfg = { cfg with Fuzz.c_corpus = Some plan_r };
-          coverage;
-          range = Some (!lo, hi);
-        }
-    in
-    (match
-       drive_single ?exe ?cache ~progress ?kill
-         ~counts_base:(!done_base, 0, 0, !co, !ro)
-         ~workers ~jobs campaign_r
-     with
-    | Error e -> err := Some e
-    | Ok (ps, stats, (c, r)) -> (
-      match fuzz_shards ps with
-      | exception Payload_mismatch ->
-        err := Some "shard payload does not match the campaign kind"
-      | shards ->
-        ignore (Fuzz.corpus_absorb st shards);
-        payloads := !payloads @ ps;
-        wused := max !wused stats.st_workers;
-        spawned := !spawned + stats.st_spawned;
-        failed := !failed @ stats.st_failed;
-        execs := !execs + stats.st_executions_run;
-        co := !co + c;
-        ro := !ro + r;
-        done_base := !done_base + (hi - !lo)));
-    lo := hi
-  done;
-  match !err with
-  | Some e -> Error e
-  | None ->
-    let report =
-      Fuzz.merge_shard_list
-        ~admitted:(Fuzz.corpus_admitted st)
-        cfg
-        (fuzz_shards !payloads)
-    in
-    let merged = M_fuzz report in
-    finish_progress progress merged ~observed_cert_ops:(!co, !ro);
-    Ok
-      ( merged,
-        {
-          st_workers = !wused;
-          st_spawned = !spawned;
-          st_failed = List.sort_uniq compare !failed;
-          st_executions_run = !execs;
-          st_cache = Option.map Cache.stats cache;
-        } )
+let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
+    ?(progress = Progress.null) ?cache ?workers ~jobs (Instance i as inst) =
+  if workers = None && cache = None then
+    Ok (i.local { obs; profile; metrics; progress; jobs }, None)
+  else
+    run_fabric ?cache ~progress ~workers:(Option.value workers ~default:1)
+      ~jobs inst
+    |> Result.map (fun (r, st) -> (r, Some st))
 
 let run_campaign ?exe ?cache ?(progress = Progress.null) ?kill ~workers ~jobs
     campaign =
-  match campaign with
-  | Fuzz_c { cfg; coverage = _; range = None }
-    when cfg.Fuzz.c_corpus <> None && cfg.Fuzz.c_programs > 0 ->
-    let plan0 = Option.get cfg.Fuzz.c_corpus in
-    (* corpus guidance needs coverage fingerprints for novelty — forced
-       on, exactly as the in-process {!Fuzz.campaign} does *)
-    run_corpus_waves ?exe ?cache ~progress ?kill ~workers ~jobs ~cfg
-      ~coverage:true plan0
-  | _ -> (
-    match
-      drive_single ?exe ?cache ~progress ?kill ~workers ~jobs campaign
-    with
-    | Error e -> Error e
-    | Ok (payloads, stats, observed_cert_ops) -> (
-      match merge_payloads campaign payloads with
-      | exception Payload_mismatch ->
-        Error "shard payload does not match the campaign kind"
-      | merged ->
-        finish_progress progress merged ~observed_cert_ops;
-        Ok (merged, stats)))
+  Result.bind (instance campaign)
+    (run_fabric ?exe ?cache ~progress ?kill ~workers ~jobs)

@@ -20,8 +20,9 @@
       shard-local counts, aggregated by the coordinator into the single
       campaign progress stream;
     - [{"schema":"c11svc-v1","kind":"shard","worker":w,"payload":B64}] —
-      the shard result: base64 of the [Marshal]-encoded closure-free
-      shard value ({!Tester.shard} list or {!Fuzz.shard} list);
+      the shard result: base64 of the [Marshal]-encoded pair of the
+      campaign kind and the worker's closure-free shard values (one per
+      domain, of the type the surface's merge folds);
     - [{"schema":"c11svc-v1","kind":"done","worker":w}] — end of stream.
 
     The spec a worker runs arrives the same way on its stdin (one base64
@@ -38,7 +39,9 @@
     configuration), the shard coordinates and a code-version salt — so a
     warm re-run of an identical campaign spawns no workers, performs zero
     engine executions and reconstructs the exact merged summary from
-    cached records. *)
+    cached records.  The progress stream's [final] record is computed
+    from the merged shards, so a warm replay reports the same counts as a
+    cold run. *)
 
 (** What the campaign runs.  [config] must be fully resolved (seed,
     pruning, certification, coverage): workers reconstruct their engine
@@ -59,10 +62,9 @@ type campaign =
           (** [Some (lo, hi)] scopes the campaign to global program
               indices [lo, hi) — one corpus admission round; campaign
               entry points pass [None].  With [cfg.c_corpus] set and
-              [range = None], {!run_campaign} runs the corpus wave
-              driver: one ranged fan-out per admission round with the
-              {!Fuzz.corpus_absorb} barrier between waves, merged once —
-              byte-identical to the in-process round loop. *)
+              [range = None], the fabric runs {!Fuzz.run_rounds} with
+              one ranged fan-out per admission round — byte-identical to
+              the in-process round loop. *)
     }  (** [cfg.c_jobs] is ignored; process fan-out replaces it *)
   | Sweep_c of { sw_family : string; sw_iters : int; sw_seed : int64 }
       (** a {!Sweep} memory-order matrix: the flattened cells x iters
@@ -94,29 +96,6 @@ type merged =
     workload models. *)
 val lint_resolve : string -> Progir.program option
 
-(** [lint_item ~targets ~gen ~seed i] analyzes lint work item [i]:
-    [targets.(i)] when [i] is in range (raising [Invalid_argument] on an
-    unknown name — campaign entry points validate first), otherwise the
-    generated program of substream index [i - Array.length targets].
-    Pure, so any runner — in-process domains or the process fabric —
-    computes the identical result for the same index. *)
-val lint_item :
-  targets:string array -> gen:Fuzz.gen_cfg -> seed:int64 -> int -> Lint.result
-
-(** One leapfrog shard of lint work items ([start], [start+stride], ...
-    below [total]), ticking [progress] per item — the unit both the
-    in-process [c11test lint] runner and the fabric workers are built
-    from, so their merged results agree byte-for-byte. *)
-val lint_shard :
-  progress:Progress.t ->
-  targets:string array ->
-  gen:Fuzz.gen_cfg ->
-  seed:int64 ->
-  total:int ->
-  start:int ->
-  stride:int ->
-  (int * Lint.result) list
-
 type stats = {
   st_workers : int;  (** worker count after clamping to the total *)
   st_spawned : int;  (** processes actually spawned (incl. re-claims) *)
@@ -131,9 +110,6 @@ type stats = {
 
 val stats_to_json : stats -> Jsonx.t
 
-(** Planned executions (or fuzz programs) of a campaign. *)
-val total : campaign -> int
-
 (** [cache_key ~exe ~workers ~jobs ~worker c] is the content address of
     worker [worker]'s shard: the MD5 of a canonical JSON document naming
     the campaign fingerprint (kind, workload/litmus/generator identity,
@@ -141,7 +117,10 @@ val total : campaign -> int
     [(worker, workers, jobs, total)] and the code-version salt — the MD5
     of the worker executable at [exe], computed once per process.  Two
     campaigns share an entry iff every execution either would run is
-    identical. *)
+    identical.
+
+    @raise Invalid_argument when the campaign names an unknown workload,
+    litmus test, sweep family or lint target. *)
 val cache_key :
   exe:string -> workers:int -> jobs:int -> worker:int -> campaign -> string
 
@@ -150,6 +129,67 @@ val cache_key :
     resolved against the executable's directory and the build tree (for
     tests and the bench harness).  [None] when nothing exists. *)
 val locate_exe : unit -> string option
+
+(** {1 Running campaigns} *)
+
+(** A surface's campaign, ready to run; ['r] is the surface's merged
+    result.  An instance and the {!campaign} spec it is built from (and
+    hands to workers) describe the same executions. *)
+type 'r instance
+
+val run_instance :
+  Registry.t ->
+  buggy:bool ->
+  scale:int ->
+  config:Engine.config ->
+  iters:int ->
+  Tester.summary instance
+
+(** The histogram is in first-occurrence order (as {!Tester.run_collect}). *)
+val litmus_instance :
+  Litmus.t ->
+  config:Engine.config ->
+  iters:int ->
+  (Tester.summary * (Litmus.outcome * int) list) instance
+
+(** [cfg.c_jobs] is ignored: {!run}'s [jobs] replaces it. *)
+val fuzz_instance : coverage:bool -> Fuzz.campaign_cfg -> Fuzz.report instance
+
+val sweep_instance :
+  Sweep.family -> iters:int -> seed:int64 -> Sweep.result instance
+
+(** One work item per named target (each must resolve through
+    {!lint_resolve}), then [programs] generated programs: item
+    [List.length targets + k] analyzes the program generated from
+    [Rng.substream seed ~index:k], labelled ["gen:<k>"].  Results are in
+    ascending item order. *)
+val lint_instance :
+  targets:string list ->
+  programs:int ->
+  seed:int64 ->
+  gen:Fuzz.gen_cfg ->
+  (int * Lint.result) list instance
+
+(** [run ~jobs i] runs the campaign and returns its merged result, with
+    the fabric's statistics when it ran there.  Without [workers] and
+    [cache] it runs in this process on [jobs] domains: run, litmus and
+    fuzz through {!Tester.run_collect_parallel} and {!Fuzz.campaign},
+    which feed the [obs]/[profile]/[metrics] handles; sweep and lint
+    through the instance's own shard runner and merge.  With either, it
+    runs on [workers] (default 1) worker processes of [jobs] domains each,
+    as {!run_campaign}; the handles other than [progress] see nothing.
+    [progress] ends with the exact merged [final] record either way.
+    [Error] only comes from the fabric. *)
+val run :
+  ?obs:Obs.t ->
+  ?profile:Profile.t ->
+  ?metrics:Metrics.t ->
+  ?progress:Progress.t ->
+  ?cache:Cache.t ->
+  ?workers:int ->
+  jobs:int ->
+  'r instance ->
+  ('r * stats option, string) result
 
 (** [run_campaign ~workers ~jobs c] coordinates the campaign and returns
     the merged result and run statistics.
@@ -167,8 +207,10 @@ val locate_exe : unit -> string option
     @param jobs domains {e inside} each worker (the in-process leapfrog
            nests under the process-level one)
 
-    [Error msg] only for environmental failures (no executable, spawn
-    failure, malformed payload) — partial worker loss degrades instead. *)
+    [Error msg] for a campaign naming an unknown workload, litmus test,
+    sweep family or lint target, and for environmental failures (no
+    executable, spawn failure, a shard payload of another campaign kind)
+    — partial worker loss degrades instead. *)
 val run_campaign :
   ?exe:string ->
   ?cache:Cache.t ->

@@ -280,28 +280,18 @@ let test_ndjson_rejects_malformed () =
 (* ---------- parallel merge parity ------------------------------------ *)
 
 let test_parallel_parity () =
-  let targets =
-    Array.of_list (List.map fst Lmodel.all @ List.map fst Wmodel.all)
-  in
-  let gen = Fuzz.default_gen_cfg in
-  let seed = 7L in
-  let total = Array.length targets + 60 in
+  let targets = List.map fst Lmodel.all @ List.map fst Wmodel.all in
+  let total = List.length targets + 60 in
+  (* the in-process runner `c11test lint -j N' uses: the lint instance's
+     shard runner fanned out over N domains, then its merge *)
   let run jobs =
-    let shards =
-      if jobs = 1 then
-        [
-          Svc.lint_shard ~progress:Progress.null ~targets ~gen ~seed ~total
-            ~start:0 ~stride:1;
-        ]
-      else
-        Par.spawn_workers ~jobs (fun ~worker ->
-            Svc.lint_shard ~progress:Progress.null ~targets ~gen ~seed ~total
-              ~start:worker ~stride:jobs)
-        |> Array.to_list
-    in
-    Par.Merge.dedup_indexed
-      ~key:(fun (r : Lint.result) -> r.Lint.res_target)
-      shards
+    match
+      Svc.run ~jobs
+        (Svc.lint_instance ~targets ~programs:60 ~seed:7L
+           ~gen:Fuzz.default_gen_cfg)
+    with
+    | Ok (results, _) -> results
+    | Error msg -> Alcotest.fail msg
   in
   let j1 = run 1 in
   check_int "all items analyzed" total (List.length j1);

@@ -163,9 +163,9 @@ let test_fuzz_parity () =
     [ 1; 2; 4 ]
 
 let test_corpus_fuzz_parity () =
-  (* corpus-guided campaign: the fabric's round-barrier wave driver must
-     reproduce the in-process round loop byte for byte, admissions
-     included *)
+  (* corpus-guided campaign: the round loop fanning out to worker
+     processes must reproduce it fanning out to domains byte for byte,
+     admissions included *)
   let cfg =
     {
       fuzz_cfg with
@@ -283,16 +283,141 @@ let test_cache_corrupt_entry_is_miss () =
   let key = String.make 32 'a' in
   Cache.store c ~key [ 1; 2; 3 ];
   check "round trip" true (Cache.lookup c ~key = Some [ 1; 2; 3 ]);
-  (* truncate the entry behind the cache's back *)
   let path = Filename.concat (Filename.concat dir "aa") (String.make 30 'a' ^ ".shard") in
-  let oc = open_out path in
-  output_string oc "c11svc-cache-v1\n";
-  close_out oc;
-  check "corrupt entry reads as miss" true
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  (* flip one byte of the body behind the cache's back: the small int 2
+     becomes 5, which keeps the Marshal framing intact *)
+  let entry = read () in
+  let body = Marshal.to_string [ 1; 2; 3 ] [] in
+  let at =
+    String.length entry - String.length body + String.index body '\x42'
+  in
+  write (String.mapi (fun i ch -> if i = at then '\x45' else ch) entry);
+  check "flipped byte reads as miss" true
     ((Cache.lookup c ~key : int list option) = None);
-  check "corrupt entry removed" false (Sys.file_exists path);
+  check "flipped entry removed" false (Sys.file_exists path);
+  (* truncate a fresh entry after its header's first line *)
+  Cache.store c ~key [ 1; 2; 3 ];
+  write (List.hd (String.split_on_char '\n' (read ())) ^ "\n");
+  check "truncated entry reads as miss" true
+    ((Cache.lookup c ~key : int list option) = None);
+  check "truncated entry removed" false (Sys.file_exists path);
   let st = Cache.stats c in
-  check "stats counted" true (st.Cache.hits = 1 && st.Cache.misses = 1)
+  check "stats counted" true (st.Cache.hits = 1 && st.Cache.misses = 2)
+
+(* A shard payload of another campaign kind (here: a sweep's cached
+   shards stored under the run campaign's keys) is an error, not bytes
+   misread as the wrong type. *)
+let test_cache_wrong_kind_is_error () =
+  let dir = fresh_dir () in
+  let cache = open_cache dir in
+  let sweep =
+    Svc.Sweep_c { sw_family = "rwlock"; sw_iters = 2; sw_seed = 13L }
+  in
+  ignore (run_campaign ~cache ~workers:2 ~jobs:1 sweep);
+  let key c w =
+    Svc.cache_key ~exe:(Lazy.force exe) ~workers:2 ~jobs:1 ~worker:w c
+  in
+  List.iter
+    (fun w ->
+      match Cache.lookup cache ~key:(key sweep w) with
+      | Some payload -> Cache.store cache ~key:(key (run_spec 24) w) payload
+      | None -> Alcotest.fail "sweep shard not cached")
+    [ 0; 1 ];
+  match
+    Svc.run_campaign ~exe:(Lazy.force exe) ~cache ~workers:2 ~jobs:1
+      (run_spec 24)
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "accepted a payload of another campaign kind"
+
+(* The cache key of one spec of each kind, against a stand-in executable
+   with fixed contents.  A fingerprint that drops or renames a field lets
+   two different campaigns share an entry and replay the wrong result;
+   these pins make such a change visible. *)
+let pin_config =
+  {
+    Engine.mode = Execution.Full_c11;
+    sched = Schedule.Controlled_random { batch_stores = true };
+    volatile_mode = Engine.Volatile_atomic Memorder.Seq_cst;
+    prune = Pruner.Conservative { interval = 64 };
+    max_steps = 150_000;
+    seed = 99L;
+    trace_depth = 0;
+    certify = true;
+    cert_stream = true;
+    mutation = None;
+    coverage = true;
+  }
+
+let pin_gen =
+  {
+    Fuzz.g_threads = 3;
+    g_ops = 8;
+    g_atomic_locs = 3;
+    g_na_locs = 2;
+    g_mutexes = 2;
+    g_profile = Fuzz.Mixed;
+    g_sc_bias = 0;
+  }
+
+let pinned_keys =
+  [
+    ( Svc.Run_c
+        {
+          workload = "ms-queue";
+          buggy = true;
+          scale = 3;
+          config = pin_config;
+          iters = 24;
+        },
+      "490cc3b2d2cf15459aec9ccaf732d8ea" );
+    ( Svc.Litmus_c { name = "mp_relaxed"; config = pin_config; iters = 300 },
+      "9e6a838221e345123580b213e2a95141" );
+    ( Svc.Fuzz_c
+        {
+          cfg =
+            {
+              Fuzz.c_programs = 120;
+              c_seed = 11L;
+              c_jobs = 1;
+              c_shrink_execs = 8;
+              c_gen = pin_gen;
+              c_mutation = None;
+              c_lint_execs = 2;
+              c_corpus = Some (Corpus.plan ~mutate_pct:60 ~round:40 []);
+            };
+          coverage = true;
+          range = Some (40, 80);
+        },
+      "ad75976ba92576beb72fa5734cdc06f9" );
+    ( Svc.Sweep_c { sw_family = "rwlock"; sw_iters = 30; sw_seed = 13L },
+      "627ba28aea64fef666aca96232284889" );
+    ( Svc.Lint_c
+        {
+          lt_targets = [ "mp_relaxed"; "sb_sc" ];
+          lt_programs = 5;
+          lt_seed = 7L;
+          lt_gen = pin_gen;
+        },
+      "5c4a8271beeabd090933d9521ea60067" );
+  ]
+
+let test_cache_key_pins () =
+  let exe = Filename.temp_file "c11svc_stand_in" ".exe" in
+  Out_channel.with_open_bin exe (fun oc ->
+      output_string oc "c11svc cache-key stand-in executable\n");
+  Fun.protect
+    ~finally:(fun () -> Sys.remove exe)
+    (fun () ->
+      List.iteri
+        (fun i (spec, expected) ->
+          Alcotest.(check string)
+            (Printf.sprintf "pinned key %d" i)
+            expected
+            (Svc.cache_key ~exe ~workers:2 ~jobs:1 ~worker:1 spec))
+        pinned_keys)
 
 (* ---------- crash re-claim and degraded summaries ---------------------- *)
 
@@ -377,6 +502,68 @@ let test_progress_aggregated () =
           + List.length s.Tester.distinct_cert_violations))
   | _ -> Alcotest.fail "expected M_run"
 
+(* The final progress record of a fuzz campaign is the same whether it ran
+   in process, on cold workers (which send heartbeats) or from a warm
+   cache (which sends none): its counts come from the merged shards.  The
+   wall-clock and GC fields are stripped. *)
+let final_record run =
+  let path = Filename.temp_file "c11svc_final" ".ndjson" in
+  Out_channel.with_open_bin path (fun oc ->
+      run (Progress.create ~out:oc ~interval_ns:0 ~total:0));
+  let lines = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  let finals =
+    String.split_on_char '\n' lines
+    |> List.filter_map (fun l ->
+           match Jsonx.parse l with
+           | Ok (Jsonx.Obj fields)
+             when List.assoc_opt "kind" fields = Some (Jsonx.String "final") ->
+             Some
+               (Jsonx.Obj
+                  (List.filter
+                     (fun (k, _) ->
+                       not
+                         (List.mem k [ "elapsed_s"; "exec_per_s" ]
+                         || String.starts_with ~prefix:"gc_" k))
+                     fields))
+           | _ -> None)
+  in
+  match finals with
+  | [ f ] -> Jsonx.to_string f
+  | _ -> Alcotest.failf "expected one final record, got %d" (List.length finals)
+
+let test_final_record_cold_warm () =
+  List.iter
+    (fun (label, cfg) ->
+      let local =
+        final_record (fun progress ->
+            ignore (Fuzz.campaign ~coverage:true ~progress cfg))
+      in
+      check (label ^ ": final record carries certification counts") true
+        (Option.is_some
+           (Option.bind (Result.to_option (Jsonx.parse local)) (fun j ->
+                Jsonx.member "certified_ops" j)));
+      let dir = fresh_dir () in
+      let fabric () =
+        final_record (fun progress ->
+            match
+              Svc.run_campaign ~exe:(Lazy.force exe) ~cache:(open_cache dir)
+                ~progress ~workers:2 ~jobs:1
+                (Svc.Fuzz_c { cfg; coverage = true; range = None })
+            with
+            | Ok _ -> ()
+            | Error msg -> Alcotest.failf "run_campaign: %s" msg)
+      in
+      let cold = fabric () in
+      let warm = fabric () in
+      Alcotest.(check string) (label ^ ": cold fabric = -j 1") local cold;
+      Alcotest.(check string) (label ^ ": warm fabric = -j 1") local warm)
+    [
+      ("fuzz", fuzz_cfg);
+      ( "corpus fuzz",
+        { fuzz_cfg with Fuzz.c_corpus = Some (Corpus.plan ~round:20 []) } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "run parity across workers" `Slow test_run_parity;
@@ -393,10 +580,15 @@ let suite =
       test_cache_key_sensitivity;
     Alcotest.test_case "cache corrupt entry is miss" `Quick
       test_cache_corrupt_entry_is_miss;
+    Alcotest.test_case "cache wrong-kind payload is an error" `Slow
+      test_cache_wrong_kind_is_error;
+    Alcotest.test_case "cache key pins" `Quick test_cache_key_pins;
     Alcotest.test_case "crash re-claim recovers" `Slow
       test_crash_reclaim_recovers;
     Alcotest.test_case "crash degraded deterministic" `Slow
       test_crash_degraded_deterministic;
     Alcotest.test_case "progress aggregated across workers" `Slow
       test_progress_aggregated;
+    Alcotest.test_case "final record: -j 1, cold and warm fabric" `Slow
+      test_final_record_cold_warm;
   ]
