@@ -131,7 +131,7 @@ module Stream : sig
       feeds. *)
   val create : exec:Execution.t -> counted:(int -> bool) -> t
 
-  (** The sink to install with {!Execution.set_cert_sink}. *)
+  (** The sink to install with {!Execution.add_cert_sink}. *)
   val sink : t -> Execution.cert_sink
 
   (** Verdict over everything fed so far.  Idempotent; runs the residual

@@ -228,7 +228,31 @@ let cert_sync_edge t ~from_tid ~from_seq ~to_tid ~to_seq =
    most recent event (action or synchronisation tick). *)
 let thread_now t ~tid = Clockvec.get (thread t tid).c tid
 
-let set_cert_sink t sink = t.cert_sink <- Some sink
+(* A second sink is called after the first, for every event. *)
+let add_cert_sink t sink =
+  t.cert_sink <-
+    Some
+      (match t.cert_sink with
+      | None -> sink
+      | Some first ->
+        {
+          cs_action =
+            (fun a ->
+              first.cs_action a;
+              sink.cs_action a);
+          cs_edge =
+            (fun e ->
+              first.cs_edge e;
+              sink.cs_edge e);
+          cs_release =
+            (fun ~tid ~seq ->
+              first.cs_release ~tid ~seq;
+              sink.cs_release ~tid ~seq);
+          cs_release_drop =
+            (fun ~seq ->
+              first.cs_release_drop ~seq;
+              sink.cs_release_drop ~seq);
+        })
 
 let cert_feed t a =
   match t.cert_sink with Some s -> s.cs_action a | None -> ()
@@ -546,10 +570,14 @@ let edge_infeasible t ~(from : Action.t) ~(to_ : Action.t) =
   | Full_c11 -> Mograph.edge_would_close_cycle t.graph ~from ~to_
   | Total_mo -> to_.seq <= from.seq
 
-(* ReadPriorSet (Figure 13): the mo-edge sources a load reading [s] would
-   create.  Returns [None] if any of them is already reachable from [s] —
-   i.e. the read would put a cycle in the mo-graph. *)
-let read_prior_set t li ts ~load_mo (s : Action.t) =
+(* ReadPriorSet (Figure 13), in two halves.  The per-thread stores a load
+   must be mo-after do not depend on the store it reads, so
+   [read_prior_base] computes them once per operation, highest thread id
+   first; [read_prior_set] then drops the candidate [s] itself (keeping
+   the order, whose head [Drop_mo_edge] drops) and returns [None] if any
+   remaining edge source is already reachable from [s] — i.e. the read
+   would put a cycle in the mo-graph. *)
+let read_prior_base t li ts ~load_mo =
   let f_l = match ts.sc_fences with [] -> None | f :: _ -> Some f in
   let is_sc_op = Memorder.is_seq_cst load_mo in
   let priorset = ref [] in
@@ -557,12 +585,15 @@ let read_prior_set t li ts ~load_mo (s : Action.t) =
     match
       prior_for_thread t li ~u ~last_fence_of_actor:f_l ~is_sc_op ~current:ts.c
     with
-    | Some w when w != s && w.seq <> s.seq -> priorset := w :: !priorset
-    | Some _ | None -> ()
+    | Some w -> priorset := w :: !priorset
+    | None -> ()
   done;
-  if List.exists (fun e -> edge_infeasible t ~from:e ~to_:s) !priorset then
-    None
-  else Some !priorset
+  !priorset
+
+let read_prior_set t base (s : Action.t) =
+  let pset = List.filter (fun (w : Action.t) -> w != s && w.seq <> s.seq) base in
+  if List.exists (fun e -> edge_infeasible t ~from:e ~to_:s) pset then None
+  else Some pset
 
 (* WritePriorSet (Figure 13).  A plain store goes to the end of mo and
    cannot create a cycle (it has no outgoing edges yet), so its callers
@@ -731,10 +762,11 @@ let atomic_load t ~tid ~loc ~mo ~volatile =
   shuffle_scratch t;
   let chosen = ref None in
   let p1 = if t.prof_on then Profile.now_ns () else 0 in
+  let base = read_prior_base t li ts ~load_mo:mo in
   (try
      for k = 0 to t.mrf_n - 1 do
        let s = t.mrf_buf.(k) in
-       match read_prior_set t li ts ~load_mo:mo s with
+       match read_prior_set t base s with
        | Some pset ->
          chosen := Some (s, pset);
          raise Exit
@@ -900,12 +932,13 @@ let atomic_rmw t ~tid ~loc ~mo ~volatile ~f =
         ~seq;
     s.value
   in
+  let base = read_prior_base t li ts ~load_mo:mo in
   (try
      for k = 0 to t.mrf_n - 1 do
        let (s : Action.t) = t.mrf_buf.(k) in
        match f s.value with
        | Rmw_keep -> (
-         match read_prior_set t li ts ~load_mo:mo s with
+         match read_prior_set t base s with
          | Some pset ->
            result := Some (commit_load s pset);
            raise Exit
@@ -922,7 +955,7 @@ let atomic_rmw t ~tid ~loc ~mo ~volatile ~f =
            && rmw_write_feasible t li ts ~mo s
          in
          if claimable then (
-           match read_prior_set t li ts ~load_mo:mo s with
+           match read_prior_set t base s with
            | Some pset ->
              result := Some (commit_rmw s pset v);
              raise Exit

@@ -104,8 +104,10 @@ type sync_edge = {
 }
 
 (** Incremental certification sink (implemented by [Check.Stream] in
-    [lib/check]; this module only drives it).  [cs_action] is called once
-    per action, after its reads-from field and mo-graph edges are final;
+    [lib/check] and [Cov.Stream] in [lib/cov]; this module only drives
+    it).  [cs_action] is called once per action, in the order
+    {!cert_trace} records them and within the operation that created the
+    action, after its reads-from field and mo-graph edges are final;
     [cs_edge] once per synchronisation edge, after the source release was
     announced via [cs_release] — so the sink can snapshot its replica
     clocks at the release point instead of retaining history.
@@ -132,15 +134,16 @@ type t = {
   prof_on : bool;
   metrics_on : bool;
   cert_on : bool;
-      (** record the full action trace and synchronisation edges for the
-          axiomatic certifier; off by default (zero cost) *)
+      (** produce certifier-grade actions and synchronisation edges for
+          the sinks (and, with [cert_record], the retained history); off
+          by default (zero cost) *)
   mutation : mutation option;
       (** test-only seeded engine fault; [None] (the default) is the
           correct engine *)
   cert_record : bool;
-      (** retain the full certification history below; off when a
-          streaming sink consumes events instead, so recording no longer
-          holds the whole run (scale tier) *)
+      (** retain the full certification history below, for the post-hoc
+          certifier; off when only sinks consume events, so a run's
+          memory does not grow with its length (scale tier) *)
   mutable cert_sink : cert_sink option;
   mutable cert_trace_rev : Action.t list;
       (** every action, newest first (unbounded, unlike [trace_rev]);
@@ -222,9 +225,11 @@ val thread_now : t -> tid:int -> int
 val cert_sync_edge :
   t -> from_tid:int -> from_seq:int -> to_tid:int -> to_seq:int -> unit
 
-(** Install a streaming certification sink.  Must be done before the
-    first transition; only meaningful with [~certify:true]. *)
-val set_cert_sink : t -> cert_sink -> unit
+(** Install a certification sink (the streaming certifier, the coverage
+    fingerprint).  Must be done before the first transition; only
+    meaningful with [~certify:true].  With several sinks, each event goes
+    to all of them in installation order. *)
+val add_cert_sink : t -> cert_sink -> unit
 
 (** [cert_release t ~tid] announces the thread's current clock slot as a
     release point to the sink (thread finish, mutex unlock; spawn is

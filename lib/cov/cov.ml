@@ -147,6 +147,256 @@ let shape_of_execution exec =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Streaming fingerprint.
+
+   The same signature as [shape_of_execution], computed from the
+   certification sink instead of a retained trace.  The engine feeds
+   every action once, in the order the recording would hold it, so
+   renaming on first appearance gives each thread and location the index
+   the first pass of [edges] gives it.  A read's store was fed before the
+   read, so its thread is already named.  Sync-edge threads are named
+   after the last action, as in [edges].  Edges are kept as packed
+   integer codes and rendered once each at the end; memory is
+   O(threads + locations + distinct edges), not O(trace). *)
+
+(* Open-addressing set of non-negative ints: linear probing, -1 marks an
+   empty slot, doubled at half load.  Starts at 32 slots, which a short
+   execution rarely outgrows. *)
+type iset = { mutable slots : int array; mutable card : int }
+
+let iset_create () = { slots = Array.make 32 (-1); card = 0 }
+
+let[@inline] iset_slot code mask =
+  let h = code * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 31)) land mask
+
+let rec iset_probe slots mask code i =
+  let v = Array.unsafe_get slots i in
+  if v = code then false
+  else if v < 0 then begin
+    Array.unsafe_set slots i code;
+    true
+  end
+  else iset_probe slots mask code ((i + 1) land mask)
+
+(* [true] when [code] was not yet in the set *)
+let iset_add s code =
+  let mask = Array.length s.slots - 1 in
+  let fresh = iset_probe s.slots mask code (iset_slot code mask) in
+  if fresh then begin
+    s.card <- s.card + 1;
+    if 2 * s.card > mask then begin
+      let old = s.slots in
+      let slots = Array.make (2 * Array.length old) (-1) in
+      let mask = Array.length slots - 1 in
+      Array.iter
+        (fun v -> if v >= 0 then ignore (iset_probe slots mask v (iset_slot v mask)))
+        old;
+      s.slots <- slots
+    end
+  end;
+  fresh
+
+let iset_iter f s = Array.iter (fun v -> if v >= 0 then f v) s.slots
+
+(* Edge code layout, high to low: kind (2 bits), writer order (3), reader
+   order (3), source thread (14), target thread (14), location (26) — 62
+   bits, every code non-negative.  The orders are set only for rf.  An
+   edge whose indices do not fit is rendered at once instead. *)
+let k_rf = 0
+let k_sw = 1
+let k_mo = 2
+let k_st = 3  (* never packed: sync edges are rendered from thread pairs *)
+let tid_bits = 14
+let loc_bits = 26
+let tid_limit = 1 lsl tid_bits
+let loc_limit = 1 lsl loc_bits
+
+let mo_index = function
+  | Memorder.Relaxed -> 0
+  | Memorder.Consume -> 1
+  | Memorder.Acquire -> 2
+  | Memorder.Release -> 3
+  | Memorder.Acq_rel -> 4
+  | Memorder.Seq_cst -> 5
+
+let mo_names =
+  Array.map mo_tag Memorder.[| Relaxed; Consume; Acquire; Release; Acq_rel; Seq_cst |]
+
+let rec add_nat buf n =
+  if n >= 10 then add_nat buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(* The text [edges] gives the same edge. *)
+let render_edge buf ~kind ~a ~b ~l ~mo_w ~mo_r =
+  Buffer.clear buf;
+  Buffer.add_string buf
+    (if kind = k_rf then "rf:t"
+     else if kind = k_sw then "sw:t"
+     else if kind = k_mo then "mo:t"
+     else "st:t");
+  add_nat buf a;
+  Buffer.add_string buf ">t";
+  add_nat buf b;
+  if kind <> k_st then begin
+    Buffer.add_string buf "@l";
+    add_nat buf l
+  end;
+  if kind = k_rf then begin
+    Buffer.add_char buf ':';
+    Buffer.add_string buf mo_names.(mo_w);
+    Buffer.add_char buf '>';
+    Buffer.add_string buf mo_names.(mo_r)
+  end;
+  Buffer.contents buf
+
+let render_code buf code =
+  render_edge buf ~kind:(code lsr 60)
+    ~mo_w:((code lsr 57) land 7)
+    ~mo_r:((code lsr 54) land 7)
+    ~a:((code lsr (tid_bits + loc_bits)) land (tid_limit - 1))
+    ~b:((code lsr loc_bits) land (tid_limit - 1))
+    ~l:(code land (loc_limit - 1))
+
+module Sset = Hashtbl.Make (String)
+
+(* [arr] grown (with -1 fill) so that index [i] is in range *)
+let covering arr i =
+  let len = Array.length arr in
+  if i < len then arr
+  else begin
+    let arr' = Array.make (max (i + 1) (2 * len)) (-1) in
+    Array.blit arr 0 arr' 0 len;
+    arr'
+  end
+
+(* Raw id -> first-appearance index, direct-indexed (thread and location
+   ids are dense small ints), -1 when not yet named. *)
+type names = { mutable ids : int array; mutable count : int }
+
+let names () = { ids = Array.make 8 (-1); count = 0 }
+
+let name n raw =
+  n.ids <- covering n.ids raw;
+  let c = Array.unsafe_get n.ids raw in
+  if c >= 0 then c
+  else begin
+    let c = n.count in
+    n.count <- c + 1;
+    Array.unsafe_set n.ids raw c;
+    c
+  end
+
+module Stream = struct
+  type t = {
+    tids : names;
+    locs : names;
+    mutable last_writer : int array;
+        (* canonical location -> canonical thread of its newest write *)
+    codes : iset;
+    mutable wide : unit Sset.t option;  (* rendered edges that overflow a code *)
+    sync_seen : iset;  (* raw (from, to) thread pairs *)
+    mutable sync_rev : int list;  (* the same pairs, newest first *)
+    mutable events : int;
+    mo_counts : int array;
+    buf : Buffer.t;
+  }
+
+  let create () =
+    {
+      tids = names ();
+      locs = names ();
+      last_writer = Array.make 8 (-1);
+      codes = iset_create ();
+      wide = None;
+      sync_seen = iset_create ();
+      sync_rev = [];
+      events = 0;
+      mo_counts = Array.make 6 0;
+      buf = Buffer.create 32;
+    }
+
+  let add_edge s ~kind ~a ~b ~l ~mo_w ~mo_r =
+    if a < tid_limit && b < tid_limit && l < loc_limit then begin
+      let orders = (((kind lsl 3) lor mo_w) lsl 3) lor mo_r in
+      let tids = (((orders lsl tid_bits) lor a) lsl tid_bits) lor b in
+      ignore (iset_add s.codes ((tids lsl loc_bits) lor l))
+    end
+    else begin
+      let set =
+        match s.wide with
+        | Some set -> set
+        | None ->
+          let set = Sset.create 8 in
+          s.wide <- Some set;
+          set
+      in
+      Sset.replace set (render_edge s.buf ~kind ~a ~b ~l ~mo_w ~mo_r) ()
+    end
+
+  let action s (a : Action.t) =
+    s.events <- s.events + 1;
+    let ct = name s.tids a.Action.tid in
+    (match a.Action.kind with
+    | Action.Na_store -> ()
+    | Action.Load | Action.Store | Action.Rmw | Action.Fence ->
+      let i = mo_index a.Action.mo in
+      s.mo_counts.(i) <- s.mo_counts.(i) + 1);
+    if a.Action.loc >= 0 then begin
+      let cl = name s.locs a.Action.loc in
+      (match a.Action.rf with
+      | None -> ()
+      | Some w ->
+        let cw = name s.tids w.Action.tid in
+        add_edge s ~kind:k_rf ~a:cw ~b:ct ~l:cl ~mo_w:(mo_index w.Action.mo)
+          ~mo_r:(mo_index a.Action.mo);
+        if Memorder.is_release w.Action.mo && Memorder.is_acquire a.Action.mo
+        then add_edge s ~kind:k_sw ~a:cw ~b:ct ~l:cl ~mo_w:0 ~mo_r:0);
+      if is_write_kind a.Action.kind then begin
+        s.last_writer <- covering s.last_writer cl;
+        let prev = s.last_writer.(cl) in
+        if prev >= 0 then add_edge s ~kind:k_mo ~a:prev ~b:ct ~l:cl ~mo_w:0 ~mo_r:0;
+        s.last_writer.(cl) <- ct
+      end
+    end
+
+  let edge s (e : Execution.sync_edge) =
+    let code = (e.Execution.se_from_tid lsl 31) lor e.Execution.se_to_tid in
+    if iset_add s.sync_seen code then s.sync_rev <- code :: s.sync_rev
+
+  let sink s =
+    {
+      Execution.cs_action = action s;
+      cs_edge = edge s;
+      cs_release = (fun ~tid:_ ~seq:_ -> ());
+      cs_release_drop = (fun ~seq:_ -> ());
+    }
+
+  let shape s =
+    let out = ref [] in
+    iset_iter (fun code -> out := render_code s.buf code :: !out) s.codes;
+    Option.iter (Sset.iter (fun e () -> out := e :: !out)) s.wide;
+    (* sync-edge threads are named after every action, in edge order *)
+    List.iter
+      (fun code ->
+        let a = name s.tids (code lsr 31) in
+        let b = name s.tids (code land ((1 lsl 31) - 1)) in
+        out := render_edge s.buf ~kind:k_st ~a ~b ~l:0 ~mo_w:0 ~mo_r:0 :: !out)
+      (List.rev s.sync_rev);
+    let es = List.sort String.compare !out in
+    let mo = ref [] in
+    Array.iteri
+      (fun i n -> if n > 0 then mo := (mo_names.(i), n) :: !mo)
+      s.mo_counts;
+    {
+      sg_digest = digest_hex (String.concat ";" es);
+      sg_edges = List.length es;
+      sg_events = s.events;
+      sg_mo = List.sort (fun (a, _) (b, _) -> String.compare a b) !mo;
+    }
+end
+
+(* ------------------------------------------------------------------ *)
 (* Accumulation *)
 
 type acc = {

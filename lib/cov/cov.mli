@@ -61,8 +61,39 @@ type shape = {
 
 (** Fingerprint a finished execution from its certifier-grade recording
     ({!Execution.cert_trace} / {!Execution.cert_sync_edges}); the
-    execution must have been created with trace recording on. *)
+    execution must have been created with trace recording on.  The
+    reference {!Stream} is tested against; the engine does not record for
+    coverage. *)
 val shape_of_execution : Execution.t -> shape
+
+(** The fingerprint the engine computes: a certification-sink consumer
+    that builds {!shape_of_execution}'s shape as the execution runs.
+    Threads and locations are renamed on first appearance, rf / sw / mo
+    edges are kept as a deduplicated set of packed integer codes, sync
+    edges as distinct thread pairs whose threads are named after the last
+    action; {!shape} renders each distinct edge once.  Memory is
+    O(threads + locations + distinct edges), independent of the run's
+    length.  Fed every action once in trace order (as
+    {!Execution.cert_sink} promises), the shape is identical to
+    {!shape_of_execution}'s. *)
+module Stream : sig
+  type t
+
+  val create : unit -> t
+
+  (** Feed one action; its reads-from store must have been fed before. *)
+  val action : t -> Action.t -> unit
+
+  (** Feed one synchronisation edge. *)
+  val edge : t -> Execution.sync_edge -> unit
+
+  (** The sink to install with {!Execution.add_cert_sink}: actions and
+      edges as above, release announcements ignored. *)
+  val sink : t -> Execution.cert_sink
+
+  (** The fingerprint of everything fed so far. *)
+  val shape : t -> shape
+end
 
 (* ------------------------------------------------------------------ *)
 (** {1 Campaign accumulation} *)

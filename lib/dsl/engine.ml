@@ -528,20 +528,21 @@ let cancel_all st =
   done
 
 let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
-    config f =
+    ?inspect config f =
   (* cached guards for the per-step sites in the scheduling loop (see the
      matching note in Execution.t) *)
   let obs_on = Obs.enabled obs and metrics_on = Metrics.enabled metrics in
   let p_run = Profile.start profile in
   let rng = Rng.create config.seed in
   let race = Race.create ~obs ~metrics () in
-  (* streaming certification consumes events as they happen, so the full
-     history only needs retaining for the post-hoc pass or coverage *)
+  (* the streaming certifier and the coverage fingerprint consume events
+     as they happen, so the full history is retained only for the
+     post-hoc pass *)
   let streaming = config.certify && config.cert_stream in
   let exec =
     Execution.create ~obs ~prof:profile ~metrics
       ~certify:(config.certify || config.coverage)
-      ~cert_record:(config.coverage || (config.certify && not streaming))
+      ~cert_record:(config.certify && not streaming)
       ?mutation:config.mutation ~mode:config.mode ~rng ~race ()
   in
   Execution.set_trace_capacity exec config.trace_depth;
@@ -585,8 +586,16 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
         | Pending _ -> true
       in
       let s = Check.Stream.create ~exec ~counted in
-      Execution.set_cert_sink exec (Check.Stream.sink s);
+      Execution.add_cert_sink exec (Check.Stream.sink s);
       Some s
+    end
+    else None
+  in
+  let cov =
+    if config.coverage then begin
+      let c = Cov.Stream.create () in
+      Execution.add_cert_sink exec (Cov.Stream.sink c);
+      Some c
     end
     else None
   in
@@ -661,14 +670,15 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
     else None
   in
   let shape =
-    if config.coverage then begin
+    match cov with
+    | Some c ->
       let p_cov = Profile.start profile in
-      let sg = Cov.shape_of_execution exec in
+      let sg = Cov.Stream.shape c in
       Profile.stop profile "coverage" p_cov;
       Some sg
-    end
-    else None
+    | None -> None
   in
+  Option.iter (fun f -> f exec) inspect;
   if metrics_on then begin
     Metrics.incr metrics "engine.executions";
     Metrics.incr metrics ~by:st.steps "engine.steps";

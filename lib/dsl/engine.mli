@@ -40,9 +40,10 @@ type config = {
           prove the oracle pipeline detects real engine bugs; [None] (the
           default) is the correct engine *)
   coverage : bool;
-      (** record the certifier-grade trace and fingerprint the finished
-          execution into a canonical {!Cov.shape} (returned in the
-          outcome); off (zero-cost) by default *)
+      (** fingerprint the execution into a canonical {!Cov.shape}
+          (returned in the outcome) from the certifier-grade event stream
+          as it runs ({!Cov.Stream}, nothing retained per action); off
+          (zero-cost) by default *)
 }
 
 val default_config : config
@@ -84,11 +85,15 @@ val buggy : outcome -> bool
     scheduler picks, race reports, prune sweeps), [profile] accumulates
     per-phase span timings, [metrics] collects counters and histograms.
     All three default to their disabled singletons, in which case the
-    instrumentation is zero-cost. *)
+    instrumentation is zero-cost.  [inspect] is called with the finished
+    execution before the outcome is built; with post-hoc certification
+    ([certify] without [cert_stream]) it can read the recorded trace, as
+    the coverage differential tests do. *)
 val run :
   ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
+  ?inspect:(Execution.t -> unit) ->
   config ->
   (unit -> unit) ->
   outcome

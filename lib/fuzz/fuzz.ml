@@ -430,8 +430,10 @@ let exec_seed p ~attempt = Rng.substream p.p_seed ~index:attempt
 
 (* [run_one_full] also returns the engine outcome (when the execution
    finished at all) so the campaign can read coverage fingerprints and
-   race reports out of it; crash paths have no outcome. *)
-let run_one_full ~config ~certify ~seed p =
+   race reports out of it; crash paths have no outcome.  [race_free] is
+   the program's lint verdict, forced only when a passing execution
+   races. *)
+let run_one_full ~config ~certify ~race_free ~seed p =
   let config = { config with Engine.seed; certify } in
   match Engine.run config (to_closure p) with
   | outcome ->
@@ -455,8 +457,7 @@ let run_one_full ~config ~certify ~seed p =
        shrunk like any other. *)
     let status =
       match status with
-      | Passed _
-        when outcome.Engine.races <> [] && Lint.statically_race_free p ->
+      | Passed _ when outcome.Engine.races <> [] && Lazy.force race_free ->
         Failed
           (Lint_unsound { race = Race.dedup_key (List.hd outcome.Engine.races) })
       | s -> s
@@ -468,15 +469,22 @@ let run_one_full ~config ~certify ~seed p =
     (Failed (Engine_crash ("assertion: " ^ msg)), None)
   | exception e -> (Failed (Engine_crash (Printexc.to_string e)), None)
 
-let run_one ~config ~certify ~seed p =
-  fst (run_one_full ~config ~certify ~seed p)
+let lint_verdict ?race_free p =
+  match race_free with
+  | Some b -> Lazy.from_val b
+  | None -> lazy (Lint.statically_race_free p)
+
+let run_one ?race_free ~config ~certify ~seed p =
+  let race_free = lint_verdict ?race_free p in
+  fst (run_one_full ~config ~certify ~race_free ~seed p)
 
 let reproduces ~config ~execs ~key p =
+  let race_free = lint_verdict p in
   let rec go attempt =
     if attempt >= execs then None
     else begin
       let seed = exec_seed p ~attempt in
-      match run_one ~config ~certify:true ~seed p with
+      match fst (run_one_full ~config ~certify:true ~race_free ~seed p) with
       | Failed kind when String.equal (finding_key kind) key -> Some seed
       | _ -> go (attempt + 1)
     end
@@ -875,8 +883,10 @@ let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profil
        dense per-location coherence core), so short programs stay cheap
        to certify. *)
     let t1 = Profile.start profile in
+    let race_free = lres.Lint.res_race_free in
     let primary_status, outcome =
       run_one_full ~config:exec_config ~certify:true
+        ~race_free:(Lazy.from_val race_free)
         ~seed:(exec_seed prog ~attempt:0) prog
     in
     Profile.stop profile "fuzz_execute" t1;
@@ -893,7 +903,8 @@ let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profil
           if attempt > cfg.c_lint_execs then primary_status
           else begin
             match
-              run_one ~config ~certify:true ~seed:(exec_seed prog ~attempt) prog
+              run_one ~race_free ~config ~certify:true
+                ~seed:(exec_seed prog ~attempt) prog
             with
             | Failed _ as f -> f
             | Passed _ -> probe (attempt + 1)

@@ -153,13 +153,22 @@ val exec_seed : program -> attempt:int -> int64
 
 (** [run_one ~config ~certify ~seed p] executes the program once and
     classifies the outcome; engine exceptions are caught and classified,
-    never propagated. *)
+    never propagated.  [race_free] is [p]'s lint verdict
+    ([(Lint.analyze p).res_race_free]) when the caller already has it;
+    otherwise it is computed, and only if the execution passes with a
+    race (the {!Lint_unsound} check). *)
 val run_one :
-  config:Engine.config -> certify:bool -> seed:int64 -> program -> status
+  ?race_free:bool ->
+  config:Engine.config ->
+  certify:bool ->
+  seed:int64 ->
+  program ->
+  status
 
 (** [reproduces ~config ~execs ~key p] probes up to [execs] executions
     (certifying each) and returns the seed of the first that fails with
-    exactly [key], if any. *)
+    exactly [key], if any.  [p] is linted at most once, however many
+    executions race. *)
 val reproduces :
   config:Engine.config -> execs:int -> key:string -> program -> int64 option
 

@@ -110,6 +110,318 @@ let test_signature_distinguishes () =
   check "edges are deduplicated and sorted" true
     (Cov.edges a ~sync:[] = List.sort_uniq String.compare (Cov.edges a ~sync:[]))
 
+(* ---------- streamed fingerprint = recorded reference ---------- *)
+
+(* The engine fingerprints from the certification sink ([Cov.Stream]);
+   [Cov.shape_of_execution] recomputes the shape from a recorded trace
+   with the reference [Cov.edges].  One post-hoc run (which records)
+   gives the reference; the configuration under test runs the same
+   schedule, since neither the certifier mode nor coverage draws from the
+   RNG.  [None] when the execution raises. *)
+let reference_shape config body =
+  let reference = ref None in
+  match
+    Engine.run
+      ~inspect:(fun exec -> reference := Some (Cov.shape_of_execution exec))
+      { config with Engine.certify = true; cert_stream = false; coverage = false }
+      body
+  with
+  | _ -> !reference
+  | exception Execution.Model_error _ -> None
+
+let streamed_shape config body =
+  match Engine.run { config with Engine.coverage = true } body with
+  | o -> o.Engine.shape
+  | exception Execution.Model_error _ -> None
+
+let pp_shape fmt (sg : Cov.shape) =
+  Format.fprintf fmt "%s edges=%d events=%d mo=[%s]" sg.Cov.sg_digest
+    sg.Cov.sg_edges sg.Cov.sg_events
+    (String.concat ";"
+       (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) sg.Cov.sg_mo))
+
+(* [config] is the configuration under test, coverage aside; 1 when the
+   shapes were compared, 0 when both runs raised *)
+let agree ~what config body =
+  let reference = reference_shape config body in
+  let streamed = streamed_shape config body in
+  match (reference, streamed) with
+  | Some r, Some s ->
+    if r <> s then
+      Alcotest.failf "%s: streamed %a, recorded %a" what pp_shape s pp_shape r;
+    1
+  | None, None -> 0
+  | Some _, None | None, Some _ ->
+    Alcotest.failf "%s: one run raised, the other did not" what
+
+let test_stream_fuzz_profiles () =
+  List.iter
+    (fun profile ->
+      let cfg = { Fuzz.default_gen_cfg with Fuzz.g_profile = profile } in
+      let n = ref 0 in
+      for i = 0 to 149 do
+        let p = Fuzz.generate ~cfg ~seed:(Int64.of_int ((i * 7919) + 3)) in
+        let config =
+          {
+            (Fuzz.engine_config ~mutation:None) with
+            Engine.seed = Fuzz.exec_seed p ~attempt:0;
+            certify = true;
+          }
+        in
+        n :=
+          !n
+          + agree
+              ~what:(Printf.sprintf "%s program %d" (Fuzz.profile_name profile) i)
+              config (Fuzz.to_closure p)
+      done;
+      check
+        (Printf.sprintf "%s: every program compared" (Fuzz.profile_name profile))
+        true (!n = 150))
+    Fuzz.all_profiles
+
+let test_stream_litmus () =
+  let n = ref 0 in
+  List.iter
+    (fun tool ->
+      List.iter
+        (fun (t : Litmus.t) ->
+          for seed = 1 to 12 do
+            let config =
+              { (Tool.config ~seed:(Int64.of_int seed) tool) with Engine.certify = true }
+            in
+            n :=
+              !n
+              + agree
+                  ~what:(Printf.sprintf "%s under %s, seed %d" t.Litmus.name
+                           (Tool.name tool) seed)
+                  config
+                  (fun () -> ignore (t.Litmus.run_once ()))
+          done)
+        Litmus.catalog)
+    [ Tool.C11tester; Tool.Tsan11 ];
+  check "every litmus execution compared" true
+    (!n = 2 * 12 * List.length Litmus.catalog)
+
+let test_stream_workloads () =
+  let n = ref 0 in
+  List.iter
+    (fun (w : Registry.t) ->
+      List.iter
+        (fun variant ->
+          for seed = 1 to 2 do
+            let config =
+              { (Tool.config ~seed:(Int64.of_int seed) Tool.C11tester) with
+                Engine.certify = true }
+            in
+            n :=
+              !n
+              + agree
+                  ~what:(Printf.sprintf "%s (%s), seed %d" w.Registry.name
+                           (Variant.to_string variant) seed)
+                  config
+                  (w.Registry.run ~variant ~scale:w.Registry.default_scale)
+          done)
+        [ Variant.Correct; Variant.Buggy ])
+    Registry.all;
+  check "every workload execution compared" true
+    (!n = 2 * 2 * List.length Registry.all)
+
+(* Thread 1 performs no action, so it is named only from the sync edges,
+   after every action: thread 2, whose store comes first, takes index 1
+   and thread 1 index 2.  Naming it when its spawn edge arrives would
+   swap them. *)
+let test_stream_silent_thread () =
+  let body () =
+    let t1 = C11.Thread.spawn (fun () -> ()) in
+    let x = C11.Atomic.make 0 in
+    let t2 = C11.Thread.spawn (fun () -> C11.Atomic.store x 1) in
+    C11.Thread.join t1;
+    C11.Thread.join t2;
+    ignore (C11.Atomic.load x)
+  in
+  for seed = 1 to 20 do
+    let config =
+      { Engine.default_config with Engine.seed = Int64.of_int seed; certify = true }
+    in
+    let silent = ref false in
+    ignore
+      (Engine.run
+         ~inspect:(fun exec ->
+           silent :=
+             List.for_all
+               (fun (a : Action.t) -> a.Action.tid <> 1)
+               (Execution.cert_trace exec)
+             && List.exists
+                  (fun (e : Execution.sync_edge) -> e.Execution.se_to_tid = 1)
+                  (Execution.cert_sync_edges exec))
+         { config with Engine.cert_stream = false }
+         body);
+    check "thread 1 appears only in sync edges" true !silent;
+    check "shapes agree" true
+      (agree ~what:(Printf.sprintf "silent thread, seed %d" seed) config body = 1)
+  done
+
+let test_stream_certify_off () =
+  let n = ref 0 in
+  for i = 0 to 99 do
+    let p =
+      Fuzz.generate ~cfg:Fuzz.default_gen_cfg ~seed:(Int64.of_int ((i * 31) + 7))
+    in
+    let config =
+      {
+        (Fuzz.engine_config ~mutation:None) with
+        Engine.seed = Fuzz.exec_seed p ~attempt:0;
+        certify = false;
+      }
+    in
+    n :=
+      !n
+      + agree ~what:(Printf.sprintf "certify off, program %d" i) config
+          (Fuzz.to_closure p)
+  done;
+  List.iter
+    (fun (t : Litmus.t) ->
+      let config = { Engine.default_config with Engine.seed = 5L; certify = false } in
+      n :=
+        !n
+        + agree ~what:(t.Litmus.name ^ ", certify off") config (fun () ->
+              ignore (t.Litmus.run_once ())))
+    Litmus.catalog;
+  check "every execution compared" true (!n = 100 + List.length Litmus.catalog)
+
+let test_stream_drop_mo_edge () =
+  let n = ref 0 in
+  for i = 0 to 149 do
+    let p =
+      Fuzz.generate ~cfg:Fuzz.default_gen_cfg ~seed:(Int64.of_int ((i * 131) + 1))
+    in
+    let config =
+      {
+        (Fuzz.engine_config ~mutation:(Some Execution.Drop_mo_edge)) with
+        Engine.seed = Fuzz.exec_seed p ~attempt:0;
+        certify = true;
+      }
+    in
+    n :=
+      !n
+      + agree ~what:(Printf.sprintf "drop-mo-edge, program %d" i) config
+          (Fuzz.to_closure p)
+  done;
+  check "drop-mo-edge executions compared" true (!n > 100)
+
+(* Random well-formed event streams (the generator above), fed to the
+   consumer directly with sync edges interleaved at random points: the
+   shape must be the one the reference computes from the whole array. *)
+let action_of_events evs =
+  let acts = Array.make (Array.length evs) None in
+  Array.mapi
+    (fun i (e : Cov.ev) ->
+      let a =
+        {
+          Action.seq = i + 1;
+          tid = e.Cov.ev_tid;
+          kind = e.Cov.ev_kind;
+          loc = e.Cov.ev_loc;
+          mo = e.Cov.ev_mo;
+          value = 0;
+          rf = Option.map (fun j -> Option.get acts.(j)) e.Cov.ev_rf;
+          hb_cv = Clockvec.bottom ();
+          rf_cv = None;
+          rmw_claimed = false;
+          volatile = false;
+          mo_node = Action.No_graph_node;
+        }
+      in
+      acts.(i) <- Some a;
+      a)
+    evs
+
+let reference_of_events evs ~sync =
+  let es = Cov.edges evs ~sync in
+  (Cov.digest_hex (String.concat ";" es), List.length es)
+
+let stream_of_events evs ~sync ~cut =
+  let s = Cov.Stream.create () in
+  let edge (a, b) =
+    Cov.Stream.edge s
+      { Execution.se_from_tid = a; se_from_seq = 0; se_to_tid = b; se_to_seq = 0 }
+  in
+  let acts = action_of_events evs in
+  let k = if Array.length acts = 0 then 0 else cut mod (Array.length acts + 1) in
+  Array.iteri
+    (fun i a ->
+      if i = k then List.iter edge sync;
+      Cov.Stream.action s a)
+    acts;
+  if k >= Array.length acts then List.iter edge sync;
+  let sg = Cov.Stream.shape s in
+  (sg.Cov.sg_digest, sg.Cov.sg_edges)
+
+let prop_stream_matches_reference =
+  QCheck.Test.make ~name:"streamed shape equals the reference on event arrays"
+    ~count:500
+    QCheck.(pair exec_arb small_nat)
+    (fun ((evs, sync), cut) ->
+      stream_of_events evs ~sync ~cut = reference_of_events evs ~sync)
+
+(* Past 2^14 thread indices an edge no longer fits its integer code and
+   is kept as rendered text; the shape must not notice. *)
+let test_stream_wide_indices () =
+  let n = 17_000 in
+  let evs =
+    Array.init (2 * n) (fun i ->
+        let t = i / 2 in
+        if i mod 2 = 0 then
+          { Cov.ev_tid = t; ev_kind = Action.Store; ev_loc = t mod 3;
+            ev_mo = Memorder.Release; ev_rf = None }
+        else
+          { Cov.ev_tid = t; ev_kind = Action.Load; ev_loc = t mod 3;
+            ev_mo = Memorder.Acquire; ev_rf = Some (max 0 (i - 3)) })
+  in
+  let sync = [ (n - 1, n + 5); (0, 1) ] in
+  let (digest, edges) = stream_of_events evs ~sync ~cut:0 in
+  let (rdigest, redges) = reference_of_events evs ~sync in
+  check "edge count past the code width" true (edges = redges && edges > 2 * n);
+  check "digest past the code width" true (digest = rdigest)
+
+(* ---------- memory: nothing retained per action ---------- *)
+
+(* A long streamed run (certifier and coverage both on, graph pruned):
+   the live heap, sampled from inside the program, must not grow with
+   the iterations.  Each half's minimum sample is compared, which
+   discounts the certifier's window, swept every few thousand actions. *)
+let test_stream_retains_nothing () =
+  let n = 20_000 in
+  let low = [| max_int; max_int |] in
+  let body () =
+    let x = C11.Atomic.make 0 in
+    for i = 1 to 2 * n do
+      C11.Atomic.store ~mo:Memorder.Release x i;
+      ignore (C11.Atomic.load ~mo:Memorder.Acquire x);
+      if i mod 1000 = 0 then begin
+        Gc.full_major ();
+        let half = if i <= n then 0 else 1 in
+        low.(half) <- min low.(half) (Gc.stat ()).Gc.live_words
+      end
+    done
+  in
+  let config =
+    {
+      Engine.default_config with
+      Engine.certify = true;
+      coverage = true;
+      prune = Pruner.Aggressive { window = 256; interval = 64 };
+    }
+  in
+  let o = Engine.run config body in
+  (match o.Engine.shape with
+  | Some sg -> check "every action fingerprinted" true (sg.Cov.sg_events > 4 * n)
+  | None -> Alcotest.fail "coverage on but no shape");
+  (* the halves are [n] iterations, [2n] actions, apart *)
+  let per_action = float_of_int (low.(1) - low.(0)) /. float_of_int (2 * n) in
+  if per_action >= 1.0 then
+    Alcotest.failf "%.1f live words retained per action (limit 1)" per_action
+
 (* ---------- campaign parity: j1 ≡ jN ---------- *)
 
 let find_workload name =
@@ -317,5 +629,22 @@ let suite =
     Alcotest.test_case "null progress is a no-op" `Quick
       test_progress_null_is_noop;
     Alcotest.test_case "zero-cost when off" `Quick test_zero_cost_off;
+    Alcotest.test_case "streamed = recorded: fuzz profiles" `Quick
+      test_stream_fuzz_profiles;
+    Alcotest.test_case "streamed = recorded: litmus, two tools" `Quick
+      test_stream_litmus;
+    Alcotest.test_case "streamed = recorded: workloads" `Quick
+      test_stream_workloads;
+    Alcotest.test_case "streamed = recorded: silent thread" `Quick
+      test_stream_silent_thread;
+    Alcotest.test_case "streamed = recorded: certify off" `Quick
+      test_stream_certify_off;
+    Alcotest.test_case "streamed = recorded: drop-mo-edge" `Quick
+      test_stream_drop_mo_edge;
+    Alcotest.test_case "streamed shape past the code width" `Quick
+      test_stream_wide_indices;
+    Alcotest.test_case "streamed coverage retains nothing per action" `Quick
+      test_stream_retains_nothing;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_signature_rename_invariant ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_signature_rename_invariant; prop_stream_matches_reference ]

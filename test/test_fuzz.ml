@@ -301,6 +301,49 @@ let test_pp_program_shape () =
   check_bool "spawns and joins" true
     (contains "C11.Thread.spawn" = contains "C11.Thread.join t1")
 
+(* ---------- the lint verdict is supplied, not recomputed ------------- *)
+
+(* Campaigns hand [run_one] the program's lint verdict instead of letting
+   it re-lint on every racing execution.  Supplying the true verdict must
+   change nothing; supplying [true] must turn exactly the executions that
+   pass with a race into Lint_unsound findings — which also shows the
+   supplied verdict is the one consulted. *)
+let test_supplied_lint_verdict () =
+  let forced = ref 0 in
+  for n = 0 to 199 do
+    let cfg = gen_cfg_of_seed n in
+    let p = Fuzz.generate ~cfg ~seed:(Int64.of_int ((n * 977) + 5)) in
+    let race_free = (Lint.analyze p).Lint.res_race_free in
+    let config = Fuzz.engine_config ~mutation:None in
+    List.iter
+      (fun certify ->
+        for attempt = 0 to 1 do
+          let seed = Fuzz.exec_seed p ~attempt in
+          let recomputed = Fuzz.run_one ~config ~certify ~seed p in
+          let supplied = Fuzz.run_one ~race_free ~config ~certify ~seed p in
+          check_bool "supplied verdict, same status" true (recomputed = supplied);
+          let raced =
+            match Engine.run { config with Engine.seed; certify } (Fuzz.to_closure p) with
+            | o -> o.Engine.races <> []
+            | exception _ -> false
+          in
+          match (recomputed, Fuzz.run_one ~race_free:true ~config ~certify ~seed p) with
+          | Fuzz.Passed _, Fuzz.Failed (Fuzz.Lint_unsound _) when raced -> incr forced
+          | Fuzz.Passed _, (Fuzz.Passed _ as s) when not raced ->
+            check_bool "no race, no finding" true (s = recomputed)
+          | Fuzz.Failed k, Fuzz.Failed k' ->
+            check_bool "a failure stays the same failure" true (k = k')
+          | _, s ->
+            Alcotest.failf "program %d attempt %d: forced verdict gave %s" n
+              attempt
+              (match s with
+              | Fuzz.Passed _ -> "passed"
+              | Fuzz.Failed k -> Fuzz.finding_key k)
+        done)
+      [ true; false ]
+  done;
+  check_bool "forced verdicts produced Lint_unsound findings" true (!forced > 0)
+
 let suite =
   [
     Alcotest.test_case "grammar reach per profile" `Quick test_grammar_reach;
@@ -318,6 +361,8 @@ let suite =
     Alcotest.test_case "campaign parity across job counts" `Quick test_jobs_parity;
     Alcotest.test_case "campaign metrics and spans" `Quick test_campaign_metrics;
     Alcotest.test_case "repro prints as a DSL snippet" `Quick test_pp_program_shape;
+    Alcotest.test_case "supplied lint verdict, same findings" `Quick
+      test_supplied_lint_verdict;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_generated_valid; prop_generation_deterministic; prop_generated_runnable ]
