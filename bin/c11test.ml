@@ -583,7 +583,11 @@ let fuzz_cmd =
   let mutant_arg =
     let doc =
       "Test-only: install a seeded engine fault (skip-acquire-merge, \
-       drop-mo-edge or weak-release-store) to prove the oracle catches it."
+       drop-mo-edge, weak-release-store or race-ignores-sync) to prove the \
+       oracle catches it.  The first three break the memory model and the \
+       certifier rejects them; race-ignores-sync only makes the race \
+       detector ignore synchronisation, which the differential against \
+       the static linter reports as lint-unsound findings."
     in
     Arg.(value & opt (some string) None & info [ "mutant" ] ~docv:"MUTANT" ~doc)
   in
@@ -643,8 +647,8 @@ let fuzz_cmd =
       match mutation with
       | Error s ->
         Printf.eprintf
-          "unknown mutant %S; try skip-acquire-merge, drop-mo-edge or \
-           weak-release-store\n"
+          "unknown mutant %S; try skip-acquire-merge, drop-mo-edge, \
+           weak-release-store or race-ignores-sync\n"
           s;
         2
       | Ok mutation ->

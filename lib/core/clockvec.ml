@@ -2,21 +2,57 @@ type t = { mutable data : int array }
 
 let bottom () = { data = [||] }
 
+(* Clocks are short (one slot per thread) and are created and copied on
+   every action, so the common widths are built as array literals: an
+   inline minor-heap allocation, where [Array.make] and [Array.copy] are
+   runtime calls ([caml_make_vect], [caml_array_sub]). *)
+let zeros4 () = [| 0; 0; 0; 0 |]
+
+(* Grow to at least [n] slots: doubling, never below 4. *)
 let ensure t n =
   let len = Array.length t.data in
-  if n > len then begin
-    let data = Array.make (max n (max 4 (2 * len))) 0 in
-    Array.blit t.data 0 data 0 len;
-    t.data <- data
-  end
+  if n > len then
+    if len = 0 && n <= 4 then t.data <- zeros4 ()
+    else begin
+      let data = Array.make (max n (max 4 (2 * len))) 0 in
+      Array.blit t.data 0 data 0 len;
+      t.data <- data
+    end
 
 let of_slot ~tid ~seq =
-  let t = bottom () in
-  ensure t (tid + 1);
-  t.data.(tid) <- seq;
-  t
+  let data = if tid < 4 then zeros4 () else Array.make (tid + 1) 0 in
+  Array.unsafe_set data tid seq;
+  { data }
 
-let copy t = { data = Array.copy t.data }
+let copy t =
+  let d = t.data in
+  match Array.length d with
+  | 0 -> { data = [||] }
+  | 4 ->
+    {
+      data =
+        [|
+          Array.unsafe_get d 0;
+          Array.unsafe_get d 1;
+          Array.unsafe_get d 2;
+          Array.unsafe_get d 3;
+        |];
+    }
+  | 8 ->
+    {
+      data =
+        [|
+          Array.unsafe_get d 0;
+          Array.unsafe_get d 1;
+          Array.unsafe_get d 2;
+          Array.unsafe_get d 3;
+          Array.unsafe_get d 4;
+          Array.unsafe_get d 5;
+          Array.unsafe_get d 6;
+          Array.unsafe_get d 7;
+        |];
+    }
+  | _ -> { data = Array.copy d }
 
 let get t i = if i < Array.length t.data then t.data.(i) else 0
 

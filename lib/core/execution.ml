@@ -4,20 +4,27 @@ type mode = Full_c11 | Total_mo
    piece of bookkeeping the memory model depends on; the axiomatic
    certifier (lib/check) and the fuzz oracle (lib/fuzz) must detect all of
    them from the outside. *)
-type mutation = Skip_acquire_merge | Drop_mo_edge | Weak_release_store
+type mutation =
+  | Skip_acquire_merge
+  | Drop_mo_edge
+  | Weak_release_store
+  | Race_ignores_sync
 
 let mutation_name = function
   | Skip_acquire_merge -> "skip-acquire-merge"
   | Drop_mo_edge -> "drop-mo-edge"
   | Weak_release_store -> "weak-release-store"
+  | Race_ignores_sync -> "race-ignores-sync"
 
 let mutation_of_string = function
   | "skip-acquire-merge" -> Some Skip_acquire_merge
   | "drop-mo-edge" -> Some Drop_mo_edge
   | "weak-release-store" -> Some Weak_release_store
+  | "race-ignores-sync" -> Some Race_ignores_sync
   | _ -> None
 
-let all_mutations = [ Skip_acquire_merge; Drop_mo_edge; Weak_release_store ]
+let all_mutations =
+  [ Skip_acquire_merge; Drop_mo_edge; Weak_release_store; Race_ignores_sync ]
 
 exception Model_error of string
 
@@ -191,6 +198,11 @@ let create ?(obs = Obs.null) ?(prof = Profile.null) ?(metrics = Metrics.null)
     mrf_buf = [||];
     mrf_n = 0;
   }
+
+(* Is fault [m] installed?  A pattern match, where the polymorphic
+   [t.mutation <> Some m] would be a runtime call on every load and store;
+   with [None] it is one test. *)
+let has_mutation t m = match t.mutation with None -> false | Some m' -> m' == m
 
 let thread t tid =
   if tid < 0 || tid >= t.nthreads then
@@ -433,6 +445,33 @@ let mrf_push t (a : Action.t) =
   t.mrf_buf.(n) <- a;
   t.mrf_n <- n + 1
 
+(* Section 29.3 statement 3: a seq_cst load reads the last seq_cst store
+   S, or some store that neither precedes S in sc nor happens before S.
+   [sc] is [Some S] for a seq_cst load of a location with one, else
+   [None] (every candidate kept). *)
+let sc_keep sc (x : Action.t) =
+  match sc with
+  | None -> true
+  | Some (s : Action.t) ->
+    x == s
+    || not
+         ((Memorder.is_seq_cst x.mo && x.seq < s.seq) || Action.happens_before x s)
+
+(* One thread's store list; [cd]/[nc] are the loading thread's clock
+   slots, hoisted out of the loop ([covered] is [Clockvec.covers]). *)
+let rec mrf_walk t sc cd nc = function
+  | [] -> ()
+  | (x : Action.t) :: rest ->
+    if sc_keep sc x then mrf_push t x;
+    let covered = x.tid < nc && x.seq <= Array.unsafe_get cd x.tid in
+    if not covered then mrf_walk t sc cd nc rest
+
+let rec mrf_cells t sc cd nc = function
+  | [] -> ()
+  | cell :: rest ->
+    mrf_walk t sc cd nc cell.c_stores;
+    mrf_cells t sc cd nc rest
+
 (* For each thread's store list (newest first): every store that does not
    happen before the load is a candidate; the newest store that does happen
    before the load is the final candidate for that thread (anything older is
@@ -446,36 +485,8 @@ let mrf_push t (a : Action.t) =
    order), keeping the downstream shuffle's RNG draws identical. *)
 let build_may_read_from_buf t li ts ~is_sc =
   t.mrf_n <- 0;
-  let keep =
-    if is_sc then
-      match li.last_sc with
-      | None -> fun _ -> true
-      | Some s ->
-        (* Section 29.3 statement 3: a seq_cst load reads the last seq_cst
-           store S, or some store that neither precedes S in sc nor happens
-           before S. *)
-        fun (x : Action.t) ->
-          x == s
-          || not
-               ((Memorder.is_seq_cst x.mo && x.seq < s.seq)
-               || Action.happens_before x s)
-    else fun _ -> true
-  in
-  (* raw clock scan: [covered] is [Clockvec.covers ts.c] with the slot
-     array hoisted out of the per-store loop *)
   let cd = Clockvec.raw ts.c in
-  let nc = Array.length cd in
-  List.iter
-    (fun cell ->
-      let rec walk = function
-        | [] -> ()
-        | (x : Action.t) :: rest ->
-          if keep x then mrf_push t x;
-          let covered = x.tid < nc && x.seq <= Array.unsafe_get cd x.tid in
-          if not covered then walk rest
-      in
-      walk cell.c_stores)
-    li.cells;
+  mrf_cells t (if is_sc then li.last_sc else None) cd (Array.length cd) li.cells;
   let buf = t.mrf_buf in
   let i = ref 0 and j = ref (t.mrf_n - 1) in
   while !i < !j do
@@ -590,10 +601,23 @@ let read_prior_base t li ts ~load_mo =
   done;
   !priorset
 
+(* [base] without the candidate [s], in order; shares [base] when [s] is
+   not in it (the common case). *)
+let rec without (s : Action.t) = function
+  | [] -> []
+  | (w : Action.t) :: rest as l ->
+    if w == s || w.seq = s.seq then without s rest
+    else
+      let rest' = without s rest in
+      if rest' == rest then l else w :: rest'
+
+let rec any_infeasible t ~to_ = function
+  | [] -> false
+  | e :: rest -> edge_infeasible t ~from:e ~to_ || any_infeasible t ~to_ rest
+
 let read_prior_set t base (s : Action.t) =
-  let pset = List.filter (fun (w : Action.t) -> w != s && w.seq <> s.seq) base in
-  if List.exists (fun e -> edge_infeasible t ~from:e ~to_:s) pset then None
-  else Some pset
+  let pset = without s base in
+  if any_infeasible t ~to_:s pset then None else Some pset
 
 (* WritePriorSet (Figure 13).  A plain store goes to the end of mo and
    cannot create a cycle (it has no outgoing edges yet), so its callers
@@ -617,29 +641,38 @@ let write_prior_set t li ts ~store_mo ~current =
   done;
   !priorset
 
+let rec none_reached t (s : Action.t) = function
+  | [] -> true
+  | (w : Action.t) :: rest ->
+    (w == s || w.seq = s.seq || not (Mograph.reaches t.graph s w))
+    && none_reached t s rest
+
 (* The write half of an RMW reading [s] is pinned immediately mo-after
    [s] (AddRmwEdge migrates [s]'s existing successors behind it), so a
    WritePriorSet constraint [w -mo-> rmw] with [w] already strictly
    mo-after [s] would close a cycle — e.g. a seq_cst RMW reading a stale
    store when a later seq_cst store already sits further down mo.  Such a
    candidate must be rejected before anything is committed.  The what-if
-   clock mirrors the acquire merge [commit_rmw] will perform, so the set
+   clock mirrors the acquire merge [rmw_commit_write] will perform, so the set
    checked here is the set that commit will install. *)
 let rmw_write_feasible t li ts ~mo (s : Action.t) =
   match t.mode with
   | Total_mo -> true (* candidates are already restricted to the newest store *)
   | Full_c11 ->
     let current =
-      if Memorder.is_acquire mo && t.mutation <> Some Skip_acquire_merge then
+      if Memorder.is_acquire mo && not (has_mutation t Skip_acquire_merge) then
         match s.rf_cv with
         | Some cv -> Clockvec.union ts.c cv
         | None -> ts.c
       else ts.c
     in
-    List.for_all
-      (fun (w : Action.t) ->
-        w == s || w.seq = s.seq || not (Mograph.reaches t.graph s w))
-      (write_prior_set t li ts ~store_mo:mo ~current)
+    none_reached t s (write_prior_set t li ts ~store_mo:mo ~current)
+
+let rec add_edges_to g ns = function
+  | [] -> ()
+  | e :: rest ->
+    Mograph.add_edge g (Mograph.get_node g e) ns;
+    add_edges_to g ns rest
 
 let add_edges t pset (s : Action.t) =
   match t.mode with
@@ -654,8 +687,7 @@ let add_edges t pset (s : Action.t) =
       | _, _ -> pset
     in
     let p0 = if t.prof_on then Profile.now_ns () else 0 in
-    let ns = Mograph.get_node t.graph s in
-    List.iter (fun e -> Mograph.add_edge t.graph (Mograph.get_node t.graph e) ns) pset;
+    add_edges_to t.graph (Mograph.get_node t.graph s) pset;
     let sz = Mograph.size t.graph in
     if sz > t.max_graph_size then t.max_graph_size <- sz;
     if t.prof_on then Profile.stop t.prof "mo_graph_update" p0;
@@ -720,6 +752,16 @@ let shuffle_scratch t =
    and the check counter cover atomic and non-atomic accesses alike. *)
 let race_check t ~loc ~tid ~seq ~hb ~is_write ~cls =
   let p0 = if t.prof_on then Profile.now_ns () else 0 in
+  (* [Race_ignores_sync] fault: the detector sees only the accessing
+     thread's own clock slot, so every cross-thread conflict reads as a
+     race, synchronised or not.  The certifier passes such executions;
+     the fuzzer's lint differential must flag the races it reports on
+     statically race-free programs. *)
+  let hb =
+    if has_mutation t Race_ignores_sync then
+      Clockvec.of_slot ~tid ~seq:(Clockvec.get hb tid)
+    else hb
+  in
   Race.on_access t.race ~loc ~tid ~seq ~hb ~is_write ~cls;
   if t.prof_on then Profile.stop t.prof "race_check" p0;
   if t.metrics_on then Metrics.incr t.metrics "race.checks"
@@ -740,9 +782,18 @@ let emit_access t kind ~tid ~loc ~mo ~value ~detail ~seq =
    dropped synchronizes-with edge the certifier's hb differential must
    catch. *)
 let acquire_merge t ts ~mo rf_cv =
-  if Memorder.is_acquire mo && t.mutation <> Some Skip_acquire_merge then
+  if Memorder.is_acquire mo && not (has_mutation t Skip_acquire_merge) then
     ignore (Clockvec.merge ts.c rf_cv)
   else ignore (Clockvec.merge ts.facq rf_cv)
+
+(* The first shuffled candidate from slot [k] on whose read keeps the
+   mo-graph acyclic, with its prior set; [(-1, [])] if there is none. *)
+let rec first_readable t base k =
+  if k >= t.mrf_n then (-1, [])
+  else
+    match read_prior_set t base t.mrf_buf.(k) with
+    | Some pset -> (k, pset)
+    | None -> first_readable t base (k + 1)
 
 let atomic_load t ~tid ~loc ~mo ~volatile =
   let ts = thread t tid in
@@ -760,26 +811,16 @@ let atomic_load t ~tid ~loc ~mo ~volatile =
   if t.metrics_on then
     Metrics.observe t.metrics "mrf.candidates" (float_of_int t.mrf_n);
   shuffle_scratch t;
-  let chosen = ref None in
   let p1 = if t.prof_on then Profile.now_ns () else 0 in
   let base = read_prior_base t li ts ~load_mo:mo in
-  (try
-     for k = 0 to t.mrf_n - 1 do
-       let s = t.mrf_buf.(k) in
-       match read_prior_set t base s with
-       | Some pset ->
-         chosen := Some (s, pset);
-         raise Exit
-       | None -> ()
-     done
-   with Exit -> ());
+  let k, pset = first_readable t base 0 in
   if t.prof_on then Profile.stop t.prof "prior_set" p1;
-  match !chosen with
-  | None ->
+  if k < 0 then
     raise
       (Model_error
          (Printf.sprintf "no feasible store for load of location %d" loc))
-  | Some (s, pset) ->
+  else begin
+    let s = t.mrf_buf.(k) in
     let rf_cv = match s.rf_cv with Some cv -> cv | None -> Clockvec.bottom () in
     let p2 = if t.prof_on then Profile.now_ns () else 0 in
     acquire_merge t ts ~mo rf_cv;
@@ -796,13 +837,14 @@ let atomic_load t ~tid ~loc ~mo ~volatile =
         ~detail:(Printf.sprintf "rf=%d" s.seq)
         ~seq;
     s.value
+  end
 
 (* [Weak_release_store] fault: a release store publishes only the
    release-fence clock, as if it were relaxed — acquirers synchronise
    with a stale clock, which the certifier's reconstructed sw/hb must
    expose. *)
 let store_rf_cv t ts ~mo =
-  if Memorder.is_release mo && t.mutation <> Some Weak_release_store then
+  if Memorder.is_release mo && not (has_mutation t Weak_release_store) then
     Clockvec.copy ts.c
   else Clockvec.copy ts.frel
 
@@ -868,6 +910,56 @@ let atomic_store t ~tid ~loc ~mo ~volatile value =
    globally newest store — exactly tsan11's behaviour. *)
 let newest_store li = li.newest
 
+(* The two ways an RMW commits, top-level functions rather than closures
+   over the operation: a failed compare-exchange degenerates to a load of
+   [s]; otherwise the RMW reads [s] and writes [new_value] pinned
+   immediately mo-after it. *)
+let rmw_commit_load t ts li ~tid ~loc ~mo ~volatile ~seq (s : Action.t) pset =
+  let rf_cv = match s.rf_cv with Some cv -> cv | None -> Clockvec.bottom () in
+  acquire_merge t ts ~mo rf_cv;
+  let a = mk_action t ts Action.Load ~loc ~mo ~value:s.value ~volatile ~seq in
+  a.rf <- Some s;
+  add_edges t pset s;
+  record_load li a;
+  if t.cert_on then cert_feed t a;
+  race_atomic t a ~is_write:false;
+  if t.obs_on then
+    emit_access t Obs.Load ~tid ~loc ~mo:(Memorder.to_string mo) ~value:s.value
+      ~detail:(Printf.sprintf "rf=%d rmw-keep" s.seq)
+      ~seq;
+  s.value
+
+let rmw_commit_write t ts li ~tid ~loc ~mo ~volatile ~seq (s : Action.t) pset
+    new_value =
+  s.rmw_claimed <- true;
+  let rf_cv_s = match s.rf_cv with Some cv -> cv | None -> Clockvec.bottom () in
+  acquire_merge t ts ~mo rf_cv_s;
+  let r = mk_action t ts Action.Rmw ~loc ~mo ~value:new_value ~volatile ~seq in
+  r.rf <- Some s;
+  (* Release sequences: the RMW carries its own release clock (if any)
+     joined with the clock of the sequence it extends (Figure 9,
+     RELEASE/RELAXED RMW). *)
+  r.rf_cv <- Some (Clockvec.union (store_rf_cv t ts ~mo) rf_cv_s);
+  add_edges t pset s;
+  (match t.mode with
+  | Full_c11 ->
+    Mograph.add_rmw_edge t.graph
+      (Mograph.get_node t.graph s)
+      (Mograph.get_node t.graph r)
+  | Total_mo -> ());
+  let wpset = write_prior_set t li ts ~store_mo:mo ~current:ts.c in
+  add_edges t wpset r;
+  record_store li r;
+  if t.cert_on then cert_feed t r;
+  set_value t loc new_value;
+  race_atomic t r ~is_write:false;
+  race_atomic t r ~is_write:true;
+  if t.obs_on then
+    emit_access t Obs.Rmw ~tid ~loc ~mo:(Memorder.to_string mo) ~value:new_value
+      ~detail:(Printf.sprintf "rf=%d read=%d" s.seq s.value)
+      ~seq;
+  s.value
+
 let atomic_rmw t ~tid ~loc ~mo ~volatile ~f =
   let mo = effective_rmw_mo t mo in
   let ts = thread t tid in
@@ -885,53 +977,6 @@ let atomic_rmw t ~tid ~loc ~mo ~volatile ~f =
     Metrics.observe t.metrics "mrf.candidates" (float_of_int t.mrf_n);
   shuffle_scratch t;
   let result = ref None in
-  let commit_load s pset =
-    let rf_cv = match s.Action.rf_cv with Some cv -> cv | None -> Clockvec.bottom () in
-    acquire_merge t ts ~mo rf_cv;
-    let a = mk_action t ts Action.Load ~loc ~mo ~value:s.Action.value ~volatile ~seq in
-    a.rf <- Some s;
-    add_edges t pset s;
-    record_load li a;
-    if t.cert_on then cert_feed t a;
-    race_atomic t a ~is_write:false;
-    if t.obs_on then
-      emit_access t Obs.Load ~tid ~loc ~mo:(Memorder.to_string mo)
-        ~value:s.Action.value
-        ~detail:(Printf.sprintf "rf=%d rmw-keep" s.Action.seq)
-        ~seq;
-    s.Action.value
-  in
-  let commit_rmw (s : Action.t) pset new_value =
-    s.rmw_claimed <- true;
-    let rf_cv_s = match s.rf_cv with Some cv -> cv | None -> Clockvec.bottom () in
-    acquire_merge t ts ~mo rf_cv_s;
-    let r = mk_action t ts Action.Rmw ~loc ~mo ~value:new_value ~volatile ~seq in
-    r.rf <- Some s;
-    (* Release sequences: the RMW carries its own release clock (if any)
-       joined with the clock of the sequence it extends (Figure 9,
-       RELEASE/RELAXED RMW). *)
-    r.rf_cv <- Some (Clockvec.union (store_rf_cv t ts ~mo) rf_cv_s);
-    add_edges t pset s;
-    (match t.mode with
-    | Full_c11 ->
-      Mograph.add_rmw_edge t.graph
-        (Mograph.get_node t.graph s)
-        (Mograph.get_node t.graph r)
-    | Total_mo -> ());
-    let wpset = write_prior_set t li ts ~store_mo:mo ~current:ts.c in
-    add_edges t wpset r;
-    record_store li r;
-    if t.cert_on then cert_feed t r;
-    set_value t loc new_value;
-    race_atomic t r ~is_write:false;
-    race_atomic t r ~is_write:true;
-    if t.obs_on then
-      emit_access t Obs.Rmw ~tid ~loc ~mo:(Memorder.to_string mo)
-        ~value:new_value
-        ~detail:(Printf.sprintf "rf=%d read=%d" s.seq s.value)
-        ~seq;
-    s.value
-  in
   let base = read_prior_base t li ts ~load_mo:mo in
   (try
      for k = 0 to t.mrf_n - 1 do
@@ -940,7 +985,8 @@ let atomic_rmw t ~tid ~loc ~mo ~volatile ~f =
        | Rmw_keep -> (
          match read_prior_set t base s with
          | Some pset ->
-           result := Some (commit_load s pset);
+           result :=
+             Some (rmw_commit_load t ts li ~tid ~loc ~mo ~volatile ~seq s pset);
            raise Exit
          | None -> ())
        | Rmw_write v ->
@@ -957,7 +1003,10 @@ let atomic_rmw t ~tid ~loc ~mo ~volatile ~f =
          if claimable then (
            match read_prior_set t base s with
            | Some pset ->
-             result := Some (commit_rmw s pset v);
+             result :=
+               Some
+                 (rmw_commit_write t ts li ~tid ~loc ~mo ~volatile ~seq s pset
+                    v);
              raise Exit
            | None -> ())
      done

@@ -38,8 +38,17 @@ type mode = Full_c11 | Total_mo
       constraint edges;
     - [Weak_release_store] — release stores publish the release-fence
       clock instead of the thread clock, as if they were relaxed (a stale
-      clock merge on the writer side). *)
-type mutation = Skip_acquire_merge | Drop_mo_edge | Weak_release_store
+      clock merge on the writer side);
+    - [Race_ignores_sync] — race checks see only the accessing thread's
+      own clock slot, so synchronised cross-thread accesses are reported
+      as races.  The execution itself is untouched and certifies: only
+      the fuzzer's differential against the static linter
+      ([Lint_unsound]) can catch it. *)
+type mutation =
+  | Skip_acquire_merge
+  | Drop_mo_edge
+  | Weak_release_store
+  | Race_ignores_sync
 
 val mutation_name : mutation -> string
 val mutation_of_string : string -> mutation option

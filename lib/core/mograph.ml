@@ -16,9 +16,9 @@ type Action.graph_node += Cached of node * int
 type t = {
   id : int;
   nodes : (int, node) Hashtbl.t;
-  edge_keys : (int, unit) Hashtbl.t;
-      (* membership of the edge set as packed (from.seq, to.seq) keys:
-         [add_edge] dedup in O(1) instead of List.memq's O(out-degree) *)
+  mutable hub_keys : (int, unit) Hashtbl.t option;
+      (* membership of the out-edges of hub nodes (see [scan_limit]) as
+         packed (from.seq, to.seq) keys; created with the first hub *)
   queue : node Queue.t;  (* reusable BFS worklist for [propagate_from] *)
   mutable gen : int;  (* current propagation generation for [mark] stamps *)
 }
@@ -39,7 +39,7 @@ let create () =
   {
     id;
     nodes = Hashtbl.create 16;
-    edge_keys = Hashtbl.create 16;
+    hub_keys = None;
     queue = Queue.create ();
     gen = 0;
   }
@@ -77,23 +77,70 @@ let find_node t (a : Action.t) =
   | Cached (n, gid) when gid = t.id && not n.pruned -> Some n
   | _ -> Hashtbl.find_opt t.nodes a.seq
 
+(* Edge membership.  Most stores have a handful of mo successors, so
+   membership is a scan of the node's own edge array: no hashing, no
+   allocation.  A node with more than [scan_limit] out-edges is a hub
+   (a store every later store of a busy location is ordered after, when
+   nothing is pruned): its edges are also indexed in [hub_keys], so the
+   membership test stays O(1) however many successors it collects.
+   Invariant: [hub_keys] holds exactly the edges of nodes with
+   [nedges > scan_limit]. *)
+let scan_limit = 8
+
 (* Sequence numbers stay well below 2^31 (they are bounded by the engine's
    step limit), so an edge is one native int. *)
 let edge_key from to_ = (from.action.Action.seq lsl 31) lor to_.action.Action.seq
 
-let has_edge t from to_ = Hashtbl.mem t.edge_keys (edge_key from to_)
+let hub_keys t =
+  match t.hub_keys with
+  | Some h -> h
+  | None ->
+    let h = Hashtbl.create 64 in
+    t.hub_keys <- Some h;
+    h
+
+let rec scan_edges edges to_ i =
+  i >= 0 && (Array.unsafe_get edges i == to_ || scan_edges edges to_ (i - 1))
+
+let has_edge t from to_ =
+  if from.nedges <= scan_limit then scan_edges from.edges to_ (from.nedges - 1)
+  else Hashtbl.mem (hub_keys t) (edge_key from to_)
 
 let push_edge t from to_ =
   let n = from.nedges in
   if n = Array.length from.edges then begin
-    let cap = if n = 0 then 4 else 2 * n in
-    let arr = Array.make cap to_ in
-    Array.blit from.edges 0 arr 0 n;
+    let arr =
+      if n = 0 then [| to_; to_; to_; to_ |]
+      else begin
+        let arr = Array.make (2 * n) to_ in
+        Array.blit from.edges 0 arr 0 n;
+        arr
+      end
+    in
     from.edges <- arr
   end;
   from.edges.(n) <- to_;
   from.nedges <- n + 1;
-  Hashtbl.replace t.edge_keys (edge_key from to_) ()
+  if n >= scan_limit then begin
+    let h = hub_keys t in
+    (* on becoming a hub, index the edges the scan used to cover *)
+    if n = scan_limit then
+      for i = 0 to n - 1 do
+        Hashtbl.replace h (edge_key from from.edges.(i)) ()
+      done;
+    Hashtbl.replace h (edge_key from to_) ()
+  end
+
+(* Forget [n]'s out-edges (they are being migrated or the node pruned). *)
+let clear_edges t n =
+  if n.nedges > scan_limit then begin
+    let h = hub_keys t in
+    for i = 0 to n.nedges - 1 do
+      Hashtbl.remove h (edge_key n n.edges.(i))
+    done
+  end;
+  n.edges <- no_edges;
+  n.nedges <- 0
 
 let succs n =
   let rec go i acc = if i < 0 then acc else go (i - 1) (n.edges.(i) :: acc) in
@@ -151,14 +198,12 @@ let add_rmw_edge t from rmw =
   from.rmw <- Some rmw;
   for i = 0 to from.nedges - 1 do
     let dst = from.edges.(i) in
-    if dst != rmw && not (has_edge t rmw dst) then push_edge t rmw dst;
-    (* drop the key with the edge, or a stale hit would suppress a later
-       re-insertion (in particular of the [from -> rmw] edge itself, which
-       [from] often already carries as a same-thread sb edge) *)
-    Hashtbl.remove t.edge_keys (edge_key from dst)
+    if dst != rmw && not (has_edge t rmw dst) then push_edge t rmw dst
   done;
-  from.edges <- no_edges;
-  from.nedges <- 0;
+  (* drop the hub keys with the edges, or a stale hit would suppress a
+     later re-insertion (in particular of the [from -> rmw] edge itself,
+     which [from] often already carries as a same-thread sb edge) *)
+  clear_edges t from;
   add_edge t from rmw;
   (* Each migrated edge is a new constraint [rmw -mo-> dst].  AddEdge's
      final merge may report no change (the rmw's clock can already cover
@@ -213,11 +258,7 @@ let remove_node t (a : Action.t) =
   | None -> ()
   | Some n ->
     n.pruned <- true;
-    for i = 0 to n.nedges - 1 do
-      Hashtbl.remove t.edge_keys (edge_key n n.edges.(i))
-    done;
-    n.edges <- no_edges;
-    n.nedges <- 0;
+    clear_edges t n;
     a.mo_node <- Action.No_graph_node;
     Hashtbl.remove t.nodes a.seq
 

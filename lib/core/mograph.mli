@@ -45,10 +45,15 @@ val find_node : t -> Action.t -> node option
 
 (** [add_edge g from to_] — the [AddEdge] procedure of Figure 6: skip
     redundant edges, follow rmw chains, insert the edge and propagate clock
-    vectors breadth-first.  Duplicate-edge detection is a hashed
-    (from, to) membership probe and insertion an amortised-O(1) dynarray
-    append, so the procedure no longer scans the source's edge list. *)
+    vectors breadth-first.  Duplicate-edge detection scans the source's
+    edge array while it holds at most a handful of edges and is a hashed
+    (from, to) probe once the source is a hub, so it is O(1) either way;
+    insertion is an amortised-O(1) dynarray append. *)
 val add_edge : t -> node -> node -> unit
+
+(** [has_edge g from to_]: does [from] carry the out-edge [from -mo-> to_]
+    (the membership test {!add_edge} deduplicates with)? *)
+val has_edge : t -> node -> node -> bool
 
 (** [add_rmw_edge g from rmw] — the [AddRMWEdge] procedure of Figure 6:
     record the rmw link, migrate [from]'s outgoing edges to [rmw], then add

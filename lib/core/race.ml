@@ -16,7 +16,9 @@ type report = {
 (* Shadow cell: slot [tid] of each vector holds the sequence number of
    thread [tid]'s most recent access of that class (0 = none).  Per-thread
    "last access" suffices because same-thread accesses are ordered by
-   sequenced-before.
+   sequenced-before.  A vector is a bare int array, empty until the first
+   access of its class and grown only on a write: most locations see one
+   or two of the four classes, so the other slots cost nothing.
 
    Each vector carries a FastTrack-style epoch witness [cov_tid]: the
    thread whose happens-before clock was last verified to cover every
@@ -25,16 +27,16 @@ type report = {
    by the witness thread is guaranteed conflict-free and skips the
    vector-width loop entirely — the same-epoch shortcut that makes the
    common run of same-thread accesses O(1) per access. *)
-type slot = { cv : Clockvec.t; mutable cov_tid : int }
+type slot = { mutable v : int array; mutable cov_tid : int }
 
 type shadow = { na_w : slot; at_w : slot; na_r : slot; at_r : slot }
 
 type t = {
   (* locations are dense small ints (Execution.fresh_loc counts from 0),
-     so the shadow store is a direct-indexed array — the per-access lookup
-     is a bounds check and a load, not a hash probe *)
-  mutable shadows : shadow option array;
-  names : (int, string) Hashtbl.t;
+     so the shadow store and the names are direct-indexed arrays — the
+     per-access lookup is a bounds check and a load, not a hash probe *)
+  mutable shadows : shadow array;
+  mutable names : string option array;
   obs : Obs.t;
   metrics : Metrics.t;
   metrics_on : bool;
@@ -42,10 +44,16 @@ type t = {
   mutable count : int;
 }
 
+(* Placeholder for a location never accessed; compared physically, never
+   checked or written. *)
+let no_shadow =
+  let s = { v = [||]; cov_tid = -1 } in
+  { na_w = s; at_w = s; na_r = s; at_r = s }
+
 let create ?(obs = Obs.null) ?(metrics = Metrics.null) () =
   {
     shadows = [||];
-    names = Hashtbl.create 8;
+    names = [||];
     obs;
     metrics;
     metrics_on = Metrics.enabled metrics;
@@ -53,50 +61,54 @@ let create ?(obs = Obs.null) ?(metrics = Metrics.null) () =
     count = 0;
   }
 
-let name_location t ~loc name = Hashtbl.replace t.names loc name
+let name_location t ~loc name =
+  let len = Array.length t.names in
+  if loc >= len then begin
+    let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
+    Array.blit t.names 0 arr 0 len;
+    t.names <- arr
+  end;
+  t.names.(loc) <- Some name
 
 let loc_name t loc =
-  match Hashtbl.find_opt t.names loc with
+  match if loc >= 0 && loc < Array.length t.names then t.names.(loc) else None with
   | Some n -> n
   | None -> Printf.sprintf "loc%d" loc
-
-let fresh_slot () = { cv = Clockvec.bottom (); cov_tid = -1 }
 
 let new_shadow t loc =
   let s =
     {
-      na_w = fresh_slot ();
-      at_w = fresh_slot ();
-      na_r = fresh_slot ();
-      at_r = fresh_slot ();
+      na_w = { v = [||]; cov_tid = -1 };
+      at_w = { v = [||]; cov_tid = -1 };
+      na_r = { v = [||]; cov_tid = -1 };
+      at_r = { v = [||]; cov_tid = -1 };
     }
   in
   let len = Array.length t.shadows in
   if loc >= len then begin
-    let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
+    let arr = Array.make (max (loc + 1) (max 16 (2 * len))) no_shadow in
     Array.blit t.shadows 0 arr 0 len;
     t.shadows <- arr
   end;
-  t.shadows.(loc) <- Some s;
+  t.shadows.(loc) <- s;
   s
 
 let shadow t loc =
   if loc < Array.length t.shadows then
-    match Array.unsafe_get t.shadows loc with
-    | Some s -> s
-    | None -> new_shadow t loc
+    let s = Array.unsafe_get t.shadows loc in
+    if s == no_shadow then new_shadow t loc else s
   else new_shadow t loc
 
 (* The slow path: scan the prior vector for entries unordered with [hb],
    reporting each.  Returns whether any conflict was found, so the caller
    can install the coverage witness on a clean scan. *)
-let report_conflicts t prior ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
+let report_conflicts t pd ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
     ~is_write ~cls =
   let found_any = ref false in
   (* Raw slot scan: a never-accessed slot has width 0, so the loop is free,
      and the common miss (entry covered by [hb]) is two loads and two
      compares per slot.  Conflicts take the boxed slow path below. *)
-  let pd = Clockvec.raw prior and hd = Clockvec.raw hb in
+  let hd = Clockvec.raw hb in
   let nh = Array.length hd in
   for u = 0 to Array.length pd - 1 do
     if u <> tid then begin
@@ -137,46 +149,71 @@ let report_conflicts t prior ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
   done;
   !found_any
 
+(* Check the access against one prior vector.  A top-level function, not
+   a closure over the access: it runs up to four times per access. *)
+let check t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb ~is_write
+    ~cls =
+  if slot.cov_tid = tid then begin
+    (* Same-epoch fast path: this thread's clock already covered every
+       other entry and nothing foreign was written since. *)
+    if t.metrics_on then Metrics.incr t.metrics "race.epoch_hits"
+  end
+  else if
+    not
+      (report_conflicts t slot.v ~prior_is_write ~prior_class ~loc ~tid ~seq
+         ~hb ~is_write ~cls)
+  then slot.cov_tid <- tid
+
+(* Record [tid]'s access at [seq], growing the vector (doubling, never
+   below 4 slots) on the class's first write by a new thread. *)
+let record slot ~tid ~seq =
+  let v = slot.v in
+  let len = Array.length v in
+  if tid < len then Array.unsafe_set v tid seq
+  else begin
+    let v' =
+      if len = 0 && tid < 4 then [| 0; 0; 0; 0 |]
+      else begin
+        let a = Array.make (max (tid + 1) (max 4 (2 * len))) 0 in
+        Array.blit v 0 a 0 len;
+        a
+      end
+    in
+    Array.unsafe_set v' tid seq;
+    slot.v <- v'
+  end;
+  if slot.cov_tid <> tid then slot.cov_tid <- -1
+
 let on_access t ~loc ~tid ~seq ~hb ~is_write ~cls =
   let s = shadow t loc in
-  let check slot ~prior_is_write ~prior_class =
-    if slot.cov_tid = tid then begin
-      (* Same-epoch fast path: this thread's clock already covered every
-         other entry and nothing foreign was written since. *)
-      if t.metrics_on then Metrics.incr t.metrics "race.epoch_hits"
-    end
-    else begin
-      let found =
-        report_conflicts t slot.cv ~prior_is_write ~prior_class ~loc ~tid ~seq
-          ~hb ~is_write ~cls
-      in
-      if not found then slot.cov_tid <- tid
-    end
-  in
-  (match (cls, is_write) with
+  match (cls, is_write) with
   | Na_access, true ->
     (* A non-atomic write conflicts with every other access. *)
-    check s.na_w ~prior_is_write:true ~prior_class:Na_access;
-    check s.at_w ~prior_is_write:true ~prior_class:Atomic_access;
-    check s.na_r ~prior_is_write:false ~prior_class:Na_access;
-    check s.at_r ~prior_is_write:false ~prior_class:Atomic_access
+    check t s.na_w ~prior_is_write:true ~prior_class:Na_access ~loc ~tid ~seq
+      ~hb ~is_write ~cls;
+    check t s.at_w ~prior_is_write:true ~prior_class:Atomic_access ~loc ~tid
+      ~seq ~hb ~is_write ~cls;
+    check t s.na_r ~prior_is_write:false ~prior_class:Na_access ~loc ~tid ~seq
+      ~hb ~is_write ~cls;
+    check t s.at_r ~prior_is_write:false ~prior_class:Atomic_access ~loc ~tid
+      ~seq ~hb ~is_write ~cls;
+    record s.na_w ~tid ~seq
   | Na_access, false ->
-    check s.na_w ~prior_is_write:true ~prior_class:Na_access;
-    check s.at_w ~prior_is_write:true ~prior_class:Atomic_access
+    check t s.na_w ~prior_is_write:true ~prior_class:Na_access ~loc ~tid ~seq
+      ~hb ~is_write ~cls;
+    check t s.at_w ~prior_is_write:true ~prior_class:Atomic_access ~loc ~tid
+      ~seq ~hb ~is_write ~cls;
+    record s.na_r ~tid ~seq
   | Atomic_access, true ->
-    check s.na_w ~prior_is_write:true ~prior_class:Na_access;
-    check s.na_r ~prior_is_write:false ~prior_class:Na_access
+    check t s.na_w ~prior_is_write:true ~prior_class:Na_access ~loc ~tid ~seq
+      ~hb ~is_write ~cls;
+    check t s.na_r ~prior_is_write:false ~prior_class:Na_access ~loc ~tid ~seq
+      ~hb ~is_write ~cls;
+    record s.at_w ~tid ~seq
   | Atomic_access, false ->
-    check s.na_w ~prior_is_write:true ~prior_class:Na_access);
-  let target =
-    match (cls, is_write) with
-    | Na_access, true -> s.na_w
-    | Na_access, false -> s.na_r
-    | Atomic_access, true -> s.at_w
-    | Atomic_access, false -> s.at_r
-  in
-  Clockvec.set target.cv tid seq;
-  if target.cov_tid <> tid then target.cov_tid <- -1
+    check t s.na_w ~prior_is_write:true ~prior_class:Na_access ~loc ~tid ~seq
+      ~hb ~is_write ~cls;
+    record s.at_r ~tid ~seq
 
 let races t = List.rev t.found
 let race_count t = t.count

@@ -78,12 +78,6 @@ type thread_status =
   | Pending of pending * Fiber.cont
   | Finished
 
-type thread = {
-  tid : int;
-  mutable status : thread_status;
-  mutable final_cv : Clockvec.t option;
-}
-
 type mutex = {
   mutable locked_by : int option;
   mutable m_release_cv : Clockvec.t;
@@ -96,7 +90,16 @@ type mutex = {
 
 type condvar = { mutable waiters : int list }
 
-type state = {
+type thread = {
+  tid : int;
+  mutable status : thread_status;
+  mutable final_cv : Clockvec.t option;
+  ctx : inline_ctx option;
+      (** the thread's inline context (see [inline_ctx_key] below), built
+          once when the thread is added *)
+}
+
+and state = {
   config : config;
   exec : Execution.t;
   rng : Rng.t;
@@ -117,6 +120,8 @@ type state = {
   mutable step_limit_hit : bool;
 }
 
+and inline_ctx = { ic_st : state; ic_tid : int }
+
 let grow_push arr n v =
   let len = Array.length arr in
   if n < len then begin
@@ -131,7 +136,14 @@ let grow_push arr n v =
 
 let add_thread st body ~parent =
   let tid = Execution.new_thread st.exec ~parent in
-  let th = { tid; status = Not_started body; final_cv = None } in
+  let th =
+    {
+      tid;
+      status = Not_started body;
+      final_cv = None;
+      ctx = Some { ic_st = st; ic_tid = tid };
+    }
+  in
   st.threads <- grow_push st.threads st.nthreads th;
   st.nthreads <- st.nthreads + 1;
   assert (tid = st.nthreads - 1);
@@ -412,9 +424,9 @@ let bump_steps st =
    The context lives in domain-local storage, not a module-level ref:
    parallel campaigns (Tester.run_*_parallel) run one engine per domain,
    and a shared ref would let one domain's fiber read another domain's
-   engine state. *)
-
-type inline_ctx = { ic_st : state; ic_tid : int }
+   engine state.  Each thread's context is built once, with the thread
+   ([thread.ctx]), so publishing it at every fiber start and resume
+   allocates nothing. *)
 
 let inline_ctx_key : inline_ctx option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -429,14 +441,14 @@ let inline_na_write c ~loc v =
   bump_steps c.ic_st;
   Execution.na_write c.ic_st.exec ~tid:c.ic_tid ~loc v
 
-let fiber_start st tid body =
-  Domain.DLS.set inline_ctx_key (Some { ic_st = st; ic_tid = tid });
+let fiber_start th body =
+  Domain.DLS.set inline_ctx_key th.ctx;
   let r = Fiber.start body in
   Domain.DLS.set inline_ctx_key None;
   r
 
-let fiber_resume st tid k v =
-  Domain.DLS.set inline_ctx_key (Some { ic_st = st; ic_tid = tid });
+let fiber_resume th k v =
+  Domain.DLS.set inline_ctx_key th.ctx;
   let r = Fiber.resume k v in
   Domain.DLS.set inline_ctx_key None;
   r
@@ -451,7 +463,7 @@ let rec settle st th (step : Fiber.step) =
     if Op.is_inline op then begin
       bump_steps st;
       match exec_op st th op with
-      | Value v -> settle st th (fiber_resume st th.tid k v)
+      | Value v -> settle st th (fiber_resume th k v)
       | Sleep _ -> assert false
     end
     else th.status <- Pending (App_op op, k)
@@ -496,7 +508,7 @@ let run_thread st tid =
   match th.status with
   | Not_started body ->
     Schedule.note_executed st.sched_state ~tid ~was_rlx_or_rel_store:false;
-    settle st th (fiber_start st tid body)
+    settle st th (fiber_start th body)
   | Pending ((App_op op as p), k) ->
     Schedule.note_executed st.sched_state ~tid
       ~was_rlx_or_rel_store:(Op.is_rlx_or_rel_store op);
@@ -505,7 +517,7 @@ let run_thread st tid =
       (match sync_detail p with
       | Some d -> emit_sync st ~tid d
       | None -> ());
-      settle st th (fiber_resume st tid k v)
+      settle st th (fiber_resume th k v)
     | Sleep { cond; mutex = m } ->
       emit_sync st ~tid "cond_wait";
       th.status <- Pending (Sleeping { cond; mutex = m }, k))
@@ -513,7 +525,7 @@ let run_thread st tid =
     Schedule.note_executed st.sched_state ~tid ~was_rlx_or_rel_store:false;
     lock_mutex st tid (mutex st m);
     emit_sync st ~tid "relock";
-    settle st th (fiber_resume st tid k 0)
+    settle st th (fiber_resume th k 0)
   | Pending (Sleeping _, _) | Finished ->
     raise (Execution.Model_error "scheduled a disabled thread")
 
@@ -704,7 +716,11 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
     final_footprint = Execution.graph_footprint exec;
     pruned_stores = exec.Execution.pruned_count;
     trace =
-      List.map (Format.asprintf "%a" Action.pp) (Execution.trace exec);
+      (* [Format.asprintf "%a"] builds its buffer and formatter when
+         applied, so only a non-empty trace pays for them *)
+      (match Execution.trace exec with
+      | [] -> []
+      | actions -> List.map (Format.asprintf "%a" Action.pp) actions);
     certificate;
     certified_ops =
       (match stream with Some s -> Check.Stream.certified_ops s | None -> 0);

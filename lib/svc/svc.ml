@@ -8,7 +8,8 @@
       the same closure-free shard values (exact under [Marshal]) to that
       merge, which folds them with the {!Par.Merge} algebra.
    2. No partial-result ambiguity: a worker's results count only after
-      its [shard] record arrived intact; a worker that dies earlier
+      its [shard] record arrived intact — its payload's MD5 checked
+      before a byte of it is unmarshalled; a worker that dies earlier
       contributes nothing, its range is re-claimed once, and a second
       death is recorded as a failed range ({!Par.Merge.check_ranges}
       order) in an otherwise deterministic degraded merge.
@@ -214,12 +215,32 @@ type spec = {
   sp_kill : (int * int) option;
 }
 
-let encode_spec (s : spec) = b64_encode (Marshal.to_string s [])
+(* Marshalled bytes cross the pipe as base64 with their MD5, and are
+   unmarshalled only if the digest matches: [Marshal.from_string] trusts
+   its input, so a corrupted payload could otherwise decode into wrong
+   values, or crash the reader. *)
+let md5_hex bytes = Digest.to_hex (Digest.string bytes)
+
+let checked_bytes ~md5 b64 =
+  match b64_decode b64 with
+  | bytes when md5_hex bytes = md5 -> Some bytes
+  | _ | (exception Failure _) -> None
+
+(* The spec line: [<md5 hex> <base64>]. *)
+let encode_spec (s : spec) =
+  let bytes = Marshal.to_string s [] in
+  md5_hex bytes ^ " " ^ b64_encode bytes
 
 let decode_spec line : (spec, string) result =
-  match (Marshal.from_string (b64_decode (String.trim line)) 0 : spec) with
-  | s -> Ok s
-  | exception e -> Error (Printexc.to_string e)
+  match String.split_on_char ' ' (String.trim line) with
+  | [ md5; b64 ] -> (
+    match checked_bytes ~md5 b64 with
+    | None -> Error "spec digest mismatch"
+    | Some bytes -> (
+      match (Marshal.from_string bytes 0 : spec) with
+      | s -> Ok s
+      | exception e -> Error (Printexc.to_string e)))
+  | _ -> Error "spec line is not <md5> <base64>"
 
 let emit_json oc j =
   output_string oc (Jsonx.to_string j);
@@ -669,8 +690,12 @@ let worker_main line =
          so the live aggregate catches up even on a fast shard *)
       Progress.finish progress;
       let payload : _ payload = (i.part.kind, shards) in
-      let b64 = b64_encode (Marshal.to_string payload []) in
-      emit_record ~worker:w "shard" [ ("payload", Jsonx.String b64) ];
+      let bytes = Marshal.to_string payload [] in
+      emit_record ~worker:w "shard"
+        [
+          ("payload", Jsonx.String (b64_encode bytes));
+          ("md5", Jsonx.String (md5_hex bytes));
+        ];
       emit_record ~worker:w "done" [];
       0)
 
@@ -738,12 +763,18 @@ let handle_line st ~on_counts line =
     | Some s when s = schema -> (
       match Option.bind (Jsonx.member "kind" j) Jsonx.to_str with
       | Some "shard" -> (
-        match Option.bind (Jsonx.member "payload" j) Jsonx.to_str with
-        | None -> ()
-        | Some b64 -> (
-          match Marshal.from_string (b64_decode b64) 0 with
-          | p -> st.w_payload <- Some p
-          | exception _ -> () (* treated as a crash at EOF *)))
+        let field k = Option.bind (Jsonx.member k j) Jsonx.to_str in
+        (* a missing, mismatched or undecodable payload is no payload: the
+           worker's range is treated as a crash at EOF *)
+        match (field "payload", field "md5") with
+        | Some b64, Some md5 -> (
+          match checked_bytes ~md5 b64 with
+          | None -> ()
+          | Some bytes -> (
+            match Marshal.from_string bytes 0 with
+            | p -> st.w_payload <- Some p
+            | exception _ -> ()))
+        | _ -> ())
       | _ -> () (* hello / done: informational ack *))
     | Some "c11progress-v1" ->
       st.w_counts <-

@@ -19,15 +19,18 @@
     - [c11progress-v1] heartbeat records — the worker's cumulative
       shard-local counts, aggregated by the coordinator into the single
       campaign progress stream;
-    - [{"schema":"c11svc-v1","kind":"shard","worker":w,"payload":B64}] —
-      the shard result: base64 of the [Marshal]-encoded pair of the
-      campaign kind and the worker's closure-free shard values (one per
-      domain, of the type the surface's merge folds);
+    - [{"schema":"c11svc-v1","kind":"shard","worker":w,"payload":B64,
+      "md5":HEX}] — the shard result: base64 of the [Marshal]-encoded
+      pair of the campaign kind and the worker's closure-free shard
+      values (one per domain, of the type the surface's merge folds),
+      and the MD5 of those bytes, checked before they are unmarshalled;
     - [{"schema":"c11svc-v1","kind":"done","worker":w}] — end of stream.
 
-    The spec a worker runs arrives the same way on its stdin (one base64
-    line).  A worker that dies before its [shard] record (crash, kill,
-    exec failure) has its range re-claimed once by a respawned process;
+    The spec a worker runs arrives the same way on its stdin (one line,
+    [<md5> <base64>]; a worker refuses a spec that fails its digest with
+    exit 2).  A worker that dies before its [shard] record (crash, kill,
+    exec failure), or whose shard record fails its digest, has its range
+    re-claimed once by a respawned process;
     if that dies too, the range is recorded in {!stats.st_failed} (audited
     with {!Par.Merge.check_ranges}, ascending worker order) and the
     degraded summary is the deterministic merge of the surviving shards —

@@ -310,6 +310,41 @@ let test_trace_off_by_default () =
   let o = run (fun () -> ignore (C11.Atomic.make 1)) in
   check "no trace unless requested" true (o.Engine.trace = [])
 
+(* ---------- allocation guards ------------------------------------------ *)
+
+(* Mean minor-heap words of one [Engine.run] of [prog] over seeds 1..n,
+   configs built beforehand and one warm-up run first, so only the
+   engine's own allocation is counted. *)
+let words_per_run ?(n = 200) prog =
+  let cfgs =
+    Array.init (n + 1) (fun seed ->
+        { (Tool.config Tool.C11tester) with Engine.seed = Int64.of_int seed })
+  in
+  ignore (Engine.run cfgs.(0) prog);
+  let w0 = Gc.minor_words () in
+  for seed = 1 to n do
+    ignore (Engine.run cfgs.(seed) prog)
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let check_words name ~limit words =
+  check
+    (Printf.sprintf "%s: %.0f minor words per run, limit %d" name words limit)
+    true
+    (words < float_of_int limit)
+
+(* Limits sit between the engine's value and the value before its
+   per-operation path stopped allocating closures, inline contexts and
+   an empty trace's formatter (434 and 1,683 words in the test build;
+   207 and 1,220 after). *)
+let test_alloc_empty_run () =
+  check_words "empty program" ~limit:320 (words_per_run (fun () -> ()))
+
+let test_alloc_mp_relaxed () =
+  let t = Option.get (Litmus.find "mp_relaxed") in
+  check_words "mp_relaxed" ~limit:1_450
+    (words_per_run (fun () -> ignore (t.Litmus.run_once ())))
+
 let suite =
   [
     Alcotest.test_case "empty program" `Quick test_empty_program;
@@ -331,4 +366,7 @@ let suite =
     Alcotest.test_case "volatile modes" `Quick test_volatile_modes;
     Alcotest.test_case "trace recording" `Quick test_trace_recording;
     Alcotest.test_case "trace off by default" `Quick test_trace_off_by_default;
+    Alcotest.test_case "allocation: empty run" `Quick test_alloc_empty_run;
+    Alcotest.test_case "allocation: mp_relaxed execution" `Quick
+      test_alloc_mp_relaxed;
   ]

@@ -163,6 +163,8 @@ let expected_axiom = function
   | Execution.Skip_acquire_merge -> "hb-differential"
   | Execution.Drop_mo_edge -> "coherence"
   | Execution.Weak_release_store -> "hb-differential"
+  (* certifies: only the lint differential sees the spurious races *)
+  | Execution.Race_ignores_sync -> "lint-unsound"
 
 let test_mutant mutation () =
   let report =
@@ -355,6 +357,8 @@ let suite =
       (test_mutant Execution.Drop_mo_edge);
     Alcotest.test_case "mutant: weak-release-store caught" `Quick
       (test_mutant Execution.Weak_release_store);
+    Alcotest.test_case "mutant: race-ignores-sync caught" `Quick
+      (test_mutant Execution.Race_ignores_sync);
     Alcotest.test_case "shrinking preserves the violation" `Quick
       test_shrink_preserves_failure;
     Alcotest.test_case "shrinking is deterministic" `Quick test_shrink_deterministic;

@@ -97,6 +97,59 @@ let test_self_edge_ignored () =
   Mograph.add_edge g n n;
   check "still acyclic" true (Mograph.check_acyclic g)
 
+(* Edge membership is a scan of a node's edge array up to a small
+   out-degree and a hashed probe beyond it (a hub).  [has_edge] must agree
+   with the edge arrays themselves across that switch, after an rmw
+   migration empties a hub, and after a hub is removed. *)
+let test_hub_membership () =
+  let g = Mograph.create () in
+  let node = Mograph.get_node g in
+  let exact name live =
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            let na = node a and nb = node b in
+            if Mograph.has_edge g na nb <> List.memq nb (Mograph.succs na) then
+              Alcotest.failf "%s: has_edge #%d -> #%d disagrees with the edges"
+                name a.Action.seq b.Action.seq)
+          live)
+      live
+  in
+  let hub = mk_store ~tid:0 1 in
+  (* same-thread successors: AddEdge keeps every sb-ordered edge, so the
+     hub's out-degree grows by one per store *)
+  let succs = List.init 40 (fun i -> mk_store ~tid:0 (i + 2)) in
+  List.iteri
+    (fun i s ->
+      Mograph.add_edge g (node hub) (node s);
+      Mograph.add_edge g (node hub) (node s);
+      check
+        (Printf.sprintf "out-degree %d, no duplicate" (i + 1))
+        true
+        (List.length (Mograph.succs (node hub)) = i + 1);
+      exact (Printf.sprintf "degree %d" (i + 1)) (hub :: succs))
+    succs;
+  (* migration moves the hub's 40 edges to the rmw and leaves the hub
+     with the single rmw edge *)
+  let rmw = mk_store ~tid:1 100 in
+  Mograph.add_rmw_edge g (node hub) (node rmw);
+  check "hub keeps only the rmw edge" true
+    (match Mograph.succs (node hub) with [ x ] -> x == node rmw | _ -> false);
+  check "rmw took every edge" true
+    (List.length (Mograph.succs (node rmw)) = 40);
+  exact "after migration" (hub :: rmw :: succs);
+  (* removing the new hub drops its keys: a node for the same store that
+     becomes a hub again must not see the old edges *)
+  Mograph.remove_node g rmw;
+  let live = hub :: succs in
+  exact "after removal" live;
+  let again = node rmw in
+  let fresh = List.init 12 (fun i -> mk_store ~tid:1 (200 + i)) in
+  List.iter (fun s -> Mograph.add_edge g again (node s)) fresh;
+  check "re-added hub has 12 edges" true (List.length (Mograph.succs again) = 12);
+  exact "re-added hub" ((rmw :: live) @ fresh)
+
 (* ------------------------------------------------------------------ *)
 (* Theorem 1 property.
 
@@ -312,6 +365,7 @@ let suite =
     Alcotest.test_case "remove node" `Quick test_remove_node;
     Alcotest.test_case "to_dot" `Quick test_to_dot;
     Alcotest.test_case "self edge ignored" `Quick test_self_edge_ignored;
+    Alcotest.test_case "hub edge membership" `Quick test_hub_membership;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_theorem_1; prop_would_close_cycle; prop_acyclic_invariant ]

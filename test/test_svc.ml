@@ -451,6 +451,124 @@ let test_crash_degraded_deterministic () =
     (* worker 1 of 4 over 24 indices owns 6 executions *)
   | _ -> Alcotest.fail "expected M_run"
 
+(* ---------- worker-pipe digests ---------------------------------------- *)
+
+(* Flip one byte of a base64 string in [line] that starts right after
+   [after]: the character at a 4-aligned offset in the middle of it, which
+   encodes the top six bits of exactly one byte. *)
+let flip_awk =
+  {|function flip(line, after,   p, n, i, c) {
+  p = index(line, after) + length(after)
+  n = 0
+  while (substr(line, p + n, 1) ~ /[A-Za-z0-9+\/]/) n++
+  i = p + 4 * int(n / 8)
+  c = substr(line, i, 1)
+  return substr(line, 1, i - 1) (c == "A" ? "B" : "A") substr(line, i + 1)
+}
+|}
+
+(* A stand-in worker script around the real one, with its [awk] program
+   filtering what the worker prints and a copy of its spec line in the
+   file ["spec"]; run with a fresh temp directory as [dir] and removed
+   afterwards. *)
+let with_stand_in awk_prog f =
+  let dir = Filename.temp_dir "c11svc_stand_in" "" in
+  let file name = Filename.concat dir name in
+  Out_channel.with_open_bin (file "filter.awk") (fun oc ->
+      output_string oc (flip_awk ^ awk_prog));
+  let script = file "worker.sh" in
+  Out_channel.with_open_bin script (fun oc ->
+      Printf.fprintf oc "#!/bin/sh\ntee %s | %s \"$@\" | awk -v dir=%s -f %s\n"
+        (Filename.quote (file "spec"))
+        (Filename.quote (Lazy.force exe))
+        (Filename.quote dir)
+        (Filename.quote (file "filter.awk")));
+  Unix.chmod script 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (file n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f ~script ~file)
+
+(* Worker 1's shard record gets one payload byte flipped; with [once],
+   only its first attempt (a marker file records the flip). *)
+let corrupt_shard ~once =
+  Printf.sprintf
+    {|/"kind":"shard","worker":1,/ && !(%s && system("test -e " dir "/flipped") == 0) {
+  $0 = flip($0, "\"payload\":\"")
+  system("touch " dir "/flipped")
+}
+{ print; fflush() }
+|}
+    (if once then "1" else "0")
+
+let run_stand_in ?(workers = 4) ~script c =
+  match Svc.run_campaign ~exe:script ~workers ~jobs:1 c with
+  | Ok r -> r
+  | Error msg -> Alcotest.failf "run_campaign: %s" msg
+
+let test_corrupt_shard_reclaimed () =
+  let baseline = run_baseline 24 in
+  with_stand_in (corrupt_shard ~once:true) (fun ~script ~file ->
+      let merged, st = run_stand_in ~script (run_spec 24) in
+      check "the flip happened" true (Sys.file_exists (file "flipped"));
+      check "corrupt shard re-claimed" true (st.Svc.st_spawned = 5);
+      check "no range lost" true (st.Svc.st_failed = []);
+      match merged with
+      | Svc.M_run s ->
+        Alcotest.(check string) "re-claimed campaign identical"
+          (summary_string baseline) (summary_string s)
+      | _ -> Alcotest.fail "expected M_run")
+
+let test_corrupt_shard_degraded () =
+  (* a shard corrupted on both attempts is lost like a worker that died
+     twice: same failed range, same degraded summary *)
+  let crashed, st_crashed =
+    run_campaign ~kill:(1, 2) ~workers:4 ~jobs:1 (run_spec 24)
+  in
+  with_stand_in (corrupt_shard ~once:false) (fun ~script ~file:_ ->
+      let merged, st = run_stand_in ~script (run_spec 24) in
+      check "failed range named" true (st.Svc.st_failed = [ 1 ]);
+      check "both attempts spawned" true (st.Svc.st_spawned = 5);
+      check "crash run agrees" true (st_crashed.Svc.st_failed = [ 1 ]);
+      match (merged, crashed) with
+      | Svc.M_run a, Svc.M_run b ->
+        Alcotest.(check string) "degraded like a crash" (summary_string b)
+          (summary_string a)
+      | _ -> Alcotest.fail "expected M_run")
+
+let test_corrupt_spec_refused () =
+  (* capture a real spec line on its way to a worker, then hand a worker
+     that line with one byte flipped: it must refuse it (exit 2) before
+     saying hello *)
+  with_stand_in "{ print; fflush() }\n" (fun ~script ~file ->
+      ignore (run_stand_in ~workers:1 ~script (run_spec 4));
+      let line = In_channel.with_open_bin (file "spec") In_channel.input_all in
+      let run_worker name line =
+        Out_channel.with_open_bin (file name) (fun oc -> output_string oc line);
+        Sys.command
+          (Printf.sprintf "%s worker < %s > %s 2>/dev/null"
+             (Filename.quote (Lazy.force exe))
+             (Filename.quote (file name))
+             (Filename.quote (file (name ^ ".out"))))
+      in
+      check "intact spec runs" true (run_worker "intact" line = 0);
+      let flipped = file "flip.awk" in
+      Out_channel.with_open_bin flipped (fun oc ->
+          output_string oc (flip_awk ^ "{ print flip($0, \" \") }\n"));
+      let bad =
+        Sys.command
+          (Printf.sprintf "awk -f %s < %s > %s"
+             (Filename.quote flipped)
+             (Filename.quote (file "spec"))
+             (Filename.quote (file "bad")))
+      in
+      let bad_line = In_channel.with_open_bin (file "bad") In_channel.input_all in
+      check "flipped a spec byte" true (bad = 0 && bad_line <> line);
+      check "corrupt spec refused" true (run_worker "corrupt" bad_line = 2);
+      check "no hello for a corrupt spec" true
+        (In_channel.with_open_bin (file "corrupt.out") In_channel.input_all = ""))
+
 (* ---------- progress aggregation --------------------------------------- *)
 
 let test_progress_aggregated () =
@@ -587,6 +705,10 @@ let suite =
       test_crash_reclaim_recovers;
     Alcotest.test_case "crash degraded deterministic" `Slow
       test_crash_degraded_deterministic;
+    Alcotest.test_case "corrupt shard re-claimed" `Slow
+      test_corrupt_shard_reclaimed;
+    Alcotest.test_case "corrupt shard degraded" `Slow test_corrupt_shard_degraded;
+    Alcotest.test_case "corrupt spec refused" `Slow test_corrupt_spec_refused;
     Alcotest.test_case "progress aggregated across workers" `Slow
       test_progress_aggregated;
     Alcotest.test_case "final record: -j 1, cold and warm fabric" `Slow
