@@ -1107,74 +1107,149 @@ let report_cmd =
     | None -> Error "record has no \"schema\" member"
   in
   let pp_int_row label n = Printf.printf "  %-22s %d\n" label n in
+  let schemas =
+    [
+      "c11cov-v1";
+      "c11progress-v1";
+      "c11fuzz-finding-v1";
+      "c11lint-v1";
+      "c11sweep-v1";
+      "c11corpus-v1";
+    ]
+  in
+  (* Decode a section of located records at once; on failure, name the
+     record that first makes a prefix of the section fail with the same
+     message (the decoders read records in order and stop at the first
+     bad one), or the last record for a whole-section complaint. *)
+  let decode f (docs : (string * int * Jsonx.t) list) =
+    let jsons = List.map (fun (_, _, j) -> j) docs in
+    match f jsons with
+    | Ok v -> Ok v
+    | Error msg ->
+      let fails p =
+        match f (List.filteri (fun i _ -> i < p) jsons) with
+        | Error m -> m = msg
+        | Ok _ -> false
+      in
+      let lo = ref 1 and hi = ref (List.length docs) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if fails mid then hi := mid else lo := mid + 1
+      done;
+      let path, line, _ = List.nth docs (!hi - 1) in
+      Error (path, line, msg)
+  in
   let run files =
-    let fail path msg =
-      Printf.eprintf "report: %s: %s\n" path msg;
-      2
-    in
     (* parse every line of every file first: a malformed artifact is
        rejected whole (exit 2) rather than half-rendered *)
     let rec load acc = function
       | [] -> Ok (List.rev acc)
       | path :: rest -> (
         match read_lines path with
-        | Error msg -> Error (path, msg)
+        | Error msg -> Error (path, 0, msg)
         | Ok lines -> (
           let rec parse_all n acc' = function
             | [] -> Ok acc'
             | line :: more -> (
               match Jsonx.parse line with
-              | Error e -> Error (path, Printf.sprintf "line %d: %s" n e)
+              | Error e -> Error (path, n, e)
               | Ok j -> (
                 match schema_of j with
-                | Error e -> Error (path, Printf.sprintf "line %d: %s" n e)
-                | Ok schema -> parse_all (n + 1) ((schema, j) :: acc') more))
+                | Error e -> Error (path, n, e)
+                | Ok schema ->
+                  parse_all (n + 1) ((schema, (path, n, j)) :: acc') more))
           in
           (* parse_all's result is file-reversed, so plain concatenation
              keeps acc as the reverse of all files seen so far and the
              final List.rev restores file-and-line order *)
           match parse_all 1 [] lines with
-          | Error (p, e) -> Error (p, e)
+          | Error e -> Error e
           | Ok docs -> load (docs @ acc) rest))
     in
-    match load [] files with
-    | Error (path, msg) -> fail path msg
-    | Ok docs -> (
-      let of_schema s = List.filter_map
-          (fun (sch, j) -> if sch = s then Some j else None) docs
+    let of_schema docs s =
+      List.filter_map (fun (sch, d) -> if sch = s then Some d else None) docs
+    in
+    (* memory-order sweep matrices — pooled lines may hold several
+       campaigns (e.g. `report *.ndjson`); split on the campaign records
+       so each renders its own matrix.  A group that does not start with
+       a campaign record (truncated artifact) still fails
+       result_of_ndjson and exits 2. *)
+    let sweep_campaigns docs =
+      let is_campaign (_, _, j) =
+        match Jsonx.member "record" j with
+        | Some r -> Jsonx.to_str r = Some "campaign"
+        | None -> false
       in
-      let cov_docs = of_schema "c11cov-v1" in
-      let progress_docs = of_schema "c11progress-v1" in
-      let finding_docs = of_schema "c11fuzz-finding-v1" in
-      let lint_docs = of_schema "c11lint-v1" in
-      let sweep_docs = of_schema "c11sweep-v1" in
-      let corpus_docs = of_schema "c11corpus-v1" in
-      let known = List.length cov_docs + List.length progress_docs
-                  + List.length finding_docs + List.length lint_docs
-                  + List.length sweep_docs + List.length corpus_docs in
-      if known < List.length docs then begin
-        let unknown =
-          List.find_map
-            (fun (sch, _) ->
-              if sch <> "c11cov-v1" && sch <> "c11progress-v1"
-                 && sch <> "c11fuzz-finding-v1" && sch <> "c11lint-v1"
-                 && sch <> "c11sweep-v1" && sch <> "c11corpus-v1"
-              then Some sch else None)
-            docs
-        in
-        fail "input"
-          (Printf.sprintf "unknown schema %S"
-             (Option.value ~default:"?" unknown))
-      end
-      else begin
-        let bad = ref None in
+      List.fold_left
+        (fun groups d ->
+          match groups with
+          | group :: rest when not (is_campaign d) -> (d :: group) :: rest
+          | _ -> [ d ] :: groups)
+        [] docs
+      |> List.rev_map List.rev
+    in
+    let ( let* ) = Result.bind in
+    let rec all_ok f = function
+      | [] -> Ok []
+      | x :: rest ->
+        let* y = f x in
+        let* ys = all_ok f rest in
+        Ok (y :: ys)
+    in
+    (* every section decoded before anything is printed *)
+    let decoded =
+      let* docs = load [] files in
+      let* () =
+        match List.find_opt (fun (sch, _) -> not (List.mem sch schemas)) docs with
+        | Some (sch, (path, line, _)) ->
+          Error (path, line, Printf.sprintf "unknown schema %S" sch)
+        | None -> Ok ()
+      in
+      let section = of_schema docs in
+      let* cov =
+        match section "c11cov-v1" with
+        | [] -> Ok None
+        | ds -> Result.map Option.some (decode Cov.summary_of_ndjson ds)
+      in
+      let* lint =
+        match section "c11lint-v1" with
+        | [] -> Ok None
+        | ds -> Result.map Option.some (decode Lint.campaign_of_ndjson ds)
+      in
+      let* sweeps =
+        all_ok (decode Sweep.result_of_ndjson)
+          (sweep_campaigns (section "c11sweep-v1"))
+      in
+      let* corpus =
+        all_ok
+          (fun (path, line, j) ->
+            match Corpus.entry_of_json j with
+            | Ok e -> Ok e
+            | Error msg -> Error (path, line, msg))
+          (section "c11corpus-v1")
+      in
+      let plain s = List.map (fun (_, _, j) -> j) (section s) in
+      Ok
+        ( cov,
+          plain "c11progress-v1",
+          plain "c11fuzz-finding-v1",
+          lint,
+          sweeps,
+          corpus )
+    in
+    match decoded with
+    | Error (path, 0, msg) ->
+      (* the file itself could not be read *)
+      Printf.eprintf "report: %s: %s\n" path msg;
+      2
+    | Error (path, line, msg) ->
+      Printf.eprintf "report: %s: line %d: %s\n" path line msg;
+      2
+    | Ok (cov, progress_docs, finding_docs, lint, sweeps, corpus) -> (
         (* coverage *)
-        (match cov_docs with
-        | [] -> ()
-        | docs -> (
-          match Cov.summary_of_ndjson docs with
-          | Error e -> bad := Some ("coverage", e)
-          | Ok c ->
+        (match cov with
+        | None -> ()
+        | Some c ->
             print_endline "coverage (c11cov-v1):";
             pp_int_row "executions" c.Cov.s_executions;
             pp_int_row "trace events" c.Cov.s_events;
@@ -1196,7 +1271,7 @@ let report_cmd =
                   Printf.printf "    %s  %6d  @%d\n" e.Cov.e_key e.Cov.e_count
                     e.Cov.e_first)
                 top
-            end));
+            end);
         (* progress *)
         (match progress_docs with
         | [] -> ()
@@ -1258,12 +1333,9 @@ let report_cmd =
                 (str "key") (int "ops_before") (int "ops_after"))
             docs);
         (* static analysis *)
-        (match lint_docs with
-        | [] -> ()
-        | docs -> (
-          match Lint.campaign_of_ndjson docs with
-          | Error e -> bad := Some ("lint", e)
-          | Ok results ->
+        (match lint with
+        | None -> ()
+        | Some results ->
             print_endline "static analysis (c11lint-v1):";
             pp_int_row "targets" (List.length results);
             let count p = List.length (List.filter p results) in
@@ -1293,32 +1365,9 @@ let report_cmd =
                     0 results
                 in
                 if n > 0 then Printf.printf "  lint %-19s %d\n" rule n)
-              Lint.rule_names));
-        (* memory-order sweep matrices — pooled lines may hold several
-           campaigns (e.g. `report *.ndjson`); split on the campaign
-           records so each renders its own matrix.  A group that does
-           not start with a campaign record (truncated artifact) still
-           fails result_of_ndjson and exits 2. *)
-        let sweep_campaigns docs =
-          let is_campaign j =
-            match Jsonx.member "record" j with
-            | Some r -> Jsonx.to_str r = Some "campaign"
-            | None -> false
-          in
-          List.fold_left
-            (fun groups j ->
-              match groups with
-              | group :: rest when not (is_campaign j) ->
-                (j :: group) :: rest
-              | _ -> [ j ] :: groups)
-            [] docs
-          |> List.rev_map List.rev
-        in
+              Lint.rule_names);
         List.iter
-          (fun docs ->
-            match Sweep.result_of_ndjson docs with
-            | Error e -> if !bad = None then bad := Some ("sweep", e)
-            | Ok r ->
+          (fun r ->
               print_endline "sweep (c11sweep-v1):";
               Printf.printf "  %-22s %s\n" "family" r.Sweep.rs_family;
               pp_int_row "cells" (List.length r.Sweep.rs_cells);
@@ -1336,21 +1385,11 @@ let report_cmd =
                 (count Sweep.V_racy)
                 (count Sweep.V_cert_rejected);
               Format.printf "%a@." Sweep.pp_matrix r)
-          (sweep_campaigns sweep_docs);
+          sweeps;
         (* corpus entries *)
-        (match corpus_docs with
+        (match corpus with
         | [] -> ()
-        | docs -> (
-          let rec parse acc = function
-            | [] -> Ok (List.rev acc)
-            | j :: rest -> (
-              match Corpus.entry_of_json j with
-              | Error e -> Error e
-              | Ok e -> parse (e :: acc) rest)
-          in
-          match parse [] docs with
-          | Error e -> bad := Some ("corpus", e)
-          | Ok entries ->
+        | entries ->
             print_endline "corpus (c11corpus-v1):";
             pp_int_row "entries" (List.length entries);
             let keys = List.concat_map (fun e -> e.Corpus.en_keys) entries in
@@ -1373,11 +1412,8 @@ let report_cmd =
                       0 e.Corpus.en_program.Progir.p_threads)
                 0 entries
             in
-            pp_int_row "total program ops" ops));
-        match !bad with
-        | Some (what, e) -> fail what e
-        | None -> 0
-      end)
+            pp_int_row "total program ops" ops);
+        0)
   in
   Cmd.v
     (Cmd.info "report"

@@ -408,225 +408,397 @@ let check_rf_wf c =
 
 (* Per-location mo-graph families: coherence (cycle, CoWW, CoWR) and the
    Theorem-1 differential, over one dense view of the location.  The
-   view holds the location's actions in an array (trace order, hence
-   ascending seq), their certified clocks fetched once, write <-> action
-   index maps, and mo reachability between the location's writes as a
-   w×w bitset.  Every pair check is then an array read, and the view's
-   cost is proportional to the location, not to any fixed table size. *)
-type view = {
-  acts : Action.t array;
-  clk : int array option array;  (** action -> certified clock *)
-  wr : int array;  (** write index -> action index *)
-  wof : int array;  (** action index -> write index, or -1 *)
-  wnode : Mograph.node option array;  (** write -> its live graph node *)
-  reach : Bytes.t;  (** bit [i * w + j]: write i -mo->⁺ write j, i <> j *)
+   view holds the location's actions (ascending seq) with their
+   certified clocks, write <-> action index maps, the writes' live graph
+   nodes, mo reachability between the location's writes as a w×w bitset,
+   and the union relation as linked adjacency lists in flat arrays.
+   Every pair check is an array read, and all of it lives in one scratch
+   per domain that grows to the largest location seen and is reused for
+   the next: checking a location allocates nothing but its
+   violations. *)
+type scratch = {
+  mutable acts : Action.t array;
+      (** actions grouped by location, ascending seq within a group *)
+  mutable clk : int array array;  (** their certified clocks, [||] if none *)
+  mutable lstart : int array;  (** grouping: loc -> end of its group *)
+  mutable grouped : int;  (** [acts.(0 .. grouped - 1)] are in use *)
+  mutable off : int;  (** the view is [acts.(off .. off + n - 1)] *)
+  mutable n : int;
+  mutable wof : int array;  (** view action -> write index, or -1 *)
+  mutable wr : int array;  (** write index -> view action *)
+  mutable nw : int;
+  mutable wnode : Mograph.node array;
+      (** write -> its live graph node, or [Mograph.absent] *)
+  mutable reach : Bytes.t;  (** bit [i * nw + j]: write i -mo->⁺ write j *)
+  mutable stamp : int array;  (** write -> last traversal (1-based) to meet it *)
+  other : (int, int) Hashtbl.t;
+      (** the same for a node outside the view (a retired write), by seq *)
+  mutable head : int array;  (** view action -> its newest out-edge, or -1 *)
+  mutable enext : int array;  (** edge -> next older edge of its source *)
+  mutable edst : int array;  (** edge -> target view action *)
+  mutable ne : int;
+  mutable color : Bytes.t;  (** DFS: 0 unvisited, 1 on the path, 2 done *)
+  mutable path : int array;  (** DFS path, root first *)
+  mutable pedge : int array;  (** DFS: next edge to follow at each depth *)
 }
 
-(* index of the action with this seq, or -1 *)
-let act_index v seq =
-  let lo = ref 0 and hi = ref (Array.length v.acts - 1) in
+let no_action = Mograph.absent.Mograph.action
+
+let new_scratch () =
+  {
+    acts = [||];
+    clk = [||];
+    lstart = [||];
+    grouped = 0;
+    off = 0;
+    n = 0;
+    wof = [||];
+    wr = [||];
+    nw = 0;
+    wnode = [||];
+    reach = Bytes.empty;
+    stamp = [||];
+    other = Hashtbl.create 8;
+    head = [||];
+    enext = [||];
+    edst = [||];
+    ne = 0;
+    color = Bytes.empty;
+    path = [||];
+    pedge = [||];
+  }
+
+(* One scratch per domain: campaigns certify on several domains at once. *)
+let scratch_key = Domain.DLS.new_key new_scratch
+
+(* A scratch grown for a large residue is dropped after use, so it does
+   not pin its buffers for the domain's life. *)
+let oversized sc =
+  Array.length sc.acts > 4096
+  || Array.length sc.edst > 65536
+  || Bytes.length sc.reach > 65536
+
+(* [a] if it holds [n] ints, else a larger copy *)
+let ints a n =
+  let len = Array.length a in
+  if len >= n then a
+  else begin
+    let b = Array.make (max n (max 16 (2 * len))) 0 in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+(* Group [n] actions (with their clocks) by location into the scratch,
+   keeping their order within a location; fences (loc -1) are left out.
+   Afterwards location [l]'s group is [acts.(lstart.(l-1) .. lstart.(l) -
+   1)] (from 0 for [l = 0]).  Returns the number of location slots. *)
+let group_by_loc sc (acts : Action.t array) (clks : int array array) n =
+  let nloc = ref 0 in
+  for i = 0 to n - 1 do
+    let l = acts.(i).Action.loc in
+    if l >= !nloc then nloc := l + 1
+  done;
+  let nloc = !nloc in
+  let ls = ints sc.lstart (nloc + 1) in
+  sc.lstart <- ls;
+  Array.fill ls 0 (nloc + 1) 0;
+  (* counts at l + 1, prefix sums: ls.(l) = start of l's group *)
+  for i = 0 to n - 1 do
+    let l = acts.(i).Action.loc in
+    if l >= 0 then ls.(l + 1) <- ls.(l + 1) + 1
+  done;
+  for l = 1 to nloc do
+    ls.(l) <- ls.(l) + ls.(l - 1)
+  done;
+  if Array.length sc.acts < n then begin
+    let cap = max n (2 * Array.length sc.acts) in
+    sc.acts <- Array.make cap no_action;
+    sc.clk <- Array.make cap [||]
+  end;
+  (* scatter: ls.(l) advances from l's start to its end *)
+  for i = 0 to n - 1 do
+    let a = acts.(i) in
+    let l = a.Action.loc in
+    if l >= 0 then begin
+      let p = ls.(l) in
+      sc.acts.(p) <- a;
+      sc.clk.(p) <- clks.(i);
+      ls.(l) <- p + 1
+    end
+  done;
+  sc.grouped <- (if nloc > 0 then ls.(nloc - 1) else 0);
+  nloc
+
+(* Drop the references the scratch holds into the execution, and the
+   scratch itself if it grew large. *)
+let release_scratch sc =
+  Array.fill sc.acts 0 sc.grouped no_action;
+  Array.fill sc.clk 0 sc.grouped [||];
+  sc.grouped <- 0;
+  if oversized sc then Domain.DLS.set scratch_key (new_scratch ())
+
+(* index within the view of the action with this seq, or -1 *)
+let act_index sc seq =
+  let lo = ref sc.off and hi = ref (sc.off + sc.n - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if v.acts.(mid).Action.seq < seq then lo := mid + 1 else hi := mid
+    if sc.acts.(mid).Action.seq < seq then lo := mid + 1 else hi := mid
   done;
-  if !lo = !hi && v.acts.(!lo).Action.seq = seq then !lo else -1
+  if sc.n > 0 && sc.acts.(!lo).Action.seq = seq then !lo - sc.off else -1
 
-let write_index v seq =
-  let i = act_index v seq in
-  if i < 0 then -1 else v.wof.(i)
-
-let reach_bit v wi wj = (wi * Array.length v.wr) + wj
+let write_index sc seq =
+  let i = act_index sc seq in
+  if i < 0 then -1 else sc.wof.(i)
 
 (* mo reachability between two write indices; -1 (not a write of the
    view) reaches and is reached by nothing *)
-let mo v wi wj =
+let mo sc wi wj =
   wi >= 0 && wj >= 0
   &&
-  let b = reach_bit v wi wj in
-  Char.code (Bytes.get v.reach (b lsr 3)) land (1 lsl (b land 7)) <> 0
+  let b = (wi * sc.nw) + wj in
+  Char.code (Bytes.get sc.reach (b lsr 3)) land (1 lsl (b land 7)) <> 0
+
+(* Strict certified happens-before between two of the view's actions *)
+let view_hb sc i j =
+  i <> j
+  &&
+  let bc = sc.clk.(sc.off + j) and a = sc.acts.(sc.off + i) in
+  a.Action.tid < Array.length bc && bc.(a.Action.tid) >= a.Action.seq
 
 (* Reachability over the final mo-graph by explicit search (edges + rmw
    links), never by clock vectors: one traversal per live write, setting
    the bits of the same-location writes it reaches.  Visits are stamped
    per traversal, in an array for the view's writes and in a table for
    any other node met on the way (a write the stream already retired). *)
-let fill_reach v =
-  let nw = Array.length v.wr in
-  let stamp = Array.make nw 0 in
-  let other = Hashtbl.create 8 in
+let rec reach_from sc i (node : Mograph.node) =
+  let seq = node.Mograph.action.Action.seq in
+  let j = write_index sc seq in
+  let fresh =
+    if j >= 0 then sc.stamp.(j) <> i + 1
+    else
+      match Hashtbl.find sc.other seq with
+      | t -> t <> i + 1
+      | exception Not_found -> true
+  in
+  if fresh then begin
+    if j >= 0 then begin
+      sc.stamp.(j) <- i + 1;
+      if j <> i then begin
+        let b = (i * sc.nw) + j in
+        let byte = Char.code (Bytes.get sc.reach (b lsr 3)) in
+        Bytes.set sc.reach (b lsr 3)
+          (Char.unsafe_chr (byte lor (1 lsl (b land 7))))
+      end
+    end
+    else Hashtbl.replace sc.other seq (i + 1);
+    for k = 0 to node.Mograph.nedges - 1 do
+      reach_from sc i node.Mograph.edges.(k)
+    done;
+    match node.Mograph.rmw with Some r -> reach_from sc i r | None -> ()
+  end
+
+(* Make [acts.(off .. off + n - 1)] the view and fill its write maps,
+   nodes and reachability. *)
+let set_view sc ~graph ~off ~n =
+  sc.off <- off;
+  sc.n <- n;
+  sc.wof <- ints sc.wof n;
+  let nw = ref 0 in
+  for i = 0 to n - 1 do
+    if Action.is_write sc.acts.(off + i) then begin
+      sc.wof.(i) <- !nw;
+      incr nw
+    end
+    else sc.wof.(i) <- -1
+  done;
+  let nw = !nw in
+  sc.nw <- nw;
+  sc.wr <- ints sc.wr nw;
+  sc.stamp <- ints sc.stamp nw;
+  if Array.length sc.wnode < nw then
+    sc.wnode <- Array.make (max nw (2 * Array.length sc.wnode)) Mograph.absent;
+  for i = 0 to n - 1 do
+    let w = sc.wof.(i) in
+    if w >= 0 then begin
+      sc.wr.(w) <- i;
+      sc.wnode.(w) <- Mograph.live_node graph sc.acts.(off + i);
+      sc.stamp.(w) <- 0
+    end
+  done;
+  let bytes = ((nw * nw) + 7) / 8 in
+  if Bytes.length sc.reach < bytes then
+    sc.reach <- Bytes.create (max bytes (2 * Bytes.length sc.reach));
+  Bytes.fill sc.reach 0 bytes '\000';
+  if Hashtbl.length sc.other > 0 then Hashtbl.clear sc.other;
   for i = 0 to nw - 1 do
-    match v.wnode.(i) with
-    | None -> ()
-    | Some start ->
-      let rec go (n : Mograph.node) =
-        let seq = n.action.seq in
-        let j = write_index v seq in
-        let fresh =
-          if j >= 0 then stamp.(j) <> i + 1
-          else Hashtbl.find_opt other seq <> Some (i + 1)
-        in
-        if fresh then begin
-          if j >= 0 then begin
-            stamp.(j) <- i + 1;
-            if j <> i then begin
-              let b = reach_bit v i j in
-              let byte = Char.code (Bytes.get v.reach (b lsr 3)) in
-              Bytes.set v.reach (b lsr 3)
-                (Char.unsafe_chr (byte lor (1 lsl (b land 7))))
-            end
-          end
-          else Hashtbl.replace other seq (i + 1);
-          for k = 0 to n.nedges - 1 do
-            go n.edges.(k)
-          done;
-          match n.rmw with Some r -> go r | None -> ()
-        end
-      in
-      go start
+    let node = sc.wnode.(i) in
+    if node != Mograph.absent then reach_from sc i node
   done
 
-let loc_view ~acv ~graph (acts : Action.t list) =
-  let acts = Array.of_list acts in
-  let n = Array.length acts in
-  let wof = Array.make n (-1) in
-  let nw = ref 0 in
-  Array.iteri
-    (fun i a ->
-      if Action.is_write a then begin
-        wof.(i) <- !nw;
-        incr nw
-      end)
-    acts;
-  let wr = Array.make !nw 0 in
-  Array.iteri (fun i w -> if w >= 0 then wr.(w) <- i) wof;
-  let v =
-    {
-      acts;
-      clk = Array.map (fun (a : Action.t) -> Hashtbl.find_opt acv a.seq) acts;
-      wr;
-      wof;
-      wnode = Array.map (fun i -> Mograph.find_node graph acts.(i)) wr;
-      reach = Bytes.make (((!nw * !nw) + 7) / 8) '\000';
-    }
-  in
-  fill_reach v;
-  v
+(* adjacency for the union relation: [i]'s list runs newest edge first *)
+let add_edge sc i j =
+  let e = sc.ne in
+  if e = Array.length sc.edst then begin
+    sc.edst <- ints sc.edst (e + 1);
+    sc.enext <- ints sc.enext (e + 1)
+  end;
+  sc.edst.(e) <- j;
+  sc.enext.(e) <- sc.head.(i);
+  sc.head.(i) <- e;
+  sc.ne <- e + 1
 
-(* Strict certified happens-before between two of the view's actions *)
-let view_hb v i j =
-  i <> j
-  &&
-  match v.clk.(j) with
-  | Some bc ->
-    let a = v.acts.(i) in
-    a.tid < Array.length bc && bc.(a.tid) >= a.seq
-  | None -> false
+(* Depth-first search from [root] for a cycle, following each action's
+   edges newest first.  On meeting an action on the current path, the
+   cycle is that action, then the path from it down to here (as seqs). *)
+let cycle_from sc root =
+  Bytes.set sc.color root '\001';
+  sc.path.(0) <- root;
+  sc.pedge.(0) <- sc.head.(root);
+  let depth = ref 1 and cycle = ref [] in
+  while !depth > 0 do
+    let d = !depth - 1 in
+    let e = sc.pedge.(d) in
+    if e < 0 then begin
+      Bytes.set sc.color sc.path.(d) '\002';
+      depth := d
+    end
+    else begin
+      sc.pedge.(d) <- sc.enext.(e);
+      let j = sc.edst.(e) in
+      match Bytes.get sc.color j with
+      | '\001' ->
+        let p = ref d in
+        while sc.path.(!p) <> j do
+          decr p
+        done;
+        let l = ref [] in
+        for k = d downto !p do
+          l := sc.acts.(sc.off + sc.path.(k)).Action.seq :: !l
+        done;
+        cycle := sc.acts.(sc.off + j).Action.seq :: !l;
+        depth := 0
+      | '\002' -> ()
+      | _ ->
+        Bytes.set sc.color j '\001';
+        sc.path.(!depth) <- j;
+        sc.pedge.(!depth) <- sc.head.(j);
+        incr depth
+    end
+  done;
+  !cycle
 
-(* Per-location coherence: acyclicity of hb|loc ∪ rf ∪ mo ∪ fr over the
-   location's actions, plus — when the graph is exact (nothing pruned) —
-   the completeness obligations CoWW and CoWR that catch a dropped mo
-   edge (a merely missing edge never creates a cycle), and the Theorem 1
-   differential: on the final (unpruned) graph, the engine's O(threads)
-   clock-vector reachability must agree with explicit search for every
-   live same-location write pair.  [add] records a violation. *)
-let check_location ~acv ~graph ~graph_exact ~loc acts add =
-  let v = loc_view ~acv ~graph acts in
-  let n = Array.length v.acts and nw = Array.length v.wr in
-  let live w = v.wnode.(w) <> None in
-  let seq i = v.acts.(i).Action.seq in
-  (* adjacency for the union relation, newest edge first *)
-  let adj = Array.make n [] in
-  let add_edge i j = adj.(i) <- j :: adj.(i) in
+let find_cycle sc =
+  let n = sc.n in
+  if Bytes.length sc.color < n then begin
+    sc.color <- Bytes.create (max n (2 * Bytes.length sc.color));
+    sc.path <- Array.make (Bytes.length sc.color) 0;
+    sc.pedge <- Array.make (Bytes.length sc.color) 0
+  end;
+  Bytes.fill sc.color 0 n '\000';
+  let cycle = ref [] and root = ref 0 in
+  while !cycle == [] && !root < n do
+    if Bytes.get sc.color !root = '\000' then cycle := cycle_from sc !root;
+    incr root
+  done;
+  !cycle
+
+let push found axiom actions detail =
+  found := { axiom; actions; detail } :: !found
+
+(* Per-location coherence over the view [acts.(off .. off + n - 1)]:
+   acyclicity of hb|loc ∪ rf ∪ mo ∪ fr over the location's actions, plus
+   — when the graph is exact (nothing pruned) — the completeness
+   obligations CoWW and CoWR that catch a dropped mo edge (a merely
+   missing edge never creates a cycle), and the Theorem 1 differential:
+   on the final (unpruned) graph, the engine's O(threads) clock-vector
+   reachability must agree with explicit search for every live
+   same-location write pair.  Violations are pushed onto [found] (newest
+   first), which is returned. *)
+let check_location sc ~graph ~graph_exact ~loc ~off ~n found =
+  set_view sc ~graph ~off ~n;
+  let nw = sc.nw in
+  let found = ref found in
+  sc.head <- ints sc.head n;
+  Array.fill sc.head 0 n (-1);
+  sc.ne <- 0;
   for i = 0 to n - 1 do
-    let a = v.acts.(i) in
     for j = 0 to n - 1 do
-      if i <> j then begin
-        if view_hb v i j then add_edge i j;
-        if mo v v.wof.(i) v.wof.(j) then add_edge i j
-      end
+      (* one edge for hb and mo alike: a second copy right behind the
+         first never changes what the search below finds *)
+      if i <> j && (view_hb sc i j || mo sc sc.wof.(i) sc.wof.(j)) then
+        add_edge sc i j
     done;
+    let a = sc.acts.(off + i) in
     if Action.is_read a then
       match a.rf with
       | Some s when s.loc = a.loc ->
         (* a store outside the view has no incoming edge here, so its
            out-edges cannot close a cycle *)
-        let si = act_index v s.seq in
-        if si >= 0 then add_edge si i;
+        let si = act_index sc s.seq in
+        if si >= 0 then add_edge sc si i;
         (* fr = rf⁻¹ ; mo *)
-        let ws = if si >= 0 then v.wof.(si) else -1 in
+        let ws = if si >= 0 then sc.wof.(si) else -1 in
         for w = 0 to nw - 1 do
-          let k = v.wr.(w) in
-          if k <> si && k <> i && mo v ws w then add_edge i k
+          let k = sc.wr.(w) in
+          if k <> si && k <> i && mo sc ws w then add_edge sc i k
         done
       | Some _ | None -> ()
   done;
-  (* cycle detection with path extraction *)
-  let color = Bytes.make n '\000' in
-  let cycle = ref None in
-  let rec visit path i =
-    if !cycle = None then
-      match Bytes.get color i with
-      | '\001' ->
-        let rec cut = function
-          | [] -> [ i ]
-          | x :: rest -> if x = i then [ x ] else x :: cut rest
-        in
-        cycle := Some (i :: List.rev (cut path))
-      | '\002' -> ()
-      | _ ->
-        Bytes.set color i '\001';
-        List.iter (visit (i :: path)) adj.(i);
-        Bytes.set color i '\002'
-  in
-  for i = 0 to n - 1 do
-    visit [] i
-  done;
-  (match !cycle with
-  | Some cyc ->
-    add Coherence (List.map seq cyc)
+  (match find_cycle sc with
+  | [] -> ()
+  | cyc ->
+    push found Coherence cyc
       (Printf.sprintf
          "loc %d: hb|loc ∪ rf ∪ mo ∪ fr has a cycle through %d actions" loc
-         (List.length cyc - 1))
-  | None -> ());
+         (List.length cyc - 1)));
   if graph_exact then begin
     let count = ref 0 in
     (* CoWW: hb-ordered same-location writes must be mo-ordered *)
     for wa = 0 to nw - 1 do
       for wb = 0 to nw - 1 do
-        let a = v.wr.(wa) and b = v.wr.(wb) in
+        let a = sc.wr.(wa) and b = sc.wr.(wb) in
         if
-          !count < cap && a <> b && live wa && live wb && view_hb v a b
-          && not (mo v wa wb)
+          !count < cap && a <> b
+          && sc.wnode.(wa) != Mograph.absent
+          && sc.wnode.(wb) != Mograph.absent
+          && view_hb sc a b
+          && not (mo sc wa wb)
         then begin
           incr count;
-          add Coherence [ seq a; seq b ]
+          let sa = sc.acts.(off + a).Action.seq
+          and sb = sc.acts.(off + b).Action.seq in
+          push found Coherence [ sa; sb ]
             (Printf.sprintf
                "loc %d: CoWW incomplete — write #%d happens before write #%d \
                 but is not mo-before it"
-               loc (seq a) (seq b))
+               loc sa sb)
         end
       done
     done;
     (* CoWR: a write hb-visible to a read must be mo-before the write the
        read actually observed *)
     for r = 0 to n - 1 do
-      let ra = v.acts.(r) in
+      let ra = sc.acts.(off + r) in
       if Action.is_read ra then
         match ra.rf with
-        | Some s when s.loc = ra.loc && Mograph.find_node graph s <> None ->
-          let ws = write_index v s.seq in
+        | Some s
+          when s.loc = ra.loc && Mograph.live_node graph s != Mograph.absent ->
+          let ws = write_index sc s.seq in
           for w = 0 to nw - 1 do
-            let k = v.wr.(w) in
+            let k = sc.wr.(w) in
             if
-              !count < cap && w <> ws && k <> r && live w && view_hb v k r
-              && not (mo v w ws)
+              !count < cap && w <> ws && k <> r
+              && sc.wnode.(w) != Mograph.absent
+              && view_hb sc k r
+              && not (mo sc w ws)
             then begin
               incr count;
-              add Coherence [ seq k; ra.seq; s.seq ]
+              let sk = sc.acts.(off + k).Action.seq in
+              push found Coherence [ sk; ra.seq; s.seq ]
                 (Printf.sprintf
                    "loc %d: CoWR incomplete — write #%d happens before read \
                     #%d but is not mo-before its store #%d"
-                   loc (seq k) ra.seq s.seq)
+                   loc sk ra.seq s.seq)
             end
           done
         | Some _ | None -> ()
@@ -635,13 +807,17 @@ let check_location ~acv ~graph ~graph_exact ~loc acts add =
     let count = ref 0 in
     for wa = 0 to nw - 1 do
       for wb = 0 to nw - 1 do
-        if !count < cap && wa <> wb && live wa && live wb then begin
-          let a = v.acts.(v.wr.(wa)) and b = v.acts.(v.wr.(wb)) in
+        if
+          !count < cap && wa <> wb
+          && sc.wnode.(wa) != Mograph.absent
+          && sc.wnode.(wb) != Mograph.absent
+        then begin
+          let a = sc.acts.(off + sc.wr.(wa)) and b = sc.acts.(off + sc.wr.(wb)) in
           let cv = Mograph.reaches graph a b in
-          let dfs = mo v wa wb in
+          let dfs = mo sc wa wb in
           if cv <> dfs then begin
             incr count;
-            add Theorem1_differential [ a.seq; b.seq ]
+            push found Theorem1_differential [ a.seq; b.seq ]
               (Printf.sprintf
                  "loc %d: #%d reaches #%d is %b by clock vectors but %b by \
                   graph search"
@@ -650,7 +826,26 @@ let check_location ~acv ~graph ~graph_exact ~loc acts add =
         end
       done
     done
-  end
+  end;
+  Array.fill sc.wnode 0 nw Mograph.absent;
+  !found
+
+(* Every location's families, ascending by location, over [n] actions
+   and their clocks; returns [found] with the violations pushed on. *)
+let check_locations ~graph ~graph_exact (acts : Action.t array) clks n found =
+  let sc = Domain.DLS.get scratch_key in
+  let nloc = group_by_loc sc acts clks n in
+  let found = ref found and start = ref 0 in
+  for l = 0 to nloc - 1 do
+    let stop = sc.lstart.(l) in
+    if stop > !start then
+      found :=
+        check_location sc ~graph ~graph_exact ~loc:l ~off:!start
+          ~n:(stop - !start) !found;
+    start := stop
+  done;
+  release_scratch sc;
+  !found
 
 let check_rmw_atomicity c ~graph =
   let claimed = Hashtbl.create 8 in
@@ -791,23 +986,22 @@ let certify (exec : Execution.t) =
     check_rf_wf c;
     let graph = exec.Execution.graph in
     let graph_exact = exec.Execution.pruned_count = 0 in
-    (* group actions by location (fences excluded: loc = -1) *)
-    let by_loc = Hashtbl.create 16 in
-    Array.iter
-      (fun (a : Action.t) ->
-        if a.loc >= 0 then
-          Hashtbl.replace by_loc a.loc
-            (a :: (try Hashtbl.find by_loc a.loc with Not_found -> [])))
-      trace;
-    let locs =
-      Hashtbl.fold (fun loc acts l -> (loc, List.rev acts) :: l) by_loc []
-      |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+    let clks =
+      Array.map
+        (fun (a : Action.t) ->
+          match Hashtbl.find_opt c.acv a.seq with Some x -> x | None -> [||])
+        trace
     in
-    List.iter
-      (fun (loc, acts) ->
-        check_location ~acv:c.acv ~graph ~graph_exact ~loc acts
-          (add_violation c))
-      locs;
+    c.violations <-
+      check_locations ~graph ~graph_exact trace clks (Array.length trace)
+        c.violations;
+    let locations =
+      let seen = Hashtbl.create 16 in
+      Array.iter
+        (fun (a : Action.t) -> if a.loc >= 0 then Hashtbl.replace seen a.loc ())
+        trace;
+      Hashtbl.length seen
+    in
     check_rmw_atomicity c ~graph;
     let sc_actions = check_sc c in
     match List.rev c.violations with
@@ -826,7 +1020,7 @@ let certify (exec : Execution.t) =
           sc_actions;
           sync_edges = Array.length edges;
           hb_pairs;
-          locations = List.length locs;
+          locations;
           graph_checked = graph_exact;
         }
     | vs -> Rejected vs
@@ -886,31 +1080,28 @@ module Stream = struct
   type tstate = {
     mutable cl : int array;  (* certified clock replica, grown on demand *)
     mutable pend : int array;  (* pending acquire-fence buffer *)
-    mutable relf_cv : int array option;
+    mutable relf_cv : int array;
         (* the certified clock of this thread's last release fence (F^rel),
-           copied at the fence so the fence itself can retire *)
+           copied at the fence so the fence itself can retire; [||] before
+           the first *)
   }
 
-  (* A window coherence pair whose mo edge isn't (yet) confirmed by
-     clock-vector reachability: retirement pauses until it discharges. *)
-  type oblig = { o_src : Action.t; o_dst : Action.t }
-
-  (* Live writes of one location by one thread, ascending by seq: the
-     feed-time completeness checks and the retirement barrier only ever
-     ask for "the newest write at or below a bound", so cells are arrays
-     binary-searched in O(log n) — a list walk from the newest end is
-     O(window) for a bound that trails far behind (a spinning thread's
-     relaxed stores as seen by everyone else). *)
+  (* Live writes of one location by one thread, ascending by seq.  The
+     sweep's completeness and readability checks only ever ask for "the
+     newest write at or below a bound", so cells are arrays,
+     binary-searched.  They are filled from the window at the start of a
+     sweep and emptied at its end: nothing reads them in between. *)
   type cell = { mutable cws : Action.t array; mutable cn : int }
 
   type lstate = {
-    mutable l_acts_rev : Action.t list;  (* live window actions, newest first *)
-    l_cells : (int, cell) Hashtbl.t;
-    mutable l_last_sc_w : Action.t option;  (* pinned: 29.3/3 witness *)
+    mutable l_last_sc_w : Action.t;
+        (* pinned: 29.3/3 witness, [no_action] before the first *)
+    mutable l_last_sc_cv : int array;  (* its certified clock *)
     mutable l_barrier : int array;
         (* per cell tid: newest store seq covered by every runnable
            thread's engine clock (monotone); strictly older same-cell
            stores are unreadable forever *)
+    mutable l_cells : cell array;  (* by tid *)
   }
 
   type t = {
@@ -920,21 +1111,35 @@ module Stream = struct
            parked on an unconditional acquire (join / held mutex) *)
     mutable nthreads : int;
     mutable ts : tstate array;
-    acv : (int, int array) Hashtbl.t;
-    rel_cv : (int, int array) Hashtbl.t;
-        (* store seq -> pre-merged release clock: the union of the
-           certified clocks of the store's release-sequence heads.  The
-           post-hoc pass merges acv(h) per head at each read; the union
-           is associative and each acv(h) is fixed at h's feed, so
-           folding it store-by-store (own head ∪ predecessor's clock
-           along the RMW chain) reads back identically — and unlike a
-           head list it pins nothing: an RMW chain would otherwise keep
-           every head back to the chain start unretirable. *)
-    rel_snaps : (int, int array) Hashtbl.t;  (* release seq -> snapshot *)
-    claimed : (int, int) Hashtbl.t;  (* store seq -> claiming rmw seq *)
-    by_loc : (int, lstate) Hashtbl.t;
-    mutable live : Action.t list;  (* global window, newest first *)
-    mutable obligs : oblig list;
+    (* The live window, ascending by seq (the order actions arrive in),
+       as parallel arrays compacted by each sweep; a seq is looked up by
+       binary search. *)
+    mutable w_act : Action.t array;
+    mutable w_clk : int array array;  (* certified clock of the action *)
+    mutable w_rel : int array array;
+        (* pre-merged release clock of a store, [||] if none: the union of
+           the certified clocks of the store's release-sequence heads.  The
+           post-hoc pass merges acv(h) per head at each read; the union is
+           associative and each acv(h) is fixed at h's feed, so folding it
+           store-by-store (own head ∪ predecessor's clock along the RMW
+           chain) reads back identically — and unlike a head list it pins
+           nothing: an RMW chain would otherwise keep every head back to
+           the chain start unretirable. *)
+    mutable w_claim : int array;  (* seq of the RMW that read the store, or -1 *)
+    mutable w_n : int;
+    mutable w_swept : int;
+        (* window index of the first action fed since the last sweep:
+           the sweep derives the coherence obligations of those *)
+    (* release seq -> snapshot, for the sync edges still to come *)
+    mutable rs_seq : int array;
+    mutable rs_snap : int array array;
+    mutable rs_n : int;
+    mutable locs : lstate array;  (* by loc; [no_lstate] if untouched *)
+    mutable n_locs : int;
+    mutable obligs : (Action.t * Action.t) list;
+        (* window coherence pairs whose mo edge isn't (yet) confirmed by
+           clock-vector reachability: retirement pauses until they
+           discharge *)
     mutable fed : Bytes.t;  (* bitset over seqs: action membership *)
     (* online violation buckets, newest first, post-hoc family caps *)
     mutable v_sync : violation list;
@@ -963,23 +1168,38 @@ module Stream = struct
     mutable finalized : verdict option;
   }
 
-  let mk_tstate () = { cl = [||]; pend = [||]; relf_cv = None }
+  let mk_tstate () = { cl = [||]; pend = [||]; relf_cv = [||] }
+  let no_tstate = mk_tstate ()
 
-  (* Every table starts small and grows with the window: a stream is
-     created per execution, most executions are short, and a large
-     initial table would be allocated straight into the major heap. *)
+  let no_cell = { cws = [||]; cn = 0 }
+
+  let no_lstate =
+    {
+      l_last_sc_w = no_action;
+      l_last_sc_cv = [||];
+      l_barrier = [||];
+      l_cells = [||];
+    }
+
+  (* Nothing is allocated until it is needed: a stream is created per
+     execution, and most executions are short. *)
   let create ~exec ~counted =
     {
       exec;
       counted;
       nthreads = 0;
       ts = [||];
-      acv = Hashtbl.create 16;
-      rel_cv = Hashtbl.create 16;
-      rel_snaps = Hashtbl.create 16;
-      claimed = Hashtbl.create 16;
-      by_loc = Hashtbl.create 16;
-      live = [];
+      w_act = [||];
+      w_clk = [||];
+      w_rel = [||];
+      w_claim = [||];
+      w_n = 0;
+      w_swept = 0;
+      rs_seq = [||];
+      rs_snap = [||];
+      rs_n = 0;
+      locs = [||];
+      n_locs = 0;
       obligs = [];
       fed = Bytes.make 16 '\000';
       v_sync = [];
@@ -1008,7 +1228,6 @@ module Stream = struct
 
   let certified_ops s = s.n_actions
   let retired_ops s = s.n_retired
-  let anomalous s = s.frozen || s.obligs <> []
 
   (* growable int arrays, zero-filled: a short array reads as 0s, exactly
      like the post-hoc fixed-width clocks *)
@@ -1016,10 +1235,34 @@ module Stream = struct
     let len = Array.length arr in
     if len >= n then arr
     else begin
-      let a = Array.make (max n ((2 * len) + 4)) 0 in
+      let a = Array.make (max n (max 4 (2 * len))) 0 in
       Array.blit arr 0 a 0 len;
       a
     end
+
+  (* Clocks are short, so the common widths are copied as array literals
+     (an inline minor-heap allocation, not a runtime call). *)
+  let copy_clock (c : int array) =
+    match Array.length c with
+    | 4 ->
+      [|
+        Array.unsafe_get c 0;
+        Array.unsafe_get c 1;
+        Array.unsafe_get c 2;
+        Array.unsafe_get c 3;
+      |]
+    | 8 ->
+      [|
+        Array.unsafe_get c 0;
+        Array.unsafe_get c 1;
+        Array.unsafe_get c 2;
+        Array.unsafe_get c 3;
+        Array.unsafe_get c 4;
+        Array.unsafe_get c 5;
+        Array.unsafe_get c 6;
+        Array.unsafe_get c 7;
+      |]
+    | _ -> Array.copy c
 
   let sget arr u = if u < Array.length arr then arr.(u) else 0
 
@@ -1031,7 +1274,7 @@ module Stream = struct
   let ensure_tid s tid =
     if tid >= s.nthreads then begin
       let n = tid + 1 in
-      let ts = Array.make n (mk_tstate ()) in
+      let ts = Array.make n no_tstate in
       Array.blit s.ts 0 ts 0 s.nthreads;
       for i = s.nthreads to n - 1 do
         ts.(i) <- mk_tstate ()
@@ -1055,41 +1298,75 @@ module Stream = struct
     byte < Bytes.length s.fed
     && Char.code (Bytes.get s.fed byte) land (1 lsl (seq land 7)) <> 0
 
+  (* the location's state, created (and counted) on first touch *)
   let lstate s loc =
-    match Hashtbl.find_opt s.by_loc loc with
-    | Some l -> l
-    | None ->
+    if loc >= Array.length s.locs then begin
+      let a = Array.make (max (loc + 1) (2 * Array.length s.locs)) no_lstate in
+      Array.blit s.locs 0 a 0 (Array.length s.locs);
+      s.locs <- a
+    end;
+    let l = s.locs.(loc) in
+    if l != no_lstate then l
+    else begin
       let l =
         {
-          l_acts_rev = [];
-          l_cells = Hashtbl.create 4;
-          l_last_sc_w = None;
+          l_last_sc_w = no_action;
+          l_last_sc_cv = [||];
           l_barrier = [||];
+          l_cells = [||];
         }
       in
-      Hashtbl.replace s.by_loc loc l;
+      s.locs.(loc) <- l;
+      s.n_locs <- s.n_locs + 1;
       l
-
-  let cell_push c a =
-    if c.cn = Array.length c.cws then begin
-      let arr = Array.make (max 8 (2 * c.cn)) a in
-      Array.blit c.cws 0 arr 0 c.cn;
-      c.cws <- arr
-    end;
-    c.cws.(c.cn) <- a;
-    c.cn <- c.cn + 1
-
-  (* index of the newest write with seq <= bound, or -1 *)
-  let cell_newest_le c bound =
-    if c.cn = 0 || c.cws.(0).Action.seq > bound then -1
-    else begin
-      let lo = ref 0 and hi = ref (c.cn - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if c.cws.(mid).Action.seq <= bound then lo := mid else hi := mid - 1
-      done;
-      !lo
     end
+
+  (* --- the window -------------------------------------------------- *)
+
+  (* window index of the action with this seq, or -1 *)
+  let w_find s seq =
+    let lo = ref 0 and hi = ref (s.w_n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if s.w_act.(mid).Action.seq < seq then lo := mid + 1 else hi := mid
+    done;
+    if !lo = !hi && s.w_act.(!lo).Action.seq = seq then !lo else -1
+
+  (* release clock of a live store, [||] if none (or not live) *)
+  let rel_cv s (st : Action.t) =
+    let k = w_find s st.seq in
+    if k < 0 then [||] else s.w_rel.(k)
+
+  let w_push s (a : Action.t) clk rel =
+    let n = s.w_n in
+    if n = Array.length s.w_act then begin
+      let cap = max 16 (2 * n) in
+      let grow arr fill =
+        let b = Array.make cap fill in
+        Array.blit arr 0 b 0 n;
+        b
+      in
+      s.w_act <- grow s.w_act no_action;
+      s.w_clk <- grow s.w_clk [||];
+      s.w_rel <- grow s.w_rel [||];
+      s.w_claim <- grow s.w_claim (-1)
+    end;
+    s.w_act.(n) <- a;
+    s.w_clk.(n) <- clk;
+    s.w_rel.(n) <- rel;
+    s.w_claim.(n) <- -1;
+    s.w_n <- n + 1
+
+  (* --- release snapshots ------------------------------------------- *)
+
+  (* slot of a release seq, or -1; few are live (one per thread start,
+     thread end and mutex), newest usually wanted *)
+  let rs_find s seq =
+    let i = ref (s.rs_n - 1) in
+    while !i >= 0 && s.rs_seq.(!i) <> seq do
+      decr i
+    done;
+    !i
 
   (* mo confirmation for a window pair; trusting Theorem 1 here is fine —
      the Theorem-1 differential still validates cv-vs-DFS agreement on
@@ -1098,13 +1375,13 @@ module Stream = struct
     s.exec.Execution.pruned_count > 0
     ||
     let graph = s.exec.Execution.graph in
-    match (Mograph.find_node graph a, Mograph.find_node graph b) with
-    | Some _, Some _ -> Mograph.reaches graph a b
-    | _ -> true (* a pruned end: the post-hoc completeness checks skip it *)
+    Mograph.live_node graph a == Mograph.absent
+    || Mograph.live_node graph b == Mograph.absent
+    (* a pruned end: the post-hoc completeness checks skip it *)
+    || Mograph.reaches graph a b
 
   let require_mo s src dst =
-    if not (mo_confirmed s src dst) then
-      s.obligs <- { o_src = src; o_dst = dst } :: s.obligs
+    if not (mo_confirmed s src dst) then s.obligs <- (src, dst) :: s.obligs
 
   (* --- feeds ----------------------------------------------------- *)
 
@@ -1114,9 +1391,32 @@ module Stream = struct
     let snap = grown snap (tid + 1) in
     if seq > snap.(tid) then snap.(tid) <- seq;
     if seq > s.max_cv_entry then s.max_cv_entry <- seq;
-    Hashtbl.replace s.rel_snaps seq snap
+    let i = rs_find s seq in
+    if i >= 0 then s.rs_snap.(i) <- snap
+    else begin
+      let n = s.rs_n in
+      if n = Array.length s.rs_seq then begin
+        let cap = max 8 (2 * n) in
+        let seqs = Array.make cap 0 and snaps = Array.make cap [||] in
+        Array.blit s.rs_seq 0 seqs 0 n;
+        Array.blit s.rs_snap 0 snaps 0 n;
+        s.rs_seq <- seqs;
+        s.rs_snap <- snaps
+      end;
+      s.rs_seq.(n) <- seq;
+      s.rs_snap.(n) <- snap;
+      s.rs_n <- n + 1
+    end
 
-  let feed_release_drop s ~seq = Hashtbl.remove s.rel_snaps seq
+  let feed_release_drop s ~seq =
+    let i = rs_find s seq in
+    if i >= 0 then begin
+      let last = s.rs_n - 1 in
+      s.rs_seq.(i) <- s.rs_seq.(last);
+      s.rs_snap.(i) <- s.rs_snap.(last);
+      s.rs_snap.(last) <- [||];
+      s.rs_n <- last
+    end
 
   let feed_edge s (e : Execution.sync_edge) =
     s.n_edges <- s.n_edges + 1;
@@ -1143,8 +1443,9 @@ module Stream = struct
       end;
     if e.se_to_tid >= 0 && e.se_to_tid < nt then begin
       ensure_tid s e.se_to_tid;
-      match Hashtbl.find_opt s.rel_snaps e.se_from_seq with
-      | Some snap ->
+      let i = rs_find s e.se_from_seq in
+      if i >= 0 then begin
+        let snap = s.rs_snap.(i) in
         let ts = s.ts.(e.se_to_tid) in
         ts.cl <- merge_grow ts.cl snap;
         let cl = grown ts.cl (e.se_to_tid + 1) in
@@ -1153,7 +1454,7 @@ module Stream = struct
           cl.(e.se_to_tid) <- e.se_to_seq;
           if e.se_to_seq > s.max_cv_entry then s.max_cv_entry <- e.se_to_seq
         end
-      | None -> ()
+      end
     end
 
   let push_diff s (a_seq : int) (b_seq : int) certified operational =
@@ -1171,233 +1472,180 @@ module Stream = struct
       :: s.v_diff;
     s.frozen <- true
 
-  let check_action_online s (a : Action.t) snap ~pre_max =
-    (* hb irreflexivity: a foreign slot at or above the action's seq *)
-    Array.iteri
-      (fun u v ->
-        if u <> a.tid && v >= a.seq && s.c_irr < cap then begin
-          s.c_irr <- s.c_irr + 1;
-          s.v_irr <-
+  let push_rf s actions detail =
+    s.c_rf <- s.c_rf + 1;
+    s.v_rf <- { axiom = Rf_wf; actions; detail } :: s.v_rf;
+    s.frozen <- true
+
+  let push_rmw s actions detail probe =
+    s.c_rmw <- s.c_rmw + 1;
+    s.v_rmw <- ({ axiom = Rmw_atomicity; actions; detail }, probe) :: s.v_rmw;
+    s.frozen <- true
+
+  (* rf well-formedness of a read *)
+  let check_rf s (a : Action.t) =
+    match a.rf with
+    | None ->
+      push_rf s [ a.seq ]
+        (Printf.sprintf "read #%d of loc %d has no reads-from store" a.seq
+           a.loc)
+    | Some st ->
+      if not (is_fed s st.seq) then
+        push_rf s [ a.seq; st.seq ]
+          (Printf.sprintf "read #%d reads-from #%d, not in the trace" a.seq
+             st.seq)
+      else if not (Action.is_write st) then
+        push_rf s [ a.seq; st.seq ]
+          (Printf.sprintf "read #%d reads-from #%d, which is not a write"
+             a.seq st.seq)
+      else if st.loc <> a.loc then
+        push_rf s [ a.seq; st.seq ]
+          (Printf.sprintf "read #%d of loc %d reads-from #%d of loc %d" a.seq
+             a.loc st.seq st.loc)
+      else if st.seq >= a.seq then
+        push_rf s [ a.seq; st.seq ]
+          (Printf.sprintf "read #%d reads-from #%d, which executes after it"
+             a.seq st.seq)
+      else if a.kind = Action.Load && a.value <> st.value then
+        push_rf s [ a.seq; st.seq ]
+          (Printf.sprintf
+             "load #%d returned %d but its reads-from store #%d wrote %d"
+             a.seq a.value st.seq st.value)
+
+  (* rmw atomicity: double claim + mo immediacy (re-probed at finalize
+     against the final graph, mirroring the post-hoc pruning skip).  A
+     store outside the window takes no claim: unfed, it is already an
+     rf-wf violation, and a retired store is unreadable. *)
+  let check_rmw s (a : Action.t) (st : Action.t) =
+    let k = w_find s st.seq in
+    if k >= 0 then begin
+      let other = s.w_claim.(k) in
+      if other >= 0 then
+        push_rmw s [ st.seq; other; a.seq ]
+          (Printf.sprintf "store #%d is read by two RMWs, #%d and #%d" st.seq
+             other a.seq)
+          None
+      else s.w_claim.(k) <- a.seq
+    end;
+    let graph = s.exec.Execution.graph in
+    let ns = Mograph.live_node graph st and nr = Mograph.live_node graph a in
+    if ns != Mograph.absent && nr != Mograph.absent then begin
+      let immediate =
+        match ns.Mograph.rmw with Some x -> x == nr | None -> false
+      in
+      if not immediate then
+        push_rmw s [ st.seq; a.seq ]
+          (Printf.sprintf
+             "rmw #%d reads-from #%d but does not immediately mo-follow it"
+             a.seq st.seq)
+          (Some (st, a))
+    end
+
+  let check_sc s (a : Action.t) ~pre_max =
+    s.n_sc <- s.n_sc + 1;
+    (* backward pairs: an earlier sc action whose snapshot covers this
+       one.  Impossible unless some clock entry already reached this
+       seq — the guard keeps clean runs O(1). *)
+    if s.c_sc < cap && pre_max >= a.seq then
+      for k = s.w_n - 1 downto 0 do
+        let x = s.w_act.(k) in
+        if
+          Memorder.is_seq_cst x.mo && x.seq < a.seq && s.c_sc < cap
+          && sget s.w_clk.(k) a.tid >= a.seq
+        then begin
+          s.c_sc <- s.c_sc + 1;
+          s.v_sc_pair <-
             {
-              axiom = Hb_irreflexivity;
-              actions = [ a.seq ];
+              axiom = Sc_order;
+              actions = [ x.seq; a.seq ];
               detail =
                 Printf.sprintf
-                  "action #%d's certified clock covers t%d@#%d, which does \
-                   not precede it"
-                  a.seq u v;
+                  "sc order places #%d before #%d but #%d happens before #%d"
+                  x.seq a.seq a.seq x.seq;
             }
-            :: s.v_irr;
+            :: s.v_sc_pair;
           s.frozen <- true
-        end)
-      snap;
+        end
+      done;
+    (* 29.3/3: an sc read must not observe a store hidden behind the
+       last sc store to its location (the pinned per-loc witness) *)
+    (if Action.is_read a && s.c_sc < cap then
+       match a.rf with
+       | Some x when a.loc >= 0 ->
+         let l = lstate s a.loc in
+         let sw = l.l_last_sc_w in
+         if sw != no_action && x.seq <> sw.seq then begin
+           let hidden =
+             (Memorder.is_seq_cst x.mo && x.seq < sw.seq)
+             || sget l.l_last_sc_cv x.tid >= x.seq
+           in
+           if hidden then begin
+             s.c_sc <- s.c_sc + 1;
+             s.v_sc_read <-
+               {
+                 axiom = Sc_order;
+                 actions = [ a.seq; x.seq; sw.seq ];
+                 detail =
+                   Printf.sprintf
+                     "sc read #%d observes #%d, hidden behind the last sc \
+                      store #%d to loc %d"
+                     a.seq x.seq sw.seq a.loc;
+               }
+               :: s.v_sc_read;
+             s.frozen <- true
+           end
+         end
+       | Some _ | None -> ())
+
+  let check_action_online s (a : Action.t) snap ~pre_max =
+    (* hb irreflexivity: a foreign slot at or above the action's seq *)
+    for u = 0 to Array.length snap - 1 do
+      let v = snap.(u) in
+      if u <> a.tid && v >= a.seq && s.c_irr < cap then begin
+        s.c_irr <- s.c_irr + 1;
+        s.v_irr <-
+          {
+            axiom = Hb_irreflexivity;
+            actions = [ a.seq ];
+            detail =
+              Printf.sprintf
+                "action #%d's certified clock covers t%d@#%d, which does not \
+                 precede it"
+                a.seq u v;
+          }
+          :: s.v_irr;
+        s.frozen <- true
+      end
+    done;
     (* hb differential, forward pairs only: per-thread certified vs
        operational coverage; a mismatched slot is enumerated over the
-       live window (empty in clean runs: the slots agree) *)
+       live window, newest first (empty in clean runs: the slots agree) *)
     for u = 0 to s.nthreads - 1 do
       if s.c_diff < cap then begin
         let cs = sget snap u and oc = Clockvec.get a.hb_cv u in
         if cs <> oc then begin
           s.frozen <- true;
           let lo = min cs oc and hi = max cs oc in
-          List.iter
-            (fun (x : Action.t) ->
-              if
-                s.c_diff < cap && x.tid = u && x.seq > lo && x.seq <= hi
-                && x.seq <> a.seq
-              then push_diff s x.seq a.seq (cs >= x.seq) (oc >= x.seq))
-            s.live
+          for k = s.w_n - 1 downto 0 do
+            let x = s.w_act.(k) in
+            if
+              s.c_diff < cap && x.tid = u && x.seq > lo && x.seq <= hi
+              && x.seq <> a.seq
+            then push_diff s x.seq a.seq (cs >= x.seq) (oc >= x.seq)
+          done
         end
       end
     done;
-    (* rf well-formedness *)
-    (if Action.is_read a && s.c_rf < cap then
-       let fail actions msg =
-         s.c_rf <- s.c_rf + 1;
-         s.v_rf <- { axiom = Rf_wf; actions; detail = msg } :: s.v_rf;
-         s.frozen <- true
-       in
-       match a.rf with
-       | None ->
-         fail [ a.seq ]
-           (Printf.sprintf "read #%d of loc %d has no reads-from store"
-              a.seq a.loc)
-       | Some st ->
-         if not (is_fed s st.seq) then
-           fail [ a.seq; st.seq ]
-             (Printf.sprintf "read #%d reads-from #%d, not in the trace"
-                a.seq st.seq)
-         else if not (Action.is_write st) then
-           fail [ a.seq; st.seq ]
-             (Printf.sprintf "read #%d reads-from #%d, which is not a write"
-                a.seq st.seq)
-         else if st.loc <> a.loc then
-           fail [ a.seq; st.seq ]
-             (Printf.sprintf "read #%d of loc %d reads-from #%d of loc %d"
-                a.seq a.loc st.seq st.loc)
-         else if st.seq >= a.seq then
-           fail [ a.seq; st.seq ]
-             (Printf.sprintf
-                "read #%d reads-from #%d, which executes after it" a.seq
-                st.seq)
-         else if a.kind = Action.Load && a.value <> st.value then
-           fail [ a.seq; st.seq ]
-             (Printf.sprintf
-                "load #%d returned %d but its reads-from store #%d wrote %d"
-                a.seq a.value st.seq st.value));
-    (* rmw atomicity: double claim + mo immediacy (re-probed at finalize
-       against the final graph, mirroring the post-hoc pruning skip) *)
+    if Action.is_read a && s.c_rf < cap then check_rf s a;
     (if a.kind = Action.Rmw && s.c_rmw < cap then
-       match a.rf with
-       | None -> ()
-       | Some st ->
-         (match Hashtbl.find_opt s.claimed st.seq with
-         | Some other ->
-           s.c_rmw <- s.c_rmw + 1;
-           s.v_rmw <-
-             ( {
-                 axiom = Rmw_atomicity;
-                 actions = [ st.seq; other; a.seq ];
-                 detail =
-                   Printf.sprintf "store #%d is read by two RMWs, #%d and #%d"
-                     st.seq other a.seq;
-               },
-               None )
-             :: s.v_rmw;
-           s.frozen <- true
-         | None -> Hashtbl.replace s.claimed st.seq a.seq);
-         let graph = s.exec.Execution.graph in
-         (match (Mograph.find_node graph st, Mograph.find_node graph a) with
-         | Some ns, Some nr ->
-           let immediate =
-             match ns.Mograph.rmw with Some x -> x == nr | None -> false
-           in
-           if not immediate then begin
-             s.c_rmw <- s.c_rmw + 1;
-             s.v_rmw <-
-               ( {
-                   axiom = Rmw_atomicity;
-                   actions = [ st.seq; a.seq ];
-                   detail =
-                     Printf.sprintf
-                       "rmw #%d reads-from #%d but does not immediately \
-                        mo-follow it"
-                       a.seq st.seq;
-                 },
-                 Some (st, a) )
-               :: s.v_rmw;
-             s.frozen <- true
-           end
-         | _ -> ()));
-    (* sc order *)
+       match a.rf with Some st -> check_rmw s a st | None -> ());
     if Memorder.is_seq_cst a.mo then begin
-      s.n_sc <- s.n_sc + 1;
-      (* backward pairs: an earlier sc action whose snapshot covers this
-         one.  Impossible unless some clock entry already reached this
-         seq — the guard keeps clean runs O(1). *)
-      if s.c_sc < cap && pre_max >= a.seq then
-        List.iter
-          (fun (x : Action.t) ->
-            if Memorder.is_seq_cst x.mo && x.seq < a.seq && s.c_sc < cap then
-              match Hashtbl.find_opt s.acv x.seq with
-              | Some xc when sget xc a.tid >= a.seq ->
-                s.c_sc <- s.c_sc + 1;
-                s.v_sc_pair <-
-                  {
-                    axiom = Sc_order;
-                    actions = [ x.seq; a.seq ];
-                    detail =
-                      Printf.sprintf
-                        "sc order places #%d before #%d but #%d happens \
-                         before #%d"
-                        x.seq a.seq a.seq x.seq;
-                  }
-                  :: s.v_sc_pair;
-                s.frozen <- true
-              | _ -> ())
-          s.live;
-      (* 29.3/3: an sc read must not observe a store hidden behind the
-         last sc store to its location (the pinned per-loc witness) *)
-      (if Action.is_read a && s.c_sc < cap then
-         match a.rf with
-         | None -> ()
-         | Some x when a.loc >= 0 -> (
-           match (lstate s a.loc).l_last_sc_w with
-           | Some sw when x.seq <> sw.seq ->
-             let hidden =
-               (Memorder.is_seq_cst x.mo && x.seq < sw.seq)
-               || (x.seq <> sw.seq
-                  &&
-                  match Hashtbl.find_opt s.acv sw.seq with
-                  | Some sc' -> sget sc' x.tid >= x.seq
-                  | None -> false)
-             in
-             if hidden then begin
-               s.c_sc <- s.c_sc + 1;
-               s.v_sc_read <-
-                 {
-                   axiom = Sc_order;
-                   actions = [ a.seq; x.seq; sw.seq ];
-                   detail =
-                     Printf.sprintf
-                       "sc read #%d observes #%d, hidden behind the last \
-                        sc store #%d to loc %d"
-                       a.seq x.seq sw.seq a.loc;
-                 }
-                 :: s.v_sc_read;
-               s.frozen <- true
-             end
-           | Some _ | None -> ())
-         | Some _ -> ());
-      if Action.is_write a && a.loc >= 0 then
-        (lstate s a.loc).l_last_sc_w <- Some a
-    end
-
-  (* Coherence completeness obligations for a new window action, using
-     per-cell newest-covered representatives: older same-cell writes are
-     chained through them (mo is transitive under cv reachability), so
-     each feed checks O(threads) pairs, not O(window). *)
-  let coherence_obligations s (a : Action.t) snap =
-    if a.loc >= 0 then begin
-      let l = lstate s a.loc in
-      (if Action.is_write a then
-         Hashtbl.iter
-           (fun tid c ->
-             if tid = a.tid then begin
-               if c.cn > 0 then begin
-                 let prev = c.cws.(c.cn - 1) in
-                 if prev.Action.seq <> a.seq then require_mo s prev a
-               end
-             end
-             else begin
-               let i = cell_newest_le c (sget snap tid) in
-               if i >= 0 then begin
-                 let w = c.cws.(i) in
-                 if w.Action.seq <> a.seq then require_mo s w a
-               end
-             end)
-           l.l_cells);
-      (if Action.is_read a then
-         match a.rf with
-         | Some st when st.loc = a.loc ->
-           Hashtbl.iter
-             (fun tid c ->
-               let i = cell_newest_le c (sget snap tid) in
-               if i >= 0 then begin
-                 let w = c.cws.(i) in
-                 if w.Action.seq <> st.Action.seq && w.Action.seq <> a.seq
-                 then require_mo s w st
-               end)
-             l.l_cells
-         | Some _ | None -> ());
-      (* window bookkeeping after the checks: the action joins its loc *)
-      l.l_acts_rev <- a :: l.l_acts_rev;
-      if Action.is_write a then
-        match Hashtbl.find_opt l.l_cells a.tid with
-        | Some c -> cell_push c a
-        | None ->
-          let c = { cws = Array.make 8 a; cn = 1 } in
-          Hashtbl.replace l.l_cells a.tid c
+      check_sc s a ~pre_max;
+      if Action.is_write a && a.loc >= 0 then begin
+        let l = lstate s a.loc in
+        l.l_last_sc_w <- a;
+        l.l_last_sc_cv <- snap
+      end
     end
 
   let rec feed_action s (a : Action.t) =
@@ -1412,191 +1660,275 @@ module Stream = struct
     (match a.kind with
     | Action.Load | Action.Rmw -> (
       match a.rf with
-      | Some st when st.Action.seq < a.seq -> (
-        match Hashtbl.find_opt s.rel_cv st.Action.seq with
-        | Some rc when Array.length rc > 0 ->
+      | Some st when st.Action.seq < a.seq ->
+        let rc = rel_cv s st in
+        if Array.length rc > 0 then
           if Memorder.is_acquire a.mo then ts.cl <- merge_grow ts.cl rc
           else ts.pend <- merge_grow ts.pend rc
-        | Some _ | None -> ())
       | Some _ | None -> ())
     | Action.Fence ->
       if Memorder.is_acquire a.mo then ts.cl <- merge_grow ts.cl ts.pend
     | Action.Store | Action.Na_store -> ());
-    let snap = Array.copy ts.cl in
-    Hashtbl.replace s.acv a.seq snap;
+    let snap = copy_clock ts.cl in
     (* the store's release clock: what a reads-from of this store (or of
        a later RMW in its release sequence) synchronises with *)
-    (match a.kind with
-    | Action.Fence ->
-      if Memorder.is_release a.mo then ts.relf_cv <- Some snap
-    | Action.Store | Action.Rmw ->
-      let chain =
-        match a.kind with
-        | Action.Rmw -> (
-          match a.rf with
-          | Some prev when prev.Action.seq < a.seq ->
-            Hashtbl.find_opt s.rel_cv prev.Action.seq
-          | Some _ | None -> None)
-        | _ -> None
-      in
-      let own =
-        if Memorder.is_release a.mo then Some snap else ts.relf_cv
-      in
-      (match (own, chain) with
-      | None, None -> ()
-      | Some rc, None | None, Some rc -> Hashtbl.replace s.rel_cv a.seq rc
-      | Some o, Some c -> Hashtbl.replace s.rel_cv a.seq (merge_grow (Array.copy o) c))
-    | Action.Na_store | Action.Load -> ());
+    let rel =
+      match a.kind with
+      | Action.Fence ->
+        if Memorder.is_release a.mo then ts.relf_cv <- snap;
+        [||]
+      | Action.Store | Action.Rmw -> (
+        let chain =
+          match (a.kind, a.rf) with
+          | Action.Rmw, Some prev when prev.Action.seq < a.seq -> rel_cv s prev
+          | _ -> [||]
+        in
+        let own = if Memorder.is_release a.mo then snap else ts.relf_cv in
+        match (Array.length own, Array.length chain) with
+        | 0, _ -> chain
+        | _, 0 -> own
+        | _ -> merge_grow (Array.copy own) chain)
+      | Action.Na_store | Action.Load -> [||]
+    in
     mark_fed s a.seq;
     s.n_actions <- s.n_actions + 1;
     if Action.is_read a then s.n_reads <- s.n_reads + 1;
     if Action.is_write a then s.n_writes <- s.n_writes + 1;
     check_action_online s a snap ~pre_max;
-    coherence_obligations s a snap;
-    s.live <- a :: s.live;
+    if a.loc >= 0 then ignore (lstate s a.loc);
+    w_push s a snap rel;
     if s.n_actions land 4095 = 0 then sweep s
 
   (* --- retirement ------------------------------------------------- *)
 
   and sweep s =
-    (* re-try pending obligations first: mo only grows *)
-    s.obligs <-
-      List.filter
-        (fun o -> not (mo_confirmed s o.o_src o.o_dst))
-        s.obligs;
-    if (not s.frozen) && s.obligs = [] then begin
-      let exec = s.exec in
-      let nt = exec.Execution.nthreads in
-      (* engine-clock frontier over runnable threads: what every possible
-         future reader is guaranteed to cover *)
-      let omin = Array.make nt max_int in
-      let any_counted = ref false in
-      for v = 0 to nt - 1 do
-        let tv = exec.Execution.threads.(v) in
-        if tv.Execution.live && s.counted v then begin
-          any_counted := true;
-          for u = 0 to nt - 1 do
-            let x = Clockvec.get tv.Execution.c u in
-            if x < omin.(u) then omin.(u) <- x
+    (* nothing retires once a violation froze the window *)
+    if not s.frozen then begin
+      fill_cells s;
+      s.obligs <-
+        List.filter (fun (src, dst) -> not (mo_confirmed s src dst)) s.obligs;
+      (* derived here, not per feed: see DESIGN.md *)
+      if s.exec.Execution.pruned_count = 0 then
+        for k = s.w_swept to s.w_n - 1 do
+          coherence_obligations s k
+        done;
+      s.w_swept <- s.w_n;
+      if s.obligs = [] then retire s;
+      empty_cells s
+    end
+
+  (* every live write into its (location, thread) cell, in seq order *)
+  and fill_cells s =
+    for k = 0 to s.w_n - 1 do
+      let a = s.w_act.(k) in
+      if a.loc >= 0 && Action.is_write a then begin
+        let l = s.locs.(a.loc) in
+        if a.tid >= Array.length l.l_cells then begin
+          let cs = Array.make (max (a.tid + 1) 4) no_cell in
+          Array.blit l.l_cells 0 cs 0 (Array.length l.l_cells);
+          l.l_cells <- cs
+        end;
+        let c =
+          match l.l_cells.(a.tid) with
+          | c when c == no_cell ->
+            let c = { cws = Array.make 8 a; cn = 0 } in
+            l.l_cells.(a.tid) <- c;
+            c
+          | c -> c
+        in
+        if c.cn = Array.length c.cws then begin
+          let arr = Array.make (2 * c.cn) a in
+          Array.blit c.cws 0 arr 0 c.cn;
+          c.cws <- arr
+        end;
+        c.cws.(c.cn) <- a;
+        c.cn <- c.cn + 1
+      end
+    done
+
+  (* cells hold nothing between sweeps *)
+  and empty_cells s =
+    for loc = 0 to Array.length s.locs - 1 do
+      let cells = s.locs.(loc).l_cells in
+      for tid = 0 to Array.length cells - 1 do
+        let c = cells.(tid) in
+        if c.cn > 0 then begin
+          Array.fill c.cws 0 c.cn no_action;
+          c.cn <- 0
+        end
+      done
+    done
+
+  (* Coherence completeness obligations of the window action at index
+     [k], using per-cell newest-covered representatives: older same-cell
+     writes are chained through them (mo is transitive under cv
+     reachability), so each action checks O(threads) pairs, not
+     O(window).  The cells hold the writes the action saw when it was
+     fed plus later ones only, and the bound [a.seq - 1] leaves those
+     out. *)
+  and coherence_obligations s k =
+    let a = s.w_act.(k) in
+    if a.loc >= 0 then begin
+      let cells = s.locs.(a.loc).l_cells in
+      let snap = s.w_clk.(k) in
+      let before = a.seq - 1 in
+      if Action.is_write a then
+        for tid = 0 to Array.length cells - 1 do
+          let c = cells.(tid) in
+          let bound = if tid = a.tid then before else min (sget snap tid) before in
+          let i = cell_newest_le c bound in
+          if i >= 0 then require_mo s c.cws.(i) a
+        done;
+      if Action.is_read a then
+        match a.rf with
+        | Some st when st.loc = a.loc ->
+          for tid = 0 to Array.length cells - 1 do
+            let c = cells.(tid) in
+            let i = cell_newest_le c (min (sget snap tid) before) in
+            if i >= 0 then begin
+              let w = c.cws.(i) in
+              if w.Action.seq <> st.Action.seq then require_mo s w st
+            end
+          done
+        | Some _ | None -> ()
+    end
+
+  (* index of the newest write with seq <= bound, or -1 *)
+  and cell_newest_le c bound =
+    if c.cn = 0 || c.cws.(0).Action.seq > bound then -1
+    else begin
+      let lo = ref 0 and hi = ref (c.cn - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if c.cws.(mid).Action.seq <= bound then lo := mid else hi := mid - 1
+      done;
+      !lo
+    end
+
+  and retire s =
+    let exec = s.exec in
+    let nt = exec.Execution.nthreads in
+    (* engine-clock frontier over runnable threads: what every possible
+       future reader is guaranteed to cover *)
+    let omin = Array.make nt max_int in
+    let any_counted = ref false in
+    for v = 0 to nt - 1 do
+      let tv = exec.Execution.threads.(v) in
+      if tv.Execution.live && s.counted v then begin
+        any_counted := true;
+        for u = 0 to nt - 1 do
+          let x = Clockvec.get tv.Execution.c u in
+          if x < omin.(u) then omin.(u) <- x
+        done
+      end
+    done;
+    if !any_counted then begin
+      (* advance per-cell readability barriers (monotone) *)
+      for loc = 0 to Array.length s.locs - 1 do
+        let l = s.locs.(loc) in
+        if l != no_lstate then begin
+          l.l_barrier <- grown l.l_barrier nt;
+          let cells = l.l_cells in
+          for tid = 0 to min nt (Array.length cells) - 1 do
+            let c = cells.(tid) in
+            let i = cell_newest_le c omin.(tid) in
+            if i >= 0 && c.cws.(i).Action.seq > l.l_barrier.(tid) then
+              l.l_barrier.(tid) <- c.cws.(i).Action.seq
           done
         end
       done;
-      if !any_counted then begin
-        (* advance per-cell readability barriers (monotone) *)
-        Hashtbl.iter
-          (fun _ l ->
-            l.l_barrier <- grown l.l_barrier nt;
-            Hashtbl.iter
-              (fun tid c ->
-                if tid < nt then begin
-                  let i = cell_newest_le c omin.(tid) in
-                  if i >= 0 && c.cws.(i).Action.seq > l.l_barrier.(tid) then
-                    l.l_barrier.(tid) <- c.cws.(i).Action.seq
-                end)
-              l.l_cells)
-          s.by_loc;
-        (* certified/operational agreement per live thread: no future
-           snapshot can disagree about an action both sides agree on *)
-        let agree (a : Action.t) =
-          let ok = ref true in
-          for v = 0 to nt - 1 do
-            if !ok then begin
-              let tv = exec.Execution.threads.(v) in
-              if tv.Execution.live then begin
-                let cc = sget s.ts.(v).cl a.tid in
-                let oc = Clockvec.get tv.Execution.c a.tid in
-                if cc >= a.seq <> (oc >= a.seq) then ok := false
-              end
-            end
-          done;
-          !ok
-        in
-        let store_ok (w : Action.t) =
-          let l = lstate s w.loc in
-          let unreadable =
-            sget l.l_barrier w.tid > w.seq
-            || (exec.Execution.pruned_count > 0
-               && Mograph.find_node exec.Execution.graph w = None)
-          in
-          unreadable
-          && (match l.l_last_sc_w with
-             | Some sw -> sw.seq <> w.seq
-             | None -> true)
-          &&
-          (* cv-mo-before every still-readable same-location store: this
-             discharges CoWW/CoWR against every future action *)
-          (exec.Execution.pruned_count > 0
-          ||
-          let ok = ref true in
-          Hashtbl.iter
-            (fun tid c ->
-              if !ok then begin
-                (* still-readable = at or past the barrier; the newest
-                   write strictly below it starts the scan *)
-                let b = sget l.l_barrier tid in
-                let start = 1 + cell_newest_le c (b - 1) in
-                let i = ref (max 0 start) in
-                while !ok && !i < c.cn do
-                  let y = c.cws.(!i) in
-                  if y.Action.seq <> w.seq && not (mo_confirmed s w y) then
-                    ok := false;
-                  incr i
-                done
-              end)
-            l.l_cells;
-          !ok)
-        in
-        let to_retire = Hashtbl.create 64 in
-        List.iter
-          (fun (a : Action.t) ->
-            if
-              agree a
-              && (not (Action.is_write a && a.loc >= 0) || store_ok a)
-            then Hashtbl.replace to_retire a.seq ())
-          s.live;
-        if Hashtbl.length to_retire > 0 then begin
-          List.iter
-            (fun (a : Action.t) ->
-              if Hashtbl.mem to_retire a.seq then begin
-                Hashtbl.remove s.acv a.seq;
-                Hashtbl.remove s.claimed a.seq;
-                Hashtbl.remove s.rel_cv a.seq;
-                s.n_retired <- s.n_retired + 1
-              end)
-            s.live;
-          s.live <-
-            List.filter
-              (fun (a : Action.t) -> not (Hashtbl.mem to_retire a.seq))
-              s.live;
-          Hashtbl.iter
-            (fun _ l ->
-              l.l_acts_rev <-
-                List.filter
-                  (fun (a : Action.t) -> not (Hashtbl.mem to_retire a.seq))
-                  l.l_acts_rev;
-              Hashtbl.iter
-                (fun _ c ->
-                  let j = ref 0 in
-                  for i = 0 to c.cn - 1 do
-                    let w = c.cws.(i) in
-                    if not (Hashtbl.mem to_retire w.Action.seq) then begin
-                      c.cws.(!j) <- w;
-                      incr j
-                    end
-                  done;
-                  if !j < c.cn then begin
-                    (* exact copy: capacity slots past [cn] would pin
-                       retired actions against the GC *)
-                    c.cws <- Array.sub c.cws 0 (max 1 !j);
-                    c.cn <- !j
-                  end)
-                l.l_cells)
-            s.by_loc
+      (* decide and compact in one pass: the decisions read the cells,
+         barriers and clocks, never the window *)
+      let j = ref 0 in
+      for k = 0 to s.w_n - 1 do
+        let a = s.w_act.(k) in
+        if agree s a && ((not (Action.is_write a && a.loc >= 0)) || store_ok s a)
+        then s.n_retired <- s.n_retired + 1
+        else begin
+          let j' = !j in
+          if j' < k then begin
+            s.w_act.(j') <- a;
+            s.w_clk.(j') <- s.w_clk.(k);
+            s.w_rel.(j') <- s.w_rel.(k);
+            s.w_claim.(j') <- s.w_claim.(k)
+          end;
+          j := j' + 1
         end
+      done;
+      let n = !j in
+      if n < s.w_n then begin
+        (* no retired action stays reachable from the window *)
+        Array.fill s.w_act n (s.w_n - n) no_action;
+        Array.fill s.w_clk n (s.w_n - n) [||];
+        Array.fill s.w_rel n (s.w_n - n) [||];
+        s.w_n <- n;
+        s.w_swept <- n
       end
     end
 
+  (* certified/operational agreement per live thread: no future snapshot
+     can disagree about an action both sides agree on *)
+  and agree s (a : Action.t) =
+    let threads = s.exec.Execution.threads in
+    let ok = ref true and v = ref 0 in
+    while !ok && !v < s.exec.Execution.nthreads do
+      let tv = threads.(!v) in
+      if tv.Execution.live then begin
+        let cc = sget s.ts.(!v).cl a.tid in
+        let oc = Clockvec.get tv.Execution.c a.tid in
+        if cc >= a.seq <> (oc >= a.seq) then ok := false
+      end;
+      incr v
+    done;
+    !ok
+
+  and store_ok s (w : Action.t) =
+    let exec = s.exec in
+    let l = s.locs.(w.loc) in
+    let unreadable =
+      sget l.l_barrier w.tid > w.seq
+      || exec.Execution.pruned_count > 0
+         && Mograph.live_node exec.Execution.graph w == Mograph.absent
+    in
+    unreadable
+    && l.l_last_sc_w.seq <> w.seq
+    &&
+    (* cv-mo-before every still-readable same-location store: this
+       discharges CoWW/CoWR against every future action *)
+    (exec.Execution.pruned_count > 0
+    ||
+    let ok = ref true and tid = ref 0 in
+    let cells = l.l_cells in
+    while !ok && !tid < Array.length cells do
+      let c = cells.(!tid) in
+      (* still-readable = at or past the barrier; the newest write
+         strictly below it starts the scan *)
+      let b = sget l.l_barrier !tid in
+      let i = ref (max 0 (1 + cell_newest_le c (b - 1))) in
+      while !ok && !i < c.cn do
+        let y = c.cws.(!i) in
+        if y.Action.seq <> w.seq && not (mo_confirmed s w y) then ok := false;
+        incr i
+      done;
+      incr tid
+    done;
+    !ok)
+
   (* --- finalize ---------------------------------------------------- *)
+
+  (* rmw immediacy candidates ([v_rmw], newest first) re-probed against
+     the final graph, onto [acc], oldest first: a pruned end makes
+     immediacy unobservable, as post-hoc *)
+  let rec reprobe_rmw graph acc = function
+    | [] -> acc
+    | (v, None) :: rest -> reprobe_rmw graph (v :: acc) rest
+    | (v, Some (st, r)) :: rest ->
+      let ns = Mograph.live_node graph st and nr = Mograph.live_node graph r in
+      let still =
+        ns != Mograph.absent && nr != Mograph.absent
+        && match ns.Mograph.rmw with Some x -> x != nr | None -> true
+      in
+      reprobe_rmw graph (if still then v :: acc else acc) rest
 
   let finalize_now s =
     let exec = s.exec in
@@ -1606,55 +1938,15 @@ module Stream = struct
       let graph_exact = exec.Execution.pruned_count = 0 in
       (* mo-graph families over the live residue, with the post-hoc code
          reading the stream's certified clocks *)
-      let mo_found = ref [] in
-      let add axiom actions detail =
-        mo_found := { axiom; actions; detail } :: !mo_found
+      let mo_found =
+        check_locations ~graph ~graph_exact s.w_act s.w_clk s.w_n []
       in
-      let locs =
-        Hashtbl.fold
-          (fun loc l acc -> (loc, List.rev l.l_acts_rev) :: acc)
-          s.by_loc []
-        |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-      in
-      List.iter
-        (fun (loc, acts) ->
-          if acts <> [] then
-            check_location ~acv:s.acv ~graph ~graph_exact ~loc acts add)
-        locs;
-      (* rmw immediacy candidates re-probed against the final graph: a
-         pruned end makes immediacy unobservable, as post-hoc *)
-      let rmw =
-        List.rev s.v_rmw
-        |> List.filter_map (fun (v, probe) ->
-               match probe with
-               | None -> Some v
-               | Some (st, r) -> (
-                 match (Mograph.find_node graph st, Mograph.find_node graph r)
-                 with
-                 | Some ns, Some nr ->
-                   let immediate =
-                     match ns.Mograph.rmw with
-                     | Some x -> x == nr
-                     | None -> false
-                   in
-                   if immediate then None else Some v
-                 | _ -> None))
-      in
-      let violations =
-        List.concat
-          [
-            List.rev s.v_sync;
-            List.rev s.v_irr;
-            List.rev s.v_diff;
-            List.rev s.v_rf;
-            List.rev !mo_found;
-            rmw;
-            List.rev s.v_sc_pair;
-            List.rev s.v_sc_read;
-          ]
-      in
-      match violations with
-      | [] ->
+      let rmw = reprobe_rmw graph [] s.v_rmw in
+      match
+        (s.v_sync, s.v_irr, s.v_diff, s.v_rf, mo_found, rmw, s.v_sc_pair,
+         s.v_sc_read)
+      with
+      | [], [], [], [], [], [], [], [] ->
         Certified
           {
             actions = s.n_actions;
@@ -1663,10 +1955,22 @@ module Stream = struct
             sc_actions = s.n_sc;
             sync_edges = s.n_edges;
             hb_pairs = s.n_actions * (s.n_actions - 1);
-            locations = List.length locs;
+            locations = s.n_locs;
             graph_checked = graph_exact;
           }
-      | vs -> Rejected vs
+      | _ ->
+        Rejected
+          (List.concat
+             [
+               List.rev s.v_sync;
+               List.rev s.v_irr;
+               List.rev s.v_diff;
+               List.rev s.v_rf;
+               List.rev mo_found;
+               rmw;
+               List.rev s.v_sc_pair;
+               List.rev s.v_sc_read;
+             ])
     end
 
   let finalize s =

@@ -143,8 +143,4 @@ module Stream : sig
 
   (** Actions whose window storage has been retired (freed). *)
   val retired_ops : t -> int
-
-  (** True when a violation froze the window or coherence obligations are
-      pending — the window is no longer shrinking. *)
-  val anomalous : t -> bool
 end

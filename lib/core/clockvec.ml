@@ -95,23 +95,19 @@ let leq a b =
   ||
   let da = a.data and db = b.data in
   let na = Array.length da and nb = Array.length db in
-  if na <= nb then begin
-    (* common case: [a] no wider than [b]; compare slot by slot, exiting on
-       the first violation *)
-    let rec go i =
-      i >= na || (Array.unsafe_get da i <= Array.unsafe_get db i && go (i + 1))
-    in
-    go 0
-  end
-  else begin
-    let rec go i =
-      i >= na
-      ||
-      let bi = if i < nb then Array.unsafe_get db i else 0 in
-      Array.unsafe_get da i <= bi && go (i + 1)
-    in
-    go 0
-  end
+  (* a loop, not a local recursive function: that would be a closure
+     over [da]/[db], allocated on every call *)
+  let n = if na <= nb then na else nb in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get da !i <= Array.unsafe_get db !i do
+    incr i
+  done;
+  (* slots of [a] past [b]'s width compare against 0 *)
+  if !i = n then
+    while !i < na && Array.unsafe_get da !i <= 0 do
+      incr i
+    done;
+  !i >= na
 
 let equal a b = leq a b && leq b a
 

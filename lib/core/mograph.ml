@@ -72,10 +72,44 @@ let get_node t (a : Action.t) =
       n
     | None -> new_node t a)
 
-let find_node t (a : Action.t) =
+(* The node no graph holds: what [live_node] answers for a store without
+   a live node, so callers that ask per pair allocate no option. *)
+let absent =
+  {
+    action =
+      {
+        Action.seq = -1;
+        tid = -1;
+        kind = Action.Fence;
+        loc = -1;
+        mo = Memorder.Relaxed;
+        value = 0;
+        rf = None;
+        hb_cv = Clockvec.bottom ();
+        rf_cv = None;
+        rmw_claimed = false;
+        volatile = false;
+        mo_node = Action.No_graph_node;
+      };
+    edges = no_edges;
+    nedges = 0;
+    rmw = None;
+    cv = Clockvec.bottom ();
+    pruned = true;
+    mark = 0;
+  }
+
+let live_node t (a : Action.t) =
   match a.mo_node with
-  | Cached (n, gid) when gid = t.id && not n.pruned -> Some n
-  | _ -> Hashtbl.find_opt t.nodes a.seq
+  | Cached (n, gid) when gid = t.id && not n.pruned -> n
+  | _ -> (
+    match Hashtbl.find t.nodes a.seq with
+    | n -> n
+    | exception Not_found -> absent)
+
+let find_node t a =
+  let n = live_node t a in
+  if n == absent then None else Some n
 
 (* Edge membership.  Most stores have a handful of mo successors, so
    membership is a scan of the node's own edge array: no hashing, no
@@ -221,20 +255,19 @@ let reaches t (a : Action.t) (b : Action.t) =
    redirects an edge whose source heads an rmw chain to the end of that
    chain (the RMW pinned immediately after a store inherits the store's
    ordering obligations), so feasibility must be checked against the
-   chain's end, not against [from] itself. *)
+   chain's end, not against [from] itself.  A chain that runs into [to_]
+   itself makes the edge redundant: its end is then [absent]. *)
+let rec chain_end_unless to_ n =
+  match n.rmw with
+  | Some r -> if r == to_ then absent else chain_end_unless to_ r
+  | None -> n
+
 let edge_would_close_cycle t ~from ~to_ =
-  if from.Action.seq = to_.Action.seq then false
-  else begin
-    let nf = get_node t from and nt = get_node t to_ in
-    let rec chain_end n =
-      match n.rmw with
-      | Some r -> if r == nt then None else chain_end r
-      | None -> Some n
-    in
-    match chain_end nf with
-    | None -> false (* the chain runs into [to_] itself: edge is redundant *)
-    | Some eff -> eff == nt || Clockvec.leq nt.cv eff.cv
-  end
+  from.Action.seq <> to_.Action.seq
+  &&
+  let nf = get_node t from and nt = get_node t to_ in
+  let eff = chain_end_unless nt nf in
+  eff != absent && (eff == nt || Clockvec.leq nt.cv eff.cv)
 
 let reaches_dfs t (a : Action.t) (b : Action.t) =
   match (find_node t a, find_node t b) with

@@ -43,6 +43,14 @@ val get_node : t -> Action.t -> node
 
 val find_node : t -> Action.t -> node option
 
+(** A node that belongs to no graph: the answer of {!live_node} for a
+    store without a live node. *)
+val absent : node
+
+(** [live_node g a] is [a]'s live node in [g], or {!absent} (compare with
+    [==]).  Like {!find_node}, without allocating an option. *)
+val live_node : t -> Action.t -> node
+
 (** [add_edge g from to_] — the [AddEdge] procedure of Figure 6: skip
     redundant edges, follow rmw chains, insert the edge and propagate clock
     vectors breadth-first.  Duplicate-edge detection scans the source's

@@ -31,8 +31,11 @@ let note_executed st ~tid ~was_rlx_or_rel_store =
    fixed-seed determinism contract depends on that. *)
 
 let arr_mem x (arr : int array) n =
-  let rec go i = i < n && (Array.unsafe_get arr i = x || go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get arr !i <> x do
+    incr i
+  done;
+  !i < n
 
 let random_pick_n rng (enabled : int array) n =
   if n = 1 then enabled.(0) else enabled.(Rng.int rng n)

@@ -522,6 +522,58 @@ let test_ndjson_rejects_malformed () =
               ];
           ]))
 
+(* ---------- report: a malformed artifact is rejected whole ---------- *)
+
+(* Run the c11test binary with stdout and stderr sent to files; its exit
+   code. *)
+let run_cli args ~out ~err =
+  let exe =
+    match Svc.locate_exe () with
+    | Some e -> e
+    | None -> Alcotest.fail "cannot locate c11test.exe next to the test binary"
+  in
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+  let o = fd out and e = fd err in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin o e in
+  Unix.close o;
+  Unix.close e;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED c -> c
+  | _ -> Alcotest.fail "c11test did not exit normally"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A campaign's coverage artifact with one bad c11lint-v1 record after
+   it: nothing may be printed, and stderr names the file and line. *)
+let test_report_rejects_whole () =
+  let tmp name =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "c11report_%d_%s" (Unix.getpid ()) name)
+  in
+  let art = tmp "cov.ndjson" and out = tmp "out" and err = tmp "err" in
+  let code =
+    run_cli
+      [ "fuzz"; "--programs"; "60"; "--seed"; "3"; "--coverage=" ^ art ]
+      ~out ~err
+  in
+  check "fuzz campaign ran" true (code = 0 || code = 1);
+  let lines =
+    List.length (String.split_on_char '\n' (String.trim (read_file art)))
+  in
+  Out_channel.with_open_gen [ Open_append ] 0o644 art (fun oc ->
+      output_string oc
+        {|{"schema":"c11lint-v1","kind":"target","index":0,"target":"x","ops":"many"}|};
+      output_char oc '\n');
+  let code = run_cli [ "report"; art ] ~out ~err in
+  Alcotest.(check int) "exit code" 2 code;
+  Alcotest.(check string) "nothing rendered" "" (read_file out);
+  Alcotest.(check string)
+    "error names the file and line"
+    (Printf.sprintf "report: %s: line %d: malformed target record\n" art
+       (lines + 1))
+    (read_file err);
+  List.iter Sys.remove [ art; out; err ]
+
 (* ---------- progress stream ---------- *)
 
 (* Heartbeat counts and all wall-clock fields are timing-dependent; the
@@ -624,6 +676,8 @@ let suite =
       test_ndjson_roundtrip;
     Alcotest.test_case "malformed c11cov-v1 rejected" `Quick
       test_ndjson_rejects_malformed;
+    Alcotest.test_case "report rejects a malformed artifact whole" `Quick
+      test_report_rejects_whole;
     Alcotest.test_case "progress final-record parity j1/j4" `Slow
       test_progress_final_parity;
     Alcotest.test_case "null progress is a no-op" `Quick

@@ -315,10 +315,14 @@ let test_trace_off_by_default () =
 (* Mean minor-heap words of one [Engine.run] of [prog] over seeds 1..n,
    configs built beforehand and one warm-up run first, so only the
    engine's own allocation is counted. *)
-let words_per_run ?(n = 200) prog =
+let words_per_run ?(n = 200) ?(certify = false) prog =
   let cfgs =
     Array.init (n + 1) (fun seed ->
-        { (Tool.config Tool.C11tester) with Engine.seed = Int64.of_int seed })
+        {
+          (Tool.config Tool.C11tester) with
+          Engine.seed = Int64.of_int seed;
+          certify;
+        })
   in
   ignore (Engine.run cfgs.(0) prog);
   let w0 = Gc.minor_words () in
@@ -345,6 +349,14 @@ let test_alloc_mp_relaxed () =
   check_words "mp_relaxed" ~limit:1_450
     (words_per_run (fun () -> ignore (t.Litmus.run_once ())))
 
+(* Certification on: the limit sits between the streaming certifier's
+   value and its value while it hashed, built closures and bookkept
+   retirement per action (1,478 and 2,366 words in the test build). *)
+let test_alloc_mp_relaxed_certified () =
+  let t = Option.get (Litmus.find "mp_relaxed") in
+  check_words "mp_relaxed, certified" ~limit:1_900
+    (words_per_run ~certify:true (fun () -> ignore (t.Litmus.run_once ())))
+
 let suite =
   [
     Alcotest.test_case "empty program" `Quick test_empty_program;
@@ -369,4 +381,6 @@ let suite =
     Alcotest.test_case "allocation: empty run" `Quick test_alloc_empty_run;
     Alcotest.test_case "allocation: mp_relaxed execution" `Quick
       test_alloc_mp_relaxed;
+    Alcotest.test_case "allocation: certified mp_relaxed execution" `Quick
+      test_alloc_mp_relaxed_certified;
   ]

@@ -357,6 +357,42 @@ let prop_acyclic_invariant =
       let g, _ = build ops in
       Mograph.check_acyclic g)
 
+(* ---------- allocation guard ---------- *)
+
+(* The reachability queries run in every mo-graph propagation, prior-set
+   feasibility test and Theorem-1 comparison, so they allocate nothing:
+   1,000 calls of each must cost no more minor words than an empty loop
+   (the measurement's own overhead). *)
+let test_queries_allocate_nothing () =
+  let g = Mograph.create () in
+  let s = mk_store ~tid:0 1 and later = mk_store ~tid:1 2 in
+  let rmw = mk_store ~tid:2 3 and wide = mk_store ~tid:9 4 in
+  Mograph.add_edge g (Mograph.get_node g s) (Mograph.get_node g later);
+  Mograph.add_rmw_edge g (Mograph.get_node g s) (Mograph.get_node g rmw);
+  ignore (Mograph.get_node g wide);
+  let ca = (Mograph.get_node g later).Mograph.cv in
+  let cb = (Mograph.get_node g wide).Mograph.cv in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let base = words (fun () -> true) in
+  List.iter
+    (fun (name, f) ->
+      let w = words f -. base in
+      if w > 0. then Alcotest.failf "%s: %.0f minor words per 1,000 calls" name w)
+    [
+      ("Clockvec.leq", fun () -> Clockvec.leq ca cb && Clockvec.leq cb ca);
+      ("Mograph.reaches", fun () -> Mograph.reaches g s later);
+      ( "Mograph.edge_would_close_cycle",
+        fun () ->
+          Mograph.edge_would_close_cycle g ~from:s ~to_:later
+          && Mograph.edge_would_close_cycle g ~from:later ~to_:wide );
+    ]
+
 let suite =
   [
     Alcotest.test_case "simple edge" `Quick test_simple_edge;
@@ -366,6 +402,8 @@ let suite =
     Alcotest.test_case "to_dot" `Quick test_to_dot;
     Alcotest.test_case "self edge ignored" `Quick test_self_edge_ignored;
     Alcotest.test_case "hub edge membership" `Quick test_hub_membership;
+    Alcotest.test_case "reachability queries allocate nothing" `Quick
+      test_queries_allocate_nothing;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_theorem_1; prop_would_close_cycle; prop_acyclic_invariant ]

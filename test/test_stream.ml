@@ -373,6 +373,65 @@ let test_pinned_violations () =
         [ ("streaming", true, want_stream); ("post-hoc", false, want_post) ])
     pinned_cases
 
+(* ---------- retirement under a seeded fault ---------- *)
+
+(* A coherence pair that clock vectors cannot confirm must keep the
+   window from retiring: otherwise a violation could slip into the
+   retired prefix, where finalize never sees it.  Under [Drop_mo_edge]
+   these mcs-lock runs hold such pairs from early on, so nothing retires
+   and all 97 violations are reported; their fault-free twins retire
+   most of the run.  (seed, certified_ops, retired_prefix_ops, MD5 of the
+   verdict JSON), for each mutation. *)
+let pinned_retirement =
+  [
+    ( Some Execution.Drop_mo_edge,
+      [
+        (1L, 7089, 0, "ea62cfa87a2e28c0057ec778a663b433");
+        (2L, 7229, 0, "1b41d6a0ef37149169dd6d7fb61e2894");
+        (3L, 7164, 0, "9a09062eafe9f6d6734cca5e4815c3b4");
+      ] );
+    ( None,
+      [
+        (1L, 7235, 2821, "8adb1042b8a65746a4a85cfb03a7319b");
+        (2L, 7037, 2737, "5d996c6caa097ce79d278f4581f52272");
+        (3L, 7138, 2802, "6de734a911367516222449a4da56657a");
+      ] );
+  ]
+
+let test_pinned_retirement () =
+  let w = Option.get (Registry.find "mcs-lock") in
+  let body = w.Registry.run ~variant:Variant.Correct ~scale:150 in
+  List.iter
+    (fun (mutation, runs) ->
+      let name =
+        match mutation with
+        | Some m -> Execution.mutation_name m
+        | None -> "fault-free"
+      in
+      List.iter
+        (fun (seed, certified, retired, md5) ->
+          let o =
+            Engine.run
+              { Engine.default_config with certify = true; seed; mutation }
+              body
+          in
+          let got_md5 =
+            Digest.to_hex
+              (Digest.string
+                 (Jsonx.to_string
+                    (Check.verdict_to_json (Option.get o.Engine.certificate))))
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, seed %Ld" name seed)
+            [ string_of_int certified; string_of_int retired; md5 ]
+            [
+              string_of_int o.Engine.certified_ops;
+              string_of_int o.Engine.retired_prefix_ops;
+              got_md5;
+            ])
+        runs)
+    pinned_retirement
+
 let suite =
   [
     Alcotest.test_case "litmus catalog equivalence" `Quick
@@ -397,4 +456,6 @@ let suite =
       test_major_words_per_execution;
     Alcotest.test_case "pinned violation lists, both modes" `Quick
       test_pinned_violations;
+    Alcotest.test_case "pinned retirement under drop-mo-edge" `Quick
+      test_pinned_retirement;
   ]
