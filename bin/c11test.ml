@@ -25,7 +25,8 @@
      2 — usage errors (unknown workload/litmus test/lint target/pruning
          policy/fuzz profile/mutant/sweep family, non-positive --jobs or
          --workers, unwritable --coverage/--progress path, --cache or
-         --corpus directory, missing or malformed `report' input)
+         --corpus directory, missing, empty or malformed `report' input,
+         and any command line cmdliner cannot parse)
 
    There is also a hidden `worker' mode (spawned by the coordinator when
    `--workers'/`--cache' engage the multi-process fabric, never typed by
@@ -1075,18 +1076,21 @@ let report_cmd =
        heartbeats, c11fuzz-finding-v1 findings, c11lint-v1 static \
        analyses, c11sweep-v1 memory-order sweep matrices and \
        c11corpus-v1 corpus entries, in any mix and order; `-' means \
-       stdin.  Missing files and malformed lines are usage errors (exit \
-       2)."
+       stdin.  Missing files, files with no record and malformed lines \
+       are usage errors (exit 2)."
     in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"FILE" ~doc)
   in
+  (* the non-blank lines with their physical line numbers, so an error
+     names the line an editor shows *)
   let read_lines path =
     let read_channel ic =
-      let lines = ref [] in
+      let lines = ref [] and n = ref 0 in
       (try
          while true do
            let line = input_line ic in
-           if String.trim line <> "" then lines := line :: !lines
+           incr n;
+           if String.trim line <> "" then lines := (!n, line) :: !lines
          done
        with End_of_file -> ());
       List.rev !lines
@@ -1147,22 +1151,22 @@ let report_cmd =
       | path :: rest -> (
         match read_lines path with
         | Error msg -> Error (path, 0, msg)
+        | Ok [] -> Error (path, 0, "no records")
         | Ok lines -> (
-          let rec parse_all n acc' = function
+          let rec parse_all acc' = function
             | [] -> Ok acc'
-            | line :: more -> (
+            | (n, line) :: more -> (
               match Jsonx.parse line with
               | Error e -> Error (path, n, e)
               | Ok j -> (
                 match schema_of j with
                 | Error e -> Error (path, n, e)
-                | Ok schema ->
-                  parse_all (n + 1) ((schema, (path, n, j)) :: acc') more))
+                | Ok schema -> parse_all ((schema, (path, n, j)) :: acc') more))
           in
           (* parse_all's result is file-reversed, so plain concatenation
              keeps acc as the reverse of all files seen so far and the
              final List.rev restores file-and-line order *)
-          match parse_all 1 [] lines with
+          match parse_all [] lines with
           | Error e -> Error e
           | Ok docs -> load (docs @ acc) rest))
     in
@@ -1239,7 +1243,7 @@ let report_cmd =
     in
     match decoded with
     | Error (path, 0, msg) ->
-      (* the file itself could not be read *)
+      (* the file itself could not be read, or holds no record *)
       Printf.eprintf "report: %s: %s\n" path msg;
       2
     | Error (path, line, msg) ->
@@ -1461,10 +1465,18 @@ let () =
         2);
   let doc = "C11Tester reproduction: a race detector for C/C++ atomics" in
   let info = Cmd.info "c11test" ~version:"1.0.0" ~doc in
+  (* cmdliner's own exit codes put a malformed command line at 124; the
+     contract here is 2 for every usage error *)
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            run_cmd; litmus_cmd; fuzz_cmd; sweep_cmd; lint_cmd; report_cmd;
-            list_cmd;
-          ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [
+              run_cmd; litmus_cmd; fuzz_cmd; sweep_cmd; lint_cmd; report_cmd;
+              list_cmd;
+            ])
+     with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

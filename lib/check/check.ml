@@ -1086,12 +1086,11 @@ module Stream = struct
            the first *)
   }
 
-  (* Live writes of one location by one thread, ascending by seq.  The
-     sweep's completeness and readability checks only ever ask for "the
-     newest write at or below a bound", so cells are arrays,
-     binary-searched.  They are filled from the window at the start of a
-     sweep and emptied at its end: nothing reads them in between. *)
-  type cell = { mutable cws : Action.t array; mutable cn : int }
+  (* Live writes of one location by one thread, ascending by seq, in a
+     {!Seqarr}: the sweep's completeness and readability checks only ever
+     ask for "the newest write at or below a bound".  Cells are filled
+     from the window at the start of a sweep and emptied at its end:
+     nothing reads them in between. *)
 
   type lstate = {
     mutable l_last_sc_w : Action.t;
@@ -1101,7 +1100,7 @@ module Stream = struct
         (* per cell tid: newest store seq covered by every runnable
            thread's engine clock (monotone); strictly older same-cell
            stores are unreadable forever *)
-    mutable l_cells : cell array;  (* by tid *)
+    mutable l_cells : Seqarr.t array;  (* by tid *)
   }
 
   type t = {
@@ -1171,7 +1170,7 @@ module Stream = struct
   let mk_tstate () = { cl = [||]; pend = [||]; relf_cv = [||] }
   let no_tstate = mk_tstate ()
 
-  let no_cell = { cws = [||]; cn = 0 }
+  let no_cell = Seqarr.create ()  (* placeholder, never filled *)
 
   let no_lstate =
     {
@@ -1731,18 +1730,12 @@ module Stream = struct
         let c =
           match l.l_cells.(a.tid) with
           | c when c == no_cell ->
-            let c = { cws = Array.make 8 a; cn = 0 } in
+            let c = Seqarr.create () in
             l.l_cells.(a.tid) <- c;
             c
           | c -> c
         in
-        if c.cn = Array.length c.cws then begin
-          let arr = Array.make (2 * c.cn) a in
-          Array.blit c.cws 0 arr 0 c.cn;
-          c.cws <- arr
-        end;
-        c.cws.(c.cn) <- a;
-        c.cn <- c.cn + 1
+        Seqarr.push c a
       end
     done
 
@@ -1751,11 +1744,7 @@ module Stream = struct
     for loc = 0 to Array.length s.locs - 1 do
       let cells = s.locs.(loc).l_cells in
       for tid = 0 to Array.length cells - 1 do
-        let c = cells.(tid) in
-        if c.cn > 0 then begin
-          Array.fill c.cws 0 c.cn no_action;
-          c.cn <- 0
-        end
+        Seqarr.clear cells.(tid)
       done
     done
 
@@ -1776,33 +1765,21 @@ module Stream = struct
         for tid = 0 to Array.length cells - 1 do
           let c = cells.(tid) in
           let bound = if tid = a.tid then before else min (sget snap tid) before in
-          let i = cell_newest_le c bound in
-          if i >= 0 then require_mo s c.cws.(i) a
+          let i = Seqarr.newest_le c bound in
+          if i >= 0 then require_mo s (Seqarr.get c i) a
         done;
       if Action.is_read a then
         match a.rf with
         | Some st when st.loc = a.loc ->
           for tid = 0 to Array.length cells - 1 do
             let c = cells.(tid) in
-            let i = cell_newest_le c (min (sget snap tid) before) in
+            let i = Seqarr.newest_le c (min (sget snap tid) before) in
             if i >= 0 then begin
-              let w = c.cws.(i) in
+              let w = Seqarr.get c i in
               if w.Action.seq <> st.Action.seq then require_mo s w st
             end
           done
         | Some _ | None -> ()
-    end
-
-  (* index of the newest write with seq <= bound, or -1 *)
-  and cell_newest_le c bound =
-    if c.cn = 0 || c.cws.(0).Action.seq > bound then -1
-    else begin
-      let lo = ref 0 and hi = ref (c.cn - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if c.cws.(mid).Action.seq <= bound then lo := mid else hi := mid - 1
-      done;
-      !lo
     end
 
   and retire s =
@@ -1831,9 +1808,9 @@ module Stream = struct
           let cells = l.l_cells in
           for tid = 0 to min nt (Array.length cells) - 1 do
             let c = cells.(tid) in
-            let i = cell_newest_le c omin.(tid) in
-            if i >= 0 && c.cws.(i).Action.seq > l.l_barrier.(tid) then
-              l.l_barrier.(tid) <- c.cws.(i).Action.seq
+            let i = Seqarr.newest_le c omin.(tid) in
+            if i >= 0 && (Seqarr.get c i).Action.seq > l.l_barrier.(tid) then
+              l.l_barrier.(tid) <- (Seqarr.get c i).Action.seq
           done
         end
       done;
@@ -1904,9 +1881,9 @@ module Stream = struct
       (* still-readable = at or past the barrier; the newest write
          strictly below it starts the scan *)
       let b = sget l.l_barrier !tid in
-      let i = ref (max 0 (1 + cell_newest_le c (b - 1))) in
-      while !ok && !i < c.cn do
-        let y = c.cws.(!i) in
+      let i = ref (max 0 (1 + Seqarr.newest_le c (b - 1))) in
+      while !ok && !i < Seqarr.length c do
+        let y = Seqarr.get c !i in
         if y.Action.seq <> w.seq && not (mo_confirmed s w y) then ok := false;
         incr i
       done;

@@ -35,15 +35,18 @@ type thread_state = {
   mutable c : Clockvec.t;
   mutable frel : Clockvec.t;
   mutable facq : Clockvec.t;
-  mutable sc_fences : Action.t list;
+  sc_fences : Seqarr.t;
   mutable live : bool;
 }
 
+(* One (location, thread) cell: its actions in seq order.  Every entry
+   has the cell's tid, so coverage by a clock is monotone along each
+   array and the prior-set scans are binary searches. *)
 type loc_cell = {
   cell_tid : int;
-  mutable c_stores : Action.t list;
-  mutable c_accesses : Action.t list;
-  mutable c_sc_stores : Action.t list;
+  c_stores : Seqarr.t;
+  c_accesses : Seqarr.t;
+  c_sc_stores : Seqarr.t;
 }
 
 (* A synchronisation edge recorded for the certifier: the event at
@@ -75,9 +78,13 @@ type cert_sink = {
 type loc_info = {
   li_loc : int;
   mutable cells : loc_cell list;
-  mutable cell_idx : loc_cell option array;
-      (** tid-indexed view of [cells]: the per-load/store cell lookup is an
-          array probe instead of a list scan *)
+      (* newest-created first: may-read-from visits the cells, and so
+         draws its candidates, in this order *)
+  mutable by_tid : loc_cell array;
+      (* the same cells ascending by tid, in [by_tid.(0 .. ncells-1)]:
+         the prior sets visit them in this order, and the per-access cell
+         lookup is a binary search here *)
+  mutable ncells : int;
   mutable last_sc : Action.t option;
       (** newest seq_cst store to this location, maintained incrementally
           by [record_store] (a new store always has the global max seq) and
@@ -288,11 +295,22 @@ let new_thread t ~parent =
     | None -> Clockvec.bottom ()
   in
   let ts =
-    { tid; c; frel = Clockvec.bottom (); facq = Clockvec.bottom (); sc_fences = []; live = true }
+    {
+      tid;
+      c;
+      frel = Clockvec.bottom ();
+      facq = Clockvec.bottom ();
+      sc_fences = Seqarr.create ();
+      live = true;
+    }
   in
-  let threads = Array.make (tid + 1) ts in
-  Array.blit t.threads 0 threads 0 t.nthreads;
-  t.threads <- threads;
+  let len = Array.length t.threads in
+  if tid >= len then begin
+    let threads = Array.make (max 4 (2 * len)) ts in
+    Array.blit t.threads 0 threads 0 tid;
+    t.threads <- threads
+  end;
+  t.threads.(tid) <- ts;
   t.nthreads <- tid + 1;
   (* The child inherits the parent's whole clock (the
      additional-synchronizes-with edge of thread creation); for the
@@ -338,7 +356,8 @@ let get_loc t loc =
       {
         li_loc = loc;
         cells = [];
-        cell_idx = [||];
+        by_tid = [||];
+        ncells = 0;
         last_sc = None;
         newest = None;
         store_count = 0;
@@ -367,64 +386,87 @@ let set_value t loc v =
 let get_value t loc =
   if loc < Array.length t.values then Array.unsafe_get t.values loc else 0
 
-let new_cell li tid =
-  let c = { cell_tid = tid; c_stores = []; c_accesses = []; c_sc_stores = [] } in
+(* Index in [by_tid] of [tid]'s cell, or of where it would go: a linear
+   scan over the few cells most locations have, a binary search
+   beyond. *)
+let cell_pos li tid =
+  let cells = li.by_tid in
+  if li.ncells <= 4 then begin
+    let i = ref 0 in
+    while !i < li.ncells && (Array.unsafe_get cells !i).cell_tid < tid do
+      incr i
+    done;
+    !i
+  end
+  else begin
+    let lo = ref 0 and hi = ref li.ncells in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if (Array.unsafe_get cells mid).cell_tid < tid then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
+  end
+
+let new_cell li tid i =
+  let c =
+    {
+      cell_tid = tid;
+      c_stores = Seqarr.create ();
+      c_accesses = Seqarr.create ();
+      c_sc_stores = Seqarr.create ();
+    }
+  in
   li.cells <- c :: li.cells;
-  let len = Array.length li.cell_idx in
-  if tid >= len then begin
-    let idx = Array.make (max (tid + 1) (max 4 (2 * len))) None in
-    Array.blit li.cell_idx 0 idx 0 len;
-    li.cell_idx <- idx
+  let n = li.ncells in
+  if n = Array.length li.by_tid then begin
+    let arr = Array.make (max 4 (2 * n)) c in
+    Array.blit li.by_tid 0 arr 0 n;
+    li.by_tid <- arr
   end;
-  li.cell_idx.(tid) <- Some c;
+  Array.blit li.by_tid i li.by_tid (i + 1) (n - i);
+  li.by_tid.(i) <- c;
+  li.ncells <- n + 1;
   c
 
 let get_cell li tid =
-  if tid < Array.length li.cell_idx then
-    match Array.unsafe_get li.cell_idx tid with
-    | Some c -> c
-    | None -> new_cell li tid
-  else new_cell li tid
-
-let find_cell li tid =
-  if tid < Array.length li.cell_idx then Array.unsafe_get li.cell_idx tid
-  else None
+  let i = cell_pos li tid in
+  if i < li.ncells && (Array.unsafe_get li.by_tid i).cell_tid = tid then
+    Array.unsafe_get li.by_tid i
+  else new_cell li tid i
 
 let record_store li (a : Action.t) =
   let cell = get_cell li a.tid in
-  cell.c_stores <- a :: cell.c_stores;
-  cell.c_accesses <- a :: cell.c_accesses;
+  Seqarr.push cell.c_stores a;
+  Seqarr.push cell.c_accesses a;
   (* Sequence numbers are globally increasing, so the store being recorded
      is the location's newest — the caches stay exact without a scan. *)
   li.newest <- Some a;
   if Memorder.is_seq_cst a.mo then begin
-    cell.c_sc_stores <- a :: cell.c_sc_stores;
+    Seqarr.push cell.c_sc_stores a;
     li.last_sc <- Some a
   end;
   li.store_count <- li.store_count + 1
 
 let record_load li (a : Action.t) =
-  let cell = get_cell li a.tid in
-  cell.c_accesses <- a :: cell.c_accesses
+  Seqarr.push (get_cell li a.tid).c_accesses a
 
-(* Rebuild [last_sc]/[newest] from the cell heads; the pruner calls this
-   after removing stores, the only event that can invalidate them. *)
+(* Rebuild [last_sc]/[newest] from the cells' newest entries; the pruner
+   calls this after removing stores, the only event that can invalidate
+   them. *)
 let refresh_loc_caches li =
   let newest = ref None and last_sc = ref None in
+  let newer_of acc c =
+    if not (Seqarr.is_empty c) then
+      let (x : Action.t) = Seqarr.last c in
+      match !acc with
+      | Some (y : Action.t) when y.seq >= x.seq -> ()
+      | _ -> acc := Some x
+  in
   List.iter
     (fun cell ->
-      (match cell.c_stores with
-      | (x : Action.t) :: _ -> (
-        match !newest with
-        | Some (y : Action.t) when y.seq >= x.seq -> ()
-        | _ -> newest := Some x)
-      | [] -> ());
-      match cell.c_sc_stores with
-      | (x : Action.t) :: _ -> (
-        match !last_sc with
-        | Some (y : Action.t) when y.seq >= x.seq -> ()
-        | _ -> last_sc := Some x)
-      | [] -> ())
+      newer_of newest cell.c_stores;
+      newer_of last_sc cell.c_sc_stores)
     li.cells;
   li.newest <- !newest;
   li.last_sc <- !last_sc
@@ -457,22 +499,27 @@ let sc_keep sc (x : Action.t) =
     || not
          ((Memorder.is_seq_cst x.mo && x.seq < s.seq) || Action.happens_before x s)
 
-(* One thread's store list; [cd]/[nc] are the loading thread's clock
-   slots, hoisted out of the loop ([covered] is [Clockvec.covers]). *)
-let rec mrf_walk t sc cd nc = function
-  | [] -> ()
-  | (x : Action.t) :: rest ->
+(* One thread's stores, newest first, down to the newest one the loading
+   thread's clock covers; [cd]/[nc] are that clock's slots, hoisted out
+   of the loop. *)
+let mrf_cell t sc cd nc cell =
+  let st = cell.c_stores in
+  let u = cell.cell_tid in
+  let bound = if u < nc then Array.unsafe_get cd u else 0 in
+  let i = ref (Seqarr.length st - 1) in
+  while !i >= 0 do
+    let (x : Action.t) = Seqarr.get st !i in
     if sc_keep sc x then mrf_push t x;
-    let covered = x.tid < nc && x.seq <= Array.unsafe_get cd x.tid in
-    if not covered then mrf_walk t sc cd nc rest
+    if x.seq <= bound then i := -1 else decr i
+  done
 
 let rec mrf_cells t sc cd nc = function
   | [] -> ()
   | cell :: rest ->
-    mrf_walk t sc cd nc cell.c_stores;
+    mrf_cell t sc cd nc cell;
     mrf_cells t sc cd nc rest
 
-(* For each thread's store list (newest first): every store that does not
+(* For each thread's stores (newest first): every store that does not
    happen before the load is a candidate; the newest store that does happen
    before the load is the final candidate for that thread (anything older is
    hidden behind it: X -sb-> Y -hb-> L).
@@ -505,72 +552,50 @@ let build_may_read_from t li ts ~is_sc =
 (* ------------------------------------------------------------------ *)
 (* priorsets (Figure 13)                                               *)
 
-let get_write (a : Action.t) =
-  match a.kind with
-  | Action.Store | Action.Rmw | Action.Na_store -> Some a
-  | Action.Load -> a.rf
-  | Action.Fence -> None
+(* The newest entry of [c] with seq below [bound], or [dummy_action]
+   (seq 0, below every real action). *)
+let[@inline] newest_before c bound =
+  Seqarr.newest_le_or c (bound - 1) ~default:dummy_action
 
-(* First (newest) action in a newest-first list with seq below [bound]. *)
-let rec first_before bound = function
-  | [] -> None
-  | (x : Action.t) :: rest ->
-    if x.seq < bound then Some x else first_before bound rest
+let[@inline] newer (acc : Action.t) (c : Action.t) = if c.seq > acc.seq then c else acc
 
-(* [current]'s slot array with its length, hoisted by the caller. *)
-let rec first_covered cd nc = function
-  | [] -> None
-  | (x : Action.t) :: rest ->
-    if x.tid < nc && x.seq <= Array.unsafe_get cd x.tid then Some x
-    else first_covered cd nc rest
-
-let newer (acc : Action.t option) (c : Action.t option) =
-  match (acc, c) with
-  | None, x -> x
-  | Some _, None -> acc
-  | Some a, Some b -> if b.seq > a.seq then c else acc
-
-(* Shared scan over one thread's lists; [current] is the acting thread's
-   clock vector used for happens-before tests against the action being
-   processed (which has no record yet).  This runs once per thread per
-   candidate store tried, so the scans are direct recursions — no
-   intermediate closures or candidate list. *)
-let prior_for_thread t li ~u ~last_fence_of_actor ~is_sc_op ~current =
-  let tsu = t.threads.(u) in
-  let cell = find_cell li u in
-  let stores = match cell with None -> [] | Some c -> c.c_stores in
+(* The four terms of Figure 13 for one thread [u], given its cell at the
+   location: each is "the newest entry of one of [u]'s seq-sorted arrays
+   below a bound", a binary search.  [f_l] is the acting thread's newest
+   seq_cst fence ([dummy_action] if none); [current] is its clock, used
+   for happens-before against the action being processed (which has no
+   record yet): [u]'s entries all carry tid [u], so the newest one
+   [current] covers is the newest at or below [current]'s slot for [u].
+   Returns the newest of the four, [dummy_action] when all are empty. *)
+let prior_in_cell t cell ~(f_l : Action.t) ~is_sc_op ~current =
+  let u = cell.cell_tid in
+  let fences = t.threads.(u).sc_fences in
+  let stores = cell.c_stores in
   let s1 =
-    if is_sc_op then
-      match tsu.sc_fences with
-      | [] -> None
-      | (ft : Action.t) :: _ -> first_before ft.seq stores
-    else None
+    if is_sc_op && not (Seqarr.is_empty fences) then
+      newest_before stores (Seqarr.last fences).seq
+    else dummy_action
   in
-  let s2 =
-    match last_fence_of_actor with
-    | None -> None
-    | Some (fl : Action.t) -> (
-      match cell with
-      | None -> None
-      | Some c -> first_before fl.seq c.c_sc_stores)
+  let s23 =
+    if f_l == dummy_action then s1
+    else begin
+      let s2 = newest_before cell.c_sc_stores f_l.seq in
+      let fb = newest_before fences f_l.seq in
+      let s3 = if fb == dummy_action then fb else newest_before stores fb.seq in
+      newer (newer s1 s2) s3
+    end
   in
-  let s3 =
-    match last_fence_of_actor with
-    | None -> None
-    | Some (fl : Action.t) -> (
-      match first_before fl.seq tsu.sc_fences with
-      | None -> None
-      | Some fb -> first_before fb.seq stores)
-  in
-  let s4 =
-    match cell with
-    | None -> None
-    | Some c ->
-      first_covered (Clockvec.raw current) (Clockvec.width current) c.c_accesses
-  in
-  match newer (newer (newer s1 s2) s3) s4 with
-  | None -> None
-  | Some a -> get_write a
+  newer s23
+    (Seqarr.newest_le_or cell.c_accesses (Clockvec.get current u)
+       ~default:dummy_action)
+
+(* The write a prior-set term stands for: a store itself, the store a
+   load read from. *)
+let add_prior_write acc (a : Action.t) =
+  match a.kind with
+  | Action.Store | Action.Rmw | Action.Na_store -> a :: acc
+  | Action.Load -> ( match a.rf with Some w -> w :: acc | None -> acc)
+  | Action.Fence -> acc
 
 (* Is the mo constraint [e -> s] unsatisfiable given the current graph?
    In Full_c11 this is the rollback-free cycle check of Section 4.3
@@ -581,25 +606,31 @@ let edge_infeasible t ~(from : Action.t) ~(to_ : Action.t) =
   | Full_c11 -> Mograph.edge_would_close_cycle t.graph ~from ~to_
   | Total_mo -> to_.seq <= from.seq
 
+let newest_fence (ts : thread_state) =
+  if Seqarr.is_empty ts.sc_fences then dummy_action else Seqarr.last ts.sc_fences
+
+(* The prior-set writes of every cell of [li], ascending by tid, pushed
+   onto [acc] (so the highest tid ends up first). *)
+let prior_cells t li ~f_l ~is_sc_op ~current acc =
+  let acc = ref acc in
+  for i = 0 to li.ncells - 1 do
+    let w = prior_in_cell t (Array.unsafe_get li.by_tid i) ~f_l ~is_sc_op ~current in
+    if w != dummy_action then acc := add_prior_write !acc w
+  done;
+  !acc
+
 (* ReadPriorSet (Figure 13), in two halves.  The per-thread stores a load
    must be mo-after do not depend on the store it reads, so
    [read_prior_base] computes them once per operation, highest thread id
    first; [read_prior_set] then drops the candidate [s] itself (keeping
    the order, whose head [Drop_mo_edge] drops) and returns [None] if any
    remaining edge source is already reachable from [s] — i.e. the read
-   would put a cycle in the mo-graph. *)
+   would put a cycle in the mo-graph.  Only threads with a cell at the
+   location can contribute (all four terms read the cell), so the loop
+   visits the cells, ascending by tid, not every thread. *)
 let read_prior_base t li ts ~load_mo =
-  let f_l = match ts.sc_fences with [] -> None | f :: _ -> Some f in
-  let is_sc_op = Memorder.is_seq_cst load_mo in
-  let priorset = ref [] in
-  for u = 0 to t.nthreads - 1 do
-    match
-      prior_for_thread t li ~u ~last_fence_of_actor:f_l ~is_sc_op ~current:ts.c
-    with
-    | Some w -> priorset := w :: !priorset
-    | None -> ()
-  done;
-  !priorset
+  prior_cells t li ~f_l:(newest_fence ts)
+    ~is_sc_op:(Memorder.is_seq_cst load_mo) ~current:ts.c []
 
 (* [base] without the candidate [s], in order; shares [base] when [s] is
    not in it (the common case). *)
@@ -626,20 +657,12 @@ let read_prior_set t base (s : Action.t) =
    clock to run the happens-before scans against — [ts.c] at commit time,
    or a what-if clock for the RMW pre-check. *)
 let write_prior_set t li ts ~store_mo ~current =
-  let f_s = match ts.sc_fences with [] -> None | f :: _ -> Some f in
   let is_sc_op = Memorder.is_seq_cst store_mo in
-  let priorset = ref [] in
-  if is_sc_op then begin
-    match last_sc_store li with
-    | Some x -> priorset := x :: !priorset
-    | None -> ()
-  end;
-  for u = 0 to t.nthreads - 1 do
-    match prior_for_thread t li ~u ~last_fence_of_actor:f_s ~is_sc_op ~current with
-    | Some w -> priorset := w :: !priorset
-    | None -> ()
-  done;
-  !priorset
+  let acc =
+    if is_sc_op then match last_sc_store li with Some x -> [ x ] | None -> []
+    else []
+  in
+  prior_cells t li ~f_l:(newest_fence ts) ~is_sc_op ~current acc
 
 let rec none_reached t (s : Action.t) = function
   | [] -> true
@@ -1030,7 +1053,7 @@ let fence t ~tid ~mo =
   if Memorder.is_release mo then ts.frel <- Clockvec.copy ts.c;
   if Memorder.is_seq_cst mo then begin
     let a = mk_action t ts Action.Fence ~loc:(-1) ~mo ~value:0 ~volatile:false ~seq in
-    ts.sc_fences <- a :: ts.sc_fences;
+    Seqarr.push ts.sc_fences a;
     if t.cert_on then cert_feed t a
   end
   else if t.cert_on then begin
@@ -1105,6 +1128,8 @@ let cert_sync_edges t = List.rev t.cert_sync_rev
 
 module Internal = struct
   let build_may_read_from = build_may_read_from
+  let read_prior_base = read_prior_base
+  let write_prior_set = write_prior_set
   let last_sc_store = last_sc_store
   let find_loc = find_loc
 end

@@ -68,24 +68,28 @@ type thread_state = {
   mutable c : Clockvec.t;  (** C_t: the thread's happens-before clock *)
   mutable frel : Clockvec.t;  (** F^rel_t: release-fence clock *)
   mutable facq : Clockvec.t;  (** F^acq_t: acquire-fence clock *)
-  mutable sc_fences : Action.t list;  (** newest first *)
+  sc_fences : Seqarr.t;  (** the thread's seq_cst fences, oldest first *)
   mutable live : bool;
 }
 
-(** Per-(location, thread) action lists, newest first. *)
+(** Per-(location, thread) actions, oldest first.  Every entry has tid
+    [cell_tid], so the prior-set scans are binary searches. *)
 type loc_cell = {
   cell_tid : int;
-  mutable c_stores : Action.t list;  (** stores, RMWs and na-stores *)
-  mutable c_accesses : Action.t list;  (** loads as well *)
-  mutable c_sc_stores : Action.t list;
+  c_stores : Seqarr.t;  (** stores, RMWs and na-stores *)
+  c_accesses : Seqarr.t;  (** loads as well *)
+  c_sc_stores : Seqarr.t;
 }
 
 type loc_info = {
   li_loc : int;
   mutable cells : loc_cell list;
-  mutable cell_idx : loc_cell option array;
-      (** tid-indexed view of [cells], so per-access cell lookup is an array
-          probe; {!Pruner} may keep iterating [cells], which stays in sync *)
+      (** newest-created first, the order may-read-from visits them in *)
+  mutable by_tid : loc_cell array;
+      (** the same cells ascending by tid, in [by_tid.(0 .. ncells-1)]:
+          the order the prior sets visit them in, binary-searched by the
+          per-access cell lookup *)
+  mutable ncells : int;
   mutable last_sc : Action.t option;
       (** newest seq_cst store, maintained incrementally by the store rules;
           after pruning stores call {!refresh_loc_caches} *)
@@ -276,8 +280,9 @@ val fence : t -> tid:int -> mo:Memorder.t -> unit
 val na_read : t -> tid:int -> loc:int -> int
 val na_write : t -> tid:int -> loc:int -> int -> unit
 
-(** Rebuild a location's [last_sc]/[newest] caches from its cell heads.
-    {!Pruner} must call this for every location it removed stores from. *)
+(** Rebuild a location's [last_sc]/[newest] caches from its cells'
+    newest entries.  {!Pruner} must call this for every location it
+    removed stores from. *)
 val refresh_loc_caches : loc_info -> unit
 
 (** Number of stores currently retained across all atomic locations. *)
@@ -305,4 +310,18 @@ module Internal : sig
 
   val last_sc_store : loc_info -> Action.t option
   val find_loc : t -> int -> loc_info option
+
+  (** ReadPriorSet's candidate-independent part and WritePriorSet
+      (Figure 13), highest thread id first (WritePriorSet's last seq_cst
+      store last). *)
+  val read_prior_base :
+    t -> loc_info -> thread_state -> load_mo:Memorder.t -> Action.t list
+
+  val write_prior_set :
+    t ->
+    loc_info ->
+    thread_state ->
+    store_mo:Memorder.t ->
+    current:Clockvec.t ->
+    Action.t list
 end

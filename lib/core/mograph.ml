@@ -13,10 +13,22 @@ type node = {
    the [pruned] flag against a stale pointer after a prune sweep. *)
 type Action.graph_node += Cached of node * int
 
+(* Tables keyed by a store's seq (or a packed edge key): int-specialised,
+   so a lookup compares keys inline instead of through the polymorphic
+   [compare].  The hash is the generic table's, so the node table keeps
+   the bucket layout, and with it the [iter_nodes] order, of a
+   [(int, node) Hashtbl.t]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (x : int) = Hashtbl.hash x
+end)
+
 type t = {
   id : int;
-  nodes : (int, node) Hashtbl.t;
-  mutable hub_keys : (int, unit) Hashtbl.t option;
+  nodes : node Itbl.t;
+  mutable hub_keys : unit Itbl.t option;
       (* membership of the out-edges of hub nodes (see [scan_limit]) as
          packed (from.seq, to.seq) keys; created with the first hub *)
   queue : node Queue.t;  (* reusable BFS worklist for [propagate_from] *)
@@ -38,13 +50,13 @@ let create () =
      bigger workloads *)
   {
     id;
-    nodes = Hashtbl.create 16;
+    nodes = Itbl.create 16;
     hub_keys = None;
     queue = Queue.create ();
     gen = 0;
   }
 
-let size t = Hashtbl.length t.nodes
+let size t = Itbl.length t.nodes
 
 let new_node t (a : Action.t) =
   let n =
@@ -58,7 +70,7 @@ let new_node t (a : Action.t) =
       mark = 0;
     }
   in
-  Hashtbl.add t.nodes a.seq n;
+  Itbl.add t.nodes a.seq n;
   a.mo_node <- Cached (n, t.id);
   n
 
@@ -66,7 +78,7 @@ let get_node t (a : Action.t) =
   match a.mo_node with
   | Cached (n, gid) when gid = t.id && not n.pruned -> n
   | _ -> (
-    match Hashtbl.find_opt t.nodes a.seq with
+    match Itbl.find_opt t.nodes a.seq with
     | Some n ->
       a.mo_node <- Cached (n, t.id);
       n
@@ -103,7 +115,7 @@ let live_node t (a : Action.t) =
   match a.mo_node with
   | Cached (n, gid) when gid = t.id && not n.pruned -> n
   | _ -> (
-    match Hashtbl.find t.nodes a.seq with
+    match Itbl.find t.nodes a.seq with
     | n -> n
     | exception Not_found -> absent)
 
@@ -129,7 +141,7 @@ let hub_keys t =
   match t.hub_keys with
   | Some h -> h
   | None ->
-    let h = Hashtbl.create 64 in
+    let h = Itbl.create 64 in
     t.hub_keys <- Some h;
     h
 
@@ -138,7 +150,7 @@ let rec scan_edges edges to_ i =
 
 let has_edge t from to_ =
   if from.nedges <= scan_limit then scan_edges from.edges to_ (from.nedges - 1)
-  else Hashtbl.mem (hub_keys t) (edge_key from to_)
+  else Itbl.mem (hub_keys t) (edge_key from to_)
 
 let push_edge t from to_ =
   let n = from.nedges in
@@ -160,9 +172,9 @@ let push_edge t from to_ =
     (* on becoming a hub, index the edges the scan used to cover *)
     if n = scan_limit then
       for i = 0 to n - 1 do
-        Hashtbl.replace h (edge_key from from.edges.(i)) ()
+        Itbl.replace h (edge_key from from.edges.(i)) ()
       done;
-    Hashtbl.replace h (edge_key from to_) ()
+    Itbl.replace h (edge_key from to_) ()
   end
 
 (* Forget [n]'s out-edges (they are being migrated or the node pruned). *)
@@ -170,7 +182,7 @@ let clear_edges t n =
   if n.nedges > scan_limit then begin
     let h = hub_keys t in
     for i = 0 to n.nedges - 1 do
-      Hashtbl.remove h (edge_key n n.edges.(i))
+      Itbl.remove h (edge_key n n.edges.(i))
     done
   end;
   n.edges <- no_edges;
@@ -287,15 +299,15 @@ let reaches_dfs t (a : Action.t) (b : Action.t) =
     na == nb || go na
 
 let remove_node t (a : Action.t) =
-  match Hashtbl.find_opt t.nodes a.seq with
+  match Itbl.find_opt t.nodes a.seq with
   | None -> ()
   | Some n ->
     n.pruned <- true;
     clear_edges t n;
     a.mo_node <- Action.No_graph_node;
-    Hashtbl.remove t.nodes a.seq
+    Itbl.remove t.nodes a.seq
 
-let iter_nodes t f = Hashtbl.iter (fun _ n -> f n) t.nodes
+let iter_nodes t f = Itbl.iter (fun _ n -> f n) t.nodes
 
 let to_dot t =
   let buf = Buffer.create 1024 in

@@ -42,6 +42,21 @@ let mo_before exec (x : Action.t) (s : Action.t) =
     | _ -> false)
   | Total_mo -> x.seq < s.seq
 
+(* The cell's sc stores that survived the compaction of its stores: both
+   arrays ascend by seq and the first is a subset of the second, so one
+   merge pass keeps exactly the retained ones. *)
+let compact_sc_stores cell =
+  let stores = cell.c_stores in
+  let j = ref 0 in
+  ignore
+    (Seqarr.filter_in_place cell.c_sc_stores (fun (x : Action.t) ->
+         while
+           !j < Seqarr.length stores && (Seqarr.get stores !j).Action.seq < x.seq
+         do
+           incr j
+         done;
+         !j < Seqarr.length stores && Seqarr.get stores !j == x))
+
 let prune_with_anchors exec ~anchors_of_loc =
   let stores_pruned = ref 0 and loads_pruned = ref 0 in
   Array.iter
@@ -53,47 +68,44 @@ let prune_with_anchors exec ~anchors_of_loc =
         let removed = Hashtbl.create 16 in
         List.iter
           (fun cell ->
-            let keep, drop =
-              List.partition
-                (fun (x : Action.t) ->
-                  not (List.exists (fun s -> mo_before exec x s) anchors))
-                cell.c_stores
+            (* decide the whole cell against the graph as it stands, then
+               remove the dropped nodes *)
+            let drop = ref [] in
+            let dropped =
+              Seqarr.filter_in_place cell.c_stores (fun (x : Action.t) ->
+                  if List.exists (fun s -> mo_before exec x s) anchors then begin
+                    drop := x :: !drop;
+                    false
+                  end
+                  else true)
             in
-            if drop <> [] then begin
+            if dropped > 0 then begin
               List.iter
                 (fun (x : Action.t) ->
                   Hashtbl.replace removed x.seq ();
-                  Mograph.remove_node exec.graph x;
-                  incr stores_pruned)
-                drop;
-              cell.c_stores <- keep;
-              li.store_count <- li.store_count - List.length drop;
-              cell.c_sc_stores <-
-                List.filter
-                  (fun (x : Action.t) -> not (Hashtbl.mem removed x.seq))
-                  cell.c_sc_stores
+                  Mograph.remove_node exec.graph x)
+                !drop;
+              stores_pruned := !stores_pruned + dropped;
+              li.store_count <- li.store_count - dropped;
+              compact_sc_stores cell
             end)
           li.cells;
         if Hashtbl.length removed > 0 then begin
           (* Drop pruned stores and any loads that read from them from the
-             access lists. *)
+             access arrays. *)
           List.iter
             (fun cell ->
-              let keep, drop =
-                List.partition
-                  (fun (a : Action.t) ->
-                    (not (Hashtbl.mem removed a.seq))
-                    &&
-                    match a.rf with
-                    | Some s -> not (Hashtbl.mem removed s.seq)
-                    | None -> true)
-                  cell.c_accesses
-              in
-              List.iter
-                (fun (a : Action.t) ->
-                  if a.kind = Action.Load then incr loads_pruned)
-                drop;
-              cell.c_accesses <- keep)
+              ignore
+                (Seqarr.filter_in_place cell.c_accesses (fun (a : Action.t) ->
+                     let keep =
+                       (not (Hashtbl.mem removed a.seq))
+                       &&
+                       match a.rf with
+                       | Some s -> not (Hashtbl.mem removed s.seq)
+                       | None -> true
+                     in
+                     if (not keep) && a.kind = Action.Load then incr loads_pruned;
+                     keep)))
             li.cells;
           (* Removing stores may have invalidated the location's
              incremental newest/last-sc caches. *)
@@ -107,26 +119,30 @@ let prune_fences exec cvmin =
   let pruned = ref 0 in
   for i = 0 to exec.nthreads - 1 do
     let ts = exec.threads.(i) in
-    let keep, drop =
-      List.partition
-        (fun (f : Action.t) ->
-          not (Clockvec.covers cvmin ~tid:f.tid ~seq:f.seq))
-        ts.sc_fences
-    in
-    pruned := !pruned + List.length drop;
-    ts.sc_fences <- keep
+    pruned :=
+      !pruned
+      + Seqarr.filter_in_place ts.sc_fences (fun (f : Action.t) ->
+            not (Clockvec.covers cvmin ~tid:f.tid ~seq:f.seq))
   done;
   !pruned
+
+(* The stores of every cell of [li] satisfying [p], as a list. *)
+let stores_where li p =
+  List.fold_left
+    (fun acc cell ->
+      let acc = ref acc in
+      for i = Seqarr.length cell.c_stores - 1 downto 0 do
+        let s = Seqarr.get cell.c_stores i in
+        if p s then acc := s :: !acc
+      done;
+      !acc)
+    [] li.cells
 
 let prune_conservative exec =
   let cvmin = cv_min exec in
   let anchors_of_loc li =
-    List.concat_map
-      (fun cell ->
-        List.filter
-          (fun (s : Action.t) -> Clockvec.covers cvmin ~tid:s.tid ~seq:s.seq)
-          cell.c_stores)
-      li.cells
+    stores_where li (fun (s : Action.t) ->
+        Clockvec.covers cvmin ~tid:s.tid ~seq:s.seq)
   in
   let stores_pruned, loads_pruned = prune_with_anchors exec ~anchors_of_loc in
   let fences_pruned = prune_fences exec cvmin in
@@ -135,12 +151,7 @@ let prune_conservative exec =
 
 let prune_aggressive exec ~window =
   let boundary = exec.seq - window in
-  let anchors_of_loc li =
-    List.concat_map
-      (fun cell ->
-        List.filter (fun (s : Action.t) -> s.seq < boundary) cell.c_stores)
-      li.cells
-  in
+  let anchors_of_loc li = stores_where li (fun (s : Action.t) -> s.seq < boundary) in
   let stores_pruned, loads_pruned = prune_with_anchors exec ~anchors_of_loc in
   let fences_pruned = prune_fences exec (cv_min exec) in
   exec.pruned_count <- exec.pruned_count + stores_pruned;

@@ -13,21 +13,32 @@ type report = {
   second_class : access_class;
 }
 
-(* Shadow cell: slot [tid] of each vector holds the sequence number of
-   thread [tid]'s most recent access of that class (0 = none).  Per-thread
-   "last access" suffices because same-thread accesses are ordered by
-   sequenced-before.  A vector is a bare int array, empty until the first
-   access of its class and grown only on a write: most locations see one
-   or two of the four classes, so the other slots cost nothing.
+(* Shadow cell: each of the four access classes keeps, for every thread
+   that accessed the location in that class, the sequence number of its
+   most recent such access.  Per-thread "last access" suffices because
+   same-thread accesses are ordered by sequenced-before.  A class is a
+   thread-sparse slot: one int per thread that accessed the location in
+   that class, packing its tid above its seq ([entry]), ascending by tid
+   in [v.(0 .. n-1)].  Its size follows the threads that touched the
+   location, not the largest tid the execution has created.  A class
+   nobody accessed has an empty array, so checking it is free.
 
-   Each vector carries a FastTrack-style epoch witness [cov_tid]: the
+   Each slot carries a FastTrack-style epoch witness [cov_tid]: the
    thread whose happens-before clock was last verified to cover every
    other thread's entry.  A thread's clock only grows, and the witness is
    invalidated whenever a different thread writes an entry, so a re-check
    by the witness thread is guaranteed conflict-free and skips the
-   vector-width loop entirely — the same-epoch shortcut that makes the
-   common run of same-thread accesses O(1) per access. *)
-type slot = { mutable v : int array; mutable cov_tid : int }
+   scan entirely — the same-epoch shortcut that makes the common run of
+   same-thread accesses O(1) per access. *)
+type slot = { mutable v : int array; mutable n : int; mutable cov_tid : int }
+
+(* A slot entry: [tid] above [seq_bits] bits of seq.  Seqs count an
+   execution's events and stay far below 2^40 (the engine's step limit
+   is in the millions); entries order as their tids. *)
+let seq_bits = 40
+let seq_mask = (1 lsl seq_bits) - 1
+let[@inline] entry ~tid ~seq = (tid lsl seq_bits) lor seq
+let[@inline] entry_tid x = x lsr seq_bits
 
 type shadow = { na_w : slot; at_w : slot; na_r : slot; at_r : slot }
 
@@ -47,7 +58,7 @@ type t = {
 (* Placeholder for a location never accessed; compared physically, never
    checked or written. *)
 let no_shadow =
-  let s = { v = [||]; cov_tid = -1 } in
+  let s = { v = [||]; n = 0; cov_tid = -1 } in
   { na_w = s; at_w = s; na_r = s; at_r = s }
 
 let create ?(obs = Obs.null) ?(metrics = Metrics.null) () =
@@ -78,10 +89,10 @@ let loc_name t loc =
 let new_shadow t loc =
   let s =
     {
-      na_w = { v = [||]; cov_tid = -1 };
-      at_w = { v = [||]; cov_tid = -1 };
-      na_r = { v = [||]; cov_tid = -1 };
-      at_r = { v = [||]; cov_tid = -1 };
+      na_w = { v = [||]; n = 0; cov_tid = -1 };
+      at_w = { v = [||]; n = 0; cov_tid = -1 };
+      na_r = { v = [||]; n = 0; cov_tid = -1 };
+      at_r = { v = [||]; n = 0; cov_tid = -1 };
     }
   in
   let len = Array.length t.shadows in
@@ -99,21 +110,25 @@ let shadow t loc =
     if s == no_shadow then new_shadow t loc else s
   else new_shadow t loc
 
-(* The slow path: scan the prior vector for entries unordered with [hb],
-   reporting each.  Returns whether any conflict was found, so the caller
-   can install the coverage witness on a clean scan. *)
-let report_conflicts t pd ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
+(* The slow path: scan the prior slot for entries unordered with [hb],
+   reporting each, ascending by tid.  Returns whether any conflict was
+   found, so the caller can install the coverage witness on a clean
+   scan. *)
+let report_conflicts t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
     ~is_write ~cls =
   let found_any = ref false in
-  (* Raw slot scan: a never-accessed slot has width 0, so the loop is free,
-     and the common miss (entry covered by [hb]) is two loads and two
-     compares per slot.  Conflicts take the boxed slow path below. *)
+  (* Raw slot scan: the common miss (entry covered by [hb]) is two loads
+     and two compares per entry.  Conflicts take the boxed slow path
+     below. *)
   let hd = Clockvec.raw hb in
   let nh = Array.length hd in
-  for u = 0 to Array.length pd - 1 do
+  let v = slot.v in
+  for i = 0 to slot.n - 1 do
+    let x = Array.unsafe_get v i in
+    let u = entry_tid x in
     if u <> tid then begin
-      let s = Array.unsafe_get pd u in
-      if s > 0 && s > (if u < nh then Array.unsafe_get hd u else 0) then begin
+      let s = x land seq_mask in
+      if s > (if u < nh then Array.unsafe_get hd u else 0) then begin
         found_any := true;
         let r =
           {
@@ -149,8 +164,8 @@ let report_conflicts t pd ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
   done;
   !found_any
 
-(* Check the access against one prior vector.  A top-level function, not
-   a closure over the access: it runs up to four times per access. *)
+(* Check the access against one prior slot.  A top-level function, not a
+   closure over the access: it runs up to four times per access. *)
 let check t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb ~is_write
     ~cls =
   if slot.cov_tid = tid then begin
@@ -160,28 +175,64 @@ let check t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb ~is_write
   end
   else if
     not
-      (report_conflicts t slot.v ~prior_is_write ~prior_class ~loc ~tid ~seq
-         ~hb ~is_write ~cls)
+      (report_conflicts t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
+         ~is_write ~cls)
   then slot.cov_tid <- tid
 
-(* Record [tid]'s access at [seq], growing the vector (doubling, never
-   below 4 slots) on the class's first write by a new thread. *)
-let record slot ~tid ~seq =
+(* Index of [tid]'s entry in [slot], or of where it would go: a linear
+   scan over the few entries most slots hold, a binary search beyond. *)
+let entry_pos slot tid =
   let v = slot.v in
-  let len = Array.length v in
-  if tid < len then Array.unsafe_set v tid seq
+  if slot.n <= 4 then begin
+    let i = ref 0 in
+    while !i < slot.n && entry_tid (Array.unsafe_get v !i) < tid do
+      incr i
+    done;
+    !i
+  end
   else begin
-    let v' =
-      if len = 0 && tid < 4 then [| 0; 0; 0; 0 |]
-      else begin
-        let a = Array.make (max (tid + 1) (max 4 (2 * len))) 0 in
-        Array.blit v 0 a 0 len;
-        a
-      end
-    in
-    Array.unsafe_set v' tid seq;
-    slot.v <- v'
-  end;
+    let lo = ref 0 and hi = ref slot.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if entry_tid (Array.unsafe_get v mid) < tid then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
+  end
+
+(* Insert [tid]'s first entry at index [i], doubling the array when
+   full. *)
+let insert slot i ~tid ~seq =
+  let n = slot.n in
+  let v =
+    if n < Array.length slot.v then slot.v
+    else begin
+      let a = if n = 0 then [| 0 |] else Array.make (2 * n) 0 in
+      Array.blit slot.v 0 a 0 n;
+      slot.v <- a;
+      a
+    end
+  in
+  Array.blit v i v (i + 1) (n - i);
+  Array.unsafe_set v i (entry ~tid ~seq);
+  slot.n <- n + 1
+
+(* Record [tid]'s access at [seq], inserting its entry on the class's
+   first access by [tid].  The tids ascend and are distinct, so the
+   entry at index [i] has tid at least [i]: [tid]'s entry is at index
+   [tid] when the slot holds every thread up to it (a small program's
+   threads), and last when [tid] is the largest (a thread touching its
+   own locations).  Those two are tried before the search. *)
+let record slot ~tid ~seq =
+  let v = slot.v and n = slot.n in
+  let j = if tid < n then tid else n - 1 in
+  (if n > 0 && entry_tid (Array.unsafe_get v j) = tid then
+     Array.unsafe_set v j (entry ~tid ~seq)
+   else
+     let i = entry_pos slot tid in
+     if i < n && entry_tid (Array.unsafe_get v i) = tid then
+       Array.unsafe_set v i (entry ~tid ~seq)
+     else insert slot i ~tid ~seq);
   if slot.cov_tid <> tid then slot.cov_tid <- -1
 
 let on_access t ~loc ~tid ~seq ~hb ~is_write ~cls =

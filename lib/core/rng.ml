@@ -1,17 +1,30 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state, unboxed: eight bytes read and written through
+   the native 64-bit accessors, so a draw that the caller narrows to an
+   int ([int], [bool]) allocates nothing (a [mutable] int64 field would
+   box a fresh int64 at every draw). *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set64 t 0 seed;
+  t
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix64 s
+
+let next_int64 t = next t
 
 let split t =
   let s = next_int64 t in
@@ -29,13 +42,13 @@ let substream base ~index =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
+  let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   r mod bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let float t =
-  let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
+  let r = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int r /. float_of_int (1 lsl 53)
 
 let shuffle_in_place t arr =

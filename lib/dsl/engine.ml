@@ -68,14 +68,14 @@ let assert_that cond msg = if not cond then raise (Assertion_violation msg)
 
 (* ------------------------------------------------------------------ *)
 
-type pending =
-  | App_op of Op.t  (** a visible operation requested by the program *)
-  | Relock of int  (** woken from a condvar; must re-acquire the mutex *)
-  | Sleeping of { cond : int; mutex : int }  (** waiting on a condvar *)
-
 type thread_status =
   | Not_started of (unit -> unit)
-  | Pending of pending * Fiber.cont
+  | Pending of Op.t * Fiber.cont
+      (** parked at a visible operation requested by the program *)
+  | Relock of int * Fiber.cont
+      (** woken from a condvar; must re-acquire the mutex *)
+  | Sleeping of { cond : int; mutex : int; k : Fiber.cont }
+      (** waiting on a condvar *)
   | Finished
 
 type mutex = {
@@ -94,18 +94,22 @@ type thread = {
   tid : int;
   mutable status : thread_status;
   mutable final_cv : Clockvec.t option;
-  ctx : inline_ctx option;
-      (** the thread's inline context (see [inline_ctx_key] below), built
-          once when the thread is added *)
 }
 
-and state = {
+type state = {
   config : config;
   exec : Execution.t;
   rng : Rng.t;
   race : Race.t;
   mutable threads : thread array;
   mutable nthreads : int;
+  mutable live : int array;
+      (* the unfinished tids, ascending, in [live.(0 .. nlive-1)]: the
+         scheduler scans these, not every thread ever created *)
+  mutable nlive : int;
+  mutable running : int;
+      (* the tid whose fiber is executing, -1 between fiber steps (see the
+         inline fast path below) *)
   mutable mutexes : mutex array;
   mutable nmutexes : int;
   mutable condvars : condvar array;
@@ -119,8 +123,6 @@ and state = {
   mutable deadlock : bool;
   mutable step_limit_hit : bool;
 }
-
-and inline_ctx = { ic_st : state; ic_tid : int }
 
 let grow_push arr n v =
   let len = Array.length arr in
@@ -136,18 +138,24 @@ let grow_push arr n v =
 
 let add_thread st body ~parent =
   let tid = Execution.new_thread st.exec ~parent in
-  let th =
-    {
-      tid;
-      status = Not_started body;
-      final_cv = None;
-      ctx = Some { ic_st = st; ic_tid = tid };
-    }
-  in
+  let th = { tid; status = Not_started body; final_cv = None } in
   st.threads <- grow_push st.threads st.nthreads th;
   st.nthreads <- st.nthreads + 1;
   assert (tid = st.nthreads - 1);
+  (* the newest tid is the largest, so appending keeps [live] ascending *)
+  st.live <- grow_push st.live st.nlive tid;
+  st.nlive <- st.nlive + 1;
   tid
+
+(* Take a finished thread out of [live], keeping the rest in order. *)
+let retire_live st tid =
+  let live = st.live in
+  let i = ref 0 in
+  while live.(!i) <> tid do
+    incr i
+  done;
+  Array.blit live (!i + 1) live !i (st.nlive - !i - 1);
+  st.nlive <- st.nlive - 1
 
 let add_mutex st =
   let m =
@@ -177,31 +185,30 @@ let condvar st c =
 (* Enabledness: a thread is disabled while it waits on a held mutex, an
    unfinished thread or a condition variable (Section 3). *)
 
-let op_enabled st = function
-  | App_op (Op.Mutex_lock m) -> (mutex st m).locked_by = None
-  | App_op (Op.Join tid) -> (
-    match st.threads.(tid).status with Finished -> true | _ -> false)
-  | Relock m -> (mutex st m).locked_by = None
-  | Sleeping _ -> false
-  | App_op _ -> true
-
 let thread_enabled st th =
   match th.status with
   | Not_started _ -> true
-  | Pending (p, _) -> op_enabled st p
-  | Finished -> false
+  | Pending (Op.Mutex_lock m, _) | Relock (m, _) ->
+    (mutex st m).locked_by = None
+  | Pending (Op.Join tid, _) -> (
+    match st.threads.(tid).status with Finished -> true | _ -> false)
+  | Pending _ -> true
+  | Sleeping _ | Finished -> false
 
 (* Fill [st.enabled_buf] with the enabled tids in ascending order and
    return how many there are — ran on every scheduling decision, so no
-   per-step list. *)
+   per-step list, and over the unfinished threads only: a finished
+   thread is never enabled, so skipping it leaves the buffer unchanged. *)
 let collect_enabled st =
-  if Array.length st.enabled_buf < st.nthreads then
-    st.enabled_buf <- Array.make (max 8 (2 * st.nthreads)) 0;
+  if Array.length st.enabled_buf < st.nlive then
+    st.enabled_buf <- Array.make (max 8 (2 * st.nlive)) 0;
   let buf = st.enabled_buf in
+  let live = st.live in
   let n = ref 0 in
-  for i = 0 to st.nthreads - 1 do
-    if thread_enabled st st.threads.(i) then begin
-      buf.(!n) <- i;
+  for i = 0 to st.nlive - 1 do
+    let tid = Array.unsafe_get live i in
+    if thread_enabled st st.threads.(tid) then begin
+      buf.(!n) <- tid;
       incr n
     end
   done;
@@ -209,7 +216,7 @@ let collect_enabled st =
 
 let pending_is_rlx_store st tid =
   match st.threads.(tid).status with
-  | Pending (App_op op, _) -> Op.is_rlx_or_rel_store op
+  | Pending (op, _) -> Op.is_rlx_or_rel_store op
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -232,8 +239,8 @@ let volatile_store_mo st =
 let wake st tid =
   let th = st.threads.(tid) in
   match th.status with
-  | Pending (Sleeping { mutex = m; _ }, k) -> th.status <- Pending (Relock m, k)
-  | Not_started _ | Pending ((App_op _ | Relock _), _) | Finished -> ()
+  | Sleeping { mutex = m; k; _ } -> th.status <- Relock (m, k)
+  | Not_started _ | Pending _ | Relock _ | Finished -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Interpreting one visible operation. *)
@@ -388,7 +395,8 @@ let finish_thread st th =
   th.final_cv <- Some (Execution.release_snapshot st.exec ~tid:th.tid);
   if st.exec.Execution.cert_on then Execution.cert_release st.exec ~tid:th.tid;
   (Execution.thread st.exec th.tid).Execution.live <- false;
-  th.status <- Finished
+  th.status <- Finished;
+  retire_live st th.tid
 
 let record_crash st = function
   | Assertion_violation msg ->
@@ -415,42 +423,48 @@ let bump_steps st =
    settle loop below would absorb them without consulting the scheduler
    or the RNG.  Suspending the fiber just to bounce straight back is the
    dominant cost of a plain access, so while a fiber is running, the
-   inline context names the engine state and acting thread and the DSL
-   interprets those operations as direct calls — same step accounting,
-   same model calls, no effect round-trip.  The context is [None]
-   outside fiber execution (in particular during [Fiber.cancel] unwinds),
-   where the DSL falls back to performing the effect.
+   inline context names the engine state, whose [running] field names the
+   acting thread, and the DSL interprets those operations as direct
+   calls — same step accounting, same model calls, no effect round-trip.
+   Outside fiber execution (in particular during [Fiber.cancel] unwinds)
+   [running] is -1, the context reads as [None], and the DSL falls back to
+   performing the effect.
 
    The context lives in domain-local storage, not a module-level ref:
    parallel campaigns (Tester.run_*_parallel) run one engine per domain,
    and a shared ref would let one domain's fiber read another domain's
-   engine state.  Each thread's context is built once, with the thread
-   ([thread.ctx]), so publishing it at every fiber start and resume
-   allocates nothing. *)
+   engine state.  It is installed once per [run] (and the previous one
+   restored after), so starting or resuming a fiber only writes
+   [running]. *)
 
-let inline_ctx_key : inline_ctx option Domain.DLS.key =
+type inline_ctx = state
+
+let inline_ctx_key : state option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let[@inline] current_inline_ctx () = Domain.DLS.get inline_ctx_key
+let current_inline_ctx () =
+  match Domain.DLS.get inline_ctx_key with
+  | Some st as c when st.running >= 0 -> c
+  | Some _ | None -> None
 
-let inline_na_read c ~loc =
-  bump_steps c.ic_st;
-  Execution.na_read c.ic_st.exec ~tid:c.ic_tid ~loc
+let inline_na_read st ~loc =
+  bump_steps st;
+  Execution.na_read st.exec ~tid:st.running ~loc
 
-let inline_na_write c ~loc v =
-  bump_steps c.ic_st;
-  Execution.na_write c.ic_st.exec ~tid:c.ic_tid ~loc v
+let inline_na_write st ~loc v =
+  bump_steps st;
+  Execution.na_write st.exec ~tid:st.running ~loc v
 
-let fiber_start th body =
-  Domain.DLS.set inline_ctx_key th.ctx;
+let fiber_start st th body =
+  st.running <- th.tid;
   let r = Fiber.start body in
-  Domain.DLS.set inline_ctx_key None;
+  st.running <- -1;
   r
 
-let fiber_resume th k v =
-  Domain.DLS.set inline_ctx_key th.ctx;
+let fiber_resume st th k v =
+  st.running <- th.tid;
   let r = Fiber.resume k v in
-  Domain.DLS.set inline_ctx_key None;
+  st.running <- -1;
   r
 
 (* Run one fiber step and keep absorbing inline (non-scheduling)
@@ -463,10 +477,10 @@ let rec settle st th (step : Fiber.step) =
     if Op.is_inline op then begin
       bump_steps st;
       match exec_op st th op with
-      | Value v -> settle st th (fiber_resume th k v)
+      | Value v -> settle st th (fiber_resume st th k v)
       | Sleep _ -> assert false
     end
-    else th.status <- Pending (App_op op, k)
+    else th.status <- Pending (op, k)
 
 (* C11obs: synchronisation operations (thread and lock traffic) trace as
    Sync events; memory accesses are emitted by {!Execution} itself. *)
@@ -485,21 +499,17 @@ let emit_sync st ~tid detail =
       }
 
 let sync_detail = function
-  | App_op op -> (
-    match op with
-    | Op.Spawn _ -> Some "spawn"
-    | Op.Join _ -> Some "join"
-    | Op.Mutex_lock _ -> Some "mutex_lock"
-    | Op.Mutex_trylock _ -> Some "mutex_trylock"
-    | Op.Mutex_unlock _ -> Some "mutex_unlock"
-    | Op.Cond_wait _ -> Some "cond_wait"
-    | Op.Cond_signal _ -> Some "cond_signal"
-    | Op.Cond_broadcast _ -> Some "cond_broadcast"
-    | Op.Mutex_create | Op.Cond_create | Op.Load _ | Op.Store _ | Op.Rmw _
-    | Op.Fence _ | Op.Na_read _ | Op.Na_write _ | Op.Alloc _ | Op.Yield ->
-      None)
-  | Relock _ -> Some "relock"
-  | Sleeping _ -> None
+  | Op.Spawn _ -> Some "spawn"
+  | Op.Join _ -> Some "join"
+  | Op.Mutex_lock _ -> Some "mutex_lock"
+  | Op.Mutex_trylock _ -> Some "mutex_trylock"
+  | Op.Mutex_unlock _ -> Some "mutex_unlock"
+  | Op.Cond_wait _ -> Some "cond_wait"
+  | Op.Cond_signal _ -> Some "cond_signal"
+  | Op.Cond_broadcast _ -> Some "cond_broadcast"
+  | Op.Mutex_create | Op.Cond_create | Op.Load _ | Op.Store _ | Op.Rmw _
+  | Op.Fence _ | Op.Na_read _ | Op.Na_write _ | Op.Alloc _ | Op.Yield ->
+    None
 
 (* Execute the chosen thread's pending scheduling-point operation. *)
 let run_thread st tid =
@@ -508,31 +518,31 @@ let run_thread st tid =
   match th.status with
   | Not_started body ->
     Schedule.note_executed st.sched_state ~tid ~was_rlx_or_rel_store:false;
-    settle st th (fiber_start th body)
-  | Pending ((App_op op as p), k) ->
+    settle st th (fiber_start st th body)
+  | Pending (op, k) ->
     Schedule.note_executed st.sched_state ~tid
       ~was_rlx_or_rel_store:(Op.is_rlx_or_rel_store op);
     (match exec_op st th op with
     | Value v ->
-      (match sync_detail p with
+      (match sync_detail op with
       | Some d -> emit_sync st ~tid d
       | None -> ());
-      settle st th (fiber_resume th k v)
+      settle st th (fiber_resume st th k v)
     | Sleep { cond; mutex = m } ->
       emit_sync st ~tid "cond_wait";
-      th.status <- Pending (Sleeping { cond; mutex = m }, k))
-  | Pending (Relock m, k) ->
+      th.status <- Sleeping { cond; mutex = m; k })
+  | Relock (m, k) ->
     Schedule.note_executed st.sched_state ~tid ~was_rlx_or_rel_store:false;
     lock_mutex st tid (mutex st m);
     emit_sync st ~tid "relock";
-    settle st th (fiber_resume th k 0)
-  | Pending (Sleeping _, _) | Finished ->
+    settle st th (fiber_resume st th k 0)
+  | Sleeping _ | Finished ->
     raise (Execution.Model_error "scheduled a disabled thread")
 
 let cancel_all st =
   for i = 0 to st.nthreads - 1 do
     match st.threads.(i).status with
-    | Pending (_, k) ->
+    | Pending (_, k) | Relock (_, k) | Sleeping { k; _ } ->
       st.threads.(i).status <- Finished;
       Fiber.cancel k
     | Not_started _ -> st.threads.(i).status <- Finished
@@ -566,6 +576,9 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
       race;
       threads = [||];
       nthreads = 0;
+      live = [||];
+      nlive = 0;
+      running = -1;
       mutexes = [||];
       nmutexes = 0;
       condvars = [||];
@@ -589,13 +602,13 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
       let counted tid =
         tid < st.nthreads
         &&
-        match st.threads.(tid).status with
+        let th = st.threads.(tid) in
+        match th.status with
         | Finished -> false
         | Not_started _ -> true
-        | Pending ((App_op (Op.Mutex_lock _ | Op.Join _) | Relock _) as p, _)
-          ->
-          op_enabled st p
-        | Pending _ -> true
+        | Pending ((Op.Mutex_lock _ | Op.Join _), _) | Relock _ ->
+          thread_enabled st th
+        | Pending _ | Sleeping _ -> true
       in
       let s = Check.Stream.create ~exec ~counted in
       Execution.add_cert_sink exec (Check.Stream.sink s);
@@ -613,18 +626,14 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
   in
   ignore (add_thread st f ~parent:None);
   let is_rlx_store = pending_is_rlx_store st in
+  let outer_ctx = Domain.DLS.get inline_ctx_key in
+  Domain.DLS.set inline_ctx_key (Some st);
   (try
      let continue_ = ref true in
      while !continue_ do
        let n = collect_enabled st in
        if n = 0 then begin
-         let unfinished = ref false in
-         for i = 0 to st.nthreads - 1 do
-           match st.threads.(i).status with
-           | Finished -> ()
-           | Not_started _ | Pending _ -> unfinished := true
-         done;
-         if !unfinished then st.deadlock <- true;
+         if st.nlive > 0 then st.deadlock <- true;
          continue_ := false
        end
        else begin
@@ -659,7 +668,12 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
   | Abort_execution -> cancel_all st
   | Execution.Model_error _ as e ->
     cancel_all st;
+    Domain.DLS.set inline_ctx_key outer_ctx;
+    raise e
+  | e ->
+    Domain.DLS.set inline_ctx_key outer_ctx;
     raise e);
+  Domain.DLS.set inline_ctx_key outer_ctx;
   Profile.stop profile "execution" p_run;
   let certificate =
     if config.certify then begin

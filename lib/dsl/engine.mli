@@ -112,8 +112,8 @@ val assert_that : bool -> string -> unit
     accounting and model behaviour, no fiber round-trip).
     [current_inline_ctx] reads the running domain's context from
     domain-local storage ({!Tester} runs one engine per domain during
-    parallel campaigns); it is [None] outside fiber execution, where the
-    DSL performs the effect as usual. *)
+    parallel campaigns), installed once per {!run}; it is [None] outside
+    fiber execution, where the DSL performs the effect as usual. *)
 type inline_ctx
 
 val current_inline_ctx : unit -> inline_ctx option

@@ -49,6 +49,10 @@ type 'a shard = {
          with [config.coverage] *)
 }
 
+(* An observation's histogram entry: how often, and the global index of
+   its first occurrence. *)
+type hist_entry = { mutable h_count : int; h_first : int }
+
 (* [start]/[stride] generalise the one-level leapfrog (worker [w] of [j]
    is [start = w], [stride = j]) so nested sharding composes: worker [w]
    of [W] processes splitting its shard across [j] domains hands domain
@@ -135,11 +139,13 @@ let run_shard_at ?(progress = Progress.null) ~obs ~profile ~metrics ~config
           end)
         vs
     | Some (Check.Not_applicable _) | None -> ());
+    (* one lookup per execution: a seen observation's entry is bumped in
+       place *)
     (match !observation with
     | Some obs -> (
       match Hashtbl.find_opt histogram obs with
-      | Some (count, first) -> Hashtbl.replace histogram obs (count + 1, first)
-      | None -> Hashtbl.replace histogram obs (1, index))
+      | Some e -> e.h_count <- e.h_count + 1
+      | None -> Hashtbl.add histogram obs { h_count = 1; h_first = index })
     | None -> ());
     let novel =
       match (cov, o.Engine.shape) with
@@ -170,8 +176,7 @@ let run_shard_at ?(progress = Progress.null) ~obs ~profile ~metrics ~config
     sh_races = List.rev !races;
     sh_violations = List.rev !violations;
     sh_hist =
-      Hashtbl.fold (fun k (count, first) l -> (k, count, first) :: l) histogram
-        [];
+      Hashtbl.fold (fun k e l -> (k, e.h_count, e.h_first) :: l) histogram [];
     sh_cov = Option.map Cov.shard cov;
   }
 

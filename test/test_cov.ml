@@ -572,7 +572,31 @@ let test_report_rejects_whole () =
     (Printf.sprintf "report: %s: line %d: malformed target record\n" art
        (lines + 1))
     (read_file err);
-  List.iter Sys.remove [ art; out; err ]
+  (* blank lines count: the error names the physical line *)
+  let gap = tmp "gap.ndjson" in
+  Out_channel.with_open_bin gap (fun oc -> output_string oc "\n\n{oops\n");
+  let code = run_cli [ "report"; gap ] ~out ~err in
+  Alcotest.(check int) "gap: exit code" 2 code;
+  Alcotest.(check string) "gap: nothing rendered" "" (read_file out);
+  check "gap: error names line 3" true
+    (String.starts_with
+       ~prefix:(Printf.sprintf "report: %s: line 3: " gap)
+       (read_file err));
+  (* an artifact with no record is an error, not an empty report *)
+  List.iter
+    (fun (name, body) ->
+      let empty = tmp name in
+      Out_channel.with_open_bin empty (fun oc -> output_string oc body);
+      let code = run_cli [ "report"; empty ] ~out ~err in
+      Alcotest.(check int) (name ^ ": exit code") 2 code;
+      Alcotest.(check string) (name ^ ": nothing rendered") "" (read_file out);
+      Alcotest.(check string)
+        (name ^ ": error names the file")
+        (Printf.sprintf "report: %s: no records\n" empty)
+        (read_file err);
+      Sys.remove empty)
+    [ ("empty.ndjson", ""); ("blank.ndjson", "\n  \n\n") ];
+  List.iter Sys.remove [ art; gap; out; err ]
 
 (* ---------- progress stream ---------- *)
 

@@ -357,6 +357,50 @@ let test_alloc_mp_relaxed_certified () =
   check_words "mp_relaxed, certified" ~limit:1_900
     (words_per_run ~certify:true (fun () -> ignore (t.Litmus.run_once ())))
 
+(* ---------- race-detector memory under many threads ------------------- *)
+
+(* [threads] threads spawned and joined one after another, each creating
+   [per_thread] fresh plain and atomic locations and writing and reading
+   them: the race detector's reachable words at the end of the
+   execution. *)
+let race_words ~threads ~per_thread =
+  let words = ref 0 in
+  let prog () =
+    for _ = 1 to threads do
+      let t =
+        C11.Thread.spawn (fun () ->
+            for _ = 1 to per_thread do
+              let x = C11.Nonatomic.make 0 in
+              C11.Nonatomic.write x 1;
+              ignore (C11.Nonatomic.read x);
+              let a = C11.Atomic.make 0 in
+              C11.Atomic.store ~mo:Memorder.Relaxed a 1;
+              ignore (C11.Atomic.load ~mo:Memorder.Relaxed a)
+            done)
+      in
+      C11.Thread.join t
+    done
+  in
+  let inspect exec =
+    words := Obj.reachable_words (Obj.repr exec.Execution.race)
+  in
+  let o = Engine.run ~inspect (Tool.config Tool.C11tester) prog in
+  check "no race" true (o.Engine.races = []);
+  !words
+
+(* The same 240 locations, each touched by one thread, cost the detector
+   about the same whether one thread or sixty created them: shadows grow
+   with the threads that accessed a location, not with the largest tid
+   the execution has created (a tid-indexed shadow made the sixty-thread
+   run about three times as large). *)
+let test_race_words_many_threads () =
+  let many = race_words ~threads:60 ~per_thread:2 in
+  let one = race_words ~threads:1 ~per_thread:120 in
+  check
+    (Printf.sprintf "60 threads: %d words, 1 thread: %d words" many one)
+    true
+    (4 * many <= 5 * one)
+
 let suite =
   [
     Alcotest.test_case "empty program" `Quick test_empty_program;
@@ -383,4 +427,6 @@ let suite =
       test_alloc_mp_relaxed;
     Alcotest.test_case "allocation: certified mp_relaxed execution" `Quick
       test_alloc_mp_relaxed_certified;
+    Alcotest.test_case "race shadows sized by accessing threads" `Quick
+      test_race_words_many_threads;
   ]

@@ -122,6 +122,184 @@ let test_workloads_clean_under_pruning () =
           Alcotest.failf "%s: false positives under conservative pruning" name)
     [ "seqlock"; "ms-queue"; "mpmc-queue" ]
 
+(* ---------- prior sets against the all-threads list reference ---------- *)
+
+(* ReadPriorSet and WritePriorSet (Figure 13) as they were computed over
+   newest-first action lists: every thread from 0 up, each term a linear
+   scan.  The engine now visits only the location's cells and binary-
+   searches each seq-sorted array; the sets must be the same actions in
+   the same order. *)
+module Prior_ref = struct
+  open Execution
+
+  let newest_first s = List.rev (Seqarr.to_list s)
+
+  let rec first_before bound = function
+    | [] -> None
+    | (x : Action.t) :: rest ->
+      if x.seq < bound then Some x else first_before bound rest
+
+  let rec first_covered cd nc = function
+    | [] -> None
+    | (x : Action.t) :: rest ->
+      if x.tid < nc && x.seq <= cd.(x.tid) then Some x
+      else first_covered cd nc rest
+
+  let newer (acc : Action.t option) (c : Action.t option) =
+    match (acc, c) with
+    | None, x -> x
+    | Some _, None -> acc
+    | Some a, Some b -> if b.seq > a.seq then c else acc
+
+  let get_write (a : Action.t) =
+    match a.kind with
+    | Action.Store | Action.Rmw | Action.Na_store -> Some a
+    | Action.Load -> a.rf
+    | Action.Fence -> None
+
+  let prior_for_thread exec li ~u ~last_fence ~is_sc_op ~current =
+    let cell = List.find_opt (fun c -> c.cell_tid = u) li.cells in
+    let stores = match cell with None -> [] | Some c -> newest_first c.c_stores in
+    let fences = newest_first exec.threads.(u).sc_fences in
+    let s1 =
+      if is_sc_op then
+        match fences with [] -> None | (ft : Action.t) :: _ -> first_before ft.seq stores
+      else None
+    in
+    let s2 =
+      match (last_fence, cell) with
+      | Some (fl : Action.t), Some c -> first_before fl.seq (newest_first c.c_sc_stores)
+      | _ -> None
+    in
+    let s3 =
+      match last_fence with
+      | None -> None
+      | Some (fl : Action.t) -> (
+        match first_before fl.seq fences with
+        | None -> None
+        | Some fb -> first_before fb.seq stores)
+    in
+    let s4 =
+      match cell with
+      | None -> None
+      | Some c ->
+        first_covered (Clockvec.raw current) (Clockvec.width current)
+          (newest_first c.c_accesses)
+    in
+    match newer (newer (newer s1 s2) s3) s4 with None -> None | Some a -> get_write a
+
+  let all_threads exec li ts ~is_sc_op ~current init =
+    let last_fence =
+      match newest_first ts.sc_fences with [] -> None | f :: _ -> Some f
+    in
+    let ps = ref init in
+    for u = 0 to exec.nthreads - 1 do
+      match prior_for_thread exec li ~u ~last_fence ~is_sc_op ~current with
+      | Some w -> ps := w :: !ps
+      | None -> ()
+    done;
+    !ps
+
+  let read_prior_base exec li ts ~load_mo =
+    all_threads exec li ts ~is_sc_op:(Memorder.is_seq_cst load_mo) ~current:ts.c []
+
+  let write_prior_set exec li ts ~store_mo ~current =
+    let is_sc_op = Memorder.is_seq_cst store_mo in
+    let init =
+      match (is_sc_op, Internal.last_sc_store li) with
+      | true, Some x -> [ x ]
+      | _ -> []
+    in
+    all_threads exec li ts ~is_sc_op ~current init
+end
+
+(* Random fuzz programs of every profile (denser than the CLI default:
+   up to four threads of 16 ops over two atomic locations, so seq_cst
+   fences and stores interleave), cut off after a random number of steps
+   so the sets are compared mid-execution, under each pruning policy and
+   both memory modes; at the cut every location is queried for every
+   thread, every order, and (for WritePriorSet) both the thread's own
+   clock and an RMW-style what-if clock. *)
+let prop_prior_sets_match_reference =
+  let profiles = Array.of_list Fuzz.all_profiles in
+  QCheck.Test.make
+    ~name:"cell-iterating prior sets equal the all-threads reference"
+    ~count:300
+    QCheck.(
+      pair
+        (quad (int_range 0 1_000_000) (int_range 0 2) (int_range 4 300) bool)
+        (int_range 0 (Array.length profiles - 1)))
+    (fun ((pseed, policy, max_steps, total_mo), profile) ->
+      let cfg =
+        {
+          Fuzz.default_gen_cfg with
+          g_threads = 4;
+          g_ops = 16;
+          g_atomic_locs = 2;
+          g_profile = profiles.(profile);
+        }
+      in
+      let prog = Fuzz.generate ~cfg ~seed:(Int64.of_int pseed) in
+      let prune =
+        match policy with
+        | 0 -> Pruner.No_prune
+        | 1 -> Pruner.Conservative { interval = 3 }
+        | _ -> Pruner.Aggressive { window = 12; interval = 3 }
+      in
+      let config =
+        {
+          Engine.default_config with
+          mode = (if total_mo then Execution.Total_mo else Execution.Full_c11);
+          prune;
+          max_steps;
+          seed = Fuzz.exec_seed prog ~attempt:0;
+        }
+      in
+      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+      let ok = ref true in
+      let inspect (exec : Execution.t) =
+        Array.iter
+          (function
+            | None -> ()
+            | Some li ->
+              for tid = 0 to exec.Execution.nthreads - 1 do
+                let ts = exec.Execution.threads.(tid) in
+                let other =
+                  exec.Execution.threads.((tid + 1) mod exec.Execution.nthreads)
+                in
+                List.iter
+                  (fun mo ->
+                    if
+                      not
+                        (same
+                           (Execution.Internal.read_prior_base exec li ts ~load_mo:mo)
+                           (Prior_ref.read_prior_base exec li ts ~load_mo:mo))
+                    then ok := false;
+                    List.iter
+                      (fun current ->
+                        if
+                          not
+                            (same
+                               (Execution.Internal.write_prior_set exec li ts
+                                  ~store_mo:mo ~current)
+                               (Prior_ref.write_prior_set exec li ts ~store_mo:mo
+                                  ~current))
+                        then ok := false)
+                      [ ts.Execution.c; Clockvec.union ts.Execution.c other.Execution.c ])
+                  Memorder.[ Relaxed; Acquire; Release; Seq_cst ]
+              done)
+          exec.Execution.locs
+      in
+      (match Engine.run ~inspect config (Fuzz.to_closure prog) with
+      | _ -> ()
+      | exception Execution.Model_error _ when policy = 2 ->
+        (* aggressive pruning with a window this small can prune the only
+           store an RMW could read (e.g. program 51685, profile 2, 46
+           steps), and the engine then stops with a model error before
+           [inspect] runs: there is no state to compare *)
+        ());
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "conservative bounds memory" `Slow test_conservative_bounds_memory;
@@ -134,3 +312,4 @@ let suite =
     Alcotest.test_case "workloads clean under pruning" `Slow
       test_workloads_clean_under_pruning;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_prior_sets_match_reference ]

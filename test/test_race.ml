@@ -93,6 +93,123 @@ let test_clear () =
   check_int "cleared" 0 (Race.race_count t);
   check "no reports" true (Race.races t = [])
 
+(* ---------- thread-sparse shadows against a dense reference ---------- *)
+
+(* The detector as it was before shadows became thread-sparse: per
+   location and access class, a vector indexed by tid holding each
+   thread's latest access seq (0 = none), scanned in tid order.  It has no
+   epoch shortcut: that shortcut only skips scans that would find nothing,
+   so it cannot change the reports. *)
+module Dense = struct
+  let width = 64
+
+  type t = {
+    shadows : (int, int array array) Hashtbl.t;
+        (* loc -> [| na_w; at_w; na_r; at_r |] *)
+    mutable found : Race.report list;
+  }
+
+  let create () = { shadows = Hashtbl.create 8; found = [] }
+
+  let shadow t loc =
+    match Hashtbl.find_opt t.shadows loc with
+    | Some s -> s
+    | None ->
+      let s = Array.init 4 (fun _ -> Array.make width 0) in
+      Hashtbl.replace t.shadows loc s;
+      s
+
+  let scan t v ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb ~is_write ~cls =
+    for u = 0 to width - 1 do
+      let s = v.(u) in
+      if u <> tid && s > 0 && s > Clockvec.get hb u then
+        t.found <-
+          {
+            Race.loc;
+            loc_name = Printf.sprintf "loc%d" loc;
+            first_tid = u;
+            first_seq = s;
+            first_is_write = prior_is_write;
+            first_class = prior_class;
+            second_tid = tid;
+            second_seq = seq;
+            second_is_write = is_write;
+            second_class = cls;
+          }
+          :: t.found
+    done
+
+  let on_access t ~loc ~tid ~seq ~hb ~is_write ~cls =
+    let sh = shadow t loc in
+    let na_w = sh.(0) and at_w = sh.(1) and na_r = sh.(2) and at_r = sh.(3) in
+    let scan v pw pc = scan t v ~prior_is_write:pw ~prior_class:pc ~loc ~tid ~seq ~hb ~is_write ~cls in
+    let na = Race.Na_access and at = Race.Atomic_access in
+    match (cls, is_write) with
+    | Race.Na_access, true ->
+      scan na_w true na;
+      scan at_w true at;
+      scan na_r false na;
+      scan at_r false at;
+      na_w.(tid) <- seq
+    | Race.Na_access, false ->
+      scan na_w true na;
+      scan at_w true at;
+      na_r.(tid) <- seq
+    | Race.Atomic_access, true ->
+      scan na_w true na;
+      scan na_r false na;
+      at_w.(tid) <- seq
+    | Race.Atomic_access, false ->
+      scan na_w true na;
+      at_r.(tid) <- seq
+
+  let races t = List.rev t.found
+end
+
+(* A random history over up to 64 threads and three locations: accesses
+   in all four classes, and synchronisation steps in which one thread
+   acquires another's clock.  Clocks only grow and seqs ascend, as in the
+   engine. *)
+type step = Access of int * int * bool * bool | Sync of int * int
+
+let gen_history =
+  QCheck.Gen.(
+    let* nthreads = int_range 1 64 in
+    let tid = int_range 0 (nthreads - 1) in
+    list_size (int_range 1 300)
+      (frequency
+         [
+           ( 5,
+             map
+               (fun (t, loc, atomic, w) -> Access (t, loc, atomic, w))
+               (quad tid (int_range 0 2) bool bool) );
+           (1, map (fun (a, b) -> Sync (a, b)) (pair tid tid));
+         ]))
+
+let prop_sparse_matches_dense =
+  QCheck.Test.make ~name:"thread-sparse shadows report as a dense detector"
+    ~count:300
+    (QCheck.make
+       ~print:(fun h -> Printf.sprintf "%d steps" (List.length h))
+       gen_history)
+    (fun history ->
+      let sparse = Race.create () and dense = Dense.create () in
+      let clocks = Array.init 64 (fun _ -> Clockvec.bottom ()) in
+      List.iteri
+        (fun i step ->
+          let seq = i + 1 in
+          match step with
+          | Sync (from, into) ->
+            if from <> into then ignore (Clockvec.merge clocks.(into) clocks.(from))
+          | Access (tid, loc, atomic, is_write) ->
+            Clockvec.set clocks.(tid) tid seq;
+            let hb = Clockvec.copy clocks.(tid) in
+            let cls = if atomic then Race.Atomic_access else Race.Na_access in
+            Race.on_access sparse ~loc ~tid ~seq ~hb ~is_write ~cls;
+            Dense.on_access dense ~loc ~tid ~seq ~hb ~is_write ~cls)
+        history;
+      Race.races sparse = Dense.races dense)
+
 let suite =
   [
     Alcotest.test_case "unordered writes race" `Quick test_unordered_write_write;
@@ -107,3 +224,4 @@ let suite =
     Alcotest.test_case "report contents" `Quick test_report_contents;
     Alcotest.test_case "clear" `Quick test_clear;
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_sparse_matches_dense ]

@@ -133,8 +133,73 @@ let prop_bool_balanced =
       done;
       !trues > 120 && !trues < 280)
 
+(* The stream itself, pinned: the first three draws for three seeds are
+   reference splitmix64 (Steele, Lea and Flood's constants), and the
+   derived draws below were taken from the boxed-int64 implementation, so
+   any rewrite of the state must reproduce them bit for bit. *)
+let test_pinned_stream () =
+  let first3 seed =
+    let r = Rng.create seed in
+    let a = Rng.next_int64 r in
+    let b = Rng.next_int64 r in
+    let c = Rng.next_int64 r in
+    [ a; b; c ]
+  in
+  let pin seed expected =
+    Alcotest.(check (list int64))
+      (Printf.sprintf "seed %Ld" seed) expected (first3 seed)
+  in
+  pin 0L [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  pin 1L [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL ];
+  pin 42L [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ]
+
+let test_pinned_derived () =
+  let r = Rng.create 7L in
+  Alcotest.(check (list int))
+    "int draws, seed 7" [ 1; 0; 6; 50; 445089910; 1 ]
+    (List.map (Rng.int r) [ 2; 3; 10; 1000; 1 lsl 30; 5 ]);
+  List.iter
+    (fun (base, index, expected) ->
+      Alcotest.(check int64)
+        (Printf.sprintf "substream %Ld %d" base index)
+        expected
+        (Rng.substream base ~index))
+    [
+      (1L, 0, 0x910A2DEC89025CC1L);
+      (1L, 1, 0xBEEB8DA1658EEC67L);
+      (1L, 1000, 0x7760003B54A685AEL);
+      (42L, 7, 0xCCF635EE9E9E2FA4L);
+      (-3L, 5, 0x082CFE8866FAC366L);
+    ];
+  let r = Rng.create 99L in
+  let b1 = Rng.bool r in
+  let b2 = Rng.bool r in
+  let f = Rng.float r in
+  let s = Rng.split r in
+  Alcotest.(check (list bool)) "bool draws, seed 99" [ true; false ] [ b1; b2 ];
+  Alcotest.(check (float 0.)) "float draw, seed 99" 0x1.ab65a069e083ap-1 f;
+  Alcotest.(check int64) "split stream" 0xDD66C19A845E4B90L (Rng.next_int64 s)
+
+(* The draws the engine makes per scheduling decision and candidate
+   shuffle box nothing. *)
+let test_int_allocates_nothing () =
+  let r = Rng.create 5L in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 1000 do
+    acc := !acc + Rng.int r (1 + (i land 7))
+  done;
+  let words = Gc.minor_words () -. before in
+  check "draws ran" true (!acc >= 0);
+  if words > 100. then
+    Alcotest.failf "1000 Rng.int draws allocated %.0f minor words" words
+
 let suite =
   [
+    Alcotest.test_case "pinned splitmix64 stream" `Quick test_pinned_stream;
+    Alcotest.test_case "pinned derived draws" `Quick test_pinned_derived;
+    Alcotest.test_case "int draws allocate nothing" `Quick
+      test_int_allocates_nothing;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
     Alcotest.test_case "split independence" `Quick test_split_independent;
