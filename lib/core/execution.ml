@@ -82,8 +82,10 @@ type loc_info = {
          draws its candidates, in this order *)
   mutable by_tid : loc_cell array;
       (* the same cells ascending by tid, in [by_tid.(0 .. ncells-1)]:
-         the prior sets visit them in this order, and the per-access cell
-         lookup is a binary search here *)
+         the prior sets visit them in this order *)
+  mutable cell_tids : int array;
+      (* their tids, [cell_tids.(i) = by_tid.(i).cell_tid]: the per-access
+         cell lookup binary-searches these plain ints *)
   mutable ncells : int;
   mutable last_sc : Action.t option;
       (** newest seq_cst store to this location, maintained incrementally
@@ -357,6 +359,7 @@ let get_loc t loc =
         li_loc = loc;
         cells = [];
         by_tid = [||];
+        cell_tids = [||];
         ncells = 0;
         last_sc = None;
         newest = None;
@@ -386,28 +389,6 @@ let set_value t loc v =
 let get_value t loc =
   if loc < Array.length t.values then Array.unsafe_get t.values loc else 0
 
-(* Index in [by_tid] of [tid]'s cell, or of where it would go: a linear
-   scan over the few cells most locations have, a binary search
-   beyond. *)
-let cell_pos li tid =
-  let cells = li.by_tid in
-  if li.ncells <= 4 then begin
-    let i = ref 0 in
-    while !i < li.ncells && (Array.unsafe_get cells !i).cell_tid < tid do
-      incr i
-    done;
-    !i
-  end
-  else begin
-    let lo = ref 0 and hi = ref li.ncells in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if (Array.unsafe_get cells mid).cell_tid < tid then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
-  end
-
 let new_cell li tid i =
   let c =
     {
@@ -422,16 +403,21 @@ let new_cell li tid i =
   if n = Array.length li.by_tid then begin
     let arr = Array.make (max 4 (2 * n)) c in
     Array.blit li.by_tid 0 arr 0 n;
-    li.by_tid <- arr
+    li.by_tid <- arr;
+    let tids = Array.make (max 4 (2 * n)) 0 in
+    Array.blit li.cell_tids 0 tids 0 n;
+    li.cell_tids <- tids
   end;
   Array.blit li.by_tid i li.by_tid (i + 1) (n - i);
   li.by_tid.(i) <- c;
+  Array.blit li.cell_tids i li.cell_tids (i + 1) (n - i);
+  li.cell_tids.(i) <- tid;
   li.ncells <- n + 1;
   c
 
 let get_cell li tid =
-  let i = cell_pos li tid in
-  if i < li.ncells && (Array.unsafe_get li.by_tid i).cell_tid = tid then
+  let i = Bytid.search li.cell_tids li.ncells tid in
+  if i < li.ncells && Array.unsafe_get li.cell_tids i = tid then
     Array.unsafe_get li.by_tid i
   else new_cell li tid i
 

@@ -87,8 +87,10 @@ type loc_info = {
       (** newest-created first, the order may-read-from visits them in *)
   mutable by_tid : loc_cell array;
       (** the same cells ascending by tid, in [by_tid.(0 .. ncells-1)]:
-          the order the prior sets visit them in, binary-searched by the
-          per-access cell lookup *)
+          the order the prior sets visit them in *)
+  mutable cell_tids : int array;
+      (** the tids of [by_tid.(0 .. ncells-1)], which the per-access cell
+          lookup binary-searches ({!Bytid.search}) *)
   mutable ncells : int;
   mutable last_sc : Action.t option;
       (** newest seq_cst store, maintained incrementally by the store rules;

@@ -179,27 +179,6 @@ let check t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb ~is_write
          ~is_write ~cls)
   then slot.cov_tid <- tid
 
-(* Index of [tid]'s entry in [slot], or of where it would go: a linear
-   scan over the few entries most slots hold, a binary search beyond. *)
-let entry_pos slot tid =
-  let v = slot.v in
-  if slot.n <= 4 then begin
-    let i = ref 0 in
-    while !i < slot.n && entry_tid (Array.unsafe_get v !i) < tid do
-      incr i
-    done;
-    !i
-  end
-  else begin
-    let lo = ref 0 and hi = ref slot.n in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if entry_tid (Array.unsafe_get v mid) < tid then lo := mid + 1
-      else hi := mid
-    done;
-    !lo
-  end
-
 (* Insert [tid]'s first entry at index [i], doubling the array when
    full. *)
 let insert slot i ~tid ~seq =
@@ -218,21 +197,14 @@ let insert slot i ~tid ~seq =
   slot.n <- n + 1
 
 (* Record [tid]'s access at [seq], inserting its entry on the class's
-   first access by [tid].  The tids ascend and are distinct, so the
-   entry at index [i] has tid at least [i]: [tid]'s entry is at index
-   [tid] when the slot holds every thread up to it (a small program's
-   threads), and last when [tid] is the largest (a thread touching its
-   own locations).  Those two are tried before the search. *)
+   first access by [tid].  Entries order as their tids, so [tid]'s entry,
+   if any, is the first one at or above [entry ~tid ~seq:0]. *)
 let record slot ~tid ~seq =
   let v = slot.v and n = slot.n in
-  let j = if tid < n then tid else n - 1 in
-  (if n > 0 && entry_tid (Array.unsafe_get v j) = tid then
-     Array.unsafe_set v j (entry ~tid ~seq)
-   else
-     let i = entry_pos slot tid in
-     if i < n && entry_tid (Array.unsafe_get v i) = tid then
-       Array.unsafe_set v i (entry ~tid ~seq)
-     else insert slot i ~tid ~seq);
+  let i = Bytid.search v n (entry ~tid ~seq:0) in
+  if i < n && entry_tid (Array.unsafe_get v i) = tid then
+    Array.unsafe_set v i (entry ~tid ~seq)
+  else insert slot i ~tid ~seq;
   if slot.cov_tid <> tid then slot.cov_tid <- -1
 
 let on_access t ~loc ~tid ~seq ~hb ~is_write ~cls =

@@ -213,6 +213,83 @@ module Prior_ref = struct
     all_threads exec li ts ~is_sc_op ~current init
 end
 
+(* The same actions, physically, in the same order. *)
+let same a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+(* What compacting a location's arrays in place must keep, read without
+   the arrays' searches, so that the compaction is checked itself and not
+   only through the prior sets above (which read the compacted arrays):
+   - [cells] and [by_tid] hold the same cells, [by_tid] ascending by tid
+     and [cell_tids] holding their tids;
+   - [store_count] is the number of stores the cells hold;
+   - a cell's seq_cst stores are exactly the seq_cst entries of its stores;
+   - every access that read a store reads one the location still holds
+     (a load or RMW of a pruned store goes with it);
+   - a cell's accesses keep every store of its stores but the RMWs whose
+     store was pruned, in order;
+   - in Full_c11, every store held has its live mo-graph node (the pruner
+     removes a pruned store's node), so no pruned store is left behind.
+   Returns the first violation. *)
+let compaction_violation (exec : Execution.t) (li : Execution.loc_info) =
+  let open Execution in
+  let fail fmt =
+    Printf.ksprintf (fun m -> Some (Printf.sprintf "loc %d: %s" li.li_loc m)) fmt
+  in
+  let stores = List.concat_map (fun c -> Seqarr.to_list c.c_stores) li.cells in
+  let held (s : Action.t) = List.memq s stores in
+  let reads_pruned (a : Action.t) =
+    match a.rf with Some s -> not (held s) | None -> false
+  in
+  let is_store (a : Action.t) =
+    match a.kind with
+    | Action.Store | Action.Rmw | Action.Na_store -> true
+    | Action.Load | Action.Fence -> false
+  in
+  let by_tid = Array.to_list (Array.sub li.by_tid 0 li.ncells) in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a.cell_tid < b.cell_tid && ascending rest
+    | _ -> true
+  in
+  let cell_violation c =
+    let st = Seqarr.to_list c.c_stores and acc = Seqarr.to_list c.c_accesses in
+    if
+      not
+        (same (Seqarr.to_list c.c_sc_stores)
+           (List.filter (fun (a : Action.t) -> Memorder.is_seq_cst a.mo) st))
+    then fail "t%d: sc stores are not its seq_cst stores" c.cell_tid
+    else
+      match List.find_opt reads_pruned acc with
+      | Some a -> fail "t%d: #%d reads a store no longer held" c.cell_tid a.seq
+      | None ->
+        if
+          not
+            (same (List.filter is_store acc)
+               (List.filter
+                  (fun (s : Action.t) -> not (s.kind = Action.Rmw && reads_pruned s))
+                  st))
+        then fail "t%d: accesses and stores disagree" c.cell_tid
+        else (
+          match
+            List.find_opt
+              (fun s ->
+                exec.mode = Full_c11 && Mograph.live_node exec.graph s == Mograph.absent)
+              st
+          with
+          | Some s -> fail "t%d: store #%d has no live node" c.cell_tid s.seq
+          | None -> None)
+  in
+  if
+    not
+      (ascending by_tid
+      && Array.to_list (Array.sub li.cell_tids 0 li.ncells)
+         = List.map (fun c -> c.cell_tid) by_tid
+      && List.length by_tid = List.length li.cells
+      && List.for_all (fun c -> List.memq c by_tid) li.cells)
+  then fail "cells and by_tid disagree"
+  else if li.store_count <> List.length stores then
+    fail "store_count %d, %d stores held" li.store_count (List.length stores)
+  else List.find_map cell_violation li.cells
+
 (* Random fuzz programs of every profile (denser than the CLI default:
    up to four threads of 16 ops over two atomic locations, so seq_cst
    fences and stores interleave), cut off after a random number of steps
@@ -255,13 +332,13 @@ let prop_prior_sets_match_reference =
           seed = Fuzz.exec_seed prog ~attempt:0;
         }
       in
-      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
-      let ok = ref true in
+      let ok = ref true and broken = ref None in
       let inspect (exec : Execution.t) =
         Array.iter
           (function
             | None -> ()
             | Some li ->
+              if !broken = None then broken := compaction_violation exec li;
               for tid = 0 to exec.Execution.nthreads - 1 do
                 let ts = exec.Execution.threads.(tid) in
                 let other =
@@ -292,13 +369,18 @@ let prop_prior_sets_match_reference =
       in
       (match Engine.run ~inspect config (Fuzz.to_closure prog) with
       | _ -> ()
-      | exception Execution.Model_error _ when policy = 2 ->
+      | exception Execution.Model_error msg
+        when policy = 2
+             && String.starts_with ~prefix:"no feasible store for rmw" msg ->
         (* aggressive pruning with a window this small can prune the only
            store an RMW could read (e.g. program 51685, profile 2, 46
-           steps), and the engine then stops with a model error before
-           [inspect] runs: there is no state to compare *)
+           steps), and the engine then stops with this model error before
+           [inspect] runs: there is no state to compare.  Any other model
+           error fails the property. *)
         ());
-      !ok)
+      match !broken with
+      | Some msg -> QCheck.Test.fail_reportf "compaction: %s" msg
+      | None -> !ok)
 
 let suite =
   [
