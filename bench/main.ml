@@ -9,7 +9,7 @@
      dune exec bench/main.exe -- --jobs N perf  # shard perf campaigns
 
    Experiment ids: fig4 fig14 sec8_1 table1 fig15 table2 fig16 table3
-   table4 prune sched perf scale cache fuzz corpus. *)
+   table4 prune sched perf. *)
 
 let experiments : (string * (unit -> unit)) list =
   [
@@ -25,10 +25,6 @@ let experiments : (string * (unit -> unit)) list =
     ("prune", Experiments.prune);
     ("sched", Experiments.sched);
     ("perf", Perfsuite.run);
-    ("scale", Perfsuite.run_scale);
-    ("cache", Perfsuite.run_cache);
-    ("fuzz", Fuzzbench.run);
-    ("corpus", Corpusbench.run);
   ]
 
 let usage () =
@@ -62,34 +58,6 @@ let write_json ~quick ~todo path =
   let perf =
     match !Perfsuite.last_doc with
     | Some doc -> [ ("perf", doc) ]
-    | None -> []
-  in
-  let perf =
-    perf
-    @
-    match !Perfsuite.last_scale_doc with
-    | Some doc -> [ ("scale", doc) ]
-    | None -> []
-  in
-  let perf =
-    perf
-    @
-    match !Perfsuite.last_cache_doc with
-    | Some doc -> [ ("cache", doc) ]
-    | None -> []
-  in
-  let perf =
-    perf
-    @
-    match !Fuzzbench.last_doc with
-    | Some doc -> [ ("fuzz", doc) ]
-    | None -> []
-  in
-  let perf =
-    perf
-    @
-    match !Corpusbench.last_doc with
-    | Some doc -> [ ("corpus", doc) ]
     | None -> []
   in
   let doc =
@@ -129,9 +97,7 @@ let () =
     Experiments.sec81_iters := 300;
     Experiments.table1_runs := 5;
     Bench_util.quota := 0.2;
-    Perfsuite.quick ();
-    Fuzzbench.quick ();
-    Corpusbench.quick ()
+    Perfsuite.quick ()
   end;
   if List.mem "--help" args then usage ()
   else begin

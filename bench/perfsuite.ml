@@ -18,7 +18,6 @@ let seed = 20260806L
 let iters_ds = ref 400
 let iters_app = ref 50
 let iters_litmus = ref 2500
-let cache_iters = ref 300
 
 (* Campaign sharding (`--jobs N`).  The parity observables are
    bit-identical for every job count — only the wall times change — so
@@ -26,20 +25,13 @@ let cache_iters = ref 300
    like build-to-build comparisons. *)
 let jobs = ref 1
 
-(* Scale-tier shrink factor: quick mode divides the registry's paper-scale
-   tier scales so CI smoke runs finish in seconds instead of minutes. *)
-let scale_divisor = ref 1
-
 let quick () =
   iters_ds := 20;
   iters_app := 3;
-  iters_litmus := 150;
-  scale_divisor := 200;
-  cache_iters := 40
+  iters_litmus := 150
 
-(* The last documents produced, picked up by main.ml's --json writer. *)
+(* The last document produced, picked up by main.ml's --json writer. *)
 let last_doc : Jsonx.t option ref = ref None
-let last_scale_doc : Jsonx.t option ref = ref None
 
 type row = {
   r_name : string;
@@ -59,7 +51,7 @@ let run_workload (w : Registry.t) ~iters =
   let config = Tool.config ~seed ~max_steps:150_000 Tool.C11tester in
   let s, wall =
     Stats.timed (fun () ->
-        Tester.run_parallel ~jobs:!jobs ~config ~iters
+        Tester.run ~jobs:!jobs ~config ~iters
           (w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale))
   in
   (* memory high-water next to ops/s: Gc.stat is the expensive exact
@@ -207,319 +199,3 @@ let run () =
            ("workloads", Jsonx.List (List.map row_to_json rows));
            ("litmus", Jsonx.List (List.map litmus_to_json litmus));
          ])
-
-(* ---------- paper-scale tier ------------------------------------------ *)
-
-(* Single executions in the 1M–10M-op range (Registry.scale_tier scales,
-   aggressive pruning), measured three ways per workload:
-
-     off      — certification disabled: the engine-only baseline
-     stream   — streaming certification with hb-closed prefix retirement
-                (the shipping default)
-     posthoc  — the pre-streaming post-hoc certifier, at tier/64 scale
-                only: it retains and re-walks the whole trace, so at full
-                tier scale it is quadratically infeasible — which is
-                precisely what the streaming rewrite removes
-
-   Within one process `Gc.stat`'s top_heap_words is monotone, so the
-   phases run in cost order (off rows first, then stream, then the small
-   posthoc/stream pair): each row's high-water is dominated by its own
-   phase or an earlier, strictly cheaper one.  Cross-process numbers for
-   the trajectory file are taken from separate `c11test run --scale tier`
-   invocations. *)
-
-type scale_row = {
-  s_name : string;
-  s_mode : string;  (* off | stream | posthoc *)
-  s_scale : int;
-  s_steps : float;
-  s_ops : int;
-  s_wall : float;
-  s_certified_ops : int;
-  s_retired_ops : int;
-  s_top_heap_words : int;
-  s_live_words : int;
-}
-
-let scale_config ~certify ~stream =
-  {
-    (Tool.config ~seed
-       ~prune:(Pruner.Aggressive { window = 4096; interval = 64 })
-       ~max_steps:30_000_000 Tool.C11tester)
-    with
-    Engine.certify;
-    cert_stream = stream;
-  }
-
-let run_scale_one (w : Registry.t) ~mode ~scale =
-  let config =
-    match mode with
-    | "off" -> scale_config ~certify:false ~stream:true
-    | "stream" -> scale_config ~certify:true ~stream:true
-    | "posthoc" -> scale_config ~certify:true ~stream:false
-    | m -> invalid_arg ("run_scale_one: unknown mode " ^ m)
-  in
-  Gc.compact ();
-  let s, wall =
-    Stats.timed (fun () ->
-        Tester.run ~config ~iters:1
-          (w.Registry.run ~variant:Variant.Correct ~scale))
-  in
-  let gc = Gc.stat () in
-  {
-    s_name = w.Registry.name;
-    s_mode = mode;
-    s_scale = scale;
-    s_steps = s.Tester.mean_steps;
-    s_ops = s.Tester.total_atomic_ops + s.Tester.total_na_ops;
-    s_wall = wall;
-    s_certified_ops = s.Tester.certified_ops;
-    s_retired_ops = s.Tester.retired_prefix_ops;
-    s_top_heap_words = gc.Gc.top_heap_words;
-    s_live_words = gc.Gc.live_words;
-  }
-
-let scale_row_to_json r =
-  Jsonx.Obj
-    [
-      ("name", Jsonx.String r.s_name);
-      ("mode", Jsonx.String r.s_mode);
-      ("scale", Jsonx.Int r.s_scale);
-      ("steps", Jsonx.Float r.s_steps);
-      ("total_ops", Jsonx.Int r.s_ops);
-      ("wall_s", Jsonx.Float r.s_wall);
-      ( "ops_per_s",
-        Jsonx.Float
-          (if r.s_wall > 0.0 then float_of_int r.s_ops /. r.s_wall else nan)
-      );
-      ("certified_ops", Jsonx.Int r.s_certified_ops);
-      ("retired_prefix_ops", Jsonx.Int r.s_retired_ops);
-      ("gc_top_heap_words", Jsonx.Int r.s_top_heap_words);
-      ("gc_live_words", Jsonx.Int r.s_live_words);
-    ]
-
-let print_scale_row r =
-  Printf.printf "%-12s %-8s %8d %9.0f %9s %12.0f %11d %11d %9.1fMw\n%!"
-    r.s_name r.s_mode r.s_scale r.s_steps
-    (Bench_util.pp_seconds r.s_wall)
-    (if r.s_wall > 0.0 then float_of_int r.s_ops /. r.s_wall else nan)
-    r.s_certified_ops r.s_retired_ops
-    (float_of_int r.s_top_heap_words /. 1e6)
-
-let run_scale () =
-  Bench_util.header
-    (Printf.sprintf
-       "Paper-scale tier (seed %Ld%s): single 1M-10M-op executions, \
-        aggressive pruning; certification off vs streaming, plus a \
-        post-hoc point at tier/64 where the old certifier is still \
-        feasible"
-       seed
-       (if !scale_divisor > 1 then
-          Printf.sprintf ", scales divided by %d (quick)" !scale_divisor
-        else ""));
-  let tier = Registry.scale_tier in
-  let tier_scale w =
-    match w.Registry.scale_tier with
-    | Some s -> max 50 (s / !scale_divisor)
-    | None -> assert false
-  in
-  Printf.printf "%-12s %-8s %8s %9s %9s %12s %11s %11s %9s\n" "workload"
-    "mode" "scale" "steps" "wall" "ops/s" "certified" "retired" "top-heap";
-  let row w ~mode ~scale =
-    let r = run_scale_one w ~mode ~scale in
-    print_scale_row r;
-    Metrics.set_gauge Bench_util.metrics
-      (Printf.sprintf "scale.wall_s.%s.%s" r.s_name r.s_mode)
-      r.s_wall;
-    r
-  in
-  (* off rows first: top_heap_words is monotone within the process *)
-  let off = List.map (fun w -> row w ~mode:"off" ~scale:(tier_scale w)) tier in
-  let stream =
-    List.map (fun w -> row w ~mode:"stream" ~scale:(tier_scale w)) tier
-  in
-  (* pre/post pair at a size where the post-hoc certifier is feasible *)
-  let curve =
-    List.concat_map
-      (fun w ->
-        let scale = max 50 (tier_scale w / 64) in
-        let posthoc = row w ~mode:"posthoc" ~scale in
-        let stream = row w ~mode:"stream" ~scale in
-        [ posthoc; stream ])
-      tier
-  in
-  List.iter2
-    (fun o s ->
-      Printf.printf
-        "%-12s streaming overhead %.2fx wall, retirement %.1f%% of \
-         certified ops\n%!"
-        o.s_name
-        (s.s_wall /. o.s_wall)
-        (if s.s_certified_ops > 0 then
-           100.0 *. float_of_int s.s_retired_ops
-           /. float_of_int s.s_certified_ops
-         else nan))
-    off stream;
-  last_scale_doc :=
-    Some
-      (Jsonx.Obj
-         [
-           ("schema", Jsonx.String "c11-scaletier-v1");
-           ("seed", Jsonx.String (Int64.to_string seed));
-           ("scale_divisor", Jsonx.Int !scale_divisor);
-           ("rows", Jsonx.List (List.map scale_row_to_json (off @ stream)));
-           ("posthoc_curve", Jsonx.List (List.map scale_row_to_json curve));
-         ])
-
-(* ---------- result cache: cold vs warm campaign replay ----------------- *)
-
-(* The multi-process fabric's content-addressed cache (lib/svc) promises
-   that a warm re-run of an identical campaign spawns no workers and
-   performs zero engine executions.  This experiment measures what that
-   buys: the same fixed-seed campaign run twice against one cache
-   directory — cold (populating) then warm (replaying) — reporting both
-   walls, the speedup and the hit rate, and checking the replayed summary
-   is byte-identical to the computed one. *)
-
-let last_cache_doc : Jsonx.t option ref = ref None
-let cache_workloads = [ "ms-queue"; "seqlock"; "chase-lev-deque" ]
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-type cache_row = {
-  c_name : string;
-  c_iters : int;
-  c_cold_wall : float;
-  c_warm_wall : float;
-  c_hits : int;
-  c_stores : int;
-  c_warm_executions : int;
-  c_parity : bool;  (* warm merged summary byte-identical to cold *)
-}
-
-let cache_row_to_json r =
-  Jsonx.Obj
-    [
-      ("name", Jsonx.String r.c_name);
-      ("iters", Jsonx.Int r.c_iters);
-      ("cold_wall_s", Jsonx.Float r.c_cold_wall);
-      ("warm_wall_s", Jsonx.Float r.c_warm_wall);
-      ( "warm_speedup",
-        Jsonx.Float
-          (if r.c_warm_wall > 0.0 then r.c_cold_wall /. r.c_warm_wall else nan)
-      );
-      ("warm_hits", Jsonx.Int r.c_hits);
-      ("cold_stores", Jsonx.Int r.c_stores);
-      ( "warm_hit_rate",
-        Jsonx.Float
-          (if r.c_stores > 0 then
-             float_of_int r.c_hits /. float_of_int r.c_stores
-           else nan) );
-      ("warm_executions", Jsonx.Int r.c_warm_executions);
-      ("parity", Jsonx.Bool r.c_parity);
-    ]
-
-let run_cache_one ~exe (w : Registry.t) =
-  let iters = !cache_iters in
-  let campaign =
-    Svc.Run_c
-      {
-        workload = w.Registry.name;
-        buggy = true;
-        scale = w.Registry.default_scale;
-        config = Tool.config ~seed ~max_steps:150_000 Tool.C11tester;
-        iters;
-      }
-  in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "c11bench_cache_%d_%s" (Unix.getpid ()) w.Registry.name)
-  in
-  rm_rf dir;
-  let open_cache () =
-    match Cache.open_dir dir with
-    | Ok c -> c
-    | Error msg -> failwith (Printf.sprintf "cache dir %s: %s" dir msg)
-  in
-  let campaign_run cache =
-    match Svc.run_campaign ~exe ~cache ~workers:2 ~jobs:1 campaign with
-    | Ok (Svc.M_run s, st) -> (s, st)
-    | Ok _ -> failwith "unexpected merged payload"
-    | Error msg -> failwith ("campaign fabric: " ^ msg)
-  in
-  let cold_cache = open_cache () in
-  let (cold_summary, cold_st), cold_wall =
-    Stats.timed (fun () -> campaign_run cold_cache)
-  in
-  let warm_cache = open_cache () in
-  let (warm_summary, warm_st), warm_wall =
-    Stats.timed (fun () -> campaign_run warm_cache)
-  in
-  rm_rf dir;
-  let render s = Jsonx.to_string (Tester.summary_to_json s) in
-  let cold_stats = Option.get cold_st.Svc.st_cache in
-  let warm_stats = Option.get warm_st.Svc.st_cache in
-  {
-    c_name = w.Registry.name;
-    c_iters = iters;
-    c_cold_wall = cold_wall;
-    c_warm_wall = warm_wall;
-    c_hits = warm_stats.Cache.hits;
-    c_stores = cold_stats.Cache.stores;
-    c_warm_executions = warm_st.Svc.st_executions_run;
-    c_parity = render cold_summary = render warm_summary;
-  }
-
-let run_cache () =
-  Bench_util.header
-    (Printf.sprintf
-       "Result cache (seed %Ld): identical fixed-seed campaigns, cold \
-        (computing + populating) vs warm (replaying from the \
-        content-addressed cache, zero engine executions)"
-       seed);
-  match Svc.locate_exe () with
-  | None ->
-    print_endline "c11test binary not found next to the harness; skipping"
-  | Some exe ->
-    Printf.printf "%-16s %6s %10s %10s %9s %6s %7s\n" "workload" "iters"
-      "cold" "warm" "speedup" "hits" "parity";
-    let rows =
-      List.map
-        (fun name ->
-          let w =
-            match Registry.find name with
-            | Some w -> w
-            | None -> failwith ("unknown workload " ^ name)
-          in
-          let r = run_cache_one ~exe w in
-          Printf.printf "%-16s %6d %10s %10s %8.1fx %6d %7s\n%!" r.c_name
-            r.c_iters
-            (Bench_util.pp_seconds r.c_cold_wall)
-            (Bench_util.pp_seconds r.c_warm_wall)
-            (if r.c_warm_wall > 0.0 then r.c_cold_wall /. r.c_warm_wall
-             else nan)
-            r.c_hits
-            (if r.c_parity then "ok" else "MISMATCH");
-          Metrics.set_gauge Bench_util.metrics
-            ("cache.cold_wall_s." ^ r.c_name) r.c_cold_wall;
-          Metrics.set_gauge Bench_util.metrics
-            ("cache.warm_wall_s." ^ r.c_name) r.c_warm_wall;
-          r)
-        cache_workloads
-    in
-    last_cache_doc :=
-      Some
-        (Jsonx.Obj
-           [
-             ("schema", Jsonx.String "c11-cachebench-v1");
-             ("seed", Jsonx.String (Int64.to_string seed));
-             ("workers", Jsonx.Int 2);
-             ("rows", Jsonx.List (List.map cache_row_to_json rows));
-           ])

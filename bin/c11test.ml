@@ -434,7 +434,7 @@ let run_cmd =
         if trace_depth > 0 || trace_out <> None then begin
           let ring_capacity = max 65536 trace_depth in
           let obs = Obs.create ~ring_capacity () in
-          match Tester.find_buggy_parallel ~obs ~profile ~metrics ~jobs
+          match Tester.find_buggy ~obs ~profile ~metrics ~jobs
                   ~config ~attempts:iters body
           with
           | None ->

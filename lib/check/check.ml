@@ -847,6 +847,10 @@ let check_locations ~graph ~graph_exact (acts : Action.t array) clks n found =
   release_scratch sc;
   !found
 
+let not_immediate_detail (r : Action.t) (s : Action.t) =
+  Printf.sprintf "rmw #%d reads-from #%d but does not immediately mo-follow it"
+    r.seq s.seq
+
 let check_rmw_atomicity c ~graph =
   let claimed = Hashtbl.create 8 in
   let count = ref 0 in
@@ -872,10 +876,7 @@ let check_rmw_atomicity c ~graph =
             if not immediate then begin
               incr count;
               add_violation c Rmw_atomicity [ s.seq; r.seq ]
-                (Printf.sprintf
-                   "rmw #%d reads-from #%d but does not immediately \
-                    mo-follow it"
-                   r.seq s.seq)
+                (not_immediate_detail r s)
             end
           | _ -> () (* a pruned end of the pair: immediacy unobservable *)))
     c.trace
@@ -943,14 +944,14 @@ let na_total_mo =
   "Total_mo executions use 2011 release sequences, outside the certified \
    fragment"
 
-let certify (exec : Execution.t) =
-  if not (exec.Execution.cert_on && exec.Execution.cert_record) then
-    Not_applicable "execution was not recorded for certification"
+let certify (exec : Execution.t) ~actions ~sync_edges =
+  if not exec.Execution.cert_on then
+    Not_applicable "execution was created without certification"
   else if exec.Execution.mode <> Execution.Full_c11 then
     Not_applicable na_total_mo
   else begin
-    let trace = Array.of_list (Execution.cert_trace exec) in
-    let edges = Array.of_list (Execution.cert_sync_edges exec) in
+    let trace = Array.of_list actions in
+    let edges = Array.of_list sync_edges in
     let by_seq = Hashtbl.create (Array.length trace) in
     Array.iter (fun (a : Action.t) -> Hashtbl.replace by_seq a.seq a) trace;
     let c =
@@ -1029,18 +1030,20 @@ let certify (exec : Execution.t) =
 (* ------------------------------------------------------------------ *)
 (* Streaming incremental certification.
 
-   The post-hoc certifier above rebuilds everything from the complete
-   retained trace — an O(n²)-ish pass that caps execution size.  The
-   stream below consumes the same inputs *as the execution produces
-   them* (via an [Execution.cert_sink]), maintains the certified clock
+   The post-hoc certifier above rebuilds everything from a complete
+   recorded trace — an O(n²)-ish pass that caps execution size, kept as
+   the tests' reference.  The stream below, the engine's only
+   certifier, consumes the same inputs *as the execution produces them*
+   (via an [Execution.cert_sink]), maintains the certified clock
    replica incrementally, runs the per-action axiom checks online, and
    — the point of the exercise — *retires* actions whose every future
    obligation is provably discharged, freeing their window storage so
    certification memory is bounded by the live window, not the run
    length.
 
-   Equivalence with [certify] (checked by the QCheck differential in the
-   test suite, key-level on rejections, bit-level on certified stats):
+   Equivalence with [certify] (checked by the test suite on single runs
+   that also record the events for [certify], key-level on rejections,
+   bit-level on certified stats):
 
    - The certified clocks are replayed in arrival order, which coincides
      with the post-hoc (seq, rank) event order because every release
@@ -1068,7 +1071,11 @@ let certify (exec : Execution.t) =
    - Mo-graph-dependent families (coherence cycle, CoWW/CoWR residue,
      Theorem 1) run at [finalize] with the *same* code as the post-hoc
      pass, over the unretired window; retired actions are exactly those
-     proven unable to participate in a violation.
+     proven unable to participate in a violation.  RMW immediacy is
+     probed when the RMW is fed and again at [finalize] for every RMW
+     still in the window, so a link that changes after the feed is
+     reported once; a pair that has already retired is not probed
+     again.
 
    Known, deliberate divergence: a synthetically corrupted trace whose
    read names a *future* store is reported as "not in the trace" here
@@ -1511,6 +1518,13 @@ module Stream = struct
              "load #%d returned %d but its reads-from store #%d wrote %d"
              a.seq a.value st.seq st.value)
 
+  (* [r] read [st] but does not immediately mo-follow it in [graph]; a
+     pruned end makes immediacy unobservable, as post-hoc *)
+  let not_immediate graph (st : Action.t) (r : Action.t) =
+    let ns = Mograph.live_node graph st and nr = Mograph.live_node graph r in
+    ns != Mograph.absent && nr != Mograph.absent
+    && match ns.Mograph.rmw with Some x -> x != nr | None -> true
+
   (* rmw atomicity: double claim + mo immediacy (re-probed at finalize
      against the final graph, mirroring the post-hoc pruning skip).  A
      store outside the window takes no claim: unfed, it is already an
@@ -1526,19 +1540,8 @@ module Stream = struct
           None
       else s.w_claim.(k) <- a.seq
     end;
-    let graph = s.exec.Execution.graph in
-    let ns = Mograph.live_node graph st and nr = Mograph.live_node graph a in
-    if ns != Mograph.absent && nr != Mograph.absent then begin
-      let immediate =
-        match ns.Mograph.rmw with Some x -> x == nr | None -> false
-      in
-      if not immediate then
-        push_rmw s [ st.seq; a.seq ]
-          (Printf.sprintf
-             "rmw #%d reads-from #%d but does not immediately mo-follow it"
-             a.seq st.seq)
-          (Some (st, a))
-    end
+    if not_immediate s.exec.Execution.graph st a then
+      push_rmw s [ st.seq; a.seq ] (not_immediate_detail a st) (Some (st, a))
 
   let check_sc s (a : Action.t) ~pre_max =
     s.n_sc <- s.n_sc + 1;
@@ -1894,18 +1897,42 @@ module Stream = struct
   (* --- finalize ---------------------------------------------------- *)
 
   (* rmw immediacy candidates ([v_rmw], newest first) re-probed against
-     the final graph, onto [acc], oldest first: a pruned end makes
-     immediacy unobservable, as post-hoc *)
+     the final graph, onto [acc], oldest first *)
   let rec reprobe_rmw graph acc = function
     | [] -> acc
     | (v, None) :: rest -> reprobe_rmw graph (v :: acc) rest
     | (v, Some (st, r)) :: rest ->
-      let ns = Mograph.live_node graph st and nr = Mograph.live_node graph r in
-      let still =
-        ns != Mograph.absent && nr != Mograph.absent
-        && match ns.Mograph.rmw with Some x -> x != nr | None -> true
-      in
-      reprobe_rmw graph (if still then v :: acc else acc) rest
+      let acc = if not_immediate graph st r then v :: acc else acc in
+      reprobe_rmw graph acc rest
+
+  (* Every other RMW still in the window, probed against the final graph
+     (oldest first, under the family cap): its link was immediate when it
+     was fed, but the graph can change after that.  Each pair is reported
+     once — a candidate in [v_rmw] is re-probed above instead — and a pair
+     that has already retired is not probed again. *)
+  let probe_window_rmw s graph =
+    let candidate (r : Action.t) =
+      List.exists
+        (function _, Some (_, x) -> x == r | _, None -> false)
+        s.v_rmw
+    in
+    let found = ref [] in
+    for k = 0 to s.w_n - 1 do
+      let r = s.w_act.(k) in
+      if r.kind = Action.Rmw && s.c_rmw < cap then
+        match r.rf with
+        | Some st when not_immediate graph st r && not (candidate r) ->
+          s.c_rmw <- s.c_rmw + 1;
+          found :=
+            {
+              axiom = Rmw_atomicity;
+              actions = [ st.seq; r.seq ];
+              detail = not_immediate_detail r st;
+            }
+            :: !found
+        | Some _ | None -> ()
+    done;
+    List.rev !found
 
   let finalize_now s =
     let exec = s.exec in
@@ -1918,7 +1945,7 @@ module Stream = struct
       let mo_found =
         check_locations ~graph ~graph_exact s.w_act s.w_clk s.w_n []
       in
-      let rmw = reprobe_rmw graph [] s.v_rmw in
+      let rmw = reprobe_rmw graph [] s.v_rmw @ probe_window_rmw s graph in
       match
         (s.v_sync, s.v_irr, s.v_diff, s.v_rf, mo_found, rmw, s.v_sc_pair,
          s.v_sc_read)

@@ -10,11 +10,11 @@
     C11-Style Memory Models", and the declarative treatment of Batty et
     al., "Overhauling SC Atomics in C11 and OpenCL").
 
-    From the recorded action trace and synchronisation edges
-    ({!Execution.cert_trace}, {!Execution.cert_sync_edges}) it
-    reconstructs the declarative relations from scratch — [sb] (program
-    order per thread), [rf] (the recorded reads-from), [mo] (read off the
-    final mo-graph by depth-first search, never by clock vectors), [sw]
+    From the actions and synchronisation edges an execution feeds its
+    certification sinks ({!Execution.cert_sink}) it reconstructs the
+    declarative relations from scratch — [sb] (program order per
+    thread), [rf] (the recorded reads-from), [mo] (read off the final
+    mo-graph by depth-first search, never by clock vectors), [sw]
     (release sequences per C++20, including fence-based synchronisation),
     [hb = (sb ∪ sw)⁺] (computed with its own integer timelines, entirely
     independently of the engine's {!Clockvec}s) and [fr = rf⁻¹ ; mo] —
@@ -82,12 +82,21 @@ type verdict =
   | Certified of stats
   | Rejected of violation list  (** non-empty, in detection order *)
   | Not_applicable of string
-      (** nothing recorded ([~certify:false]) or an uncertified mode *)
+      (** an execution created with [~certify:false], or an uncertified
+          mode *)
 
-(** [certify exec] reconstructs the declarative relations of the finished
-    execution and checks every axiom, returning all violations found (it
-    does not stop at the first). *)
-val certify : Execution.t -> verdict
+(** [certify exec ~actions ~sync_edges] reconstructs the declarative
+    relations of the finished execution [exec] from every action and sync
+    edge it fed its sinks, oldest first, and checks every axiom, returning
+    all violations found (it does not stop at the first).  The engine
+    certifies with {!Stream}; this post-hoc pass is the independent
+    reference the test suite compares the stream against, fed by a sink
+    that records the events. *)
+val certify :
+  Execution.t ->
+  actions:Action.t list ->
+  sync_edges:Execution.sync_edge list ->
+  verdict
 
 val axiom_name : axiom -> string
 
@@ -116,9 +125,11 @@ val verdict_to_json : verdict -> Jsonx.t
 
     Equivalence with the post-hoc pass is key-level on rejections (same
     verdict constructor; same sorted set of {!violation_key}s, hence the
-    same {!rejection_key}) and bit-level on {!Certified} stats; the
-    QCheck differential in the test suite enforces this, including under
-    the seeded engine mutants and pruned executions. *)
+    same {!rejection_key}) and bit-level on {!Certified} stats.  The test
+    suite enforces this on single runs: a sink records the events the
+    stream consumes and hands them to {!certify}, over the litmus
+    catalog, the workloads, random programs, the seeded engine mutants
+    and pruned executions. *)
 module Stream : sig
   type t
 
@@ -135,7 +146,9 @@ module Stream : sig
   val sink : t -> Execution.cert_sink
 
   (** Verdict over everything fed so far.  Idempotent; runs the residual
-      window through the exact post-hoc mo-graph checks. *)
+      window through the exact post-hoc mo-graph checks, and probes RMW
+      immediacy once more for every RMW still in the window (an RMW that
+      has retired is not probed again). *)
   val finalize : t -> verdict
 
   (** Actions certified so far (progress counter). *)

@@ -120,12 +120,7 @@ type t = {
   mutation : mutation option;
       (** test-only seeded engine fault; [None] (the default) is the
           correct engine *)
-  cert_record : bool;
-      (** retain the full [cert_trace_rev]/[cert_sync_rev] history; off
-          when a streaming sink consumes events instead (scale tier) *)
   mutable cert_sink : cert_sink option;
-  mutable cert_trace_rev : Action.t list;
-  mutable cert_sync_rev : sync_edge list;
   mutable seq : int;
   mutable threads : thread_state array;
   mutable nthreads : int;
@@ -168,10 +163,7 @@ let dummy_action : Action.t =
   }
 
 let create ?(obs = Obs.null) ?(prof = Profile.null) ?(metrics = Metrics.null)
-    ?(certify = false) ?cert_record ?mutation ~mode ~rng ~race () =
-  let cert_record =
-    match cert_record with Some b -> b | None -> certify
-  in
+    ?(certify = false) ?mutation ~mode ~rng ~race () =
   {
     mode;
     rng;
@@ -185,10 +177,7 @@ let create ?(obs = Obs.null) ?(prof = Profile.null) ?(metrics = Metrics.null)
     metrics_on = Metrics.enabled metrics;
     cert_on = certify;
     mutation;
-    cert_record = certify && cert_record;
     cert_sink = None;
-    cert_trace_rev = [];
-    cert_sync_rev = [];
     seq = 0;
     threads = [||];
     nthreads = 0;
@@ -239,11 +228,16 @@ let is_atomic_loc t loc =
   loc < Array.length t.atomic_locs && Array.unsafe_get t.atomic_locs loc
 
 let cert_sync_edge t ~from_tid ~from_seq ~to_tid ~to_seq =
-  let e =
-    { se_from_tid = from_tid; se_from_seq = from_seq; se_to_tid = to_tid; se_to_seq = to_seq }
-  in
-  if t.cert_record then t.cert_sync_rev <- e :: t.cert_sync_rev;
-  match t.cert_sink with Some s -> s.cs_edge e | None -> ()
+  match t.cert_sink with
+  | Some s ->
+    s.cs_edge
+      {
+        se_from_tid = from_tid;
+        se_from_seq = from_seq;
+        se_to_tid = to_tid;
+        se_to_seq = to_seq;
+      }
+  | None -> ()
 
 (* Current sequence number of the thread's own clock slot — the seq of its
    most recent event (action or synchronisation tick). *)
@@ -743,7 +737,6 @@ let mk_action t ts kind ~loc ~mo ~value ~volatile ~seq =
   }
   in
   record_trace t a;
-  if t.cert_record then t.cert_trace_rev <- a :: t.cert_trace_rev;
   a
 
 (* Fisher–Yates over the scratch buffer, drawing from the RNG in exactly
@@ -1108,9 +1101,6 @@ let trace t =
      to reach [trace_cap] actions *)
   let newest_first = t.trace_rev @ take (t.trace_cap - t.trace_n) t.trace_old in
   List.rev newest_first
-
-let cert_trace t = List.rev t.cert_trace_rev
-let cert_sync_edges t = List.rev t.cert_sync_rev
 
 module Internal = struct
   let build_may_read_from = build_may_read_from

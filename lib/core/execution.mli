@@ -104,13 +104,13 @@ type loc_info = {
           by the same thread continue the sequence. *)
 }
 
-(** A synchronisation edge recorded for the axiomatic certifier
-    ({!Check.certify} in [lib/check]): the event with sequence number
-    [se_from_seq] on thread [se_from_tid] released state that the event
-    [se_to_seq] on thread [se_to_tid] acquired — thread spawn, join, or a
-    mutex unlock→lock hand-off.  [se_to_seq = 0] means "before the target
-    thread's first event" (thread start).  Only recorded when the
-    execution was created with [~certify:true]. *)
+(** A synchronisation edge fed to the certification sinks: the event
+    with sequence number [se_from_seq] on thread [se_from_tid] released
+    state that the event [se_to_seq] on thread [se_to_tid] acquired —
+    thread spawn, join, or a mutex unlock→lock hand-off.
+    [se_to_seq = 0] means "before the target thread's first event"
+    (thread start).  Only produced when the execution was created with
+    [~certify:true]. *)
 type sync_edge = {
   se_from_tid : int;
   se_from_seq : int;
@@ -120,9 +120,9 @@ type sync_edge = {
 
 (** Incremental certification sink (implemented by [Check.Stream] in
     [lib/check] and [Cov.Stream] in [lib/cov]; this module only drives
-    it).  [cs_action] is called once per action, in the order
-    {!cert_trace} records them and within the operation that created the
-    action, after its reads-from field and mo-graph edges are final;
+    it).  [cs_action] is called once per action, in sequence-number
+    order and within the operation that created the action, after its
+    reads-from field and mo-graph edges are final;
     [cs_edge] once per synchronisation edge, after the source release was
     announced via [cs_release] — so the sink can snapshot its replica
     clocks at the release point instead of retaining history.
@@ -150,20 +150,12 @@ type t = {
   metrics_on : bool;
   cert_on : bool;
       (** produce certifier-grade actions and synchronisation edges for
-          the sinks (and, with [cert_record], the retained history); off
-          by default (zero cost) *)
+          the sinks; off by default (zero cost).  Nothing is retained:
+          the sinks are the only consumers *)
   mutation : mutation option;
       (** test-only seeded engine fault; [None] (the default) is the
           correct engine *)
-  cert_record : bool;
-      (** retain the full certification history below, for the post-hoc
-          certifier; off when only sinks consume events, so a run's
-          memory does not grow with its length (scale tier) *)
   mutable cert_sink : cert_sink option;
-  mutable cert_trace_rev : Action.t list;
-      (** every action, newest first (unbounded, unlike [trace_rev]);
-          mutable so certifier self-tests can corrupt a recorded execution *)
-  mutable cert_sync_rev : sync_edge list;  (** newest first; ditto *)
   mutable seq : int;
   mutable threads : thread_state array;
   mutable nthreads : int;
@@ -199,7 +191,6 @@ val create :
   ?prof:Profile.t ->
   ?metrics:Metrics.t ->
   ?certify:bool ->
-  ?cert_record:bool ->
   ?mutation:mutation ->
   mode:mode ->
   rng:Rng.t ->
@@ -295,15 +286,6 @@ val graph_footprint : t -> int
 val set_trace_capacity : t -> int -> unit
 
 val trace : t -> Action.t list
-
-(** The post-hoc certifier's inputs, oldest first: every action of the
-    execution (including materialised non-sc fences) and every
-    synchronisation edge.  Both are empty unless the execution was created
-    with [~certify:true] and recording on (the default; a streaming sink
-    with [~cert_record:false] consumes the events instead). *)
-val cert_trace : t -> Action.t list
-
-val cert_sync_edges : t -> sync_edge list
 
 (** Internal helpers exposed for tests. *)
 module Internal : sig

@@ -100,8 +100,8 @@ type shape = {
   sg_mo : (string * int) list;
 }
 
-let shape_of_execution exec =
-  let trace = Array.of_list (Execution.cert_trace exec) in
+let shape_of_execution ~actions ~sync_edges =
+  let trace = Array.of_list actions in
   let idx_of_seq = Hashtbl.create (Array.length trace) in
   Array.iteri
     (fun i (a : Action.t) -> Hashtbl.replace idx_of_seq a.Action.seq i)
@@ -125,7 +125,7 @@ let shape_of_execution exec =
     List.map
       (fun (se : Execution.sync_edge) ->
         (se.Execution.se_from_tid, se.Execution.se_to_tid))
-      (Execution.cert_sync_edges exec)
+      sync_edges
   in
   let es = edges evs ~sync in
   let mo = Hashtbl.create 8 in
@@ -151,9 +151,9 @@ let shape_of_execution exec =
 
    The same signature as [shape_of_execution], computed from the
    certification sink instead of a retained trace.  The engine feeds
-   every action once, in the order the recording would hold it, so
-   renaming on first appearance gives each thread and location the index
-   the first pass of [edges] gives it.  A read's store was fed before the
+   every action once, in sequence-number order, so renaming on first
+   appearance gives each thread and location the index the first pass
+   of [edges] gives it.  A read's store was fed before the
    read, so its thread is already named.  Sync-edge threads are named
    after the last action, as in [edges].  Edges are kept as packed
    integer codes and rendered once each at the end; memory is

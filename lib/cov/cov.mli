@@ -53,18 +53,18 @@ val digest_hex : string -> string
 type shape = {
   sg_digest : string;  (** {!digest_hex} of the canonical signature *)
   sg_edges : int;  (** distinct canonical edges *)
-  sg_events : int;  (** recorded trace actions *)
+  sg_events : int;  (** actions fed to the fingerprint *)
   sg_mo : (string * int) list;
       (** memory-order usage over atomic actions and fences, sorted by
           order name *)
 }
 
-(** Fingerprint a finished execution from its certifier-grade recording
-    ({!Execution.cert_trace} / {!Execution.cert_sync_edges}); the
-    execution must have been created with trace recording on.  The
-    reference {!Stream} is tested against; the engine does not record for
-    coverage. *)
-val shape_of_execution : Execution.t -> shape
+(** Fingerprint a finished execution from every action and sync edge it
+    fed its certification sinks ({!Execution.cert_sink}), oldest first.
+    The reference {!Stream} is tested against, fed by a sink that records
+    the events; the engine retains nothing for coverage. *)
+val shape_of_execution :
+  actions:Action.t list -> sync_edges:Execution.sync_edge list -> shape
 
 (** The fingerprint the engine computes: a certification-sink consumer
     that builds {!shape_of_execution}'s shape as the execution runs.
@@ -73,7 +73,7 @@ val shape_of_execution : Execution.t -> shape
     edges as distinct thread pairs whose threads are named after the last
     action; {!shape} renders each distinct edge once.  Memory is
     O(threads + locations + distinct edges), independent of the run's
-    length.  Fed every action once in trace order (as
+    length.  Fed every action once in sequence-number order (as
     {!Execution.cert_sink} promises), the shape is identical to
     {!shape_of_execution}'s. *)
 module Stream : sig
@@ -132,7 +132,7 @@ type entry = { e_key : string; e_count : int; e_first : int }
 
 type summary = {
   s_executions : int;
-  s_events : int;  (** total recorded trace actions *)
+  s_events : int;  (** total actions fingerprinted *)
   s_shapes : entry list;  (** ascending first-occurrence index *)
   s_races : entry list;
   s_violations : entry list;

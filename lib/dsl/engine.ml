@@ -11,10 +11,6 @@ type config = {
   seed : int64;
   trace_depth : int;
   certify : bool;
-  cert_stream : bool;
-      (** certify incrementally (streaming window + prefix retirement)
-          instead of the post-hoc full-trace pass; on by default, only
-          meaningful with [certify] *)
   mutation : Execution.mutation option;
   coverage : bool;
 }
@@ -29,7 +25,6 @@ let default_config =
     seed = 1L;
     trace_depth = 0;
     certify = false;
-    cert_stream = true;
     mutation = None;
     coverage = false;
   }
@@ -51,7 +46,7 @@ type outcome = {
   certificate : Check.verdict option;
       (** [Some _] iff the execution ran with [config.certify] *)
   certified_ops : int;
-      (** actions consumed by the streaming certifier (0 post-hoc/off) *)
+      (** actions consumed by the streaming certifier (0 when off) *)
   retired_prefix_ops : int;
       (** actions whose certification window storage was retired *)
   shape : Cov.shape option;
@@ -558,13 +553,10 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
   let rng = Rng.create config.seed in
   let race = Race.create ~obs ~metrics () in
   (* the streaming certifier and the coverage fingerprint consume events
-     as they happen, so the full history is retained only for the
-     post-hoc pass *)
-  let streaming = config.certify && config.cert_stream in
+     as they happen; nothing is retained for them *)
   let exec =
     Execution.create ~obs ~prof:profile ~metrics
       ~certify:(config.certify || config.coverage)
-      ~cert_record:(config.certify && not streaming)
       ?mutation:config.mutation ~mode:config.mode ~rng ~race ()
   in
   Execution.set_trace_capacity exec config.trace_depth;
@@ -593,7 +585,7 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
     }
   in
   let stream =
-    if streaming then begin
+    if config.certify then begin
       (* a thread's engine clock bounds what it can still read only while
          it may run: finished threads are out, and a thread parked on an
          unconditional acquire (join, lock of a held mutex) will merge the
@@ -624,6 +616,7 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
     end
     else None
   in
+  Option.iter (fun f -> f exec) inspect;
   ignore (add_thread st f ~parent:None);
   let is_rlx_store = pending_is_rlx_store st in
   let outer_ctx = Domain.DLS.get inline_ctx_key in
@@ -676,13 +669,10 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
   Domain.DLS.set inline_ctx_key outer_ctx;
   Profile.stop profile "execution" p_run;
   let certificate =
-    if config.certify then begin
+    match stream with
+    | Some s ->
       let p_cert = Profile.start profile in
-      let v =
-        match stream with
-        | Some s -> Check.Stream.finalize s
-        | None -> Check.certify exec
-      in
+      let v = Check.Stream.finalize s in
       Profile.stop profile "certify" p_cert;
       if metrics_on then begin
         Metrics.incr metrics "certify.executions";
@@ -692,8 +682,7 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
         | Check.Certified _ | Check.Not_applicable _ -> ()
       end;
       Some v
-    end
-    else None
+    | None -> None
   in
   let shape =
     match cov with
@@ -704,7 +693,6 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
       Some sg
     | None -> None
   in
-  Option.iter (fun f -> f exec) inspect;
   if metrics_on then begin
     Metrics.incr metrics "engine.executions";
     Metrics.incr metrics ~by:st.steps "engine.steps";

@@ -27,14 +27,9 @@ type config = {
           0 (default) disables tracing *)
   certify : bool;
       (** run the axiomatic certifier over the execution; off (zero-cost)
-          by default.  With [cert_stream] (the default) actions and sync
-          edges are certified incrementally as they happen
-          ({!Check.Stream}); otherwise the full trace is retained and
-          {!Check.certify} runs post-hoc *)
-  cert_stream : bool;
-      (** streaming incremental certification with hb-closed prefix
-          retirement instead of the post-hoc full-trace pass; on by
-          default, only meaningful with [certify] *)
+          by default.  Actions and sync edges are certified incrementally
+          as they happen ({!Check.Stream}), with hb-closed prefix
+          retirement, so nothing is retained for the certifier *)
   mutation : Execution.mutation option;
       (** test-only seeded engine fault ({!Execution.mutation}), used to
           prove the oracle pipeline detects real engine bugs; [None] (the
@@ -66,8 +61,8 @@ type outcome = {
   certificate : Check.verdict option;
       (** the axiomatic certifier's verdict; [Some _] iff [config.certify] *)
   certified_ops : int;
-      (** actions consumed by the streaming certifier; 0 when certifying
-          post-hoc or not at all *)
+      (** actions consumed by the streaming certifier; 0 when not
+          certifying *)
   retired_prefix_ops : int;
       (** actions whose certification window storage was freed by
           hb-closed prefix retirement *)
@@ -85,10 +80,11 @@ val buggy : outcome -> bool
     scheduler picks, race reports, prune sweeps), [profile] accumulates
     per-phase span timings, [metrics] collects counters and histograms.
     All three default to their disabled singletons, in which case the
-    instrumentation is zero-cost.  [inspect] is called with the finished
-    execution before the outcome is built; with post-hoc certification
-    ([certify] without [cert_stream]) it can read the recorded trace, as
-    the coverage differential tests do. *)
+    instrumentation is zero-cost.  [inspect] is called once with the new
+    execution, after the certifier's and coverage's sinks are installed
+    and before the first thread is added: a test can install its own
+    sink there ({!Execution.add_cert_sink}, with [certify] or [coverage]
+    on) and keep the handle to read the final state after the run. *)
 val run :
   ?obs:Obs.t ->
   ?profile:Profile.t ->

@@ -25,9 +25,9 @@ let detection_rate s =
 (* ------------------------------------------------------------------ *)
 (* Shards.
 
-   Both the sequential and the parallel runners are built from the same
-   unit: run the executions of one leapfrog shard (global indices
-   [worker], [worker+jobs], ... below [total]) and accumulate counters,
+   Every runner, at any job count, is built from the same unit: run the
+   executions of one leapfrog shard (global indices [worker],
+   [worker+jobs], ... below [total]) and accumulate counters,
    shard-local race dedup and a shard-local observation histogram, each
    entry carrying the global index of its first occurrence.  Execution
    [i]'s seed comes from [Rng.substream config.seed ~index:i] — a pure
@@ -227,7 +227,15 @@ let merge_shards shards =
     hist )
 
 (* ------------------------------------------------------------------ *)
-(* Sequential runners: one shard covering every index. *)
+(* Campaign runners.
+
+   With one job a single shard covers every index.  Otherwise worker [w]
+   of [j] runs its leapfrog shard on its own domain with fully private
+   engine state (execution, mo-graph, race detector, RNG) and private
+   C11obs handles; the shards are merged with the order-independent
+   operations of {!Par.Merge}.  The contract: the merged summary,
+   histogram and distinct-race list are bit-identical for every job
+   count. *)
 
 (* The final progress record carries the campaign's exact merged novelty
    counts (heartbeats only ever saw shard-local overapproximations). *)
@@ -239,32 +247,6 @@ let finish_progress progress summary =
         (List.length summary.distinct_races
         + List.length summary.distinct_cert_violations)
       progress
-
-let run_collect ?(obs = Obs.null) ?(profile = Profile.null)
-    ?(metrics = Metrics.null) ?(progress = Progress.null) ~config ~iters f =
-  let shard =
-    run_shard_at ~progress ~obs ~profile ~metrics ~config ~total:iters
-      ~start:0 ~stride:1 f
-  in
-  let summary, hist = merge_shards [ shard ] in
-  let summary = { summary with executions = iters } in
-  finish_progress progress summary;
-  (summary, hist)
-
-let run ?obs ?profile ?metrics ?progress ~config ~iters f =
-  fst
-    (run_collect ?obs ?profile ?metrics ?progress ~config ~iters (fun () ->
-         f ()))
-
-(* ------------------------------------------------------------------ *)
-(* Parallel runners.
-
-   Worker [w] of [j] runs its leapfrog shard on its own domain with fully
-   private engine state (execution, mo-graph, race detector, RNG) and
-   private C11obs handles; the shards are merged with the
-   order-independent operations of {!Par.Merge}.  The contract: the
-   merged summary, histogram and distinct-race list are bit-identical to
-   the sequential runner's for every job count. *)
 
 let clamp_jobs jobs n = max 1 (min jobs (max 1 n))
 
@@ -294,39 +276,44 @@ let absorb_worker_handles ~obs ~profile ~metrics handles =
       if Metrics.enabled metrics then Metrics.absorb ~into:metrics m)
     handles
 
-let run_collect_parallel ?(obs = Obs.null) ?(profile = Profile.null)
+let run_collect ?(obs = Obs.null) ?(profile = Profile.null)
     ?(metrics = Metrics.null) ?(progress = Progress.null) ?(jobs = 1) ~config
     ~iters f =
   let jobs = clamp_jobs jobs iters in
-  if jobs = 1 then run_collect ~obs ~profile ~metrics ~progress ~config ~iters f
-  else begin
-    let results =
-      Par.spawn_workers ~jobs (fun ~worker ->
-          let o = worker_obs obs in
-          let p = worker_profile profile in
-          let m = worker_metrics metrics in
-          (* [progress] is shared: its counters are atomic and emission is
-             mutex-serialised, so workers tick it directly *)
-          let shard =
-            run_shard_at ~progress ~obs:o ~profile:p ~metrics:m ~config
-              ~total:iters ~start:worker ~stride:jobs f
-          in
-          (shard, (o, p, m)))
-    in
-    absorb_worker_handles ~obs ~profile ~metrics (Array.map snd results);
-    Obs.flush obs;
-    let summary, hist =
-      merge_shards (Array.to_list (Array.map fst results))
-    in
-    let summary = { summary with executions = iters } in
-    finish_progress progress summary;
-    (summary, hist)
-  end
+  let shards =
+    if jobs = 1 then
+      [
+        run_shard_at ~progress ~obs ~profile ~metrics ~config ~total:iters
+          ~start:0 ~stride:1 f;
+      ]
+    else begin
+      let results =
+        Par.spawn_workers ~jobs (fun ~worker ->
+            let o = worker_obs obs in
+            let p = worker_profile profile in
+            let m = worker_metrics metrics in
+            (* [progress] is shared: its counters are atomic and emission
+               is mutex-serialised, so workers tick it directly *)
+            let shard =
+              run_shard_at ~progress ~obs:o ~profile:p ~metrics:m ~config
+                ~total:iters ~start:worker ~stride:jobs f
+            in
+            (shard, (o, p, m)))
+      in
+      absorb_worker_handles ~obs ~profile ~metrics (Array.map snd results);
+      Obs.flush obs;
+      Array.to_list (Array.map fst results)
+    end
+  in
+  let summary, hist = merge_shards shards in
+  let summary = { summary with executions = iters } in
+  finish_progress progress summary;
+  (summary, hist)
 
-let run_parallel ?obs ?profile ?metrics ?progress ?jobs ~config ~iters f =
+let run ?obs ?profile ?metrics ?progress ?jobs ~config ~iters f =
   fst
-    (run_collect_parallel ?obs ?profile ?metrics ?progress ?jobs ~config
-       ~iters (fun () -> f ()))
+    (run_collect ?obs ?profile ?metrics ?progress ?jobs ~config ~iters
+       (fun () -> f ()))
 
 (* ------------------------------------------------------------------ *)
 (* Bug hunts. *)
@@ -336,12 +323,12 @@ let run_parallel ?obs ?profile ?metrics ?progress ?jobs ~config ~iters f =
    The tracer's ring is cleared between attempts so that, on success, it
    holds exactly the buggy execution's events.  Attempt seeds come from
    the substream rooted at [config.seed + 7] — distinct from {!run}'s —
-   indexed by attempt number, so {!find_buggy_parallel} can derive the
-   same seeds shard-wise. *)
+   indexed by attempt number, so the sharded hunt can derive the same
+   seeds shard-wise. *)
 
 let hunt_base config = Int64.add config.Engine.seed 7L
 
-let find_buggy ?obs ?profile ?metrics ~config ~attempts f =
+let find_buggy_seq ?obs ?profile ?metrics ~config ~attempts f =
   let base = hunt_base config in
   let rec hunt index =
     if index >= attempts then None
@@ -356,10 +343,9 @@ let find_buggy ?obs ?profile ?metrics ~config ~attempts f =
   in
   hunt 0
 
-let find_buggy_parallel ?obs ?profile ?metrics ?(jobs = 1) ~config ~attempts f
-    =
+let find_buggy ?obs ?profile ?metrics ?(jobs = 1) ~config ~attempts f =
   let jobs = clamp_jobs jobs attempts in
-  if jobs = 1 then find_buggy ?obs ?profile ?metrics ~config ~attempts f
+  if jobs = 1 then find_buggy_seq ?obs ?profile ?metrics ~config ~attempts f
   else begin
     let obs = Option.value ~default:Obs.null obs in
     let profile = Option.value ~default:Profile.null profile in
@@ -425,7 +411,7 @@ let find_buggy_parallel ?obs ?profile ?metrics ?(jobs = 1) ~config ~attempts f
    global indices and ships the resulting ['a shard] — plain data, no
    closures — back to the coordinator, which folds every shard (local or
    remote, fresh or cache-replayed) with [merge_shard_list].  Because the
-   shard values are exactly what the in-process parallel runner merges,
+   shard values are exactly what the in-process runners merge,
    the multi-process merge is byte-identical to [-j 1] by construction. *)
 
 let run_shard ?(obs = Obs.null) ?(profile = Profile.null)
@@ -451,9 +437,9 @@ let summary_to_json s =
         ("coverage", Cov.summary_to_json c);
       ]
   in
-  (* streaming-certification counters appear only when the streaming
-     certifier ran, keeping certify-off and post-hoc reports (and their
-     goldens) byte-identical to before *)
+  (* streaming-certification counters appear only when the certifier
+     ran, keeping certify-off reports (and their goldens) byte-identical
+     to before *)
   let stream_fields =
     if s.certified_ops > 0 || s.retired_prefix_ops > 0 then
       [

@@ -8,13 +8,15 @@
 
     Executions are numbered [0 .. iters-1] and execution [i] draws its
     seed from [Rng.substream config.seed ~index:i], a pure function of
-    the index.  A campaign is therefore embarrassingly parallel, and the
-    [_parallel] runners shard it across OCaml 5 domains ([jobs] workers,
-    leapfrog assignment) with fully private engine state per domain.
+    the index.  A campaign is therefore embarrassingly parallel, and
+    every runner takes [?jobs] to shard it across OCaml 5 domains ([jobs]
+    workers, leapfrog assignment) with fully private engine state per
+    domain.
 
     {b Determinism contract}: the merged summary, observation histogram
     (first-occurrence order) and deduplicated race list of a [~jobs:n]
-    campaign are bit-identical to the sequential runner's, for every [n].
+    campaign are bit-identical to the [~jobs:1] campaign's, for every
+    [n].
     Only wall-clock diagnostics (profile timings, metric percentile
     windows) may differ with [jobs]. *)
 
@@ -33,7 +35,7 @@ type summary = {
   cert_rejected_executions : int;
   certified_ops : int;
       (** actions consumed by the streaming certifier across the campaign
-          (0 when certifying post-hoc or not at all) *)
+          (0 when not certifying) *)
   retired_prefix_ops : int;
       (** actions whose certification window storage was freed by
           hb-closed prefix retirement *)
@@ -60,43 +62,20 @@ val detection_rate : summary -> float
     handles are shared across all executions of the session (events fan
     out continuously; metrics and span timings aggregate per session).
     [progress], when given, is ticked once per execution and receives a
-    [final] record with the campaign's exact merged novelty counts. *)
+    [final] record with the campaign's exact merged novelty counts.
+
+    [jobs] (default 1, clamped to at least 1) shards the executions
+    across that many domains.  [f] then runs concurrently on several
+    domains, so it must create the state it mutates per invocation —
+    every workload and litmus test in this repository already does,
+    allocating its locations through the DSL inside the closure.  When
+    C11obs handles are given, each worker records into private ones,
+    absorbed into the caller's in worker order after the join (see
+    {!Obs.absorb}): counters and span totals merge exactly; percentile
+    windows and ring contents are deterministic for a fixed [jobs] but
+    may differ across job counts.  The summary itself is bit-identical
+    for every [jobs]. *)
 val run :
-  ?obs:Obs.t ->
-  ?profile:Profile.t ->
-  ?metrics:Metrics.t ->
-  ?progress:Progress.t ->
-  config:Engine.config ->
-  iters:int ->
-  (unit -> unit) ->
-  summary
-
-(** [run_collect ~config ~iters f] also collects the observation returned
-    by each execution of [f] (read out of plain OCaml state by the caller's
-    closure) into a histogram — the litmus-test workhorse.  Histogram
-    entries are listed in order of first occurrence. *)
-val run_collect :
-  ?obs:Obs.t ->
-  ?profile:Profile.t ->
-  ?metrics:Metrics.t ->
-  ?progress:Progress.t ->
-  config:Engine.config ->
-  iters:int ->
-  (unit -> 'a) ->
-  summary * ('a * int) list
-
-(** [run_parallel ~jobs ~config ~iters f] is {!run} sharded across [jobs]
-    domains (clamped to at least 1; [~jobs:1] is exactly {!run}).  [f]
-    runs concurrently on several domains, so it must create the state it
-    mutates per invocation — every workload and litmus test in this
-    repository already does, allocating its locations through the DSL
-    inside the closure.  When C11obs handles are given, each worker
-    records into private ones, absorbed into the caller's in worker order
-    after the join (see {!Obs.absorb}): counters and span totals merge
-    exactly; percentile windows and ring contents are deterministic for a
-    fixed [jobs] but may differ across job counts.  The summary itself is
-    bit-identical to {!run}'s for every [jobs]. *)
-val run_parallel :
   ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
@@ -107,10 +86,12 @@ val run_parallel :
   (unit -> unit) ->
   summary
 
-(** {!run_collect} sharded across domains; same contract as
-    {!run_parallel}, and the histogram (first-occurrence order) is
-    bit-identical to {!run_collect}'s for every [jobs]. *)
-val run_collect_parallel :
+(** [run_collect ~config ~iters f] also collects the observation returned
+    by each execution of [f] (read out of plain OCaml state by the caller's
+    closure) into a histogram — the litmus-test workhorse.  Histogram
+    entries are listed in order of first occurrence, and are bit-identical
+    for every [jobs]; otherwise the contract is {!run}'s. *)
+val run_collect :
   ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
@@ -126,27 +107,20 @@ val run_collect_parallel :
     until one exposes a bug, and returns its outcome.  When [obs] is
     given, its ring is cleared before every attempt, so on [Some _] the
     ring holds exactly the buggy execution's events — ready for
-    {!Obs.drain_to_sink} into an NDJSON or pretty sink. *)
-val find_buggy :
-  ?obs:Obs.t ->
-  ?profile:Profile.t ->
-  ?metrics:Metrics.t ->
-  config:Engine.config ->
-  attempts:int ->
-  (unit -> unit) ->
-  Engine.outcome option
+    {!Obs.drain_to_sink} into an NDJSON or pretty sink.
 
-(** {!find_buggy} sharded across domains with a first-buggy-wins
-    protocol: the buggy execution with the lowest attempt index wins and
-    the other workers cancel by flag, so the returned outcome is the same
-    as {!find_buggy}'s for every [jobs] (the cancellation is advisory —
-    an attempt is only ever skipped once a strictly lower buggy attempt
-    exists).  When [obs] is given, the winning seed is replayed once with
-    the caller's tracer after the hunt, so the ring again holds exactly
-    the buggy execution's events; hunt-side executions trace nothing.
-    Metric/profile totals from the hunt depend on how far each worker ran
-    before cancelling and are not deterministic across runs. *)
-val find_buggy_parallel :
+    With [jobs] > 1 (default 1) the attempts are sharded across domains
+    with a first-buggy-wins protocol: the buggy execution with the lowest
+    attempt index wins and the other workers cancel by flag, so the
+    returned outcome is the same for every [jobs] (the cancellation is
+    advisory — an attempt is only ever skipped once a strictly lower
+    buggy attempt exists).  When [obs] is given, the winning seed is then
+    replayed once with the caller's tracer after the hunt, so the ring
+    again holds exactly the buggy execution's events; hunt-side
+    executions trace nothing.  Metric/profile totals from a sharded hunt
+    depend on how far each worker ran before cancelling and are not
+    deterministic across runs. *)
+val find_buggy :
   ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
@@ -186,8 +160,8 @@ val run_shard :
 
 (** Fold shards with the {!Par.Merge} algebra: the summary and
     first-occurrence histogram are independent of how the index space was
-    partitioned and of the list order.  Exactly the merge the in-process
-    parallel runners use. *)
+    partitioned and of the list order.  Exactly the merge {!run_collect}
+    uses. *)
 val merge_shard_list : 'a shard list -> summary * ('a * int) list
 
 (** Executions the shard actually ran (partial-failure accounting). *)

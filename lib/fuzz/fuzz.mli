@@ -143,8 +143,8 @@ val finding_key : finding_kind -> string
 type status = Passed of { certified : bool } | Failed of finding_kind
 
 (** The engine configuration campaigns probe under: [Full_c11],
-    controlled-random scheduling, no pruning, certifier recording
-    available, the given seeded fault installed. *)
+    controlled-random scheduling, no pruning, the given seeded fault
+    installed. *)
 val engine_config : mutation:Execution.mutation option -> Engine.config
 
 (** [exec_seed p ~attempt] is the seed of the program's [attempt]-th

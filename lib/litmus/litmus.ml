@@ -881,7 +881,7 @@ let rank_hist hist = List.sort (fun (_, a) (_, b) -> compare b a) hist
 
 let explore_summary ?progress ?jobs ~config ~iters t =
   let summary, hist =
-    Tester.run_collect_parallel ?progress ?jobs ~config ~iters t.run_once
+    Tester.run_collect ?progress ?jobs ~config ~iters t.run_once
   in
   (summary, rank_hist hist)
 

@@ -172,7 +172,6 @@ let config_fp (c : Engine.config) =
       ("seed", Jsonx.String (Int64.to_string c.Engine.seed));
       ("trace_depth", Jsonx.Int c.Engine.trace_depth);
       ("certify", Jsonx.Bool c.Engine.certify);
-      ("cert_stream", Jsonx.Bool c.Engine.cert_stream);
       ( "mutation",
         match c.Engine.mutation with
         | None -> Jsonx.Null
@@ -418,7 +417,7 @@ let tester_instance ~spec ~kind ~config ~iters fields body project =
          Tester.run_shard ~progress ~config ~total:iters ~start ~stride body))
     ~local:(fun h ->
       project
-        (Tester.run_collect_parallel ~obs:h.obs ~profile:h.profile
+        (Tester.run_collect ~obs:h.obs ~profile:h.profile
            ~metrics:h.metrics ~progress:h.progress ~jobs:h.jobs ~config ~iters
            body))
     (fun shards ->

@@ -176,7 +176,7 @@ val lint_instance :
 (** [run ~jobs i] runs the campaign and returns its merged result, with
     the fabric's statistics when it ran there.  Without [workers] and
     [cache] it runs in this process on [jobs] domains: run, litmus and
-    fuzz through {!Tester.run_collect_parallel} and {!Fuzz.campaign},
+    fuzz through {!Tester.run_collect} and {!Fuzz.campaign},
     which feed the [obs]/[profile]/[metrics] handles; sweep and lint
     through the instance's own shard runner and merge.  With either, it
     runs on [workers] (default 1) worker processes of [jobs] domains each,

@@ -4,10 +4,11 @@
    mutex/condvar synchronisation, pruned runs — must certify, and the
    campaign counters must agree across job counts.
 
-   Negative direction (mutation self-tests): corrupt a recorded execution
-   — drop a synchronizes-with edge, flip or drop an mo edge, rewire a
-   reads-from, break an rmw link — and the certifier must reject it with
-   a structured counterexample naming the right axiom.  These mutations
+   Negative direction (mutation self-tests): corrupt an execution — drop
+   a synchronizes-with edge, flip or drop an mo edge, rewire a
+   reads-from, break an rmw link — and both the streaming certifier the
+   engine uses and the post-hoc reference must reject it with a
+   structured counterexample naming the right axiom.  These mutations
    are exactly the silent-model-bug classes the certifier exists to
    catch; if one stops being rejected, the certifier has gone blind. *)
 
@@ -15,16 +16,30 @@ let check = Alcotest.(check bool)
 
 (* ---------- direct Execution-API harness for mutations ---------- *)
 
-let mk_exec () =
+(* An execution certified both ways at once: a recorder feeds the
+   post-hoc reference ([Check.certify]) and a stream is the certifier the
+   engine uses.  [wrap] sees each of the two sinks' events first, so a
+   mutation can tamper with what both certifiers receive. *)
+type harness = { t : Execution.t; r : Recorder.t; s : Check.Stream.t }
+
+let mk_exec ?(wrap = Fun.id) () =
   let rng = Rng.create 7L in
   let race = Race.create () in
-  Execution.create ~certify:true ~mode:Execution.Full_c11 ~rng ~race ()
+  let t =
+    Execution.create ~certify:true ~mode:Execution.Full_c11 ~rng ~race ()
+  in
+  let r = Recorder.create () in
+  Recorder.attach ~wrap r t;
+  let s = Check.Stream.create ~exec:t ~counted:(fun _ -> true) in
+  Execution.add_cert_sink t (wrap (Check.Stream.sink s));
+  { t; r; s }
 
 (* Parent stores, spawned child relaxed-loads: the spawn edge is the ONLY
    thing ordering the two actions in certified hb (a relaxed read forms no
    synchronizes-with of its own), so dropping it must show up. *)
-let build_mp () =
-  let t = mk_exec () in
+let build_mp ?wrap () =
+  let h = mk_exec ?wrap () in
+  let t = h.t in
   let t0 = Execution.new_thread t ~parent:None in
   let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
   Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Release ~volatile:false
@@ -34,7 +49,21 @@ let build_mp () =
     Execution.atomic_load t ~tid:t1 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
   in
   check "mp read the store" true (v = 1);
-  t
+  h
+
+(* Two same-thread stores to one location, for the mo-graph mutations. *)
+let build_two_stores () =
+  let h = mk_exec () in
+  let t0 = Execution.new_thread h.t ~parent:None in
+  let x = Execution.fresh_loc h.t ~atomic:true ~name:(Some "x") in
+  List.iter
+    (Execution.atomic_store h.t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed
+       ~volatile:false)
+    [ 1; 2 ];
+  h
+
+let graph_node h (a : Action.t) =
+  Option.get (Mograph.find_node h.t.Execution.graph a)
 
 let axioms_of = function
   | Check.Rejected vs -> List.map (fun v -> v.Check.axiom) vs
@@ -48,13 +77,23 @@ let rejected_with verdict axiom =
       vs
   | Check.Certified _ | Check.Not_applicable _ -> false
 
+(* [pred] must hold of both certifiers' verdicts on the execution. *)
+let both_reject what h pred =
+  List.iter
+    (fun (certifier, v) ->
+      if not (pred v) then
+        Alcotest.failf "%s, %s: %a" what certifier Check.pp_verdict v)
+    [ ("post-hoc", Recorder.certify h.r); ("stream", Check.Stream.finalize h.s) ]
+
 let test_positive_direct () =
-  match Check.certify (build_mp ()) with
-  | Check.Certified s ->
+  let h = build_mp () in
+  match (Recorder.certify h.r, Check.Stream.finalize h.s) with
+  | (Check.Certified s as post), stream ->
     check "two actions" true (s.Check.actions = 2);
     check "spawn edge recorded" true (s.Check.sync_edges = 1);
-    check "graph checked" true s.Check.graph_checked
-  | v -> Alcotest.failf "expected Certified, got %a" Check.pp_verdict v
+    check "graph checked" true s.Check.graph_checked;
+    check "stream agrees" true (post = stream)
+  | v, _ -> Alcotest.failf "expected Certified, got %a" Check.pp_verdict v
 
 let test_not_applicable_off () =
   let rng = Rng.create 7L in
@@ -64,26 +103,50 @@ let test_not_applicable_off () =
   let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
   Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
     1;
-  match Check.certify t with
+  match Check.certify t ~actions:[] ~sync_edges:[] with
   | Check.Not_applicable _ -> ()
   | v -> Alcotest.failf "expected Not_applicable, got %a" Check.pp_verdict v
 
-(* Mutation: drop the spawn synchronizes-with edge.  The engine's clock
-   vectors still order store before load; the certified hb no longer does
-   — the differential must catch the disagreement. *)
+(* Mutation: withhold the spawn synchronizes-with edge (the only edge
+   into a thread start).  The engine's clock vectors still order store
+   before load; the certified hb no longer does — the differential must
+   catch the disagreement. *)
 let test_mutation_drop_sw () =
-  let t = build_mp () in
-  t.Execution.cert_sync_rev <- [];
-  let v = Check.certify t in
-  check "rejected" true (rejected_with v Check.Hb_differential);
-  (match v with
-  | Check.Rejected (first :: _) ->
-    check "counterexample names actions" true (first.Check.actions <> [])
-  | _ -> Alcotest.fail "expected violations")
+  let withhold_spawn (k : Execution.cert_sink) =
+    {
+      k with
+      Execution.cs_edge =
+        (fun e -> if e.Execution.se_to_seq <> 0 then k.cs_edge e);
+    }
+  in
+  let h = build_mp ~wrap:withhold_spawn () in
+  both_reject "drop sw" h (fun v ->
+      rejected_with v Check.Hb_differential
+      &&
+      match v with
+      | Check.Rejected (first :: _) -> first.Check.actions <> []
+      | _ -> false)
 
-(* Mutation: rewire a load's reads-from to a store of a different value. *)
+(* Mutation: rewire a load's reads-from to a store of a different value,
+   before the certifiers see the load. *)
 let test_mutation_rewire_rf () =
-  let t = mk_exec () in
+  let rewire (k : Execution.cert_sink) =
+    let stores = ref [] in
+    {
+      k with
+      Execution.cs_action =
+        (fun (a : Action.t) ->
+          (match a.kind with
+          | Action.Store -> stores := a :: !stores
+          | Action.Load ->
+            a.rf <-
+              List.find_opt (fun (st : Action.t) -> st.value <> a.value) !stores
+          | Action.Rmw | Action.Na_store | Action.Fence -> ());
+          k.cs_action a);
+    }
+  in
+  let h = mk_exec ~wrap:rewire () in
+  let t = h.t in
   let t0 = Execution.new_thread t ~parent:None in
   let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
   Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Release ~volatile:false
@@ -91,68 +154,45 @@ let test_mutation_rewire_rf () =
   Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Release ~volatile:false
     2;
   let t1 = Execution.new_thread t ~parent:(Some t0) in
-  let v =
-    Execution.atomic_load t ~tid:t1 ~loc:x ~mo:Memorder.Acquire ~volatile:false
-  in
-  let trace = Execution.cert_trace t in
-  let load =
-    List.find (fun (a : Action.t) -> a.kind = Action.Load) trace
-  in
-  let other =
-    List.find
-      (fun (a : Action.t) -> a.kind = Action.Store && a.value <> v)
-      trace
-  in
-  load.Action.rf <- Some other;
-  check "rejected: rf-wf" true (rejected_with (Check.certify t) Check.Rf_wf)
+  ignore
+    (Execution.atomic_load t ~tid:t1 ~loc:x ~mo:Memorder.Acquire
+       ~volatile:false);
+  both_reject "rewire rf" h (fun v -> rejected_with v Check.Rf_wf)
 
 (* Mutation: reverse an mo edge behind the engine's back (writing the
    node's edge array directly, so the clock vectors are NOT updated).
    Both the per-location coherence cycle and the Theorem-1 differential
    see the corruption. *)
 let test_mutation_flip_mo () =
-  let t = mk_exec () in
-  let t0 = Execution.new_thread t ~parent:None in
-  let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
-  Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
-    1;
-  Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
-    2;
-  let trace = Execution.cert_trace t in
-  let s1 = List.nth trace 0 and s2 = List.nth trace 1 in
-  let n1 = Option.get (Mograph.find_node t.Execution.graph s1) in
-  let n2 = Option.get (Mograph.find_node t.Execution.graph s2) in
-  check "sanity: s1 -mo-> s2" true (Mograph.reaches t.Execution.graph s1 s2);
+  let h = build_two_stores () in
+  let s1, s2 =
+    match Recorder.actions h.r with
+    | [ s1; s2 ] -> (s1, s2)
+    | _ -> Alcotest.fail "expected two stores"
+  in
+  let n1 = graph_node h s1 and n2 = graph_node h s2 in
+  check "sanity: s1 -mo-> s2" true (Mograph.reaches h.t.Execution.graph s1 s2);
   n2.Mograph.edges <- [| n1 |];
   n2.Mograph.nedges <- 1;
-  let v = Check.certify t in
-  check "rejected: coherence cycle" true (rejected_with v Check.Coherence)
+  both_reject "flip mo" h (fun v -> rejected_with v Check.Coherence)
 
 (* Mutation: drop an mo edge (same-thread writes must stay mo-ordered).
    A merely-missing edge creates no cycle, so this exercises the CoWW
    completeness obligation and the Theorem-1 differential instead. *)
 let test_mutation_drop_mo () =
-  let t = mk_exec () in
-  let t0 = Execution.new_thread t ~parent:None in
-  let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
-  Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
-    1;
-  Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
-    2;
-  let trace = Execution.cert_trace t in
-  let s1 = List.nth trace 0 in
-  let n1 = Option.get (Mograph.find_node t.Execution.graph s1) in
-  n1.Mograph.nedges <- 0;
-  let v = Check.certify t in
-  check "rejected" true (axioms_of v <> []);
-  check "CoWW or Theorem-1 names it" true
-    (rejected_with v Check.Coherence
-    || rejected_with v Check.Theorem1_differential)
+  let h = build_two_stores () in
+  (graph_node h (List.hd (Recorder.actions h.r))).Mograph.nedges <- 0;
+  both_reject "drop mo" h (fun v ->
+      axioms_of v <> []
+      && (rejected_with v Check.Coherence
+         || rejected_with v Check.Theorem1_differential))
 
 (* Mutation: sever the rmw link that pins an RMW immediately after the
-   store it read. *)
+   store it read, after both certifiers consumed the RMW: the stream
+   must probe it again at finalize. *)
 let test_mutation_break_rmw () =
-  let t = mk_exec () in
+  let h = mk_exec () in
+  let t = h.t in
   let t0 = Execution.new_thread t ~parent:None in
   let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
   Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
@@ -162,19 +202,14 @@ let test_mutation_break_rmw () =
       ~f:(fun v -> Execution.Rmw_write (v + 1))
   in
   check "rmw read the store" true (read = 1);
-  let trace = Execution.cert_trace t in
-  let s = List.nth trace 0 in
-  let ns = Option.get (Mograph.find_node t.Execution.graph s) in
-  ns.Mograph.rmw <- None;
-  check "rejected: rmw-atomicity" true
-    (rejected_with (Check.certify t) Check.Rmw_atomicity)
+  (graph_node h (List.hd (Recorder.actions h.r))).Mograph.rmw <- None;
+  both_reject "break rmw" h (fun v -> rejected_with v Check.Rmw_atomicity)
 
 (* Mutation: malformed synchronisation edge (unknown thread). *)
 let test_mutation_bad_edge () =
-  let t = build_mp () in
-  Execution.cert_sync_edge t ~from_tid:99 ~from_seq:1 ~to_tid:0 ~to_seq:2;
-  check "rejected: sync-wf" true
-    (rejected_with (Check.certify t) Check.Sync_wf)
+  let h = build_mp () in
+  Execution.cert_sync_edge h.t ~from_tid:99 ~from_seq:1 ~to_tid:0 ~to_seq:2;
+  both_reject "malformed edge" h (fun v -> rejected_with v Check.Sync_wf)
 
 (* ---------- violation plumbing ---------- *)
 
@@ -194,7 +229,7 @@ let test_violation_key_strips_seqs () =
     (Check.violation_key v1 <> Check.violation_key v3)
 
 let test_verdict_json () =
-  let v = Check.certify (build_mp ()) in
+  let v = Recorder.certify (build_mp ()).r in
   match Check.verdict_to_json v with
   | Jsonx.Obj fields ->
     check "verdict field" true

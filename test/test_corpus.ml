@@ -12,13 +12,7 @@ let gen_cfg =
 
 let program_string p = Jsonx.to_string (Progir.program_to_json p)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "c11corpus_test_%d_%d" (Unix.getpid ()) !n)
+let fresh_dir () = Temp_dirs.fresh "c11corpus_test"
 
 let open_corpus dir =
   match Corpus.open_dir dir with

@@ -113,26 +113,9 @@ let test_signature_distinguishes () =
 (* ---------- streamed fingerprint = recorded reference ---------- *)
 
 (* The engine fingerprints from the certification sink ([Cov.Stream]);
-   [Cov.shape_of_execution] recomputes the shape from a recorded trace
-   with the reference [Cov.edges].  One post-hoc run (which records)
-   gives the reference; the configuration under test runs the same
-   schedule, since neither the certifier mode nor coverage draws from the
-   RNG.  [None] when the execution raises. *)
-let reference_shape config body =
-  let reference = ref None in
-  match
-    Engine.run
-      ~inspect:(fun exec -> reference := Some (Cov.shape_of_execution exec))
-      { config with Engine.certify = true; cert_stream = false; coverage = false }
-      body
-  with
-  | _ -> !reference
-  | exception Execution.Model_error _ -> None
-
-let streamed_shape config body =
-  match Engine.run { config with Engine.coverage = true } body with
-  | o -> o.Engine.shape
-  | exception Execution.Model_error _ -> None
+   [Cov.shape_of_execution] recomputes the shape with the reference
+   [Cov.edges] from the same events, recorded by a second sink on the
+   same run. *)
 
 let pp_shape fmt (sg : Cov.shape) =
   Format.fprintf fmt "%s edges=%d events=%d mo=[%s]" sg.Cov.sg_digest
@@ -141,18 +124,16 @@ let pp_shape fmt (sg : Cov.shape) =
        (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) sg.Cov.sg_mo))
 
 (* [config] is the configuration under test, coverage aside; 1 when the
-   shapes were compared, 0 when both runs raised *)
+   shapes were compared, 0 when the execution raised *)
 let agree ~what config body =
-  let reference = reference_shape config body in
-  let streamed = streamed_shape config body in
-  match (reference, streamed) with
-  | Some r, Some s ->
-    if r <> s then
-      Alcotest.failf "%s: streamed %a, recorded %a" what pp_shape s pp_shape r;
+  match Recorder.run { config with Engine.coverage = true } body with
+  | o, r ->
+    let streamed = Option.get o.Engine.shape and recorded = Recorder.shape r in
+    if streamed <> recorded then
+      Alcotest.failf "%s: streamed %a, recorded %a" what pp_shape streamed
+        pp_shape recorded;
     1
-  | None, None -> 0
-  | Some _, None | None, Some _ ->
-    Alcotest.failf "%s: one run raised, the other did not" what
+  | exception Execution.Model_error _ -> 0
 
 let test_stream_fuzz_profiles () =
   List.iter
@@ -243,20 +224,12 @@ let test_stream_silent_thread () =
     let config =
       { Engine.default_config with Engine.seed = Int64.of_int seed; certify = true }
     in
-    let silent = ref false in
-    ignore
-      (Engine.run
-         ~inspect:(fun exec ->
-           silent :=
-             List.for_all
-               (fun (a : Action.t) -> a.Action.tid <> 1)
-               (Execution.cert_trace exec)
-             && List.exists
-                  (fun (e : Execution.sync_edge) -> e.Execution.se_to_tid = 1)
-                  (Execution.cert_sync_edges exec))
-         { config with Engine.cert_stream = false }
-         body);
-    check "thread 1 appears only in sync edges" true !silent;
+    let _, r = Recorder.run config body in
+    check "thread 1 appears only in sync edges" true
+      (List.for_all (fun (a : Action.t) -> a.Action.tid <> 1) (Recorder.actions r)
+      && List.exists
+           (fun (e : Execution.sync_edge) -> e.Execution.se_to_tid = 1)
+           (Recorder.sync_edges r));
     check "shapes agree" true
       (agree ~what:(Printf.sprintf "silent thread, seed %d" seed) config body = 1)
   done
@@ -439,7 +412,7 @@ let run_with_jobs ~jobs =
       certify = true;
     }
   in
-  Tester.run_parallel ~jobs ~config ~iters:40
+  Tester.run ~jobs ~config ~iters:40
     (w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale)
 
 let test_tester_coverage_parity () =

@@ -364,7 +364,6 @@ let test_alloc_mp_relaxed_certified () =
    them: the race detector's reachable words at the end of the
    execution. *)
 let race_words ~threads ~per_thread =
-  let words = ref 0 in
   let prog () =
     for _ = 1 to threads do
       let t =
@@ -381,12 +380,14 @@ let race_words ~threads ~per_thread =
       C11.Thread.join t
     done
   in
-  let inspect exec =
-    words := Obj.reachable_words (Obj.repr exec.Execution.race)
+  let exec = ref None in
+  let o =
+    Engine.run
+      ~inspect:(fun e -> exec := Some e)
+      (Tool.config Tool.C11tester) prog
   in
-  let o = Engine.run ~inspect (Tool.config Tool.C11tester) prog in
   check "no race" true (o.Engine.races = []);
-  !words
+  Obj.reachable_words (Obj.repr (Option.get !exec).Execution.race)
 
 (* The same 240 locations, each touched by one thread, cost the detector
    about the same whether one thread or sixty created them: shadows grow

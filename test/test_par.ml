@@ -216,7 +216,7 @@ let test_workload_parity () =
   let seq = Tester.run ~config ~iters:24 body in
   List.iter
     (fun jobs ->
-      let par = Tester.run_parallel ~jobs ~config ~iters:24 body in
+      let par = Tester.run ~jobs ~config ~iters:24 body in
       Alcotest.(check string)
         (Printf.sprintf "summary jobs=%d" jobs)
         (summary_string seq) (summary_string par);
@@ -254,11 +254,11 @@ let test_find_buggy_parity () =
   check "hunt finds a bug" true (seq <> None);
   List.iter
     (fun jobs ->
-      let par = Tester.find_buggy_parallel ~jobs ~config ~attempts:20 body in
+      let par = Tester.find_buggy ~jobs ~config ~attempts:20 body in
       check (Printf.sprintf "same winner jobs=%d" jobs) true (seq = par))
     [ 1; 2; 4 ]
 
-let test_find_buggy_parallel_ring () =
+let test_find_buggy_ring () =
   (* The ring contract: on Some _, the caller's ring holds exactly the
      winning execution's events — same as the sequential hunt's. *)
   let w =
@@ -274,7 +274,7 @@ let test_find_buggy_parallel_ring () =
   let obs_par = Obs.create ~ring_capacity:65536 () in
   let seq = Tester.find_buggy ~obs:obs_seq ~config ~attempts:20 body in
   let par =
-    Tester.find_buggy_parallel ~obs:obs_par ~jobs:4 ~config ~attempts:20 body
+    Tester.find_buggy ~obs:obs_par ~jobs:4 ~config ~attempts:20 body
   in
   check "both found" true (seq <> None && par <> None);
   let render obs =
@@ -298,7 +298,7 @@ let test_collect_parity_no_bug () =
       check
         (Printf.sprintf "no bug jobs=%d" jobs)
         true
-        (Tester.find_buggy_parallel ~jobs ~config ~attempts:4 body = None))
+        (Tester.find_buggy ~jobs ~config ~attempts:4 body = None))
     [ 1; 3 ]
 
 let suite =
@@ -318,7 +318,7 @@ let suite =
     Alcotest.test_case "litmus parity" `Quick test_litmus_parity;
     Alcotest.test_case "find_buggy parity" `Slow test_find_buggy_parity;
     Alcotest.test_case "find_buggy ring parity" `Slow
-      test_find_buggy_parallel_ring;
+      test_find_buggy_ring;
     Alcotest.test_case "hunt without bug" `Quick test_collect_parity_no_bug;
   ]
   @ List.map QCheck_alcotest.to_alcotest

@@ -333,7 +333,7 @@ let prop_prior_sets_match_reference =
         }
       in
       let ok = ref true and broken = ref None in
-      let inspect (exec : Execution.t) =
+      let check_final (exec : Execution.t) =
         Array.iter
           (function
             | None -> ()
@@ -367,16 +367,21 @@ let prop_prior_sets_match_reference =
               done)
           exec.Execution.locs
       in
-      (match Engine.run ~inspect config (Fuzz.to_closure prog) with
-      | _ -> ()
+      let exec = ref None in
+      (match
+         Engine.run
+           ~inspect:(fun e -> exec := Some e)
+           config (Fuzz.to_closure prog)
+       with
+      | _ -> check_final (Option.get !exec)
       | exception Execution.Model_error msg
         when policy = 2
              && String.starts_with ~prefix:"no feasible store for rmw" msg ->
         (* aggressive pruning with a window this small can prune the only
            store an RMW could read (e.g. program 51685, profile 2, 46
-           steps), and the engine then stops with this model error before
-           [inspect] runs: there is no state to compare.  Any other model
-           error fails the property. *)
+           steps), and the engine then stops with this model error: there
+           is no final state to compare.  Any other model error fails the
+           property. *)
         ());
       match !broken with
       | Some msg -> QCheck.Test.fail_reportf "compaction: %s" msg

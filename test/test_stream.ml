@@ -10,8 +10,10 @@
                        same rejection key)
      Not_applicable -> same reason
 
-   Both modes run from the same seed, so they see the very same
-   execution; the only difference is when the relations are computed.
+   One run gives both verdicts: the engine certifies with the stream,
+   and a recording sink on the same execution feeds the post-hoc pass
+   (Check.certify), so both see the very same events; the only
+   difference is when the relations are computed.
    The sweeps below cover the litmus catalog, the workload registry, the
    three seeded engine mutants (real rejections, not just clean runs),
    pruned executions, and QCheck-random fuzz programs.  A final parity
@@ -36,16 +38,14 @@ let pp_pair name seed post stream =
   Alcotest.failf "%s (seed %Ld): post-hoc %a but streaming %a" name seed
     Check.pp_verdict post Check.pp_verdict stream
 
-(* Run [body] twice from the same seed — post-hoc then streaming — and
-   return both verdicts. *)
+(* Run [body] once and return the post-hoc reference's verdict and the
+   streaming certifier's, on the same execution. *)
 let both ?(prune = Pruner.No_prune) ?(mutation = None) ~seed body =
-  let base =
+  let config =
     { Engine.default_config with certify = true; seed; prune; mutation }
   in
-  let post = Engine.run { base with cert_stream = false } body in
-  let stream = Engine.run { base with cert_stream = true } body in
-  ((Option.get post.Engine.certificate, Option.get stream.Engine.certificate),
-   stream)
+  let o, r = Recorder.run config body in
+  (Recorder.certify r, Option.get o.Engine.certificate)
 
 let assert_equiv name ~seed (post, stream) =
   if not (verdicts_equiv post stream) then pp_pair name seed post stream
@@ -57,9 +57,7 @@ let test_litmus_catalog () =
     (fun (t : Litmus.t) ->
       for s = 1 to 8 do
         let seed = Int64.of_int s in
-        let pair, _ =
-          both ~seed (fun () -> ignore (t.Litmus.run_once ()))
-        in
+        let pair = both ~seed (fun () -> ignore (t.Litmus.run_once ())) in
         assert_equiv t.Litmus.name ~seed pair
       done)
     Litmus.catalog
@@ -77,7 +75,7 @@ let test_workload_sweep () =
         (fun variant ->
           for s = 1 to 6 do
             let seed = Int64.of_int (s * 31) in
-            let pair, _ = both ~seed (w.Registry.run ~variant ~scale) in
+            let pair = both ~seed (w.Registry.run ~variant ~scale) in
             assert_equiv w.Registry.name ~seed pair
           done)
         [ Variant.Correct; Variant.Buggy ])
@@ -97,7 +95,7 @@ let test_mutant mutation () =
     let prog = Fuzz.generate ~cfg:Fuzz.default_gen_cfg ~seed in
     let body = Fuzz.to_closure prog in
     let exec_seed = Fuzz.exec_seed prog ~attempt:0 in
-    let pair, _ = both ~mutation:(Some mutation) ~seed:exec_seed body in
+    let pair = both ~mutation:(Some mutation) ~seed:exec_seed body in
     assert_equiv
       (Printf.sprintf "mutant %s program %d"
          (Execution.mutation_name mutation) i)
@@ -117,7 +115,7 @@ let test_pruned_equiv () =
     (fun prune ->
       for s = 1 to 5 do
         let seed = Int64.of_int (s * 7) in
-        let pair, _ =
+        let pair =
           both ~prune ~seed
             (w.Registry.run ~variant:Variant.Correct
                ~scale:w.Registry.default_scale)
@@ -141,8 +139,8 @@ let prop_random_programs =
           ~seed:(Rng.substream 7L ~index:pi)
       in
       let seed = Int64.add (Fuzz.exec_seed prog ~attempt:0) (Int64.of_int si) in
-      let pair, _ = both ~seed (Fuzz.to_closure prog) in
-      verdicts_equiv (fst pair) (snd pair))
+      let post, stream = both ~seed (Fuzz.to_closure prog) in
+      verdicts_equiv post stream)
 
 (* ---------- retirement and zero-cost-off counters ---------- *)
 
@@ -174,11 +172,7 @@ let test_counters () =
   (* certification off: the streaming counters must stay at zero *)
   let off = Engine.run { config with Engine.certify = false } body in
   check "off: no certified ops" true (off.Engine.certified_ops = 0);
-  check "off: no retired ops" true (off.Engine.retired_prefix_ops = 0);
-  (* post-hoc: the execution is certified but nothing streams *)
-  let post = Engine.run { config with Engine.cert_stream = false } body in
-  check "post-hoc: no streaming counters" true
-    (post.Engine.certified_ops = 0 && post.Engine.retired_prefix_ops = 0)
+  check "off: no retired ops" true (off.Engine.retired_prefix_ops = 0)
 
 (* ---------- -j parity with certification always on ---------- *)
 
@@ -190,8 +184,8 @@ let test_parallel_parity () =
   let body =
     w.Registry.run ~variant:Variant.Correct ~scale:w.Registry.default_scale
   in
-  let s1 = Tester.run_parallel ~jobs:1 ~config ~iters:40 body in
-  let s4 = Tester.run_parallel ~jobs:4 ~config ~iters:40 body in
+  let s1 = Tester.run ~jobs:1 ~config ~iters:40 body in
+  let s4 = Tester.run ~jobs:4 ~config ~iters:40 body in
   check "summaries identical across -j 1 / -j 4" true (s1 = s4);
   (* default-scale executions are far below the 4096-action sweep
      threshold, so no retirement here — test_counters covers that *)
@@ -211,6 +205,8 @@ let test_fresh_stream_unfed () =
   let t =
     Execution.create ~certify:true ~mode:Execution.Full_c11 ~rng ~race ()
   in
+  let r = Recorder.create () in
+  Recorder.attach r t;
   let t0 = Execution.new_thread t ~parent:None in
   let x = Execution.fresh_loc t ~atomic:true ~name:(Some "x") in
   Execution.atomic_store t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed ~volatile:false
@@ -219,9 +215,7 @@ let test_fresh_stream_unfed () =
     (Execution.atomic_load t ~tid:t0 ~loc:x ~mo:Memorder.Relaxed
        ~volatile:false);
   let load =
-    List.find
-      (fun (a : Action.t) -> a.kind = Action.Load)
-      (Execution.cert_trace t)
+    List.find (fun (a : Action.t) -> a.kind = Action.Load) (Recorder.actions r)
   in
   for round = 1 to 20 do
     Gc.minor ();
@@ -282,7 +276,7 @@ let test_major_words_per_execution () =
 (* ---------- pinned violation output ---------- *)
 
 (* The complete violation lists (axiom, actions, detail, key) of fixed
-   rejected executions, in both certifier modes.  Fuzz findings embed
+   rejected executions, from both certifiers.  Fuzz findings embed
    these lists, so detection order, cycle extraction and the per-family
    caps must stay exactly as they are, not merely produce the same
    sorted keys the equivalence tests compare. *)
@@ -357,20 +351,20 @@ let test_pinned_violations () =
         { (Fuzz.engine_config ~mutation) with
           Engine.seed = exec_seed; certify = true }
       in
+      let outcome, r = Recorder.run config (Fuzz.to_closure prog) in
       List.iter
-        (fun (mode, cert_stream, want) ->
-          let outcome =
-            Engine.run { config with Engine.cert_stream } (Fuzz.to_closure prog)
-          in
+        (fun (mode, verdict, want) ->
           let got =
-            match outcome.Engine.certificate with
-            | Some (Check.Rejected vs) ->
+            match verdict with
+            | Check.Rejected vs ->
               List.map (fun v -> Jsonx.to_string (Check.violation_to_json v)) vs
-            | Some v -> Alcotest.failf "%s, %s: %a" name mode Check.pp_verdict v
-            | None -> Alcotest.failf "%s, %s: no verdict" name mode
+            | v -> Alcotest.failf "%s, %s: %a" name mode Check.pp_verdict v
           in
           Alcotest.(check (list string)) (name ^ ", " ^ mode) want got)
-        [ ("streaming", true, want_stream); ("post-hoc", false, want_post) ])
+        [
+          ("streaming", Option.get outcome.Engine.certificate, want_stream);
+          ("post-hoc", Recorder.certify r, want_post);
+        ])
     pinned_cases
 
 (* ---------- retirement under a seeded fault ---------- *)

@@ -24,19 +24,12 @@ let run_campaign ?cache ?kill ~workers ~jobs c =
 
 let summary_string s = Jsonx.to_pretty_string (Tester.summary_to_json s)
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "c11svc_test_%d_%d" (Unix.getpid ()) !n)
-    in
-    (match Cache.open_dir d with
-    | Ok _ -> ()
-    | Error msg -> Alcotest.failf "cannot create %s: %s" d msg);
-    d
+let fresh_dir () =
+  let d = Temp_dirs.fresh "c11svc_test" in
+  (match Cache.open_dir d with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "cannot create %s: %s" d msg);
+  d
 
 let open_cache dir =
   match Cache.open_dir dir with
@@ -69,7 +62,7 @@ let run_spec iters =
 
 let run_baseline iters =
   let w = ms_queue () in
-  Tester.run_parallel ~jobs:1 ~config:run_config ~iters
+  Tester.run ~config:run_config ~iters
     (w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale)
 
 let litmus_config =
@@ -346,7 +339,6 @@ let pin_config =
     seed = 99L;
     trace_depth = 0;
     certify = true;
-    cert_stream = true;
     mutation = None;
     coverage = true;
   }
@@ -372,9 +364,9 @@ let pinned_keys =
           config = pin_config;
           iters = 24;
         },
-      "490cc3b2d2cf15459aec9ccaf732d8ea" );
+      "58a0fa962dbc9087a3be80fe039fa02b" );
     ( Svc.Litmus_c { name = "mp_relaxed"; config = pin_config; iters = 300 },
-      "9e6a838221e345123580b213e2a95141" );
+      "edd240cac0652ce58112435e3d4e7b98" );
     ( Svc.Fuzz_c
         {
           cfg =
