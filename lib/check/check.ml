@@ -946,7 +946,7 @@ let na_total_mo =
 
 let certify (exec : Execution.t) ~actions ~sync_edges =
   if not exec.Execution.cert_on then
-    Not_applicable "execution was created without certification"
+    Not_applicable "no certification sink was installed"
   else if exec.Execution.mode <> Execution.Full_c11 then
     Not_applicable na_total_mo
   else begin

@@ -82,8 +82,8 @@ type verdict =
   | Certified of stats
   | Rejected of violation list  (** non-empty, in detection order *)
   | Not_applicable of string
-      (** an execution created with [~certify:false], or an uncertified
-          mode *)
+      (** an execution with no certification sink installed, so nothing
+          was recorded, or an uncertified mode *)
 
 (** [certify exec ~actions ~sync_edges] reconstructs the declarative
     relations of the finished execution [exec] from every action and sync

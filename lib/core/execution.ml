@@ -116,7 +116,9 @@ type t = {
   obs_on : bool;
   prof_on : bool;
   metrics_on : bool;
-  cert_on : bool;
+  (* set by [add_cert_sink]: the sinks are the only consumers of
+     certification events, so without one none are produced *)
+  mutable cert_on : bool;
   mutation : mutation option;
       (** test-only seeded engine fault; [None] (the default) is the
           correct engine *)
@@ -163,7 +165,7 @@ let dummy_action : Action.t =
   }
 
 let create ?(obs = Obs.null) ?(prof = Profile.null) ?(metrics = Metrics.null)
-    ?(certify = false) ?mutation ~mode ~rng ~race () =
+    ?mutation ~mode ~rng ~race () =
   {
     mode;
     rng;
@@ -175,7 +177,7 @@ let create ?(obs = Obs.null) ?(prof = Profile.null) ?(metrics = Metrics.null)
     obs_on = Obs.enabled obs;
     prof_on = Profile.enabled prof;
     metrics_on = Metrics.enabled metrics;
-    cert_on = certify;
+    cert_on = false;
     mutation;
     cert_sink = None;
     seq = 0;
@@ -245,6 +247,7 @@ let thread_now t ~tid = Clockvec.get (thread t tid).c tid
 
 (* A second sink is called after the first, for every event. *)
 let add_cert_sink t sink =
+  t.cert_on <- true;
   t.cert_sink <-
     Some
       (match t.cert_sink with

@@ -109,8 +109,8 @@ type loc_info = {
     state that the event [se_to_seq] on thread [se_to_tid] acquired —
     thread spawn, join, or a mutex unlock→lock hand-off.
     [se_to_seq = 0] means "before the target thread's first event"
-    (thread start).  Only produced when the execution was created with
-    [~certify:true]. *)
+    (thread start).  Only produced once a sink is installed
+    ({!add_cert_sink}). *)
 type sync_edge = {
   se_from_tid : int;
   se_from_seq : int;
@@ -148,10 +148,11 @@ type t = {
           guards on the transition rules are a field load, not a call *)
   prof_on : bool;
   metrics_on : bool;
-  cert_on : bool;
+  mutable cert_on : bool;
       (** produce certifier-grade actions and synchronisation edges for
-          the sinks; off by default (zero cost).  Nothing is retained:
-          the sinks are the only consumers *)
+          the sinks; set by {!add_cert_sink}, so off (zero cost) while no
+          sink is installed.  Nothing is retained: the sinks are the only
+          consumers *)
   mutation : mutation option;
       (** test-only seeded engine fault; [None] (the default) is the
           correct engine *)
@@ -190,7 +191,6 @@ val create :
   ?obs:Obs.t ->
   ?prof:Profile.t ->
   ?metrics:Metrics.t ->
-  ?certify:bool ->
   ?mutation:mutation ->
   mode:mode ->
   rng:Rng.t ->
@@ -232,9 +232,9 @@ val cert_sync_edge :
   t -> from_tid:int -> from_seq:int -> to_tid:int -> to_seq:int -> unit
 
 (** Install a certification sink (the streaming certifier, the coverage
-    fingerprint).  Must be done before the first transition; only
-    meaningful with [~certify:true].  With several sinks, each event goes
-    to all of them in installation order. *)
+    fingerprint) and turn on [cert_on].  Must be done before the first
+    transition.  With several sinks, each event goes to all of them in
+    installation order. *)
 val add_cert_sink : t -> cert_sink -> unit
 
 (** [cert_release t ~tid] announces the thread's current clock slot as a

@@ -552,12 +552,9 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
   let p_run = Profile.start profile in
   let rng = Rng.create config.seed in
   let race = Race.create ~obs ~metrics () in
-  (* the streaming certifier and the coverage fingerprint consume events
-     as they happen; nothing is retained for them *)
   let exec =
-    Execution.create ~obs ~prof:profile ~metrics
-      ~certify:(config.certify || config.coverage)
-      ?mutation:config.mutation ~mode:config.mode ~rng ~race ()
+    Execution.create ~obs ~prof:profile ~metrics ?mutation:config.mutation
+      ~mode:config.mode ~rng ~race ()
   in
   Execution.set_trace_capacity exec config.trace_depth;
   let st =
@@ -584,6 +581,9 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
       step_limit_hit = false;
     }
   in
+  (* the streaming certifier and the coverage fingerprint consume events
+     as they happen; installing either turns the events on, and nothing
+     is retained for them *)
   let stream =
     if config.certify then begin
       (* a thread's engine clock bounds what it can still read only while

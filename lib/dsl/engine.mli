@@ -83,8 +83,9 @@ val buggy : outcome -> bool
     instrumentation is zero-cost.  [inspect] is called once with the new
     execution, after the certifier's and coverage's sinks are installed
     and before the first thread is added: a test can install its own
-    sink there ({!Execution.add_cert_sink}, with [certify] or [coverage]
-    on) and keep the handle to read the final state after the run. *)
+    sink there ({!Execution.add_cert_sink}, which turns the execution's
+    certification events on) and keep the handle to read the final state
+    after the run. *)
 val run :
   ?obs:Obs.t ->
   ?profile:Profile.t ->

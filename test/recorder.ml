@@ -21,10 +21,11 @@ let sink r =
     cs_release_drop = (fun ~seq:_ -> ());
   }
 
-(* Install the recorder on a new execution (created with certification
-   or coverage on); [attach r] is what [Engine.run ~inspect] takes.  [wrap]
-   sees the recorder's sink first, so a test can tamper with the events
-   it receives. *)
+(* Install the recorder on a new execution, before its first thread;
+   like any sink it turns the execution's certification events on.
+   [attach r] is what [Engine.run ~inspect] takes.  [wrap] sees the
+   recorder's sink first, so a test can tamper with the events it
+   receives. *)
 let attach ?(wrap = Fun.id) r exec =
   r.exec <- Some exec;
   Execution.add_cert_sink exec (wrap (sink r))

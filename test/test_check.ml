@@ -25,9 +25,7 @@ type harness = { t : Execution.t; r : Recorder.t; s : Check.Stream.t }
 let mk_exec ?(wrap = Fun.id) () =
   let rng = Rng.create 7L in
   let race = Race.create () in
-  let t =
-    Execution.create ~certify:true ~mode:Execution.Full_c11 ~rng ~race ()
-  in
+  let t = Execution.create ~mode:Execution.Full_c11 ~rng ~race () in
   let r = Recorder.create () in
   Recorder.attach ~wrap r t;
   let s = Check.Stream.create ~exec:t ~counted:(fun _ -> true) in

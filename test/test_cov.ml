@@ -114,8 +114,21 @@ let test_signature_distinguishes () =
 
 (* The engine fingerprints from the certification sink ([Cov.Stream]);
    [Cov.shape_of_execution] recomputes the shape with the reference
-   [Cov.edges] from the same events, recorded by a second sink on the
-   same run. *)
+   [Cov.edges] from the events a recording sink collected.  The reference
+   comes from a certified run without coverage, the shape under test from
+   a run of the configuration under test with coverage on: the two follow
+   the same schedule, since neither certification nor coverage draws from
+   the RNG, so this also checks that turning either on or off does not
+   change the execution.  [None] when the execution raises. *)
+let reference_shape config body =
+  match Recorder.run { config with Engine.certify = true; coverage = false } body with
+  | _, r -> Some (Recorder.shape r)
+  | exception Execution.Model_error _ -> None
+
+let streamed_shape config body =
+  match Engine.run { config with Engine.coverage = true } body with
+  | o -> o.Engine.shape
+  | exception Execution.Model_error _ -> None
 
 let pp_shape fmt (sg : Cov.shape) =
   Format.fprintf fmt "%s edges=%d events=%d mo=[%s]" sg.Cov.sg_digest
@@ -124,16 +137,18 @@ let pp_shape fmt (sg : Cov.shape) =
        (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) sg.Cov.sg_mo))
 
 (* [config] is the configuration under test, coverage aside; 1 when the
-   shapes were compared, 0 when the execution raised *)
+   shapes were compared, 0 when both runs raised *)
 let agree ~what config body =
-  match Recorder.run { config with Engine.coverage = true } body with
-  | o, r ->
-    let streamed = Option.get o.Engine.shape and recorded = Recorder.shape r in
-    if streamed <> recorded then
-      Alcotest.failf "%s: streamed %a, recorded %a" what pp_shape streamed
-        pp_shape recorded;
+  let reference = reference_shape config body in
+  let streamed = streamed_shape config body in
+  match (reference, streamed) with
+  | Some r, Some s ->
+    if r <> s then
+      Alcotest.failf "%s: streamed %a, recorded %a" what pp_shape s pp_shape r;
     1
-  | exception Execution.Model_error _ -> 0
+  | None, None -> 0
+  | Some _, None | None, Some _ ->
+    Alcotest.failf "%s: one run raised, the other did not" what
 
 let test_stream_fuzz_profiles () =
   List.iter

@@ -202,9 +202,7 @@ let test_parallel_parity () =
    bitset would read the garbage. *)
 let test_fresh_stream_unfed () =
   let rng = Rng.create 7L and race = Race.create () in
-  let t =
-    Execution.create ~certify:true ~mode:Execution.Full_c11 ~rng ~race ()
-  in
+  let t = Execution.create ~mode:Execution.Full_c11 ~rng ~race () in
   let r = Recorder.create () in
   Recorder.attach r t;
   let t0 = Execution.new_thread t ~parent:None in
