@@ -128,7 +128,13 @@ type t = {
   mutable nthreads : int;
   (* Locations are dense small ints handed out by [fresh_loc], so all
      loc-keyed state is direct-indexed growable arrays: the per-access
-     lookups on the non-atomic hot path are a bounds check and a load. *)
+     lookups on the non-atomic hot path are a bounds check and a load.
+     Every array of an execution starts empty and takes its first
+     capacity as an array literal, so setting up an execution makes no
+     runtime call; a growth below loc 16 can only be the first.  A
+     literal of more than four constants compiles to a [caml_obj_dup] of
+     a static block, so those name their constant through
+     [Sys.opaque_identity], which keeps them inline allocations. *)
   mutable locs : loc_info option array;
   mutable values : int array;
   mutable atomic_locs : bool array;
@@ -214,11 +220,16 @@ let fresh_loc t ~atomic ~name =
   t.next_loc <- loc + 1;
   if atomic then begin
     let len = Array.length t.atomic_locs in
-    if loc >= len then begin
-      let arr = Array.make (max (loc + 1) (max 16 (2 * len))) false in
-      Array.blit t.atomic_locs 0 arr 0 len;
-      t.atomic_locs <- arr
-    end;
+    if loc >= len then
+      t.atomic_locs <-
+        (if loc < 16 then
+           let f = Sys.opaque_identity false in
+           [| f; f; f; f; f; f; f; f; f; f; f; f; f; f; f; f |]
+         else begin
+           let arr = Array.make (max (loc + 1) (max 16 (2 * len))) false in
+           Array.blit t.atomic_locs 0 arr 0 len;
+           arr
+         end);
     t.atomic_locs.(loc) <- true
   end;
   (match name with
@@ -304,11 +315,14 @@ let new_thread t ~parent =
     }
   in
   let len = Array.length t.threads in
-  if tid >= len then begin
-    let threads = Array.make (max 4 (2 * len)) ts in
-    Array.blit t.threads 0 threads 0 tid;
-    t.threads <- threads
-  end;
+  if tid >= len then
+    t.threads <-
+      (if len = 0 then [| ts; ts; ts; ts |]
+       else begin
+         let threads = Array.make (2 * len) ts in
+         Array.blit t.threads 0 threads 0 tid;
+         threads
+       end);
   t.threads.(tid) <- ts;
   t.nthreads <- tid + 1;
   (* The child inherits the parent's whole clock (the
@@ -365,22 +379,32 @@ let get_loc t loc =
       }
     in
     let len = Array.length t.locs in
-    if loc >= len then begin
-      let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
-      Array.blit t.locs 0 arr 0 len;
-      t.locs <- arr
-    end;
+    if loc >= len then
+      t.locs <-
+        (if loc < 16 then
+           let n = Sys.opaque_identity None in
+           [| n; n; n; n; n; n; n; n; n; n; n; n; n; n; n; n |]
+         else begin
+           let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
+           Array.blit t.locs 0 arr 0 len;
+           arr
+         end);
     t.locs.(loc) <- Some li;
     li
 
 (* Commit-order value of each location; what a plain non-atomic read sees. *)
 let set_value t loc v =
   let len = Array.length t.values in
-  if loc >= len then begin
-    let arr = Array.make (max (loc + 1) (max 16 (2 * len))) 0 in
-    Array.blit t.values 0 arr 0 len;
-    t.values <- arr
-  end;
+  if loc >= len then
+    t.values <-
+      (if loc < 16 then
+         let z = Sys.opaque_identity 0 in
+         [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+       else begin
+         let arr = Array.make (max (loc + 1) (max 16 (2 * len))) 0 in
+         Array.blit t.values 0 arr 0 len;
+         arr
+       end);
   Array.unsafe_set t.values loc v
 
 let get_value t loc =
@@ -397,18 +421,28 @@ let new_cell li tid i =
   in
   li.cells <- c :: li.cells;
   let n = li.ncells in
-  if n = Array.length li.by_tid then begin
-    let arr = Array.make (max 4 (2 * n)) c in
+  (* cells are never removed, so [n = 0] is the location's first cell *)
+  if n = 0 then begin
+    li.by_tid <- [| c; c; c; c |];
+    li.cell_tids <- [| 0; 0; 0; 0 |]
+  end
+  else if n = Array.length li.by_tid then begin
+    let arr = Array.make (2 * n) c in
     Array.blit li.by_tid 0 arr 0 n;
     li.by_tid <- arr;
-    let tids = Array.make (max 4 (2 * n)) 0 in
+    let tids = Array.make (2 * n) 0 in
     Array.blit li.cell_tids 0 tids 0 n;
     li.cell_tids <- tids
   end;
-  Array.blit li.by_tid i li.by_tid (i + 1) (n - i);
-  li.by_tid.(i) <- c;
-  Array.blit li.cell_tids i li.cell_tids (i + 1) (n - i);
-  li.cell_tids.(i) <- tid;
+  (* open slot [i] by a loop: a blit is a runtime call even for the
+     common zero-length shift of a cell appended at the end *)
+  let by_tid = li.by_tid and tids = li.cell_tids in
+  for j = n downto i + 1 do
+    Array.unsafe_set by_tid j (Array.unsafe_get by_tid (j - 1));
+    Array.unsafe_set tids j (Array.unsafe_get tids (j - 1))
+  done;
+  by_tid.(i) <- c;
+  tids.(i) <- tid;
   li.ncells <- n + 1;
   c
 
@@ -461,12 +495,18 @@ let last_sc_store li = li.last_sc
 
 let mrf_push t (a : Action.t) =
   let n = t.mrf_n in
-  if n = Array.length t.mrf_buf then begin
-    let cap = if n = 0 then 16 else 2 * n in
-    let arr = Array.make cap dummy_action in
-    Array.blit t.mrf_buf 0 arr 0 n;
-    t.mrf_buf <- arr
-  end;
+  if n = Array.length t.mrf_buf then
+    t.mrf_buf <-
+      (if n = 0 then
+         [| dummy_action; dummy_action; dummy_action; dummy_action;
+            dummy_action; dummy_action; dummy_action; dummy_action;
+            dummy_action; dummy_action; dummy_action; dummy_action;
+            dummy_action; dummy_action; dummy_action; dummy_action |]
+       else begin
+         let arr = Array.make (2 * n) dummy_action in
+         Array.blit t.mrf_buf 0 arr 0 n;
+         arr
+       end);
   t.mrf_buf.(n) <- a;
   t.mrf_n <- n + 1
 

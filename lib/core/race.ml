@@ -72,13 +72,23 @@ let create ?(obs = Obs.null) ?(metrics = Metrics.null) () =
     count = 0;
   }
 
+(* The loc-indexed arrays take their first capacity as a 16-slot literal
+   (a growth below loc 16 can only be the first): an inline allocation
+   where [Array.make] and [Array.blit] are runtime calls.  [None] goes
+   through [Sys.opaque_identity], since a literal of more than four
+   constants compiles to a [caml_obj_dup] call. *)
 let name_location t ~loc name =
   let len = Array.length t.names in
-  if loc >= len then begin
-    let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
-    Array.blit t.names 0 arr 0 len;
-    t.names <- arr
-  end;
+  if loc >= len then
+    t.names <-
+      (if loc < 16 then
+         let n = Sys.opaque_identity None in
+         [| n; n; n; n; n; n; n; n; n; n; n; n; n; n; n; n |]
+       else begin
+         let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
+         Array.blit t.names 0 arr 0 len;
+         arr
+       end);
   t.names.(loc) <- Some name
 
 let loc_name t loc =
@@ -96,11 +106,18 @@ let new_shadow t loc =
     }
   in
   let len = Array.length t.shadows in
-  if loc >= len then begin
-    let arr = Array.make (max (loc + 1) (max 16 (2 * len))) no_shadow in
-    Array.blit t.shadows 0 arr 0 len;
-    t.shadows <- arr
-  end;
+  if loc >= len then
+    t.shadows <-
+      (if loc < 16 then
+         [| no_shadow; no_shadow; no_shadow; no_shadow;
+            no_shadow; no_shadow; no_shadow; no_shadow;
+            no_shadow; no_shadow; no_shadow; no_shadow;
+            no_shadow; no_shadow; no_shadow; no_shadow |]
+       else begin
+         let arr = Array.make (max (loc + 1) (max 16 (2 * len))) no_shadow in
+         Array.blit t.shadows 0 arr 0 len;
+         arr
+       end);
   t.shadows.(loc) <- s;
   s
 
@@ -180,20 +197,25 @@ let check t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb ~is_write
   then slot.cov_tid <- tid
 
 (* Insert [tid]'s first entry at index [i], doubling the array when
-   full. *)
+   full.  A slot is never emptied, so [n = 0] is a class's first entry:
+   a one-slot literal, with no runtime call.  Later entries open their
+   slot by a loop, not a blit, which is a call even when it moves
+   nothing. *)
 let insert slot i ~tid ~seq =
   let n = slot.n in
-  let v =
-    if n < Array.length slot.v then slot.v
-    else begin
-      let a = if n = 0 then [| 0 |] else Array.make (2 * n) 0 in
+  if n = 0 then slot.v <- [| entry ~tid ~seq |]
+  else begin
+    if n = Array.length slot.v then begin
+      let a = Array.make (2 * n) 0 in
       Array.blit slot.v 0 a 0 n;
-      slot.v <- a;
-      a
-    end
-  in
-  Array.blit v i v (i + 1) (n - i);
-  Array.unsafe_set v i (entry ~tid ~seq);
+      slot.v <- a
+    end;
+    let v = slot.v in
+    for j = n downto i + 1 do
+      Array.unsafe_set v j (Array.unsafe_get v (j - 1))
+    done;
+    Array.unsafe_set v i (entry ~tid ~seq)
+  end;
   slot.n <- n + 1
 
 (* Record [tid]'s access at [seq], inserting its entry on the class's

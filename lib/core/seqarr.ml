@@ -23,13 +23,19 @@ let is_empty c = c.n = 0
 let get c i = c.arr.(i)
 let last c = c.arr.(c.n - 1)
 
+(* The first capacity is an array literal (an inline allocation, where
+   [Array.make] and [Array.blit] are runtime calls); only a doubling
+   calls them. *)
 let push c (a : Action.t) =
   let n = c.n in
-  if n = Array.length c.arr then begin
-    let arr = Array.make (if n = 0 then 4 else 2 * n) filler in
-    Array.blit c.arr 0 arr 0 n;
-    c.arr <- arr
-  end;
+  if n = Array.length c.arr then
+    c.arr <-
+      (if n = 0 then [| filler; filler; filler; filler |]
+       else begin
+         let arr = Array.make (2 * n) filler in
+         Array.blit c.arr 0 arr 0 n;
+         arr
+       end);
   Array.unsafe_set c.arr n a;
   c.n <- n + 1
 

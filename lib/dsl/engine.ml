@@ -134,11 +134,20 @@ let grow_push arr n v =
 let add_thread st body ~parent =
   let tid = Execution.new_thread st.exec ~parent in
   let th = { tid; status = Not_started body; final_cv = None } in
-  st.threads <- grow_push st.threads st.nthreads th;
+  (* the newest tid is the largest, so appending keeps [live] ascending.
+     The first thread gives both tables their first capacity as literals
+     here, where the element types are known: in the polymorphic
+     [grow_push] a literal would be a [caml_make_array] call. *)
+  if st.nthreads = 0 then begin
+    st.threads <- [| th; th; th; th |];
+    st.live <- [| tid; tid; tid; tid |]
+  end
+  else begin
+    st.threads <- grow_push st.threads st.nthreads th;
+    st.live <- grow_push st.live st.nlive tid
+  end;
   st.nthreads <- st.nthreads + 1;
   assert (tid = st.nthreads - 1);
-  (* the newest tid is the largest, so appending keeps [live] ascending *)
-  st.live <- grow_push st.live st.nlive tid;
   st.nlive <- st.nlive + 1;
   tid
 
@@ -149,7 +158,9 @@ let retire_live st tid =
   while live.(!i) <> tid do
     incr i
   done;
-  Array.blit live (!i + 1) live !i (st.nlive - !i - 1);
+  for j = !i to st.nlive - 2 do
+    Array.unsafe_set live j (Array.unsafe_get live (j + 1))
+  done;
   st.nlive <- st.nlive - 1
 
 let add_mutex st =
@@ -196,7 +207,7 @@ let thread_enabled st th =
    thread is never enabled, so skipping it leaves the buffer unchanged. *)
 let collect_enabled st =
   if Array.length st.enabled_buf < st.nlive then
-    st.enabled_buf <- Array.make (max 8 (2 * st.nlive)) 0;
+    st.enabled_buf <- Array.make (2 * st.nlive) 0;
   let buf = st.enabled_buf in
   let live = st.live in
   let n = ref 0 in
@@ -263,6 +274,18 @@ let lock_mutex st tid mu =
   cert_lock_edges st tid mu;
   mu.locked_by <- Some tid
 
+(* Is [tid] the holder of [mu]?  A pattern match: the polymorphic
+   [mu.locked_by <> Some tid] is a [caml_notequal] call. *)
+let holds mu tid = match mu.locked_by with Some t -> t = tid | None -> false
+
+(* Retire [tid]'s superseded unlock snapshot, if any ([List.assoc_opt]
+   would compare the keys through [caml_compare]). *)
+let rec drop_old_unlock st (tid : int) = function
+  | [] -> ()
+  | (t, old_seq) :: rest ->
+    if t = tid then Execution.cert_release_drop st.exec ~seq:old_seq
+    else drop_old_unlock st tid rest
+
 let unlock_mutex st tid mu =
   Execution.tick_sync st.exec ~tid;
   ignore
@@ -270,9 +293,7 @@ let unlock_mutex st tid mu =
   if st.exec.Execution.cert_on then begin
     (* a newer unlock by the same thread supersedes the old snapshot: no
        future lock edge can reference it (streaming frees it eagerly) *)
-    (match List.assoc_opt tid mu.m_unlockers with
-    | Some old_seq -> Execution.cert_release_drop st.exec ~seq:old_seq
-    | None -> ());
+    drop_old_unlock st tid mu.m_unlockers;
     Execution.cert_release st.exec ~tid;
     mu.m_unlockers <-
       (tid, Execution.thread_now st.exec ~tid)
@@ -349,13 +370,13 @@ let exec_op st th (op : Op.t) : op_result =
     else Value 0
   | Op.Mutex_unlock m ->
     let mu = mutex st m in
-    if mu.locked_by <> Some tid then
+    if not (holds mu tid) then
       raise (Assertion_violation "unlock of mutex not held by this thread");
     unlock_mutex st tid mu;
     Value 0
   | Op.Cond_wait { cond; mutex = m } ->
     let mu = mutex st m in
-    if mu.locked_by <> Some tid then
+    if not (holds mu tid) then
       raise (Assertion_violation "cond_wait without holding the mutex");
     unlock_mutex st tid mu;
     (condvar st cond).waiters <- tid :: (condvar st cond).waiters;
@@ -573,7 +594,10 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
       condvars = [||];
       ncondvars = 0;
       sched_state = Schedule.make_state ();
-      enabled_buf = [||];
+      (* its first capacity: every run collects the enabled threads *)
+      enabled_buf =
+        (let z = Sys.opaque_identity 0 in
+         [| z; z; z; z; z; z; z; z |]);
       steps = 0;
       assertion_failures = [];
       uncaught = [];

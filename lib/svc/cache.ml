@@ -89,9 +89,17 @@ let lookup (type a) t ~key : a option =
   | exception Sys_error _ ->
     t.c_misses <- t.c_misses + 1;
     None
-  | exception _ ->
-    (* corrupt / truncated / version-skewed entry: a miss, and remove it
-       so the slot heals on the next store *)
+  | exception e ->
+    (* corrupt / truncated / version-skewed entry: a miss, reported, and
+       removed so the slot heals on the next store *)
+    let reason =
+      match e with
+      | Failure msg -> msg
+      | End_of_file -> "truncated"
+      | _ -> Printexc.to_string e
+    in
+    Printf.eprintf "c11test: cache: dropping corrupt entry %s (%s)\n%!" path
+      reason;
     (try Sys.remove path with Sys_error _ -> ());
     t.c_misses <- t.c_misses + 1;
     None

@@ -40,8 +40,10 @@ val open_dir : string -> (t, string) result
 val dir : t -> string
 
 (** [lookup t ~key] replays the entry stored under [key], or [None].
-    Unreadable, version-skewed, truncated or corrupt entries (a body whose
-    digest does not match) are misses, and are removed. *)
+    A missing entry is a silent miss.  Version-skewed, truncated or
+    corrupt entries (a body whose digest does not match) are misses too,
+    are removed, and are reported on stderr as
+    [c11test: cache: dropping corrupt entry PATH (REASON)]. *)
 val lookup : t -> key:string -> 'a option
 
 (** [store t ~key v] persists [v] under [key] (atomic rename; last writer

@@ -7,6 +7,7 @@ let () =
       ("par", Test_par.suite);
       ("race", Test_race.suite);
       ("fiber", Test_fiber.suite);
+      ("seqarr", Test_seqarr.suite);
       ("execution", Test_exec.suite);
       ("engine", Test_engine.suite);
       ("schedule", Test_sched.suite);

@@ -387,6 +387,67 @@ let prop_prior_sets_match_reference =
       | Some msg -> QCheck.Test.fail_reportf "compaction: %s" msg
       | None -> !ok)
 
+(* Ten threads first touch one atomic location out of tid order, so each
+   new cell opens its slot of [by_tid]/[cell_tids] at an inner position
+   while the arrays grow from their first capacity (4) through a doubling
+   (8 -> 16).  The orders: for every k < 10 and every p <= k, the k-th
+   cell lands at position p (the other tids up to k ascending, then the
+   one with p below it, then the rest), plus one shuffle.  The location
+   is allocated after 17 non-atomic ones, so the loc-indexed tables also
+   grow past their first capacity of 16 and the atomic-location set takes
+   its first capacity at loc 17.  The cell invariant of
+   [compaction_violation] is checked after every insertion. *)
+let test_cells_in_shuffled_tid_order () =
+  let n = 10 in
+  let placed k p =
+    List.filter (fun t -> t <> p) (List.init (k + 1) Fun.id)
+    @ [ p ]
+    @ List.init (n - k - 1) (fun i -> k + 1 + i)
+  in
+  let shuffled = [ 9; 5; 7; 0; 2; 8; 1; 4; 3; 6 ] in
+  let orders =
+    shuffled :: List.concat_map (fun k -> List.init (k + 1) (placed k)) (List.init n Fun.id)
+  in
+  List.iter
+    (fun order ->
+      let exec =
+        Execution.create ~mode:Execution.Full_c11 ~rng:(Rng.create 1L)
+          ~race:(Race.create ()) ()
+      in
+      let main = Execution.new_thread exec ~parent:None in
+      for _ = 2 to n do
+        ignore (Execution.new_thread exec ~parent:(Some main))
+      done;
+      let plain =
+        List.init 17 (fun i ->
+            let loc = Execution.fresh_loc exec ~atomic:false ~name:None in
+            Execution.na_write exec ~tid:main ~loc (100 + i);
+            loc)
+      in
+      let x = Execution.fresh_loc exec ~atomic:true ~name:None in
+      List.iteri
+        (fun k tid ->
+          Execution.atomic_store exec ~tid ~loc:x ~mo:Memorder.Relaxed
+            ~volatile:false k;
+          let li = Option.get (Execution.Internal.find_loc exec x) in
+          if li.Execution.ncells <> k + 1 then
+            Alcotest.failf "%d cells after %d first touches" li.Execution.ncells (k + 1);
+          match compaction_violation exec li with
+          | Some msg ->
+            Alcotest.failf "order %s, touch %d: %s"
+              (String.concat "," (List.map string_of_int order))
+              k msg
+          | None -> ())
+        order;
+      check "atomic-location set" true
+        (Execution.is_atomic_loc exec x
+        && not (List.exists (Execution.is_atomic_loc exec) plain));
+      check "plain values kept" true
+        (List.for_all2
+           (fun i loc -> Execution.na_read exec ~tid:main ~loc = 100 + i)
+           (List.init 17 Fun.id) plain))
+    orders
+
 let suite =
   [
     Alcotest.test_case "conservative bounds memory" `Slow test_conservative_bounds_memory;
@@ -398,5 +459,7 @@ let suite =
     Alcotest.test_case "no-prune policy" `Quick test_no_prune_policy;
     Alcotest.test_case "workloads clean under pruning" `Slow
       test_workloads_clean_under_pruning;
+    Alcotest.test_case "cells in shuffled tid order" `Quick
+      test_cells_in_shuffled_tid_order;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_prior_sets_match_reference ]

@@ -36,6 +36,27 @@ let open_cache dir =
   | Ok c -> c
   | Error msg -> Alcotest.failf "open_dir %s: %s" dir msg
 
+(* Run [f] with stderr sent to a file: its result and what it printed
+   there. *)
+let with_stderr f =
+  let file = Filename.temp_file "c11svc_stderr" ".txt" in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (r, text)
+
 (* ---------- campaign fixtures (coverage on: the widest observables) ---- *)
 
 let run_config =
@@ -287,17 +308,27 @@ let test_cache_corrupt_entry_is_miss () =
     String.length entry - String.length body + String.index body '\x42'
   in
   write (String.mapi (fun i ch -> if i = at then '\x45' else ch) entry);
-  check "flipped byte reads as miss" true
-    ((Cache.lookup c ~key : int list option) = None);
+  let lookup () = with_stderr (fun () -> (Cache.lookup c ~key : int list option)) in
+  let dropped reason =
+    Printf.sprintf "c11test: cache: dropping corrupt entry %s (%s)\n" path reason
+  in
+  let v, err = lookup () in
+  check "flipped byte reads as miss" true (v = None);
+  Alcotest.(check string) "flipped entry reported" (dropped "body digest mismatch") err;
   check "flipped entry removed" false (Sys.file_exists path);
   (* truncate a fresh entry after its header's first line *)
   Cache.store c ~key [ 1; 2; 3 ];
   write (List.hd (String.split_on_char '\n' (read ())) ^ "\n");
-  check "truncated entry reads as miss" true
-    ((Cache.lookup c ~key : int list option) = None);
+  let v, err = lookup () in
+  check "truncated entry reads as miss" true (v = None);
+  Alcotest.(check string) "truncated entry reported" (dropped "truncated") err;
   check "truncated entry removed" false (Sys.file_exists path);
   let st = Cache.stats c in
-  check "stats counted" true (st.Cache.hits = 1 && st.Cache.misses = 2)
+  check "stats counted" true (st.Cache.hits = 1 && st.Cache.misses = 2);
+  (* a missing entry is a miss, and not worth a word *)
+  let v, err = lookup () in
+  check "missing entry reads as miss" true (v = None);
+  Alcotest.(check string) "missing entry silent" "" err
 
 (* A shard payload of another campaign kind (here: a sweep's cached
    shards stored under the run campaign's keys) is an error, not bytes
