@@ -344,7 +344,7 @@ let run_cmd =
     let doc = "Workload name (see `c11test list')." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
   in
-  let run workload tool iters seed jobs scale buggy prune verbose trace_depth
+  let run workload tool iters seed jobs scale buggy prune verbose trace_last
       json trace_out profile_flag certify coverage progress workers cache_spec
       =
     match Registry.find workload with
@@ -431,9 +431,9 @@ let run_cmd =
           List.iter
             (fun r -> Format.printf "  %a@." Race.pp_report r)
             summary.Tester.distinct_races;
-        if trace_depth > 0 || trace_out <> None then begin
-          let ring_capacity = max 65536 trace_depth in
-          let obs = Obs.create ~ring_capacity () in
+        if trace_last > 0 || trace_out <> None then begin
+          let ring_capacity = max 65536 trace_last in
+          let obs = Obs.create ~ring_capacity in
           match Tester.find_buggy ~obs ~profile ~metrics ~jobs
                   ~config ~attempts:iters body
           with
@@ -441,16 +441,14 @@ let run_cmd =
             if not quiet then
               Printf.printf "no buggy execution found in %d attempts\n" iters
           | Some _ ->
-            (match trace_out with
-            | None -> ()
-            | Some path ->
-              with_out_file path (fun oc ->
-                  Obs.drain_to_sink obs (Obs.ndjson_sink oc)));
-            if trace_depth > 0 && not quiet then begin
+            Option.iter
+              (fun path -> with_out_file path (fun oc -> Obs.write_ndjson oc obs))
+              trace_out;
+            if trace_last > 0 && not quiet then begin
               let events = Obs.ring_events obs in
-              let skip = max 0 (List.length events - trace_depth) in
+              let skip = max 0 (List.length events - trace_last) in
               Printf.printf "trace of a buggy execution (last %d events):\n"
-                trace_depth;
+                trace_last;
               List.iteri
                 (fun i e ->
                   if i >= skip then Format.printf "  %a@." Obs.pp_event e)

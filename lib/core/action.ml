@@ -35,16 +35,3 @@ let is_read a =
 
 let happens_before a b =
   a.seq <> b.seq && Clockvec.covers b.hb_cv ~tid:a.tid ~seq:a.seq
-
-let kind_to_string = function
-  | Load -> "load"
-  | Store -> "store"
-  | Rmw -> "rmw"
-  | Na_store -> "na-store"
-  | Fence -> "fence"
-
-let pp fmt a =
-  Format.fprintf fmt "#%d t%d %s%s loc=%d %a v=%d" a.seq a.tid
-    (kind_to_string a.kind)
-    (if a.volatile then "(vol)" else "")
-    a.loc Memorder.pp a.mo a.value

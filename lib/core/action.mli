@@ -59,5 +59,3 @@ val is_read : t -> bool
 (** [happens_before a b]: [a -hb-> b], decided from [b]'s clock-vector
     snapshot. *)
 val happens_before : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

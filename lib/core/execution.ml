@@ -143,10 +143,6 @@ type t = {
   mutable na_ops : int;
   mutable max_graph_size : int;
   mutable pruned_count : int;
-  mutable trace_cap : int;
-  mutable trace_rev : Action.t list;
-  mutable trace_old : Action.t list;
-  mutable trace_n : int;
   mutable mrf_buf : Action.t array;
       (* reusable may-read-from scratch: one growable buffer per execution
          instead of a fresh list + array per atomic load/RMW *)
@@ -197,10 +193,6 @@ let create ?(obs = Obs.null) ?(prof = Profile.null) ?(metrics = Metrics.null)
     na_ops = 0;
     max_graph_size = 0;
     pruned_count = 0;
-    trace_cap = 0;
-    trace_rev = [];
-    trace_old = [];
-    trace_n = 0;
     mrf_buf = [||];
     mrf_n = 0;
   }
@@ -745,26 +737,8 @@ let add_edges t pset (s : Action.t) =
 (* ------------------------------------------------------------------ *)
 (* Transition rules (Figure 11)                                        *)
 
-(* Bounded trace as two generations: [trace_rev] collects the newest
-   actions (newest first); when it fills, it is demoted whole to
-   [trace_old] and the previous old generation dropped.  The newest
-   [trace_cap] actions are always available across the two lists, memory
-   stays under [2 * trace_cap], and each record is O(1) — the previous
-   version rebuilt the list with [List.filteri] every [trace_cap]
-   records. *)
-let record_trace t a =
-  if t.trace_cap > 0 then begin
-    t.trace_rev <- a :: t.trace_rev;
-    t.trace_n <- t.trace_n + 1;
-    if t.trace_n >= t.trace_cap then begin
-      t.trace_old <- t.trace_rev;
-      t.trace_rev <- [];
-      t.trace_n <- 0
-    end
-  end
-
-let mk_action t ts kind ~loc ~mo ~value ~volatile ~seq =
-  let a = {
+let mk_action ts kind ~loc ~mo ~value ~volatile ~seq =
+  {
     Action.seq;
     tid = ts.tid;
     kind;
@@ -778,9 +752,6 @@ let mk_action t ts kind ~loc ~mo ~value ~volatile ~seq =
     volatile;
     mo_node = Action.No_graph_node;
   }
-  in
-  record_trace t a;
-  a
 
 (* Fisher–Yates over the scratch buffer, drawing from the RNG in exactly
    the order [Rng.shuffle_in_place] does on a materialised array. *)
@@ -870,7 +841,7 @@ let atomic_load t ~tid ~loc ~mo ~volatile =
     let p2 = if t.prof_on then Profile.now_ns () else 0 in
     acquire_merge t ts ~mo rf_cv;
     if t.prof_on then Profile.stop t.prof "cv_merge" p2;
-    let a = mk_action t ts Action.Load ~loc ~mo ~value:s.value ~volatile ~seq in
+    let a = mk_action ts Action.Load ~loc ~mo ~value:s.value ~volatile ~seq in
     a.rf <- Some s;
     add_edges t pset s;
     record_load li a;
@@ -936,7 +907,7 @@ let atomic_store t ~tid ~loc ~mo ~volatile value =
   t.atomic_ops <- t.atomic_ops + 1;
   if t.metrics_on then Metrics.incr t.metrics "ops.atomic_store";
   let li = get_loc t loc in
-  let a = mk_action t ts Action.Store ~loc ~mo ~value ~volatile ~seq in
+  let a = mk_action ts Action.Store ~loc ~mo ~value ~volatile ~seq in
   a.rf_cv <- Some (store_rf_cv_with_relseq t li ts ~mo);
   let p0 = if t.prof_on then Profile.now_ns () else 0 in
   let pset = write_prior_set t li ts ~store_mo:mo ~current:ts.c in
@@ -962,7 +933,7 @@ let newest_store li = li.newest
 let rmw_commit_load t ts li ~tid ~loc ~mo ~volatile ~seq (s : Action.t) pset =
   let rf_cv = match s.rf_cv with Some cv -> cv | None -> Clockvec.bottom () in
   acquire_merge t ts ~mo rf_cv;
-  let a = mk_action t ts Action.Load ~loc ~mo ~value:s.value ~volatile ~seq in
+  let a = mk_action ts Action.Load ~loc ~mo ~value:s.value ~volatile ~seq in
   a.rf <- Some s;
   add_edges t pset s;
   record_load li a;
@@ -979,7 +950,7 @@ let rmw_commit_write t ts li ~tid ~loc ~mo ~volatile ~seq (s : Action.t) pset
   s.rmw_claimed <- true;
   let rf_cv_s = match s.rf_cv with Some cv -> cv | None -> Clockvec.bottom () in
   acquire_merge t ts ~mo rf_cv_s;
-  let r = mk_action t ts Action.Rmw ~loc ~mo ~value:new_value ~volatile ~seq in
+  let r = mk_action ts Action.Rmw ~loc ~mo ~value:new_value ~volatile ~seq in
   r.rf <- Some s;
   (* Release sequences: the RMW carries its own release clock (if any)
      joined with the clock of the sequence it extends (Figure 9,
@@ -1074,7 +1045,7 @@ let fence t ~tid ~mo =
   if Memorder.is_acquire mo then ignore (Clockvec.merge ts.c ts.facq);
   if Memorder.is_release mo then ts.frel <- Clockvec.copy ts.c;
   if Memorder.is_seq_cst mo then begin
-    let a = mk_action t ts Action.Fence ~loc:(-1) ~mo ~value:0 ~volatile:false ~seq in
+    let a = mk_action ts Action.Fence ~loc:(-1) ~mo ~value:0 ~volatile:false ~seq in
     Seqarr.push ts.sc_fences a;
     if t.cert_on then cert_feed t a
   end
@@ -1083,7 +1054,7 @@ let fence t ~tid ~mo =
        action; the certifier reconstructs fence-based synchronisation from
        the trace, so materialise them when certifying (no RNG draws, no
        extra sequence numbers — executions are unperturbed). *)
-    let a = mk_action t ts Action.Fence ~loc:(-1) ~mo ~value:0 ~volatile:false ~seq in
+    let a = mk_action ts Action.Fence ~loc:(-1) ~mo ~value:0 ~volatile:false ~seq in
     cert_feed t a
   end;
   if t.obs_on then
@@ -1112,7 +1083,7 @@ let na_write t ~tid ~loc value =
        synchronises (empty reads-from clock). *)
     let li = get_loc t loc in
     let a =
-      mk_action t ts Action.Na_store ~loc ~mo:Memorder.Relaxed ~value
+      mk_action ts Action.Na_store ~loc ~mo:Memorder.Relaxed ~value
         ~volatile:false ~seq
     in
     a.rf_cv <- Some (Clockvec.bottom ());
@@ -1133,17 +1104,6 @@ let graph_footprint t =
     (function Some li -> acc := !acc + li.store_count | None -> ())
     t.locs;
   !acc
-
-let set_trace_capacity t n = t.trace_cap <- max 0 n
-
-let rec take n l =
-  if n <= 0 then [] else match l with [] -> [] | x :: r -> x :: take (n - 1) r
-
-let trace t =
-  (* newest first: the current generation, then enough of the demoted one
-     to reach [trace_cap] actions *)
-  let newest_first = t.trace_rev @ take (t.trace_cap - t.trace_n) t.trace_old in
-  List.rev newest_first
 
 module Internal = struct
   let build_may_read_from = build_may_read_from

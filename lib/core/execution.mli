@@ -172,12 +172,6 @@ type t = {
   mutable na_ops : int;  (** plain shared-memory accesses *)
   mutable max_graph_size : int;
   mutable pruned_count : int;
-  mutable trace_cap : int;  (** 0 = tracing off *)
-  mutable trace_rev : Action.t list;  (** current generation, newest first *)
-  mutable trace_old : Action.t list;
-      (** previous generation; together with [trace_rev] always holds the
-          newest [trace_cap] actions *)
-  mutable trace_n : int;
   mutable mrf_buf : Action.t array;
       (** reusable may-read-from scratch buffer; only [mrf_buf.(0..mrf_n-1)]
           are meaningful, and only within one transition rule *)
@@ -280,12 +274,6 @@ val refresh_loc_caches : loc_info -> unit
 
 (** Number of stores currently retained across all atomic locations. *)
 val graph_footprint : t -> int
-
-(** [set_trace_capacity t n] keeps the most recent [n] memory actions for
-    debugging; [trace t] returns them oldest first. *)
-val set_trace_capacity : t -> int -> unit
-
-val trace : t -> Action.t list
 
 (** Internal helpers exposed for tests. *)
 module Internal : sig

@@ -9,7 +9,6 @@ type config = {
   prune : Pruner.policy;
   max_steps : int;
   seed : int64;
-  trace_depth : int;
   certify : bool;
   mutation : Execution.mutation option;
   coverage : bool;
@@ -23,7 +22,6 @@ let default_config =
     prune = Pruner.No_prune;
     max_steps = 2_000_000;
     seed = 1L;
-    trace_depth = 0;
     certify = false;
     mutation = None;
     coverage = false;
@@ -42,7 +40,6 @@ type outcome = {
   max_graph_size : int;
   final_footprint : int;
   pruned_stores : int;
-  trace : string list;
   certificate : Check.verdict option;
       (** [Some _] iff the execution ran with [config.certify] *)
   certified_ops : int;
@@ -577,7 +574,6 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
     Execution.create ~obs ~prof:profile ~metrics ?mutation:config.mutation
       ~mode:config.mode ~rng ~race ()
   in
-  Execution.set_trace_capacity exec config.trace_depth;
   let st =
     {
       config;
@@ -727,7 +723,6 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
     if Race.races race <> [] || st.assertion_failures <> [] then
       Metrics.incr metrics "engine.buggy_executions"
   end;
-  Obs.flush obs;
   {
     races = Race.races race;
     assertion_failures = List.rev st.assertion_failures;
@@ -741,12 +736,6 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
     max_graph_size = exec.Execution.max_graph_size;
     final_footprint = Execution.graph_footprint exec;
     pruned_stores = exec.Execution.pruned_count;
-    trace =
-      (* [Format.asprintf "%a"] builds its buffer and formatter when
-         applied, so only a non-empty trace pays for them *)
-      (match Execution.trace exec with
-      | [] -> []
-      | actions -> List.map (Format.asprintf "%a" Action.pp) actions);
     certificate;
     certified_ops =
       (match stream with Some s -> Check.Stream.certified_ops s | None -> 0);

@@ -22,9 +22,6 @@ type config = {
   prune : Pruner.policy;
   max_steps : int;  (** abort (livelock guard) after this many steps *)
   seed : int64;
-  trace_depth : int;
-      (** keep the last N memory actions and return them in the outcome;
-          0 (default) disables tracing *)
   certify : bool;
       (** run the axiomatic certifier over the execution; off (zero-cost)
           by default.  Actions and sync edges are certified incrementally
@@ -56,8 +53,6 @@ type outcome = {
   max_graph_size : int;  (** peak live mo-graph nodes *)
   final_footprint : int;  (** stores retained at exit (after pruning) *)
   pruned_stores : int;
-  trace : string list;
-      (** the last [trace_depth] memory actions, oldest first, formatted *)
   certificate : Check.verdict option;
       (** the axiomatic certifier's verdict; [Some _] iff [config.certify] *)
   certified_ops : int;

@@ -59,8 +59,8 @@ type hist_entry = { mutable h_count : int; h_first : int }
    [d] the arithmetic progression [start = w + d*W], [stride = j*W] —
    still a partition of the worker's global indices, so the merge
    discipline is unchanged. *)
-let run_shard_at ?(progress = Progress.null) ~obs ~profile ~metrics ~config
-    ~total ~start ~stride f =
+let run_shard ?(profile = Profile.null) ?(metrics = Metrics.null)
+    ?(progress = Progress.null) ~config ~total ~start ~stride f =
   let seen = Hashtbl.create 16 in
   let races = ref [] in
   let seen_violations = Hashtbl.create 16 in
@@ -91,7 +91,7 @@ let run_shard_at ?(progress = Progress.null) ~obs ~profile ~metrics ~config
     let seed = Rng.substream config.Engine.seed ~index in
     observation := None;
     let body () = observation := Some (f ()) in
-    let o = Engine.run ~obs ~profile ~metrics { config with Engine.seed } body in
+    let o = Engine.run ~profile ~metrics { config with Engine.seed } body in
     incr executions;
     if Engine.buggy o then incr buggy;
     if o.Engine.races <> [] then incr racy;
@@ -229,13 +229,12 @@ let merge_shards shards =
 (* ------------------------------------------------------------------ *)
 (* Campaign runners.
 
-   With one job a single shard covers every index.  Otherwise worker [w]
-   of [j] runs its leapfrog shard on its own domain with fully private
-   engine state (execution, mo-graph, race detector, RNG) and private
-   C11obs handles; the shards are merged with the order-independent
-   operations of {!Par.Merge}.  The contract: the merged summary,
-   histogram and distinct-race list are bit-identical for every job
-   count. *)
+   Worker [w] of [j] runs its leapfrog shard on its own domain with fully
+   private engine state (execution, mo-graph, race detector, RNG) and
+   private C11obs handles ({!Par.domains}); the shards are merged with
+   the order-independent operations of {!Par.Merge}.  The contract: the
+   merged summary, histogram and distinct-race list are bit-identical for
+   every job count. *)
 
 (* The final progress record carries the campaign's exact merged novelty
    counts (heartbeats only ever saw shard-local overapproximations). *)
@@ -248,161 +247,72 @@ let finish_progress progress summary =
         + List.length summary.distinct_cert_violations)
       progress
 
-let clamp_jobs jobs n = max 1 (min jobs (max 1 n))
-
-(* Private per-worker C11obs handles, created only when the caller's are
-   live.  A worker's tracer buffers into its own ring (rings and sinks
-   are single-domain state); the rings are absorbed into the caller's
-   tracer in worker order after the join. *)
-let worker_obs obs =
-  if Obs.enabled obs then
-    Obs.create
-      ~ring_capacity:
-        (if Obs.ring_capacity obs > 0 then Obs.ring_capacity obs else 65536)
-      ()
-  else Obs.null
-
-let worker_profile profile =
-  if Profile.enabled profile then Profile.create () else Profile.null
-
-let worker_metrics metrics =
-  if Metrics.enabled metrics then Metrics.create () else Metrics.null
-
-let absorb_worker_handles ~obs ~profile ~metrics handles =
-  Array.iter
-    (fun (o, p, m) ->
-      if Obs.enabled obs then Obs.absorb ~into:obs o;
-      if Profile.enabled profile then Profile.absorb ~into:profile p;
-      if Metrics.enabled metrics then Metrics.absorb ~into:metrics m)
-    handles
-
-let run_collect ?(obs = Obs.null) ?(profile = Profile.null)
-    ?(metrics = Metrics.null) ?(progress = Progress.null) ?(jobs = 1) ~config
-    ~iters f =
-  let jobs = clamp_jobs jobs iters in
+let run_collect ?profile ?metrics ?(progress = Progress.null) ?(jobs = 1)
+    ~config ~iters f =
+  (* [progress] is shared: its counters are atomic and emission is
+     mutex-serialised, so workers tick it directly *)
   let shards =
-    if jobs = 1 then
-      [
-        run_shard_at ~progress ~obs ~profile ~metrics ~config ~total:iters
-          ~start:0 ~stride:1 f;
-      ]
-    else begin
-      let results =
-        Par.spawn_workers ~jobs (fun ~worker ->
-            let o = worker_obs obs in
-            let p = worker_profile profile in
-            let m = worker_metrics metrics in
-            (* [progress] is shared: its counters are atomic and emission
-               is mutex-serialised, so workers tick it directly *)
-            let shard =
-              run_shard_at ~progress ~obs:o ~profile:p ~metrics:m ~config
-                ~total:iters ~start:worker ~stride:jobs f
-            in
-            (shard, (o, p, m)))
-      in
-      absorb_worker_handles ~obs ~profile ~metrics (Array.map snd results);
-      Obs.flush obs;
-      Array.to_list (Array.map fst results)
-    end
+    Par.domains ?profile ?metrics ~jobs ~total:iters
+      (fun ~worker ~jobs ~profile ~metrics ->
+        run_shard ~profile ~metrics ~progress ~config ~total:iters
+          ~start:worker ~stride:jobs f)
   in
   let summary, hist = merge_shards shards in
   let summary = { summary with executions = iters } in
   finish_progress progress summary;
   (summary, hist)
 
-let run ?obs ?profile ?metrics ?progress ?jobs ~config ~iters f =
-  fst
-    (run_collect ?obs ?profile ?metrics ?progress ?jobs ~config ~iters
-       (fun () -> f ()))
+let run ?profile ?metrics ?progress ?jobs ~config ~iters f =
+  fst (run_collect ?profile ?metrics ?progress ?jobs ~config ~iters f)
 
 (* ------------------------------------------------------------------ *)
-(* Bug hunts. *)
+(* Bug hunts.
 
-(* Re-run single executions (fresh seeds derived from [config.seed]) until
-   one is buggy — the trace hunt previously inlined in bin/c11test.ml.
-   The tracer's ring is cleared between attempts so that, on success, it
-   holds exactly the buggy execution's events.  Attempt seeds come from
-   the substream rooted at [config.seed + 7] — distinct from {!run}'s —
-   indexed by attempt number, so the sharded hunt can derive the same
-   seeds shard-wise. *)
+   Attempt seeds come from the substream rooted at [config.seed + 7] —
+   distinct from {!run}'s — indexed by attempt number.  Worker [w] of
+   [jobs] scans attempt indices [w, w+jobs, ...] in ascending order and
+   stops at its first buggy execution (later indices of its shard cannot
+   beat it) or as soon as a strictly lower index has won elsewhere
+   (cancel-by-flag; advisory, so the eventual winner — the lowest buggy
+   attempt index overall — is worker-count-independent: an index is only
+   ever skipped when a lower buggy index exists).  The hunt traces
+   nothing; the caller's tracer sees only the replay of the winner. *)
 
 let hunt_base config = Int64.add config.Engine.seed 7L
 
-let find_buggy_seq ?obs ?profile ?metrics ~config ~attempts f =
+let find_buggy ?(obs = Obs.null) ?profile ?metrics ?(jobs = 1) ~config
+    ~attempts f =
   let base = hunt_base config in
-  let rec hunt index =
-    if index >= attempts then None
-    else begin
-      (match obs with Some o -> Obs.clear o | None -> ());
-      let seed = Rng.substream base ~index in
-      let o =
-        Engine.run ?obs ?profile ?metrics { config with Engine.seed } f
-      in
-      if Engine.buggy o then Some o else hunt (index + 1)
-    end
+  let winner = Par.Winner.create () in
+  let bests =
+    Par.domains ?profile ?metrics ~jobs ~total:attempts
+      (fun ~worker ~jobs ~profile ~metrics ->
+        let best = ref None in
+        let i = ref worker in
+        while
+          !i < attempts && !best = None
+          && not (Par.Winner.beaten winner ~index:!i)
+        do
+          let seed = Rng.substream base ~index:!i in
+          let o = Engine.run ~profile ~metrics { config with Engine.seed } f in
+          if Engine.buggy o then begin
+            Par.Winner.propose winner !i;
+            best := Some (!i, o)
+          end;
+          i := !i + jobs
+        done;
+        !best)
   in
-  hunt 0
-
-let find_buggy ?obs ?profile ?metrics ?(jobs = 1) ~config ~attempts f =
-  let jobs = clamp_jobs jobs attempts in
-  if jobs = 1 then find_buggy_seq ?obs ?profile ?metrics ~config ~attempts f
-  else begin
-    let obs = Option.value ~default:Obs.null obs in
-    let profile = Option.value ~default:Profile.null profile in
-    let metrics = Option.value ~default:Metrics.null metrics in
-    let base = hunt_base config in
-    let winner = Par.Winner.create () in
-    (* Worker [w] scans attempt indices [w, w+jobs, ...] in ascending
-       order and stops at its first buggy execution (later indices of its
-       shard cannot beat it) or as soon as a strictly lower index has won
-       elsewhere (cancel-by-flag; advisory, so the eventual winner — the
-       lowest buggy attempt index overall — is worker-count-independent:
-       an index is only ever skipped when a lower buggy index exists). *)
-    let results =
-      Par.spawn_workers ~jobs (fun ~worker ->
-          let p = worker_profile profile in
-          let m = worker_metrics metrics in
-          let best = ref None in
-          let i = ref worker in
-          while
-            !i < attempts && !best = None
-            && not (Par.Winner.beaten winner ~index:!i)
-          do
-            let seed = Rng.substream base ~index:!i in
-            let o =
-              Engine.run ~profile:p ~metrics:m { config with Engine.seed } f
-            in
-            if Engine.buggy o then begin
-              Par.Winner.propose winner !i;
-              best := Some (!i, o)
-            end;
-            i := !i + jobs
-          done;
-          (!best, (p, m)))
-    in
-    Array.iter
-      (fun (_, (p, m)) ->
-        if Profile.enabled profile then Profile.absorb ~into:profile p;
-        if Metrics.enabled metrics then Metrics.absorb ~into:metrics m)
-      results;
-    match
-      Par.Merge.first_win (Array.to_list (Array.map fst results))
-    with
-    | None -> None
-    | Some (index, outcome) ->
-      if not (Obs.enabled obs) then Some outcome
-      else begin
-        (* The caller wants the buggy execution's trace in its ring.  The
-           hunt traced nothing (workers run without the caller's tracer),
-           so replay the winning seed once with it: executions are pure
-           functions of their seed, so the replayed outcome — returned for
-           consistency with the emitted events — is bit-identical to the
-           one found during the hunt. *)
-        Obs.clear obs;
-        let seed = Rng.substream base ~index in
-        Some (Engine.run ~obs { config with Engine.seed } f)
-      end
-  end
+  match Par.Merge.first_win bests with
+  | None -> None
+  | Some (_, outcome) when not (Obs.enabled obs) -> Some outcome
+  | Some (index, _) ->
+    (* Executions are pure functions of their seed, so the replay — whose
+       outcome is returned for consistency with the emitted events — is
+       bit-identical to the execution the hunt found. *)
+    Obs.clear obs;
+    let seed = Rng.substream base ~index in
+    Some (Engine.run ~obs { config with Engine.seed } f)
 
 (* ------------------------------------------------------------------ *)
 (* Shard-level entry points for the multi-process fabric (lib/svc).
@@ -413,12 +323,6 @@ let find_buggy ?obs ?profile ?metrics ?(jobs = 1) ~config ~attempts f =
    remote, fresh or cache-replayed) with [merge_shard_list].  Because the
    shard values are exactly what the in-process runners merge,
    the multi-process merge is byte-identical to [-j 1] by construction. *)
-
-let run_shard ?(obs = Obs.null) ?(profile = Profile.null)
-    ?(metrics = Metrics.null) ?(progress = Progress.null) ~config ~total
-    ~start ~stride f =
-  run_shard_at ~progress ~obs ~profile ~metrics ~config ~total ~start ~stride
-    f
 
 let merge_shard_list shards = merge_shards shards
 let shard_executions s = s.sh_counters.Par.Merge.executions

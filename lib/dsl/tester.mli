@@ -58,25 +58,22 @@ type summary = {
 val detection_rate : summary -> float
 
 (** [run ~config ~iters f] executes [f] [iters] times, deriving a fresh
-    seed for each execution from [config.seed].  The optional C11obs
-    handles are shared across all executions of the session (events fan
-    out continuously; metrics and span timings aggregate per session).
-    [progress], when given, is ticked once per execution and receives a
-    [final] record with the campaign's exact merged novelty counts.
+    seed for each execution from [config.seed].  [metrics] and [profile]
+    aggregate over the whole campaign.  [progress], when given, is ticked
+    once per execution and receives a [final] record with the campaign's
+    exact merged novelty counts.
 
-    [jobs] (default 1, clamped to at least 1) shards the executions
-    across that many domains.  [f] then runs concurrently on several
-    domains, so it must create the state it mutates per invocation —
-    every workload and litmus test in this repository already does,
-    allocating its locations through the DSL inside the closure.  When
-    C11obs handles are given, each worker records into private ones,
-    absorbed into the caller's in worker order after the join (see
-    {!Obs.absorb}): counters and span totals merge exactly; percentile
-    windows and ring contents are deterministic for a fixed [jobs] but
-    may differ across job counts.  The summary itself is bit-identical
-    for every [jobs]. *)
+    [jobs] (default 1, clamped to [1 .. iters]) shards the executions
+    across that many domains ({!Par.domains}).  [f] then runs
+    concurrently on several domains, so it must create the state it
+    mutates per invocation — every workload and litmus test in this
+    repository already does, allocating its locations through the DSL
+    inside the closure.  Each domain records into a private profiler and
+    registry, absorbed into the caller's in worker order after the join:
+    counters, gauges and span totals merge exactly; percentile windows
+    are deterministic for a fixed [jobs] but may differ across job
+    counts.  The summary itself is bit-identical for every [jobs]. *)
 val run :
-  ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
   ?progress:Progress.t ->
@@ -92,7 +89,6 @@ val run :
     entries are listed in order of first occurrence, and are bit-identical
     for every [jobs]; otherwise the contract is {!run}'s. *)
 val run_collect :
-  ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
   ?progress:Progress.t ->
@@ -104,20 +100,18 @@ val run_collect :
 
 (** [find_buggy ~config ~attempts f] re-runs single executions with fresh
     seeds (derived from [config.seed], on a stream distinct from {!run}'s)
-    until one exposes a bug, and returns its outcome.  When [obs] is
-    given, its ring is cleared before every attempt, so on [Some _] the
-    ring holds exactly the buggy execution's events — ready for
-    {!Obs.drain_to_sink} into an NDJSON or pretty sink.
+    until one exposes a bug, and returns its outcome.
 
-    With [jobs] > 1 (default 1) the attempts are sharded across domains
-    with a first-buggy-wins protocol: the buggy execution with the lowest
-    attempt index wins and the other workers cancel by flag, so the
-    returned outcome is the same for every [jobs] (the cancellation is
-    advisory — an attempt is only ever skipped once a strictly lower
-    buggy attempt exists).  When [obs] is given, the winning seed is then
-    replayed once with the caller's tracer after the hunt, so the ring
-    again holds exactly the buggy execution's events; hunt-side
-    executions trace nothing.  Metric/profile totals from a sharded hunt
+    The attempts are sharded across [jobs] domains (default 1,
+    {!Par.domains}) with a first-buggy-wins protocol: the buggy execution
+    with the lowest attempt index wins and the other workers cancel by
+    flag, so the returned outcome is the same for every [jobs] (the
+    cancellation is advisory — an attempt is only ever skipped once a
+    strictly lower buggy attempt exists).  The hunt traces nothing.  When
+    [obs] is enabled, its ring is cleared and the winning seed replayed
+    once into it, so on [Some _] the ring holds exactly the buggy
+    execution's events, ready for {!Obs.write_ndjson}.  The replay is not
+    profiled or counted.  Metric/profile totals from a hunt at [jobs] > 1
     depend on how far each worker ran before cancelling and are not
     deterministic across runs. *)
 val find_buggy :
@@ -147,7 +141,6 @@ type 'a shard
     domain [i] [~start:(w + i*W) ~stride:(d*W)] — nested leapfrog is still
     a partition, so the merge contract is unchanged. *)
 val run_shard :
-  ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
   ?progress:Progress.t ->

@@ -810,8 +810,9 @@ type shard = {
    correlates with schedule exploration. *)
 let corpus_salt = 1_000_003
 
-let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profile
-    ~metrics ~cfg ~start ~stride () =
+let campaign_shard ?(coverage = false) ?(progress = Progress.null)
+    ?(profile = Profile.null) ?(metrics = Metrics.null) ?stop ~cfg ~start
+    ~stride () =
   (* shrinking replays use the base config: coverage fingerprints are only
      wanted for the campaign's primary executions *)
   let config = engine_config ~mutation:cfg.c_mutation in
@@ -991,17 +992,6 @@ let run_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~obs ~profil
         Hashtbl.add seen key ();
         new_finding := true;
         Metrics.incr metrics "fuzz.findings";
-        if Obs.enabled obs then
-          Obs.emit obs
-            {
-              Obs.step = i;
-              tid = 0;
-              kind = Obs.Sync;
-              loc = -1;
-              mo = "";
-              value = 0;
-              detail = Printf.sprintf "fuzz-finding %s (program %d)" key i;
-            };
         let t2 = Profile.start profile in
         let repro, rseed, steps =
           shrink ~config ~execs:cfg.c_shrink_execs ~key prog
@@ -1090,6 +1080,9 @@ let merge_shards ?admitted cfg shards =
 let run_rounds ~wave cfg =
   match cfg.c_corpus with
   | None -> Result.map (merge_shards cfg) (wave ~cfg ~lo:0 ~hi:cfg.c_programs)
+  | Some _ when cfg.c_programs = 0 ->
+    (* no rounds: the plain campaign's one empty wave, as the fabric runs *)
+    Result.map (merge_shards cfg) (wave ~cfg ~lo:0 ~hi:0)
   | Some plan0 ->
     let known = Hashtbl.create 64 in
     let digests = Hashtbl.create 64 in
@@ -1144,62 +1137,24 @@ let run_rounds ~wave cfg =
     in
     round 0 [] []
 
-(* Shard-level entry points for the multi-process fabric (lib/svc): a
-   worker process probes its arithmetic progression of program indices and
-   ships the shard — plain data — back for the coordinator's merge. *)
-
-let campaign_shard ?(coverage = false) ?(progress = Progress.null) ?stop ~cfg
-    ~start ~stride () =
-  run_shard ~coverage ~progress ?stop ~obs:Obs.null ~profile:Profile.null
-    ~metrics:Metrics.null ~cfg ~start ~stride ()
-
 let merge_shard_list ?admitted cfg shards = merge_shards ?admitted cfg shards
 
-let worker_obs obs =
-  if Obs.enabled obs then
-    Obs.create
-      ~ring_capacity:(if Obs.ring_capacity obs > 0 then Obs.ring_capacity obs else 65536)
-      ()
-  else Obs.null
-
-let campaign ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
-    ?(coverage = false) ?(progress = Progress.null) cfg =
+let campaign ?profile ?metrics ?(coverage = false) ?(progress = Progress.null)
+    cfg =
   if cfg.c_programs < 0 then invalid_arg "Fuzz.campaign: c_programs must be >= 0";
   if cfg.c_jobs < 1 then invalid_arg "Fuzz.campaign: c_jobs must be >= 1";
   if cfg.c_shrink_execs < 1 then invalid_arg "Fuzz.campaign: c_shrink_execs must be >= 1";
-  let jobs = max 1 (min cfg.c_jobs (max 1 cfg.c_programs)) in
   (* corpus guidance defines novelty by coverage fingerprints, so a
      corpus campaign forces them on *)
   let coverage = coverage || cfg.c_corpus <> None in
+  (* [progress] is shared across domains: atomic counters,
+     mutex-serialised emission *)
   let wave ~cfg ~lo ~hi =
-    if jobs = 1 then
-      Ok [
-        run_shard ~coverage ~progress ~obs ~profile ~metrics ~cfg ~start:lo
-          ~stop:hi ~stride:1 ();
-      ]
-    else begin
-      let results =
-        Par.spawn_workers ~jobs (fun ~worker ->
-            let o = worker_obs obs in
-            let p = if Profile.enabled profile then Profile.create () else Profile.null in
-            let m = if Metrics.enabled metrics then Metrics.create () else Metrics.null in
-            (* [progress] is shared across workers: atomic counters,
-               mutex-serialised emission *)
-            let shard =
-              run_shard ~coverage ~progress ~obs:o ~profile:p ~metrics:m ~cfg
-                ~start:(lo + worker) ~stop:hi ~stride:jobs ()
-            in
-            (shard, (o, p, m)))
-      in
-      Array.iter
-        (fun (_, (o, p, m)) ->
-          if Obs.enabled obs then Obs.absorb ~into:obs o;
-          if Profile.enabled profile then Profile.absorb ~into:profile p;
-          if Metrics.enabled metrics then Metrics.absorb ~into:metrics m)
-        results;
-      Obs.flush obs;
-      Ok (Array.to_list (Array.map fst results))
-    end
+    Ok
+      (Par.domains ?profile ?metrics ~jobs:cfg.c_jobs ~total:cfg.c_programs
+         (fun ~worker ~jobs ~profile ~metrics ->
+           campaign_shard ~coverage ~progress ~profile ~metrics ~cfg
+             ~start:(lo + worker) ~stop:hi ~stride:jobs ()))
   in
   let report = Result.get_ok (run_rounds ~wave cfg) in
   if Progress.enabled progress then

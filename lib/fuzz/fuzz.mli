@@ -273,15 +273,15 @@ type report = {
 
 (** [campaign cfg] generates and probes [c_programs] programs, shrinks
     the first local occurrence of each finding key, and merges shards
-    with the lowest-index-wins protocol.  The C11obs handles observe
-    without perturbing: [metrics] gains [fuzz.*] counters and [profile]
-    the [fuzz_generate]/[fuzz_execute]/[fuzz_shrink] spans (from which
+    with the lowest-index-wins protocol, on [c_jobs] domains
+    ({!Par.domains}).  The C11obs handles observe without perturbing:
+    [metrics] gains [fuzz.*] counters and [profile] the
+    [fuzz_generate]/[fuzz_execute]/[fuzz_shrink] spans (from which
     {!Profile.rate} reads programs/sec).  [coverage] fingerprints every
     primary execution into {!Cov} shapes ([r_coverage]); [progress] is
     ticked once per program and receives a [final] record with the merged
     novelty counts. *)
 val campaign :
-  ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
   ?coverage:bool ->
@@ -302,10 +302,13 @@ type shard
     global indices form the arithmetic progression [start, start+stride,
     ...] below [stop] (default [cfg.c_programs]; [cfg.c_jobs] is ignored —
     process-level callers do their own fan-out).  [stop] lets corpus-round
-    drivers confine a shard to one round's index range. *)
+    drivers confine a shard to one round's index range.  [profile] and
+    [metrics] record as in {!campaign}. *)
 val campaign_shard :
   ?coverage:bool ->
   ?progress:Progress.t ->
+  ?profile:Profile.t ->
+  ?metrics:Metrics.t ->
   ?stop:int ->
   cfg:campaign_cfg ->
   start:int ->
@@ -324,8 +327,9 @@ val merge_shard_list : ?admitted:Corpus.entry list -> campaign_cfg -> shard list
     multi-process fabric in lib/svc (a wave fans out to worker processes).
     [wave ~cfg ~lo ~hi] must probe programs [lo, hi) of [cfg], sharded any
     way, and return their shards.  A plain campaign is one wave over
-    [0, c_programs).  A corpus campaign ([c_corpus = Some plan]) is one
-    wave per admission round of [pl_round] programs; each wave's [cfg]
+    [0, c_programs), and so is a corpus campaign of no programs.  A
+    corpus campaign ([c_corpus = Some plan]) is one wave per admission
+    round of [pl_round] programs; each wave's [cfg]
     carries a plan holding the snapshot plus everything admitted at
     earlier barriers, and a round's candidates are admitted at its barrier
     in ascending global index order — so admissions, and the merged

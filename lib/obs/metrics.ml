@@ -162,7 +162,7 @@ let absorb ~into src =
       src.counters;
     Hashtbl.iter
       (fun name g ->
-        if not (Float.is_nan g.g_value) then set_gauge into name g.g_value)
+        if not (Float.is_nan g.g_value) then max_gauge into name g.g_value)
       src.gauges;
     Hashtbl.iter
       (fun name (h : histo) ->

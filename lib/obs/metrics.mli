@@ -54,13 +54,12 @@ val histo_snapshots : t -> snapshot list
 val reset : t -> unit
 
 (** [absorb ~into src] folds another registry into [into]: counters add,
-    gauges take [src]'s value (callers absorb per-worker registries in
-    worker order, so the surviving gauge is deterministic), [max_gauge]
-    semantics are preserved by taking the larger value at read sites, and
-    histograms combine exact aggregates ([count]/[total]/[min]/[max])
-    exactly while the percentile window appends [src]'s samples.  A
-    registry is single-domain state; parallel campaigns record into a
-    private registry per domain and absorb them after the join. *)
+    gauges merge by maximum (as {!max_gauge}: the engine's one gauge,
+    [mograph.peak_nodes], is a peak), and histograms combine exact
+    aggregates ([count]/[total]/[min]/[max]) exactly while the percentile
+    window appends [src]'s samples.  A registry is single-domain state;
+    campaigns record into a private registry per domain and absorb them
+    in worker order after the join ({!Par.domains}). *)
 val absorb : into:t -> t -> unit
 
 (** JSON readout:

@@ -23,15 +23,7 @@ type event = {
 let dummy_event =
   { step = 0; tid = -1; kind = Sync; loc = -1; mo = ""; value = 0; detail = "" }
 
-type sink = {
-  sink_name : string;
-  emit : event -> unit;
-  flush : unit -> unit;
-}
-
 type t = {
-  mutable on : bool;
-  mutable sinks : sink list;  (** registration order *)
   cap : int;  (** ring capacity; 0 = no ring *)
   buf : event array;  (** ring storage; length = max cap 1 *)
   mutable len : int;  (** events currently held, <= cap *)
@@ -39,11 +31,9 @@ type t = {
   mutable total : int;  (** events emitted since the last [clear] *)
 }
 
-let create ?(ring_capacity = 0) () =
+let create ~ring_capacity =
   let cap = max 0 ring_capacity in
   {
-    on = cap > 0;
-    sinks = [];
     cap;
     buf = Array.make (max cap 1) dummy_event;
     len = 0;
@@ -51,32 +41,16 @@ let create ?(ring_capacity = 0) () =
     total = 0;
   }
 
-let null = create ()
-let ring_capacity t = t.cap
-let enabled t = t.on
-
-let add_sink t sink =
-  if t == null then
-    invalid_arg "Obs.add_sink: the shared null tracer is immutable";
-  t.sinks <- t.sinks @ [ sink ];
-  t.on <- true
-
-let sinks t = t.sinks
-
-let clear_sinks t =
-  t.sinks <- [];
-  t.on <- t.cap > 0
-
-let flush t = List.iter (fun s -> s.flush ()) t.sinks
+let null = create ~ring_capacity:0
+let enabled t = t.cap > 0
 
 let emit t e =
   if t.cap > 0 then begin
     t.buf.(t.next) <- e;
     t.next <- (t.next + 1) mod t.cap;
-    if t.len < t.cap then t.len <- t.len + 1
-  end;
-  t.total <- t.total + 1;
-  List.iter (fun s -> s.emit e) t.sinks
+    if t.len < t.cap then t.len <- t.len + 1;
+    t.total <- t.total + 1
+  end
 
 let total t = t.total
 
@@ -152,38 +126,12 @@ let event_of_json j =
   Some { step; tid; kind; loc; mo; value; detail }
 
 (* ------------------------------------------------------------------ *)
-(* Stock sinks *)
+(* NDJSON export *)
 
-let memory_sink () =
-  let acc = ref [] in
-  let sink =
-    {
-      sink_name = "memory";
-      emit = (fun e -> acc := e :: !acc);
-      flush = (fun () -> ());
-    }
-  in
-  (sink, fun () -> List.rev !acc)
-
-let pretty_sink fmt =
-  {
-    sink_name = "pretty";
-    emit = (fun e -> Format.fprintf fmt "%a@." pp_event e);
-    flush = (fun () -> Format.pp_print_flush fmt ());
-  }
-
-let ndjson_sink oc =
-  {
-    sink_name = "ndjson";
-    emit =
-      (fun e ->
-        Jsonx.to_channel oc (event_to_json e);
-        output_char oc '\n');
-    flush = (fun () -> Stdlib.flush oc);
-  }
-
-let drain_to_sink t sink =
-  List.iter sink.emit (ring_events t);
-  sink.flush ()
-
-let absorb ~into src = List.iter (emit into) (ring_events src)
+let write_ndjson oc t =
+  List.iter
+    (fun e ->
+      Jsonx.to_channel oc (event_to_json e);
+      output_char oc '\n')
+    (ring_events t);
+  flush oc

@@ -1,16 +1,17 @@
 (** C11obs — structured event tracing for the C11Tester reproduction.
 
     The engine and the memory model emit typed {!event}s through a
-    {!t} (tracer).  A tracer buffers the most recent events in a
-    fixed-capacity ring and fans every event out to pluggable {!sink}s in
-    registration order.  With no ring and no sink attached the tracer is
-    disabled ({!enabled} is [false]) and instrumentation sites skip event
-    construction entirely, so tracing is zero-cost when off.
+    {!t} (tracer), which keeps the most recent events in a fixed-capacity
+    ring.  A tracer is one execution's trace: {!Tester.find_buggy} replays
+    the buggy execution it found into the caller's ring.  The {!null}
+    tracer has no ring and is disabled ({!enabled} is [false]), and
+    instrumentation sites skip event construction entirely, so tracing is
+    zero-cost when off.
 
     Events serialise to one JSON object per line (NDJSON) with the stable
     schema
     [{"step":..,"tid":..,"kind":..,"loc":..,"mo":..,"value":..,"detail":..}];
-    see {!event_to_json} / {!event_of_json}. *)
+    see {!event_to_json} / {!event_of_json} and {!write_ndjson}. *)
 
 type kind =
   | Load  (** atomic load; [value] = value read, [detail] = rf store seq *)
@@ -37,36 +38,19 @@ type event = {
   detail : string;
 }
 
-type sink = {
-  sink_name : string;
-  emit : event -> unit;
-  flush : unit -> unit;
-}
-
 type t
 
-(** [create ~ring_capacity ()] makes a tracer keeping the last
-    [ring_capacity] events (default 0: no ring). *)
-val create : ?ring_capacity:int -> unit -> t
+(** [create ~ring_capacity] makes a tracer keeping the last
+    [ring_capacity] events; it is disabled when [ring_capacity <= 0]. *)
+val create : ring_capacity:int -> t
 
-(** A shared always-disabled tracer; instrumented code defaults to it.
-    Attaching a sink to it raises [Invalid_argument]. *)
+(** A shared always-disabled tracer; instrumented code defaults to it. *)
 val null : t
 
 (** Cheap test used by instrumentation sites before building an event. *)
 val enabled : t -> bool
 
-val ring_capacity : t -> int
-
-(** [add_sink t s] appends [s]; sinks receive events in registration
-    order. *)
-val add_sink : t -> sink -> unit
-
-val sinks : t -> sink list
-val clear_sinks : t -> unit
-
-(** [emit t e] buffers [e] in the ring (if any) and fans it out to every
-    sink. *)
+(** [emit t e] buffers [e] in the ring. *)
 val emit : t -> event -> unit
 
 (** Events emitted since the last {!clear} (including ones the ring has
@@ -76,22 +60,8 @@ val total : t -> int
 (** Buffered events, oldest first. *)
 val ring_events : t -> event list
 
-(** Reset the ring and the {!total} counter; sinks stay attached. *)
+(** Empty the ring and reset the {!total} counter. *)
 val clear : t -> unit
-
-val flush : t -> unit
-
-(** Replay the buffered events into [sink] and flush it — used to dump
-    the ring of a completed execution, e.g. to NDJSON. *)
-val drain_to_sink : t -> sink -> unit
-
-(** [absorb ~into src] re-emits [src]'s buffered events into [into]
-    (ring and sinks), oldest first.  Rings are single-domain state, so
-    parallel campaigns trace each domain into a private ring and absorb
-    the rings in worker order after the domains join — deterministic for
-    a fixed worker count, where live sharing would interleave events by
-    wall-clock accident (and race on the ring). *)
-val absorb : into:t -> t -> unit
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
@@ -99,9 +69,6 @@ val pp_event : Format.formatter -> event -> unit
 val event_to_json : event -> Jsonx.t
 val event_of_json : Jsonx.t -> event option
 
-(** Stock sinks: in-memory collector (returns the reader), pretty-printer,
-    and NDJSON writer (one JSON object per line). *)
-
-val memory_sink : unit -> sink * (unit -> event list)
-val pretty_sink : Format.formatter -> sink
-val ndjson_sink : out_channel -> sink
+(** [write_ndjson oc t] writes the buffered events to [oc], oldest first,
+    one JSON object per line, and flushes [oc]. *)
+val write_ndjson : out_channel -> t -> unit

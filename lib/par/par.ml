@@ -6,8 +6,8 @@ let shard_size ~jobs ~total ~worker =
     invalid_arg "Par.shard_size: worker out of range";
   if total <= worker then 0 else 1 + ((total - 1 - worker) / jobs)
 
+(* Workers [1 .. jobs-1] on fresh domains, worker 0 here; [jobs >= 1]. *)
 let spawn_workers ~jobs f =
-  if jobs < 1 then invalid_arg "Par.spawn_workers: jobs must be at least 1";
   if jobs = 1 then [| f ~worker:0 |]
   else begin
     let wrap worker () =
@@ -32,6 +32,26 @@ let spawn_workers ~jobs f =
           raise e)
       results
   end
+
+let domains ?(profile = Profile.null) ?(metrics = Metrics.null) ~jobs ~total f
+    =
+  let jobs = max 1 (min jobs (max 1 total)) in
+  let results =
+    spawn_workers ~jobs (fun ~worker ->
+        let p =
+          if Profile.enabled profile then Profile.create () else Profile.null
+        in
+        let m =
+          if Metrics.enabled metrics then Metrics.create () else Metrics.null
+        in
+        (f ~worker ~jobs ~profile:p ~metrics:m, p, m))
+  in
+  Array.iter
+    (fun (_, p, m) ->
+      Profile.absorb ~into:profile p;
+      Metrics.absorb ~into:metrics m)
+    results;
+  Array.to_list (Array.map (fun (r, _, _) -> r) results)
 
 module Winner = struct
   type t = int Atomic.t

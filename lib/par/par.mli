@@ -7,9 +7,9 @@
     execution does.  This module supplies the two halves the testers build
     on:
 
-    - {b fan-out} — {!spawn_workers} runs one shard per domain with fully
-      private engine state, and {!Winner} implements the lowest-index-wins
-      protocol for bug hunts;
+    - {b fan-out} — {!domains} runs one shard per domain with fully
+      private engine state and private observability handles, and
+      {!Winner} implements the lowest-index-wins protocol for bug hunts;
     - {b merge} — {!Merge} provides the order-independent, associative
       operations (counter sums, first-occurrence histograms, keyed dedup)
       that make the merged observables of a [jobs = N] campaign
@@ -28,14 +28,26 @@ val available_jobs : unit -> int
     worker [worker] of [jobs] runs under leapfrog sharding. *)
 val shard_size : jobs:int -> total:int -> worker:int -> int
 
-(** [spawn_workers ~jobs f] runs [f ~worker] for [worker] in
-    [0 .. jobs-1], workers [1 .. jobs-1] each on a fresh domain and worker
-    [0] on the calling domain, and returns the results indexed by worker.
-    All domains are joined before returning.  If any worker raises, the
-    exception of the lowest-numbered failing worker is re-raised after the
-    join (so the choice of surfaced error is worker-count-deterministic,
-    not a race).  [jobs] must be at least 1. *)
-val spawn_workers : jobs:int -> (worker:int -> 'a) -> 'a array
+(** [domains ~jobs ~total f] is the campaign fan-out, the one place a
+    campaign is split across domains.  It clamps [jobs] to
+    [1 .. max 1 total] and runs [f ~worker ~jobs ~profile ~metrics] for
+    [worker] in [0 .. jobs-1] (with the clamped [jobs]), workers
+    [1 .. jobs-1] each on a fresh domain and worker [0] on the calling
+    domain, and returns the results in worker order.  Each worker gets a
+    private profiler and metrics registry when the caller's [profile] /
+    [metrics] are enabled (the null ones otherwise), absorbed into the
+    caller's in worker order after every domain has joined — for every
+    [jobs], 1 included.  If any worker raises, the exception of the
+    lowest-numbered failing worker is re-raised after the join (so the
+    choice of surfaced error is worker-count-deterministic, not a race),
+    and nothing is absorbed. *)
+val domains :
+  ?profile:Profile.t ->
+  ?metrics:Metrics.t ->
+  jobs:int ->
+  total:int ->
+  (worker:int -> jobs:int -> profile:Profile.t -> metrics:Metrics.t -> 'a) ->
+  'a list
 
 (** First-buggy-wins protocol for parallel bug hunts.  Workers propose the
     global execution index of each buggy execution they find; the lowest

@@ -170,7 +170,6 @@ let config_fp (c : Engine.config) =
       ("prune", Jsonx.String (prune_fp c.Engine.prune));
       ("max_steps", Jsonx.Int c.Engine.max_steps);
       ("seed", Jsonx.String (Int64.to_string c.Engine.seed));
-      ("trace_depth", Jsonx.Int c.Engine.trace_depth);
       ("certify", Jsonx.Bool c.Engine.certify);
       ( "mutation",
         match c.Engine.mutation with
@@ -294,12 +293,13 @@ let lint_shard ~progress ~targets ~gen ~seed ~total ~start ~stride =
 
    Each surface (run, litmus, fuzz, sweep, lint) is defined once, as an
    instance: the fan-out it runs ([part]: the closure-free spec a worker
-   is handed, its cache fingerprint, index-space size and shard runner),
-   the merge of its shards into the surface's result together with the
-   campaign's exact final progress counts, and an in-process runner.  The
-   fabric, the worker and the in-process path below are written once
-   against that shape; [instance] is the only place that tells the
-   campaign kinds apart. *)
+   is handed, its cache fingerprint, index-space size and shard runner)
+   and the drive that merges the shards of its fan-outs into the
+   surface's result together with the campaign's exact final progress
+   counts.  A drive is handed either the domain fan-out ([domains], in
+   process) or the process fan-out ([fan_out], on the fabric), so both
+   ways of running a campaign share one drive-and-merge path; [instance]
+   is the only place that tells the campaign kinds apart. *)
 
 (* The [final] progress record's counts, and a worker's latest heartbeat. *)
 type counts = {
@@ -326,13 +326,15 @@ let observe progress c =
   Progress.observe progress ~done_:c.done_ ~novel:c.novel ~findings:c.findings
     ~certified_ops:c.certified ~retired_prefix_ops:c.retired
 
-(* Heartbeats lag the merge; the final record carries the exact merged
-   counts, so it is identical however the campaign ran. *)
-let finish_progress progress c =
+(* A driven campaign's result.  Heartbeats lag the merge; the final
+   record carries the exact merged counts, so it is identical however
+   the campaign ran. *)
+let finished progress (r, c) =
   if Progress.enabled progress then begin
     observe progress c;
     Progress.finish ~novel:c.novel ~findings:c.findings progress
-  end
+  end;
+  r
 
 let count p l = List.length (List.filter p l)
 let shapes = function None -> 0 | Some c -> Cov.distinct_shapes c
@@ -344,15 +346,14 @@ type 'p part = {
       (* built only for a cache key: a corpus plan's digest serializes
          every entry *)
   total : int;
-  shard : progress:Progress.t -> start:int -> stride:int -> 'p;
-}
-
-type handles = {
-  obs : Obs.t;
-  profile : Profile.t;
-  metrics : Metrics.t;
-  progress : Progress.t;
-  jobs : int;
+  shard :
+    profile:Profile.t ->
+    metrics:Metrics.t ->
+    progress:Progress.t ->
+    start:int ->
+    stride:int ->
+    'p;
+      (* a domain's share; fabric workers pass the null handles *)
 }
 
 type 'r instance =
@@ -361,7 +362,6 @@ type 'r instance =
       drive :
         ('p part -> ('p list, string) result) -> ('r * counts, string) result;
           (* the whole campaign, given a fan-out that runs one part *)
-      local : handles -> 'r;
     }
       -> 'r instance
 
@@ -378,33 +378,26 @@ let part ~spec ~kind ~total fields shard =
 (* The domain fan-out, in process and inside a worker: domain [d] of
    [jobs] takes the sub-progression [start + d*stride] by [jobs*stride],
    so worker [w] of [W] nests its domains under the process leapfrog. *)
-let domains ?(start = 0) ?(stride = 1) ~progress ~jobs part =
-  Par.spawn_workers ~jobs (fun ~worker ->
-      part.shard ~progress
+let domains ?(start = 0) ?(stride = 1) ?profile ?metrics ~progress ~jobs part
+    =
+  Par.domains ?profile ?metrics ~jobs ~total:part.total
+    (fun ~worker ~jobs ~profile ~metrics ->
+      part.shard ~profile ~metrics ~progress
         ~start:(start + (worker * stride))
         ~stride:(jobs * stride))
-  |> Array.to_list
 
-(* By default a campaign is one fan-out over its part, and it runs in
-   process on domains. *)
-let make ?drive ?local part merge =
+(* By default a campaign is one fan-out over its part. *)
+let make ?drive part merge =
   let drive =
     Option.value drive ~default:(fun fan -> Result.map merge (fan part))
   in
-  let local =
-    Option.value local ~default:(fun h ->
-        let r, c = merge (domains ~progress:h.progress ~jobs:h.jobs part) in
-        finish_progress h.progress c;
-        r)
-  in
-  Instance { part; drive; local }
+  Instance { part; drive }
 
 let map f (Instance i) =
   Instance
     {
       part = i.part;
       drive = (fun fan -> Result.map (fun (r, c) -> (f r, c)) (i.drive fan));
-      local = (fun h -> f (i.local h));
     }
 
 let tester_instance ~spec ~kind ~config ~iters fields body project =
@@ -413,13 +406,9 @@ let tester_instance ~spec ~kind ~config ~iters fields body project =
        (lazy
          (fields
          @ [ ("iters", Jsonx.Int iters); ("config", config_fp config) ]))
-       (fun ~progress ~start ~stride ->
-         Tester.run_shard ~progress ~config ~total:iters ~start ~stride body))
-    ~local:(fun h ->
-      project
-        (Tester.run_collect ~obs:h.obs ~profile:h.profile
-           ~metrics:h.metrics ~progress:h.progress ~jobs:h.jobs ~config ~iters
-           body))
+       (fun ~profile ~metrics ~progress ~start ~stride ->
+         Tester.run_shard ~profile ~metrics ~progress ~config ~total:iters
+           ~start ~stride body))
     (fun shards ->
       let ((s, _) as r) = Tester.merge_shard_list shards in
       ( project r,
@@ -492,9 +481,9 @@ let fuzz_part ~coverage ~range cfg =
             | None -> Jsonx.Null
             | Some (lo, hi) -> Jsonx.List [ Jsonx.Int lo; Jsonx.Int hi ] );
         ]))
-    (fun ~progress ~start ~stride ->
-      Fuzz.campaign_shard ~coverage ~progress ~stop:hi ~cfg ~start:(lo + start)
-        ~stride ())
+    (fun ~profile ~metrics ~progress ~start ~stride ->
+      Fuzz.campaign_shard ~coverage ~progress ~profile ~metrics ~stop:hi ~cfg
+        ~start:(lo + start) ~stride ())
 
 let with_fuzz_counts (r : Fuzz.report) =
   ( r,
@@ -524,10 +513,7 @@ let fuzz_ranged ~coverage ~range cfg =
             fan (fuzz_part ~coverage:true ~range:(Some (lo, hi)) cfg))
         |> Result.map with_fuzz_counts
     in
-    make part merge ~drive ~local:(fun h ->
-        Fuzz.campaign ~obs:h.obs ~profile:h.profile ~metrics:h.metrics
-          ~coverage ~progress:h.progress
-          { cfg with Fuzz.c_jobs = h.jobs })
+    make part merge ~drive
 
 let fuzz_instance ~coverage cfg = fuzz_ranged ~coverage ~range:None cfg
 
@@ -543,7 +529,7 @@ let sweep_instance (family : Sweep.family) ~iters ~seed =
            ("iters", Jsonx.Int iters);
            ("seed", Jsonx.String (Int64.to_string seed));
          ])
-       (fun ~progress ~start ~stride ->
+       (fun ~profile:_ ~metrics:_ ~progress ~start ~stride ->
          Sweep.run_shard ~progress ~family ~iters ~seed ~start ~stride ()))
     (fun shards ->
       let r = Sweep.merge ~family ~iters ~seed shards in
@@ -580,7 +566,7 @@ let lint_instance ~targets ~programs ~seed ~gen =
             ("seed", Jsonx.String (Int64.to_string seed));
           ]
          @ gen_fp gen))
-       (fun ~progress ~start ~stride ->
+       (fun ~profile:_ ~metrics:_ ~progress ~start ~stride ->
          lint_shard ~progress ~targets:tarr ~gen ~seed ~total ~start ~stride))
     (fun shards ->
       (* every index is analyzed exactly once, so the targets are already
@@ -765,15 +751,19 @@ let handle_line st ~on_counts line =
         let field k = Option.bind (Jsonx.member k j) Jsonx.to_str in
         (* a missing, mismatched or undecodable payload is no payload: the
            worker's range is treated as a crash at EOF *)
+        let drop reason =
+          Printf.eprintf "c11test: worker %d: dropping shard record (%s)\n%!"
+            st.w_index reason
+        in
         match (field "payload", field "md5") with
         | Some b64, Some md5 -> (
           match checked_bytes ~md5 b64 with
-          | None -> ()
+          | None -> drop "payload digest mismatch"
           | Some bytes -> (
             match Marshal.from_string bytes 0 with
             | p -> st.w_payload <- Some p
-            | exception _ -> ()))
-        | _ -> ())
+            | exception e -> drop (Printexc.to_string e)))
+        | _ -> drop "no payload or md5")
       | _ -> () (* hello / done: informational ack *))
     | Some "c11progress-v1" ->
       st.w_counts <-
@@ -978,15 +968,14 @@ let run_fabric ?exe ?cache ~progress ?kill ~workers ~jobs (Instance i) =
                    };
                  shards)
         in
-        i.drive fan
-        |> Result.map (fun (r, counts) ->
-               finish_progress progress counts;
-               (r, !stats)))
+        i.drive fan |> Result.map (fun rc -> (finished progress rc, !stats)))
 
-let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
-    ?(progress = Progress.null) ?cache ?workers ~jobs (Instance i as inst) =
+(* In process, every fan-out goes to domains. *)
+let run ?profile ?metrics ?(progress = Progress.null) ?cache ?workers ~jobs
+    (Instance i as inst) =
   if workers = None && cache = None then
-    Ok (i.local { obs; profile; metrics; progress; jobs }, None)
+    i.drive (fun part -> Ok (domains ?profile ?metrics ~progress ~jobs part))
+    |> Result.map (fun rc -> (finished progress rc, None))
   else
     run_fabric ?cache ~progress ~workers:(Option.value workers ~default:1)
       ~jobs inst

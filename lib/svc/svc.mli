@@ -174,17 +174,17 @@ val lint_instance :
   (int * Lint.result) list instance
 
 (** [run ~jobs i] runs the campaign and returns its merged result, with
-    the fabric's statistics when it ran there.  Without [workers] and
-    [cache] it runs in this process on [jobs] domains: run, litmus and
-    fuzz through {!Tester.run_collect} and {!Fuzz.campaign},
-    which feed the [obs]/[profile]/[metrics] handles; sweep and lint
-    through the instance's own shard runner and merge.  With either, it
-    runs on [workers] (default 1) worker processes of [jobs] domains each,
-    as {!run_campaign}; the handles other than [progress] see nothing.
-    [progress] ends with the exact merged [final] record either way.
-    [Error] only comes from the fabric. *)
+    the fabric's statistics when it ran there.  Both ways drive the
+    instance's shards through one merge.  Without [workers] and [cache]
+    it runs in this process, each fan-out on [jobs] domains
+    ({!Par.domains}) whose private [profile]/[metrics] are absorbed into
+    the caller's: run and litmus record what {!Tester.run_collect} does,
+    fuzz what {!Fuzz.campaign} does, sweep and lint nothing.  With
+    either, it runs on [workers] (default 1) worker processes of [jobs]
+    domains each, as {!run_campaign}; [profile] and [metrics] see
+    nothing.  [progress] ends with the exact merged [final] record either
+    way.  [Error] only comes from the fabric. *)
 val run :
-  ?obs:Obs.t ->
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
   ?progress:Progress.t ->

@@ -288,27 +288,27 @@ let test_volatile_modes () =
   check "volatile races under tsan11rec" true (!racy > 0)
 
 let test_trace_recording () =
-  let config = { (config ()) with Engine.trace_depth = 16 } in
-  let o =
-    Engine.run config (fun () ->
-        let x = C11.Atomic.make 0 in
-        C11.Atomic.store ~mo:Memorder.Release x 7;
-        ignore (C11.Atomic.load ~mo:Memorder.Acquire x))
-  in
-  check "trace captured" true (List.length o.Engine.trace >= 2);
-  let contains_store line =
-    let rec go i =
-      i + 5 <= String.length line
-      && (String.sub line i 5 = "store" || go (i + 1))
-    in
-    go 0
-  in
+  let obs = Obs.create ~ring_capacity:16 in
+  ignore
+    (Engine.run ~obs (config ()) (fun () ->
+         let x = C11.Atomic.make 0 in
+         C11.Atomic.store ~mo:Memorder.Release x 7;
+         ignore (C11.Atomic.load ~mo:Memorder.Acquire x)));
+  let events = Obs.ring_events obs in
+  check "trace captured" true (List.length events >= 2);
   check "trace mentions the store" true
-    (List.exists contains_store o.Engine.trace)
+    (List.exists (fun e -> e.Obs.kind = Obs.Store && e.Obs.value = 7) events)
 
 let test_trace_off_by_default () =
-  let o = run (fun () -> ignore (C11.Atomic.make 1)) in
-  check "no trace unless requested" true (o.Engine.trace = [])
+  let prog () = ignore (C11.Atomic.make 1) in
+  ignore (run prog);
+  let off = Obs.create ~ring_capacity:0 in
+  ignore (Engine.run ~obs:off (config ()) prog);
+  check "no trace unless requested" true
+    (Obs.ring_events Obs.null = []
+    && Obs.total Obs.null = 0
+    && (not (Obs.enabled off))
+    && Obs.ring_events off = [])
 
 (* ---------- allocation guards ------------------------------------------ *)
 

@@ -1,5 +1,5 @@
-(* C11obs: ring buffering, sink fan-out, (ND)JSON round-trips, metrics
-   and profile readouts, and the no-perturbation guarantee (attaching
+(* C11obs: ring buffering, (ND)JSON round-trips, metrics and profile
+   readouts, and the no-perturbation guarantee (attaching
    observers must not change what the engine computes). *)
 
 let check = Alcotest.(check bool)
@@ -10,7 +10,7 @@ let ev ?(kind = Obs.Load) ?(mo = "relaxed") ?(detail = "") n =
 (* --- ring buffer --- *)
 
 let test_ring_wraparound () =
-  let t = Obs.create ~ring_capacity:4 () in
+  let t = Obs.create ~ring_capacity:4 in
   for i = 1 to 10 do
     Obs.emit t (ev i)
   done;
@@ -25,53 +25,20 @@ let test_ring_wraparound () =
     (List.map (fun e -> e.Obs.step) (Obs.ring_events t) = [ 1 ])
 
 let test_ring_partial () =
-  let t = Obs.create ~ring_capacity:8 () in
+  let t = Obs.create ~ring_capacity:8 in
   for i = 1 to 3 do
     Obs.emit t (ev i)
   done;
   check "partial ring, oldest first" true
     (List.map (fun e -> e.Obs.step) (Obs.ring_events t) = [ 1; 2; 3 ])
 
-(* --- sinks --- *)
-
-let test_sink_fanout_order () =
-  let log = ref [] in
-  let sink tag =
-    {
-      Obs.sink_name = tag;
-      emit = (fun e -> log := (tag, e.Obs.step) :: !log);
-      flush = (fun () -> log := (tag ^ "-flush", -1) :: !log);
-    }
-  in
-  let t = Obs.create () in
-  check "no sink, no ring => disabled" true (not (Obs.enabled t));
-  Obs.add_sink t (sink "a");
-  Obs.add_sink t (sink "b");
-  check "sink enables tracer" true (Obs.enabled t);
-  Obs.emit t (ev 1);
-  Obs.emit t (ev 2);
-  Obs.flush t;
-  check "fan-out in registration order, then flush" true
-    (List.rev !log
-    = [
-        ("a", 1); ("b", 1); ("a", 2); ("b", 2); ("a-flush", -1); ("b-flush", -1);
-      ])
-
-let test_memory_sink () =
-  let t = Obs.create () in
-  let sink, events = Obs.memory_sink () in
-  Obs.add_sink t sink;
-  Obs.emit t (ev 1);
-  Obs.emit t (ev 2);
-  check "memory sink keeps order" true
-    (List.map (fun e -> e.Obs.step) (events ()) = [ 1; 2 ])
-
-let test_null_rejects_sinks () =
+let test_null_tracer () =
   check "null tracer is disabled" true (not (Obs.enabled Obs.null));
-  check "attaching a sink to null raises" true
-    (match Obs.add_sink Obs.null (fst (Obs.memory_sink ())) with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+  check "a ringless tracer is disabled" true
+    (not (Obs.enabled (Obs.create ~ring_capacity:0)));
+  Obs.emit Obs.null (ev 1);
+  check "null tracer keeps nothing" true
+    (Obs.ring_events Obs.null = [] && Obs.total Obs.null = 0)
 
 (* --- (ND)JSON round-trips --- *)
 
@@ -94,15 +61,15 @@ let test_event_json_roundtrip () =
         | Some e' -> check "event survives JSON round-trip" true (e = e')))
     all_kinds
 
-let test_ndjson_sink_roundtrip () =
-  let t = Obs.create ~ring_capacity:16 () in
+let test_ndjson_roundtrip () =
+  let t = Obs.create ~ring_capacity:16 in
   List.iteri (fun i kind -> Obs.emit t (ev ~kind i)) all_kinds;
   let path = Filename.temp_file "c11obs" ".ndjson" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      Obs.drain_to_sink t (Obs.ndjson_sink oc);
+      Obs.write_ndjson oc t;
       close_out oc;
       let ic = open_in path in
       let lines = ref [] in
@@ -150,6 +117,32 @@ let test_metrics () =
   check "null metrics is no-op" true
     (Metrics.incr Metrics.null "x";
      Metrics.counter_value Metrics.null "x" = 0)
+
+(* Absorbing per-worker registries in worker order must keep a peak a
+   peak: the larger gauge wins whichever worker holds it. *)
+let test_metrics_absorb () =
+  let worker peak n =
+    let m = Metrics.create () in
+    Metrics.max_gauge m "peak" peak;
+    Metrics.incr m ~by:n "c";
+    Metrics.observe m "h" peak;
+    m
+  in
+  let into = Metrics.create () in
+  List.iter
+    (fun w -> Metrics.absorb ~into w)
+    [ worker 27.0 1; worker 22.0 2; Metrics.create () ];
+  check "counters add" true (Metrics.counter_value into "c" = 3);
+  check "gauges merge by maximum" true
+    (Metrics.gauge_value into "peak" = Some 27.0);
+  (match Metrics.histo_snapshot into "h" with
+  | Some s ->
+    check "histograms merge exactly" true
+      (s.Metrics.count = 2 && s.Metrics.min = 22.0 && s.Metrics.max = 27.0)
+  | None -> Alcotest.fail "histogram missing");
+  Metrics.absorb ~into:Metrics.null (worker 1.0 1);
+  check "absorbing into null is a no-op" true
+    (Metrics.counters Metrics.null = [] && Metrics.gauges Metrics.null = [])
 
 let mem k j =
   match Jsonx.member k j with
@@ -205,7 +198,7 @@ let test_tracing_does_not_perturb () =
       let base =
         Engine.run config (fun () -> plain := t.Litmus.run_once ())
       in
-      let obs = Obs.create ~ring_capacity:1024 () in
+      let obs = Obs.create ~ring_capacity:1024 in
       let profile = Profile.create () in
       let metrics = Metrics.create () in
       let traced =
@@ -278,13 +271,12 @@ let suite =
   [
     Alcotest.test_case "ring wrap-around" `Quick test_ring_wraparound;
     Alcotest.test_case "ring partial fill" `Quick test_ring_partial;
-    Alcotest.test_case "sink fan-out order" `Quick test_sink_fanout_order;
-    Alcotest.test_case "memory sink" `Quick test_memory_sink;
-    Alcotest.test_case "null tracer" `Quick test_null_rejects_sinks;
+    Alcotest.test_case "null tracer" `Quick test_null_tracer;
     Alcotest.test_case "event JSON round-trip" `Quick test_event_json_roundtrip;
-    Alcotest.test_case "NDJSON sink round-trip" `Quick test_ndjson_sink_roundtrip;
+    Alcotest.test_case "NDJSON round-trip" `Quick test_ndjson_roundtrip;
     Alcotest.test_case "metrics" `Quick test_metrics;
     Alcotest.test_case "metrics JSON" `Quick test_metrics_json;
+    Alcotest.test_case "metrics absorb" `Quick test_metrics_absorb;
     Alcotest.test_case "profile spans" `Quick test_profile;
     Alcotest.test_case "tracing does not perturb" `Quick
       test_tracing_does_not_perturb;

@@ -270,8 +270,8 @@ let test_find_buggy_ring () =
   let body =
     w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale
   in
-  let obs_seq = Obs.create ~ring_capacity:65536 () in
-  let obs_par = Obs.create ~ring_capacity:65536 () in
+  let obs_seq = Obs.create ~ring_capacity:65536 in
+  let obs_par = Obs.create ~ring_capacity:65536 in
   let seq = Tester.find_buggy ~obs:obs_seq ~config ~attempts:20 body in
   let par =
     Tester.find_buggy ~obs:obs_par ~jobs:4 ~config ~attempts:20 body
@@ -281,6 +281,35 @@ let test_find_buggy_ring () =
     List.map (Format.asprintf "%a" Obs.pp_event) (Obs.ring_events obs)
   in
   check "identical ring" true (render obs_seq = render obs_par)
+
+(* Counters and gauges merge exactly across domains, so a campaign's
+   metrics are the same for every job count; only histogram percentile
+   windows and profile timings may differ.  rwlock's peak mo-graph size
+   is reached by an execution that worker 0 of 4 does not run. *)
+let test_metrics_parity () =
+  let w =
+    match Registry.find "rwlock" with
+    | Some w -> w
+    | None -> Alcotest.fail "rwlock missing"
+  in
+  let config = Tool.config Tool.C11tester in
+  let body =
+    w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale
+  in
+  let run jobs =
+    let metrics = Metrics.create () in
+    let s = Tester.run ~metrics ~jobs ~config ~iters:30 body in
+    (s, Metrics.counters metrics, Metrics.gauges metrics)
+  in
+  let s1, c1, g1 = run 1 in
+  check "peak gauge is the summary's" true
+    (g1 = [ ("mograph.peak_nodes", float_of_int s1.Tester.max_graph_size) ]);
+  List.iter
+    (fun jobs ->
+      let _, c, g = run jobs in
+      check (Printf.sprintf "counters jobs=%d" jobs) true (c = c1);
+      check (Printf.sprintf "gauges jobs=%d" jobs) true (g = g1))
+    [ 2; 4 ]
 
 let test_collect_parity_no_bug () =
   (* A hunt with no bug must return None for every job count. *)
@@ -320,6 +349,7 @@ let suite =
     Alcotest.test_case "find_buggy ring parity" `Slow
       test_find_buggy_ring;
     Alcotest.test_case "hunt without bug" `Quick test_collect_parity_no_bug;
+    Alcotest.test_case "metrics parity across jobs" `Quick test_metrics_parity;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -206,6 +206,74 @@ let test_corpus_fuzz_parity () =
       | _ -> Alcotest.fail "expected M_fuzz")
     [ 1; 2; 3 ]
 
+(* In process, [Svc.run] drives the same shards through the same merge
+   as the fabric, on domains whose private handles it absorbs: it must
+   return and record what the library runners do. *)
+let test_in_process_handles () =
+  let w = ms_queue () in
+  let body =
+    w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale
+  in
+  let corpus_cfg =
+    {
+      fuzz_cfg with
+      Fuzz.c_programs = 120;
+      c_corpus = Some (Corpus.plan ~round:40 []);
+    }
+  in
+  let run_svc ~jobs instance =
+    let profile = Profile.create () and metrics = Metrics.create () in
+    match Svc.run ~profile ~metrics ~jobs instance with
+    | Ok (r, None) -> (r, profile, metrics)
+    | Ok (_, Some _) -> Alcotest.fail "in-process run reported fabric stats"
+    | Error msg -> Alcotest.failf "Svc.run: %s" msg
+  in
+  let same_counters what m m' =
+    check (what ^ ": counters") true (Metrics.counters m = Metrics.counters m');
+    check (what ^ ": gauges") true (Metrics.gauges m = Metrics.gauges m')
+  in
+  List.iter
+    (fun jobs ->
+      let what = Printf.sprintf "run jobs=%d" jobs in
+      let s, _, m =
+        run_svc ~jobs
+          (Svc.run_instance w ~buggy:true ~scale:w.Registry.default_scale
+             ~config:run_config ~iters:24)
+      in
+      let m' = Metrics.create () in
+      let s', _ =
+        Tester.run_collect ~metrics:m' ~jobs ~config:run_config ~iters:24 body
+      in
+      Alcotest.(check string) what (summary_string s') (summary_string s);
+      check (what ^ ": engine.executions") true
+        (Metrics.counter_value m "engine.executions" = 24);
+      same_counters what m m';
+      List.iter
+        (fun (name, cfg) ->
+          let what = Printf.sprintf "%s jobs=%d" name jobs in
+          let r, p, m =
+            run_svc ~jobs (Svc.fuzz_instance ~coverage:true cfg)
+          in
+          let m' = Metrics.create () in
+          let r' =
+            Fuzz.campaign ~metrics:m' ~coverage:true
+              { cfg with Fuzz.c_jobs = jobs }
+          in
+          let render r = Jsonx.to_pretty_string (Fuzz.report_to_json r) in
+          Alcotest.(check string) what (render r') (render r);
+          check (what ^ ": fuzz_execute spans") true
+            (Option.fold ~none:0
+               ~some:(fun sp -> sp.Profile.count)
+               (Profile.snapshot p "fuzz_execute")
+            = cfg.Fuzz.c_programs);
+          same_counters what m m')
+        [
+          ("fuzz", fuzz_cfg);
+          ("corpus fuzz", corpus_cfg);
+          ("empty corpus fuzz", { corpus_cfg with Fuzz.c_programs = 0 });
+        ])
+    [ 1; 3 ]
+
 let test_sweep_parity () =
   let family =
     match Sweep.find "rwlock" with
@@ -368,7 +436,6 @@ let pin_config =
     prune = Pruner.Conservative { interval = 64 };
     max_steps = 150_000;
     seed = 99L;
-    trace_depth = 0;
     certify = true;
     mutation = None;
     coverage = true;
@@ -395,9 +462,9 @@ let pinned_keys =
           config = pin_config;
           iters = 24;
         },
-      "58a0fa962dbc9087a3be80fe039fa02b" );
+      "499fefd0b70b7d1eae14ea8e68ee76f4" );
     ( Svc.Litmus_c { name = "mp_relaxed"; config = pin_config; iters = 300 },
-      "edd240cac0652ce58112435e3d4e7b98" );
+      "4639c4f2a586151f6784d88419c875f2" );
     ( Svc.Fuzz_c
         {
           cfg =
@@ -533,8 +600,14 @@ let run_stand_in ?(workers = 4) ~script c =
 let test_corrupt_shard_reclaimed () =
   let baseline = run_baseline 24 in
   with_stand_in (corrupt_shard ~once:true) (fun ~script ~file ->
-      let merged, st = run_stand_in ~script (run_spec 24) in
+      let (merged, st), err =
+        with_stderr (fun () -> run_stand_in ~script (run_spec 24))
+      in
       check "the flip happened" true (Sys.file_exists (file "flipped"));
+      Alcotest.(check string)
+        "dropped record reported"
+        "c11test: worker 1: dropping shard record (payload digest mismatch)\n"
+        err;
       check "corrupt shard re-claimed" true (st.Svc.st_spawned = 5);
       check "no range lost" true (st.Svc.st_failed = []);
       match merged with
@@ -715,6 +788,7 @@ let suite =
     Alcotest.test_case "corpus fuzz parity across workers" `Slow
       test_corpus_fuzz_parity;
     Alcotest.test_case "sweep parity across workers" `Slow test_sweep_parity;
+    Alcotest.test_case "in-process handles" `Quick test_in_process_handles;
     Alcotest.test_case "workers clamped to total" `Quick test_workers_clamped;
     Alcotest.test_case "cache warm replay" `Slow test_cache_warm_replay;
     Alcotest.test_case "cache key sensitivity" `Quick
