@@ -188,7 +188,8 @@ let verbose_arg =
 
 let trace_arg =
   let doc =
-    "Record the last N events of the first buggy execution and print them."
+    "Replay the campaign's first buggy execution and print its last N \
+     events."
   in
   Arg.(value & opt int 0 & info [ "trace" ] ~docv:"N" ~doc)
 
@@ -202,8 +203,9 @@ let json_arg =
 
 let trace_out_arg =
   let doc =
-    "Hunt for a buggy execution and write its full event trace as NDJSON \
-     (one JSON event per line) to $(docv); `-' means stdout."
+    "Replay the campaign's first buggy execution and write its full event \
+     trace as NDJSON (one JSON event per line) to $(docv); `-' means \
+     stdout."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -432,23 +434,22 @@ let run_cmd =
             (fun r -> Format.printf "  %a@." Race.pp_report r)
             summary.Tester.distinct_races;
         if trace_last > 0 || trace_out <> None then begin
-          let ring_capacity = max 65536 trace_last in
-          let obs = Obs.create ~ring_capacity in
-          match Tester.find_buggy ~obs ~profile ~metrics ~jobs
-                  ~config ~attempts:iters body
-          with
+          match summary.Tester.first_buggy with
           | None ->
             if not quiet then
-              Printf.printf "no buggy execution found in %d attempts\n" iters
-          | Some _ ->
+              Printf.printf "no buggy execution among the %d executions\n"
+                summary.Tester.executions
+          | Some index ->
+            let obs = Obs.create ~ring_capacity:(max 65536 trace_last) in
+            ignore (Tester.replay ~obs ~config ~index body);
             Option.iter
               (fun path -> with_out_file path (fun oc -> Obs.write_ndjson oc obs))
               trace_out;
             if trace_last > 0 && not quiet then begin
               let events = Obs.ring_events obs in
               let skip = max 0 (List.length events - trace_last) in
-              Printf.printf "trace of a buggy execution (last %d events):\n"
-                trace_last;
+              Printf.printf "trace of buggy execution %d (last %d events):\n"
+                index trace_last;
               List.iteri
                 (fun i e ->
                   if i >= skip then Format.printf "  %a@." Obs.pp_event e)
@@ -673,7 +674,6 @@ let fuzz_cmd =
           in
           let cfg =
             {
-              Fuzz.default_campaign_cfg with
               Fuzz.c_programs = programs;
               c_seed = Int64.of_int seed;
               c_jobs = jobs;

@@ -315,18 +315,3 @@ let plan ?(mutate_pct = default_mutate_pct) ?(round = default_round) entries =
     invalid_arg "Corpus.plan: mutate_pct must be in [0,100]";
   if round < 1 then invalid_arg "Corpus.plan: round must be >= 1";
   { pl_entries = entries; pl_mutate_pct = mutate_pct; pl_round = round }
-
-let plan_digest pl =
-  (* digest the serialized programs, not just their shape digests: two
-     different programs can share a shape, and the cache key must change
-     whenever any program mutation source changes *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "pct=%d;round=%d" pl.pl_mutate_pct pl.pl_round);
-  List.iter
-    (fun e ->
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf e.en_digest;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Jsonx.to_string (entry_to_json e)))
-    pl.pl_entries;
-  Digest.to_hex (Digest.string (Buffer.contents buf))

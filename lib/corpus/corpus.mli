@@ -91,8 +91,3 @@ val default_mutate_pct : int
 val default_round : int
 
 val plan : ?mutate_pct:int -> ?round:int -> entry list -> plan
-
-(** Content fingerprint of a plan (entries' digests {e and} serialized
-    programs, schedule knobs) — the corpus component of the fabric's
-    cache key. *)
-val plan_digest : plan -> string

@@ -16,6 +16,7 @@ type summary = {
   max_graph_size : int;
   mean_steps : float;
   coverage : Cov.summary option;
+  first_buggy : int option;
 }
 
 let detection_rate s =
@@ -47,6 +48,8 @@ type 'a shard = {
   sh_cov : Cov.shard option;
       (* shard-local coverage accumulation; [Some _] iff the campaign ran
          with [config.coverage] *)
+  sh_first_buggy : int option;
+      (* the shard's first buggy execution: its lowest buggy global index *)
 }
 
 (* An observation's histogram entry: how often, and the global index of
@@ -80,6 +83,7 @@ let run_shard ?(profile = Profile.null) ?(metrics = Metrics.null)
   and max_graph = ref 0
   and steps = ref 0
   and executions = ref 0 in
+  let first_buggy = ref None in
   let observation = ref None in
   let cov =
     if config.Engine.coverage then Some (Cov.create ()) else None
@@ -93,7 +97,10 @@ let run_shard ?(profile = Profile.null) ?(metrics = Metrics.null)
     let body () = observation := Some (f ()) in
     let o = Engine.run ~profile ~metrics { config with Engine.seed } body in
     incr executions;
-    if Engine.buggy o then incr buggy;
+    if Engine.buggy o then begin
+      incr buggy;
+      if !first_buggy = None then first_buggy := Some index
+    end;
     if o.Engine.races <> [] then incr racy;
     if o.Engine.assertion_failures <> [] then incr asserts;
     if o.Engine.deadlock then incr deadlocks;
@@ -178,42 +185,19 @@ let run_shard ?(profile = Profile.null) ?(metrics = Metrics.null)
     sh_hist =
       Hashtbl.fold (fun k e l -> (k, e.h_count, e.h_first) :: l) histogram [];
     sh_cov = Option.map Cov.shard cov;
+    sh_first_buggy = !first_buggy;
   }
 
-let summary_of_counters (c : Par.Merge.counters) distinct distinct_violations =
-  {
-    executions = c.Par.Merge.executions;
-    buggy_executions = c.Par.Merge.buggy;
-    race_executions = c.Par.Merge.racy;
-    assert_executions = c.Par.Merge.asserts;
-    deadlocks = c.Par.Merge.deadlocks;
-    step_limit_hits = c.Par.Merge.limits;
-    certified_executions = c.Par.Merge.certified;
-    cert_rejected_executions = c.Par.Merge.cert_rejected;
-    certified_ops = c.Par.Merge.certified_ops;
-    retired_prefix_ops = c.Par.Merge.retired_prefix_ops;
-    distinct_races = distinct;
-    distinct_cert_violations = distinct_violations;
-    total_atomic_ops = c.Par.Merge.atomic_ops;
-    total_na_ops = c.Par.Merge.na_ops;
-    max_graph_size = c.Par.Merge.max_graph;
-    mean_steps =
-      (if c.Par.Merge.executions = 0 then 0.0
-       else
-         float_of_int c.Par.Merge.steps /. float_of_int c.Par.Merge.executions);
-    coverage = None;
-  }
-
-let merge_shards shards =
-  let counters =
+let merge_shard_list shards =
+  let c =
     List.fold_left
       (fun acc s -> Par.Merge.add acc s.sh_counters)
       Par.Merge.zero shards
   in
-  let distinct =
+  let distinct_races =
     Par.Merge.dedup ~key:Race.dedup_key (List.map (fun s -> s.sh_races) shards)
   in
-  let distinct_violations =
+  let distinct_cert_violations =
     Par.Merge.dedup ~key:Check.violation_key
       (List.map (fun s -> s.sh_violations) shards)
   in
@@ -223,7 +207,35 @@ let merge_shards shards =
     | [] -> None
     | cov_shards -> Some (Cov.merge cov_shards)
   in
-  ( { (summary_of_counters counters distinct distinct_violations) with coverage },
+  let first_buggy =
+    match List.filter_map (fun s -> s.sh_first_buggy) shards with
+    | [] -> None
+    | i :: is -> Some (List.fold_left min i is)
+  in
+  ( {
+      executions = c.Par.Merge.executions;
+      buggy_executions = c.Par.Merge.buggy;
+      race_executions = c.Par.Merge.racy;
+      assert_executions = c.Par.Merge.asserts;
+      deadlocks = c.Par.Merge.deadlocks;
+      step_limit_hits = c.Par.Merge.limits;
+      certified_executions = c.Par.Merge.certified;
+      cert_rejected_executions = c.Par.Merge.cert_rejected;
+      certified_ops = c.Par.Merge.certified_ops;
+      retired_prefix_ops = c.Par.Merge.retired_prefix_ops;
+      distinct_races;
+      distinct_cert_violations;
+      total_atomic_ops = c.Par.Merge.atomic_ops;
+      total_na_ops = c.Par.Merge.na_ops;
+      max_graph_size = c.Par.Merge.max_graph;
+      mean_steps =
+        (if c.Par.Merge.executions = 0 then 0.0
+         else
+           float_of_int c.Par.Merge.steps
+           /. float_of_int c.Par.Merge.executions);
+      coverage;
+      first_buggy;
+    },
     hist )
 
 (* ------------------------------------------------------------------ *)
@@ -236,83 +248,22 @@ let merge_shards shards =
    merged summary, histogram and distinct-race list are bit-identical for
    every job count. *)
 
-(* The final progress record carries the campaign's exact merged novelty
-   counts (heartbeats only ever saw shard-local overapproximations). *)
-let finish_progress progress summary =
-  if Progress.enabled progress then
-    Progress.finish
-      ?novel:(Option.map Cov.distinct_shapes summary.coverage)
-      ~findings:
-        (List.length summary.distinct_races
-        + List.length summary.distinct_cert_violations)
-      progress
+let run_collect ?profile ?metrics ?(jobs = 1) ~config ~iters f =
+  merge_shard_list
+    (Par.domains ?profile ?metrics ~jobs ~total:iters
+       (fun ~worker ~jobs ~profile ~metrics ->
+         run_shard ~profile ~metrics ~config ~total:iters ~start:worker
+           ~stride:jobs f))
 
-let run_collect ?profile ?metrics ?(progress = Progress.null) ?(jobs = 1)
-    ~config ~iters f =
-  (* [progress] is shared: its counters are atomic and emission is
-     mutex-serialised, so workers tick it directly *)
-  let shards =
-    Par.domains ?profile ?metrics ~jobs ~total:iters
-      (fun ~worker ~jobs ~profile ~metrics ->
-        run_shard ~profile ~metrics ~progress ~config ~total:iters
-          ~start:worker ~stride:jobs f)
-  in
-  let summary, hist = merge_shards shards in
-  let summary = { summary with executions = iters } in
-  finish_progress progress summary;
-  (summary, hist)
+let run ?profile ?metrics ?jobs ~config ~iters f =
+  fst (run_collect ?profile ?metrics ?jobs ~config ~iters f)
 
-let run ?profile ?metrics ?progress ?jobs ~config ~iters f =
-  fst (run_collect ?profile ?metrics ?progress ?jobs ~config ~iters f)
-
-(* ------------------------------------------------------------------ *)
-(* Bug hunts.
-
-   Attempt seeds come from the substream rooted at [config.seed + 7] —
-   distinct from {!run}'s — indexed by attempt number.  Worker [w] of
-   [jobs] scans attempt indices [w, w+jobs, ...] in ascending order and
-   stops at its first buggy execution (later indices of its shard cannot
-   beat it) or as soon as a strictly lower index has won elsewhere
-   (cancel-by-flag; advisory, so the eventual winner — the lowest buggy
-   attempt index overall — is worker-count-independent: an index is only
-   ever skipped when a lower buggy index exists).  The hunt traces
-   nothing; the caller's tracer sees only the replay of the winner. *)
-
-let hunt_base config = Int64.add config.Engine.seed 7L
-
-let find_buggy ?(obs = Obs.null) ?profile ?metrics ?(jobs = 1) ~config
-    ~attempts f =
-  let base = hunt_base config in
-  let winner = Par.Winner.create () in
-  let bests =
-    Par.domains ?profile ?metrics ~jobs ~total:attempts
-      (fun ~worker ~jobs ~profile ~metrics ->
-        let best = ref None in
-        let i = ref worker in
-        while
-          !i < attempts && !best = None
-          && not (Par.Winner.beaten winner ~index:!i)
-        do
-          let seed = Rng.substream base ~index:!i in
-          let o = Engine.run ~profile ~metrics { config with Engine.seed } f in
-          if Engine.buggy o then begin
-            Par.Winner.propose winner !i;
-            best := Some (!i, o)
-          end;
-          i := !i + jobs
-        done;
-        !best)
-  in
-  match Par.Merge.first_win bests with
-  | None -> None
-  | Some (_, outcome) when not (Obs.enabled obs) -> Some outcome
-  | Some (index, _) ->
-    (* Executions are pure functions of their seed, so the replay — whose
-       outcome is returned for consistency with the emitted events — is
-       bit-identical to the execution the hunt found. *)
-    Obs.clear obs;
-    let seed = Rng.substream base ~index in
-    Some (Engine.run ~obs { config with Engine.seed } f)
+(* Executions are pure functions of their seed, so replaying index [i] of
+   a campaign reproduces its execution [i] exactly. *)
+let replay ?(obs = Obs.null) ~config ~index f =
+  Obs.clear obs;
+  let seed = Rng.substream config.Engine.seed ~index in
+  Engine.run ~obs { config with Engine.seed } (fun () -> ignore (f ()))
 
 (* ------------------------------------------------------------------ *)
 (* Shard-level entry points for the multi-process fabric (lib/svc).
@@ -324,7 +275,6 @@ let find_buggy ?(obs = Obs.null) ?profile ?metrics ?(jobs = 1) ~config
    shard values are exactly what the in-process runners merge,
    the multi-process merge is byte-identical to [-j 1] by construction. *)
 
-let merge_shard_list shards = merge_shards shards
 let shard_executions s = s.sh_counters.Par.Merge.executions
 
 (* ------------------------------------------------------------------ *)

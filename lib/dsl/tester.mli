@@ -52,6 +52,10 @@ type summary = {
       (** merged execution-shape coverage; [Some _] iff the campaign ran
           with [config.coverage].  Bit-identical across job counts (same
           {!Par.Merge} discipline as the rest of the summary). *)
+  first_buggy : int option;
+      (** global index of the campaign's first buggy execution, the one
+          {!replay} reproduces; [None] when no execution was buggy.  Not
+          part of {!summary_to_json} or {!pp_summary}. *)
 }
 
 (** Detection rate in percent, as reported in Tables 2 and Section 8.1. *)
@@ -59,9 +63,7 @@ val detection_rate : summary -> float
 
 (** [run ~config ~iters f] executes [f] [iters] times, deriving a fresh
     seed for each execution from [config.seed].  [metrics] and [profile]
-    aggregate over the whole campaign.  [progress], when given, is ticked
-    once per execution and receives a [final] record with the campaign's
-    exact merged novelty counts.
+    aggregate over the whole campaign.
 
     [jobs] (default 1, clamped to [1 .. iters]) shards the executions
     across that many domains ({!Par.domains}).  [f] then runs
@@ -76,7 +78,6 @@ val detection_rate : summary -> float
 val run :
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
-  ?progress:Progress.t ->
   ?jobs:int ->
   config:Engine.config ->
   iters:int ->
@@ -91,38 +92,24 @@ val run :
 val run_collect :
   ?profile:Profile.t ->
   ?metrics:Metrics.t ->
-  ?progress:Progress.t ->
   ?jobs:int ->
   config:Engine.config ->
   iters:int ->
   (unit -> 'a) ->
   summary * ('a * int) list
 
-(** [find_buggy ~config ~attempts f] re-runs single executions with fresh
-    seeds (derived from [config.seed], on a stream distinct from {!run}'s)
-    until one exposes a bug, and returns its outcome.
-
-    The attempts are sharded across [jobs] domains (default 1,
-    {!Par.domains}) with a first-buggy-wins protocol: the buggy execution
-    with the lowest attempt index wins and the other workers cancel by
-    flag, so the returned outcome is the same for every [jobs] (the
-    cancellation is advisory — an attempt is only ever skipped once a
-    strictly lower buggy attempt exists).  The hunt traces nothing.  When
-    [obs] is enabled, its ring is cleared and the winning seed replayed
-    once into it, so on [Some _] the ring holds exactly the buggy
-    execution's events, ready for {!Obs.write_ndjson}.  The replay is not
-    profiled or counted.  Metric/profile totals from a hunt at [jobs] > 1
-    depend on how far each worker ran before cancelling and are not
-    deterministic across runs. *)
-val find_buggy :
-  ?obs:Obs.t ->
-  ?profile:Profile.t ->
-  ?metrics:Metrics.t ->
-  ?jobs:int ->
-  config:Engine.config ->
-  attempts:int ->
-  (unit -> unit) ->
-  Engine.outcome option
+(** [replay ~config ~index f] runs execution [index] of the campaign
+    [run ~config] makes of [f] once more, from the same seed
+    ([Rng.substream config.seed ~index]), and returns its outcome: the
+    same execution, since an execution is a pure function of its seed.
+    When [obs] is enabled its ring is cleared first, so it then holds
+    exactly that execution's events, ready for {!Obs.write_ndjson}.  The
+    replay is neither profiled nor counted.  Replaying a summary's
+    [first_buggy] gives the same trace at every [jobs], on worker
+    processes and from a warm cache. *)
+val replay :
+  ?obs:Obs.t -> config:Engine.config -> index:int -> (unit -> 'a) ->
+  Engine.outcome
 
 (** {2 Shard-level API (the multi-process fabric's building block)}
 

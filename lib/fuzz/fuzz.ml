@@ -26,7 +26,6 @@ type gen_cfg = {
   g_na_locs : int;
   g_mutexes : int;
   g_profile : profile;
-  g_sc_bias : int;
 }
 
 let default_gen_cfg =
@@ -37,7 +36,6 @@ let default_gen_cfg =
     g_na_locs = 2;
     g_mutexes = 2;
     g_profile = Mixed;
-    g_sc_bias = 0;
   }
 
 type op = Progir.op =
@@ -82,10 +80,10 @@ let pick rng choices =
   in
   walk 0 choices
 
-(* Memory orders by access category.  The sc bias (profile or knob) adds
-   weight to seq_cst without removing any alternative, so every order
-   stays reachable under every profile. *)
-let sc_weight cfg = (if cfg.g_profile = Sc_heavy then 60 else 0) + cfg.g_sc_bias
+(* Memory orders by access category.  The Sc_heavy profile adds weight to
+   seq_cst without removing any alternative, so every order stays
+   reachable under every profile. *)
+let sc_weight cfg = if cfg.g_profile = Sc_heavy then 60 else 0
 
 let load_mo cfg rng =
   pick rng
@@ -237,7 +235,7 @@ let gen_body cfg rng ~atomic_locs ~na_locs ~mutexes ~ops =
 let generate ~cfg ~seed =
   if cfg.g_threads < 1 || cfg.g_ops < 1 || cfg.g_atomic_locs < 1 then
     invalid_arg "Fuzz.generate: g_threads, g_ops, g_atomic_locs must be >= 1";
-  if cfg.g_na_locs < 0 || cfg.g_mutexes < 0 || cfg.g_sc_bias < 0 then
+  if cfg.g_na_locs < 0 || cfg.g_mutexes < 0 then
     invalid_arg "Fuzz.generate: negative knob";
   let rng = Rng.create seed in
   let spawned = 1 + Rng.int rng cfg.g_threads in
@@ -478,10 +476,13 @@ let run_one ?race_free ~config ~certify ~seed p =
   let race_free = lint_verdict ?race_free p in
   fst (run_one_full ~config ~certify ~race_free ~seed p)
 
-let reproduces ~config ~execs ~key p =
+(* Executions per reproduction probe. *)
+let shrink_execs = 8
+
+let reproduces ~config ~key p =
   let race_free = lint_verdict p in
   let rec go attempt =
-    if attempt >= execs then None
+    if attempt >= shrink_execs then None
     else begin
       let seed = exec_seed p ~attempt in
       match fst (run_one_full ~config ~certify:true ~race_free ~seed p) with
@@ -617,7 +618,7 @@ let compact p =
             p.p_threads;
       }
 
-let shrink ?(on_accept = fun _ -> ()) ~config ~execs ~key p =
+let shrink ?(on_accept = fun _ -> ()) ~config ~key p =
   let steps = ref 0 in
   let cur = ref p in
   let best_seed = ref (exec_seed p ~attempt:0) in
@@ -628,7 +629,7 @@ let shrink ?(on_accept = fun _ -> ()) ~config ~execs ~key p =
     on_accept candidate
   in
   let try_candidate candidate =
-    match reproduces ~config ~execs ~key candidate with
+    match reproduces ~config ~key candidate with
     | Some seed ->
       accept candidate seed;
       true
@@ -727,10 +728,8 @@ type campaign_cfg = {
   c_programs : int;
   c_seed : int64;
   c_jobs : int;
-  c_shrink_execs : int;
   c_gen : gen_cfg;
   c_mutation : Execution.mutation option;
-  c_lint_execs : int;
   c_corpus : Corpus.plan option;
 }
 
@@ -739,10 +738,8 @@ let default_campaign_cfg =
     c_programs = 200;
     c_seed = 1L;
     c_jobs = 1;
-    c_shrink_execs = 8;
     c_gen = default_gen_cfg;
     c_mutation = None;
-    c_lint_execs = 2;
     c_corpus = None;
   }
 
@@ -796,6 +793,10 @@ type shard = {
   sh_certified_ops : int;  (** streaming-certifier totals, primary probes *)
   sh_retired_ops : int;
 }
+
+(* Extra executions granted to a statically race-potential program whose
+   primary probe passed. *)
+let lint_execs = 2
 
 (* One worker's leapfrog shard: global indices worker, worker+jobs, ...
    Shrinking happens at the first local occurrence of a key; the merge
@@ -892,16 +893,16 @@ let campaign_shard ?(coverage = false) ?(progress = Progress.null)
     in
     Profile.stop profile "fuzz_execute" t1;
     (* Lint-steered prioritizer: statically race-potential programs whose
-       primary probe passed get up to [c_lint_execs] extra schedules —
+       primary probe passed get up to [lint_execs] extra schedules —
        racy shapes are where engine/certifier disagreements hide.  Extra
        probes replay under the base config (no coverage, like shrink
        replays) and are pure functions of (program, attempt), so the
        outcome is jobs-independent. *)
     let status =
       match primary_status with
-      | Passed _ when racy && cfg.c_lint_execs > 0 ->
+      | Passed _ when racy ->
         let rec probe attempt =
-          if attempt > cfg.c_lint_execs then primary_status
+          if attempt > lint_execs then primary_status
           else begin
             match
               run_one ~race_free ~config ~certify:true
@@ -965,7 +966,7 @@ let campaign_shard ?(coverage = false) ?(progress = Progress.null)
         :: !cands);
     (* [certified] counts primary probes the certifier accepted, whether
        or not a lint-steered extra probe later failed — keeping the
-       readout independent of c_lint_execs. *)
+       readout independent of lint_execs. *)
     (match primary_status with
     | Passed { certified = c } ->
       if c then begin
@@ -994,7 +995,7 @@ let campaign_shard ?(coverage = false) ?(progress = Progress.null)
         Metrics.incr metrics "fuzz.findings";
         let t2 = Profile.start profile in
         let repro, rseed, steps =
-          shrink ~config ~execs:cfg.c_shrink_execs ~key prog
+          shrink ~config ~key prog
         in
         Profile.stop profile "fuzz_shrink" t2;
         Metrics.incr metrics ~by:steps "fuzz.shrink_steps";
@@ -1143,7 +1144,6 @@ let campaign ?profile ?metrics ?(coverage = false) ?(progress = Progress.null)
     cfg =
   if cfg.c_programs < 0 then invalid_arg "Fuzz.campaign: c_programs must be >= 0";
   if cfg.c_jobs < 1 then invalid_arg "Fuzz.campaign: c_jobs must be >= 1";
-  if cfg.c_shrink_execs < 1 then invalid_arg "Fuzz.campaign: c_shrink_execs must be >= 1";
   (* corpus guidance defines novelty by coverage fingerprints, so a
      corpus campaign forces them on *)
   let coverage = coverage || cfg.c_corpus <> None in

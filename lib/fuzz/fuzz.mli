@@ -57,9 +57,6 @@ type gen_cfg = {
   g_na_locs : int;  (** max plain non-atomic locations (>= 0) *)
   g_mutexes : int;  (** max mutexes (>= 0) *)
   g_profile : profile;
-  g_sc_bias : int;
-      (** extra weight added to [Seq_cst] in every memory-order draw
-          (0 = profile default) *)
 }
 
 val default_gen_cfg : gen_cfg
@@ -165,12 +162,11 @@ val run_one :
   program ->
   status
 
-(** [reproduces ~config ~execs ~key p] probes up to [execs] executions
-    (certifying each) and returns the seed of the first that fails with
-    exactly [key], if any.  [p] is linted at most once, however many
-    executions race. *)
-val reproduces :
-  config:Engine.config -> execs:int -> key:string -> program -> int64 option
+(** [reproduces ~config ~key p] probes up to 8 executions (certifying
+    each) and returns the seed of the first that fails with exactly
+    [key], if any.  [p] is linted at most once, however many executions
+    race. *)
+val reproduces : config:Engine.config -> key:string -> program -> int64 option
 
 (* ------------------------------------------------------------------ *)
 (** {1 Shrinking} *)
@@ -181,7 +177,7 @@ val reproduces :
     program with one whole thread removed. *)
 val deletion_candidates : program -> program list
 
-(** [shrink ~config ~execs ~key p] greedily reduces [p] while the failure
+(** [shrink ~config ~key p] greedily reduces [p] while the failure
     keyed [key] still reproduces: passes of thread deletion, op-unit
     deletion and one-step memory-order weakening repeat to a fixpoint at
     which no {!deletion_candidates} element and no single weakening still
@@ -191,7 +187,6 @@ val deletion_candidates : program -> program list
 val shrink :
   ?on_accept:(program -> unit) ->
   config:Engine.config ->
-  execs:int ->
   key:string ->
   program ->
   program * int64 * int
@@ -215,14 +210,8 @@ type campaign_cfg = {
   c_programs : int;
   c_seed : int64;
   c_jobs : int;  (** >= 1 *)
-  c_shrink_execs : int;  (** executions per reproduction probe *)
   c_gen : gen_cfg;
   c_mutation : Execution.mutation option;  (** seeded engine fault *)
-  c_lint_execs : int;
-      (** extra executions granted to programs {!Lint} marks
-          race-potential when the primary probe passed (0 disables the
-          lint-steered prioritizer); extra probes are pure functions of
-          (program, attempt), so reports stay jobs-independent *)
   c_corpus : Corpus.plan option;
       (** corpus-guided mode: the campaign runs in rounds of
           [pl_round] programs, mutates [pl_mutate_pct]% of each round's
@@ -271,7 +260,9 @@ type report = {
   r_retired_prefix_ops : int;
 }
 
-(** [campaign cfg] generates and probes [c_programs] programs, shrinks
+(** [campaign cfg] generates and probes [c_programs] programs (a program
+    {!Lint} marks race-potential whose primary probe passed gets up to 2
+    extra executions, pure functions of (program, attempt)), shrinks
     the first local occurrence of each finding key, and merges shards
     with the lowest-index-wins protocol, on [c_jobs] domains
     ({!Par.domains}).  The C11obs handles observe without perturbing:

@@ -879,10 +879,8 @@ let find name = List.find_opt (fun t -> t.name = name) catalog
    [jobs] — the printed exploration is too *)
 let rank_hist hist = List.sort (fun (_, a) (_, b) -> compare b a) hist
 
-let explore_summary ?progress ?jobs ~config ~iters t =
-  let summary, hist =
-    Tester.run_collect ?progress ?jobs ~config ~iters t.run_once
-  in
+let explore_summary ?jobs ~config ~iters t =
+  let summary, hist = Tester.run_collect ?jobs ~config ~iters t.run_once in
   (summary, rank_hist hist)
 
 let explore ?jobs ~config ~iters t =

@@ -45,7 +45,6 @@ val explore :
     about races, assertion failures or certification verdicts across the
     exploration (e.g. [c11test litmus --certify]). *)
 val explore_summary :
-  ?progress:Progress.t ->
   ?jobs:int ->
   config:Engine.config ->
   iters:int ->

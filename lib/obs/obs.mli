@@ -2,8 +2,8 @@
 
     The engine and the memory model emit typed {!event}s through a
     {!t} (tracer), which keeps the most recent events in a fixed-capacity
-    ring.  A tracer is one execution's trace: {!Tester.find_buggy} replays
-    the buggy execution it found into the caller's ring.  The {!null}
+    ring.  A tracer is one execution's trace: {!Tester.replay} replays one
+    execution of a campaign into the caller's ring.  The {!null}
     tracer has no ring and is disabled ({!enabled} is [false]), and
     instrumentation sites skip event construction entirely, so tracing is
     zero-cost when off.

@@ -53,20 +53,6 @@ let domains ?(profile = Profile.null) ?(metrics = Metrics.null) ~jobs ~total f
     results;
   Array.to_list (Array.map (fun (r, _, _) -> r) results)
 
-module Winner = struct
-  type t = int Atomic.t
-
-  let create () = Atomic.make max_int
-
-  let rec propose t index =
-    let cur = Atomic.get t in
-    if index < cur && not (Atomic.compare_and_set t cur index) then
-      propose t index
-
-  let best t = match Atomic.get t with i when i = max_int -> None | i -> Some i
-  let beaten t ~index = Atomic.get t < index
-end
-
 module Merge = struct
   type counters = {
     executions : int;
@@ -182,13 +168,4 @@ module Merge = struct
       else if counts.(w) > 1 then duplicated := w :: !duplicated
     done;
     { missing = !missing; duplicated = !duplicated }
-
-  let first_win bests =
-    List.fold_left
-      (fun acc b ->
-        match (acc, b) with
-        | None, b -> b
-        | acc, None -> acc
-        | Some (i, _), Some (j, w) -> if j < i then Some (j, w) else acc)
-      None bests
 end

@@ -8,17 +8,17 @@
     on:
 
     - {b fan-out} — {!domains} runs one shard per domain with fully
-      private engine state and private observability handles, and
-      {!Winner} implements the lowest-index-wins protocol for bug hunts;
+      private engine state and private observability handles;
     - {b merge} — {!Merge} provides the order-independent, associative
       operations (counter sums, first-occurrence histograms, keyed dedup)
       that make the merged observables of a [jobs = N] campaign
       bit-identical to the sequential runner's, for every N.
 
     The sharding pattern is leapfrog: worker [w] of [j] runs global
-    execution indices [w, w+j, w+2j, ...], ascending.  Ascending order is
-    what lets a worker stop early in a bug hunt the moment its next index
-    can no longer beat the current winner. *)
+    execution indices [w, w+j, w+2j, ...], ascending.  Every merged
+    quantity that names an execution (a first occurrence, the first buggy
+    execution) names it by global index, so it is the same however the
+    indices were dealt. *)
 
 (** Number of domains worth spawning on this machine
     ([Domain.recommended_domain_count]). *)
@@ -48,29 +48,6 @@ val domains :
   total:int ->
   (worker:int -> jobs:int -> profile:Profile.t -> metrics:Metrics.t -> 'a) ->
   'a list
-
-(** First-buggy-wins protocol for parallel bug hunts.  Workers propose the
-    global execution index of each buggy execution they find; the lowest
-    proposed index wins.  A worker scanning its indices in ascending order
-    may stop as soon as {!beaten} says its next index can no longer win —
-    the cancellation is advisory and never changes the winner, because an
-    index is only ever skipped when a strictly lower buggy index has
-    already been found. *)
-module Winner : sig
-  type t
-
-  val create : unit -> t
-
-  (** Propose a buggy execution at [index]; keeps the minimum. *)
-  val propose : t -> int -> unit
-
-  (** Lowest index proposed so far, or [None]. *)
-  val best : t -> int option
-
-  (** [beaten t ~index] is [true] when running execution [index] is
-      pointless: some strictly lower index already won. *)
-  val beaten : t -> index:int -> bool
-end
 
 (** Order-independent merge operations.  Each is associative and
     commutative in its shard argument(s), so the merged result is
@@ -148,7 +125,4 @@ module Merge : sig
       non-positive [workers] or an out-of-range index (those are caller
       bugs, not partial failures). *)
   val check_ranges : workers:int -> total:int -> int list -> range_report
-
-  (** Lowest-index entry across per-worker bests, or [None]. *)
-  val first_win : (int * 'a) option list -> (int * 'a) option
 end

@@ -1,11 +1,10 @@
 (** Content-addressed result cache for campaign shards.
 
-    A shard's outcome is a pure function of (campaign fingerprint,
-    per-index seeds, engine configuration, code version) — see
-    {!Svc.cache_key} for the digest definition — so it can be stored once
-    and replayed forever: a warm re-run of an identical campaign performs
-    zero engine executions and reconstructs the exact merged summary from
-    the cached records.
+    A shard's outcome is a pure function of (campaign spec, shard
+    coordinates, code version) — see {!Svc.cache_key} for the digest
+    definition — so it can be stored once and replayed forever: a warm
+    re-run of an identical campaign performs zero engine executions and
+    reconstructs the exact merged summary from the cached records.
 
     Entries live under [dir/ab/cdef....shard] (first digest byte as a fan
     directory).  Writes go through a temp file + atomic rename, so

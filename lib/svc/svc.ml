@@ -13,7 +13,7 @@
       contributes nothing, its range is re-claimed once, and a second
       death is recorded as a failed range ({!Par.Merge.check_ranges}
       order) in an otherwise deterministic degraded merge.
-   3. Replayability: a shard is a pure function of (campaign fingerprint,
+   3. Replayability: a shard is a pure function of (campaign spec,
       shard coordinates, code version), so the same bytes the wire
       carries are what the content-addressed cache stores. *)
 
@@ -133,51 +133,6 @@ let b64_decode s =
   Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
-(* Campaign fingerprints and the code-version salt; {!cache_key} follows
-   the instances, whose parts carry the campaign fingerprints. *)
-
-let sched_fp = function
-  | Schedule.Controlled_random { batch_stores } ->
-    Printf.sprintf "controlled-random:batch=%b" batch_stores
-  | Schedule.Bursty { mean_burst } -> Printf.sprintf "bursty:%d" mean_burst
-  | Schedule.Priority { change_points } ->
-    Printf.sprintf "priority:%d" change_points
-  | Schedule.Round_robin -> "round-robin"
-
-let prune_fp = function
-  | Pruner.No_prune -> "none"
-  | Pruner.Conservative { interval } ->
-    Printf.sprintf "conservative:%d" interval
-  | Pruner.Aggressive { window; interval } ->
-    Printf.sprintf "aggressive:%d:%d" window interval
-
-(* Every Engine.config field: two campaigns share a cache entry only when
-   each execution either would run is identical. *)
-let config_fp (c : Engine.config) =
-  Jsonx.Obj
-    [
-      ( "mode",
-        Jsonx.String
-          (match c.Engine.mode with
-          | Execution.Full_c11 -> "full_c11"
-          | Execution.Total_mo -> "total_mo") );
-      ("sched", Jsonx.String (sched_fp c.Engine.sched));
-      ( "volatile",
-        Jsonx.String
-          (match c.Engine.volatile_mode with
-          | Engine.Volatile_atomic mo -> "atomic:" ^ Memorder.to_string mo
-          | Engine.Volatile_nonatomic -> "nonatomic") );
-      ("prune", Jsonx.String (prune_fp c.Engine.prune));
-      ("max_steps", Jsonx.Int c.Engine.max_steps);
-      ("seed", Jsonx.String (Int64.to_string c.Engine.seed));
-      ("certify", Jsonx.Bool c.Engine.certify);
-      ( "mutation",
-        match c.Engine.mutation with
-        | None -> Jsonx.Null
-        | Some m -> Jsonx.String (Execution.mutation_name m) );
-      ("coverage", Jsonx.Bool c.Engine.coverage);
-    ]
-
 (* Code-version salt: the digest of the worker binary itself.  A rebuilt
    engine gets a fresh cache namespace, which both keeps results honest
    and makes the Marshal round-trip safe. *)
@@ -293,7 +248,8 @@ let lint_shard ~progress ~targets ~gen ~seed ~total ~start ~stride =
 
    Each surface (run, litmus, fuzz, sweep, lint) is defined once, as an
    instance: the fan-out it runs ([part]: the closure-free spec a worker
-   is handed, its cache fingerprint, index-space size and shard runner)
+   is handed, which is also its cache identity, index-space size and
+   shard runner)
    and the drive that merges the shards of its fan-outs into the
    surface's result together with the campaign's exact final progress
    counts.  A drive is handed either the domain fan-out ([domains], in
@@ -342,9 +298,6 @@ let shapes = function None -> 0 | Some c -> Cov.distinct_shapes c
 type 'p part = {
   spec : campaign;
   kind : string;
-  fingerprint : Jsonx.t Lazy.t;
-      (* built only for a cache key: a corpus plan's digest serializes
-         every entry *)
   total : int;
   shard :
     profile:Profile.t ->
@@ -365,15 +318,7 @@ type 'r instance =
     }
       -> 'r instance
 
-let part ~spec ~kind ~total fields shard =
-  {
-    spec;
-    kind;
-    total;
-    shard;
-    fingerprint =
-      lazy (Jsonx.Obj (("kind", Jsonx.String kind) :: Lazy.force fields));
-  }
+let part ~spec ~kind ~total shard = { spec; kind; total; shard }
 
 (* The domain fan-out, in process and inside a worker: domain [d] of
    [jobs] takes the sub-progression [start + d*stride] by [jobs*stride],
@@ -400,12 +345,9 @@ let map f (Instance i) =
       drive = (fun fan -> Result.map (fun (r, c) -> (f r, c)) (i.drive fan));
     }
 
-let tester_instance ~spec ~kind ~config ~iters fields body project =
+let tester_instance ~spec ~kind ~config ~iters body project =
   make
     (part ~spec ~kind ~total:iters
-       (lazy
-         (fields
-         @ [ ("iters", Jsonx.Int iters); ("config", config_fp config) ]))
        (fun ~profile ~metrics ~progress ~start ~stride ->
          Tester.run_shard ~profile ~metrics ~progress ~config ~total:iters
            ~start ~stride body))
@@ -426,61 +368,19 @@ let run_instance (w : Registry.t) ~buggy ~scale ~config ~iters =
   let variant = if buggy then Variant.Buggy else Variant.Correct in
   tester_instance ~kind:"run" ~config ~iters
     ~spec:(Run_c { workload = w.Registry.name; buggy; scale; config; iters })
-    [
-      ("workload", Jsonx.String w.Registry.name);
-      ("buggy", Jsonx.Bool buggy);
-      ("scale", Jsonx.Int scale);
-    ]
     (w.Registry.run ~variant ~scale)
     fst
 
 let litmus_instance (t : Litmus.t) ~config ~iters =
   tester_instance ~kind:"litmus" ~config ~iters
     ~spec:(Litmus_c { name = t.Litmus.name; config; iters })
-    [ ("name", Jsonx.String t.Litmus.name) ]
     t.Litmus.run_once Fun.id
-
-let gen_fp (g : Fuzz.gen_cfg) =
-  [
-    ("threads", Jsonx.Int g.Fuzz.g_threads);
-    ("ops", Jsonx.Int g.Fuzz.g_ops);
-    ("atomic_locs", Jsonx.Int g.Fuzz.g_atomic_locs);
-    ("na_locs", Jsonx.Int g.Fuzz.g_na_locs);
-    ("mutexes", Jsonx.Int g.Fuzz.g_mutexes);
-    ("profile", Jsonx.String (Fuzz.profile_name g.Fuzz.g_profile));
-    ("sc_bias", Jsonx.Int g.Fuzz.g_sc_bias);
-  ]
 
 let fuzz_part ~coverage ~range cfg =
   let lo, hi =
     match range with Some r -> r | None -> (0, cfg.Fuzz.c_programs)
   in
   part ~spec:(Fuzz_c { cfg; coverage; range }) ~kind:"fuzz" ~total:(hi - lo)
-    (lazy
-      ([
-         ("programs", Jsonx.Int cfg.Fuzz.c_programs);
-         ("seed", Jsonx.String (Int64.to_string cfg.Fuzz.c_seed));
-         ("shrink_execs", Jsonx.Int cfg.Fuzz.c_shrink_execs);
-         ("lint_execs", Jsonx.Int cfg.Fuzz.c_lint_execs);
-       ]
-      @ gen_fp cfg.Fuzz.c_gen
-      @ [
-          ( "mutation",
-            match cfg.Fuzz.c_mutation with
-            | None -> Jsonx.Null
-            | Some m -> Jsonx.String (Execution.mutation_name m) );
-          ("coverage", Jsonx.Bool coverage);
-          (* the corpus snapshot is part of what each program index runs,
-             so it must be part of the cache identity *)
-          ( "corpus",
-            match cfg.Fuzz.c_corpus with
-            | None -> Jsonx.Null
-            | Some pl -> Jsonx.String (Corpus.plan_digest pl) );
-          ( "range",
-            match range with
-            | None -> Jsonx.Null
-            | Some (lo, hi) -> Jsonx.List [ Jsonx.Int lo; Jsonx.Int hi ] );
-        ]))
     (fun ~profile ~metrics ~progress ~start ~stride ->
       Fuzz.campaign_shard ~coverage ~progress ~profile ~metrics ~stop:hi ~cfg
         ~start:(lo + start) ~stride ())
@@ -518,17 +418,11 @@ let fuzz_ranged ~coverage ~range cfg =
 let fuzz_instance ~coverage cfg = fuzz_ranged ~coverage ~range:None cfg
 
 let sweep_instance (family : Sweep.family) ~iters ~seed =
-  let name = family.Sweep.fa_name in
+  let sw_family = family.Sweep.fa_name in
   make
     (part ~kind:"sweep"
-       ~spec:(Sweep_c { sw_family = name; sw_iters = iters; sw_seed = seed })
+       ~spec:(Sweep_c { sw_family; sw_iters = iters; sw_seed = seed })
        ~total:(Sweep.total ~family ~iters)
-       (lazy
-         [
-           ("family", Jsonx.String name);
-           ("iters", Jsonx.Int iters);
-           ("seed", Jsonx.String (Int64.to_string seed));
-         ])
        (fun ~profile:_ ~metrics:_ ~progress ~start ~stride ->
          Sweep.run_shard ~progress ~family ~iters ~seed ~start ~stride ()))
     (fun shards ->
@@ -548,24 +442,17 @@ let sweep_instance (family : Sweep.family) ~iters ~seed =
 let lint_instance ~targets ~programs ~seed ~gen =
   let tarr = Array.of_list targets in
   let total = Array.length tarr + programs in
+  let spec =
+    Lint_c
+      {
+        lt_targets = targets;
+        lt_programs = programs;
+        lt_seed = seed;
+        lt_gen = gen;
+      }
+  in
   make
-    (part ~kind:"lint" ~total
-       ~spec:
-         (Lint_c
-            {
-              lt_targets = targets;
-              lt_programs = programs;
-              lt_seed = seed;
-              lt_gen = gen;
-            })
-       (lazy
-         ([
-            ( "targets",
-              Jsonx.List (List.map (fun t -> Jsonx.String t) targets) );
-            ("programs", Jsonx.Int programs);
-            ("seed", Jsonx.String (Int64.to_string seed));
-          ]
-         @ gen_fp gen))
+    (part ~spec ~kind:"lint" ~total
        (fun ~profile:_ ~metrics:_ ~progress ~start ~stride ->
          lint_shard ~progress ~targets:tarr ~gen ~seed ~total ~start ~stride))
     (fun shards ->
@@ -619,25 +506,15 @@ let instance campaign =
            (lint_instance ~targets:lt_targets ~programs:lt_programs
               ~seed:lt_seed ~gen:lt_gen)))
 
-let part_key ~exe ~workers ~jobs ~worker part =
-  let doc =
-    Jsonx.Obj
-      [
-        ("schema", Jsonx.String "c11svc-cache-key-v1");
-        ("code", Jsonx.String (exe_digest exe));
-        ("campaign", Lazy.force part.fingerprint);
-        ("total", Jsonx.Int part.total);
-        ("workers", Jsonx.Int workers);
-        ("worker", Jsonx.Int worker);
-        ("jobs", Jsonx.Int jobs);
-      ]
-  in
-  Digest.to_hex (Digest.string (Jsonx.to_string doc))
-
+(* The key covers the very spec a worker is handed, so no campaign field
+   can be left out of it, and the spec fixes the size of the index space.
+   [No_sharing] makes the bytes depend on the spec's value alone, not on
+   which of its sub-values happen to be physically shared. *)
 let cache_key ~exe ~workers ~jobs ~worker c =
-  match instance c with
-  | Ok (Instance i) -> part_key ~exe ~workers ~jobs ~worker i.part
-  | Error msg -> invalid_arg ("Svc.cache_key: " ^ msg)
+  let key =
+    ("c11svc-cache-key-v2", exe_digest exe, c, (worker, workers, jobs))
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string key [ Marshal.No_sharing ]))
 
 (* ------------------------------------------------------------------ *)
 (* Worker side. *)
@@ -798,7 +675,7 @@ let fan_out ~exe ?cache ~progress ?kill ~base ~workers ~jobs part =
   let n = part.total in
   let workers = max 1 (min workers (max 1 n)) in
   let jobs = max 1 jobs in
-  let key w = part_key ~exe ~workers ~jobs ~worker:w part in
+  let key w = cache_key ~exe ~workers ~jobs ~worker:w part.spec in
   let spawned = ref 0 in
   (* cache replay first: a hit shard spawns no process at all *)
   let cached =

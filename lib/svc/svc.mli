@@ -37,9 +37,8 @@
     never a hang, never silent loss.
 
     {b Result cache}: with [~cache], each shard's outcome is stored
-    content-addressed under {!cache_key} — a digest of the campaign
-    fingerprint (workload/program identity, base seed, full engine
-    configuration), the shard coordinates and a code-version salt — so a
+    content-addressed under {!cache_key} — a digest of the campaign spec
+    the worker runs, the shard coordinates and a code-version salt — so a
     warm re-run of an identical campaign spawns no workers, performs zero
     engine executions and reconstructs the exact merged summary from
     cached records.  The progress stream's [final] record is computed
@@ -114,16 +113,12 @@ type stats = {
 val stats_to_json : stats -> Jsonx.t
 
 (** [cache_key ~exe ~workers ~jobs ~worker c] is the content address of
-    worker [worker]'s shard: the MD5 of a canonical JSON document naming
-    the campaign fingerprint (kind, workload/litmus/generator identity,
-    base seed, every engine-configuration field), the shard coordinates
-    [(worker, workers, jobs, total)] and the code-version salt — the MD5
-    of the worker executable at [exe], computed once per process.  Two
-    campaigns share an entry iff every execution either would run is
-    identical.
-
-    @raise Invalid_argument when the campaign names an unknown workload,
-    litmus test, sweep family or lint target. *)
+    worker [worker]'s shard: the MD5 of the key's schema tag, the
+    code-version salt (the MD5 of the worker executable at [exe],
+    computed once per process), the spec [c] itself and the shard
+    coordinates [(worker, workers, jobs)], marshalled with
+    [Marshal.No_sharing].  Every field of [c] is part of the key, and
+    equal specs get equal keys however their sub-values are shared. *)
 val cache_key :
   exe:string -> workers:int -> jobs:int -> worker:int -> campaign -> string
 

@@ -20,7 +20,6 @@ let gen_cfg_of_seed seed =
     g_na_locs = Rng.int rng 3;
     g_mutexes = Rng.int rng 3;
     g_profile = List.nth Fuzz.all_profiles (Rng.int rng 4);
-    g_sc_bias = Rng.int rng 30;
   }
 
 (* ---------- generator validity (satellite: 1k seeds) ------------------ *)
@@ -231,14 +230,14 @@ let test_shrink_preserves_failure () =
   let intermediates = ref [] in
   let repro, rseed, steps =
     Fuzz.shrink ~on_accept:(fun q -> intermediates := q :: !intermediates) ~config
-      ~execs:8 ~key p
+      ~key p
   in
   check_int "every accepted reduction observed" steps (List.length !intermediates);
   List.iter
     (fun q ->
       check_bool "intermediate stays well-formed" true (Fuzz.validate q = Ok ());
       check_bool "intermediate still fails with the same key" true
-        (Fuzz.reproduces ~config ~execs:8 ~key q <> None))
+        (Fuzz.reproduces ~config ~key q <> None))
     !intermediates;
   check_bool "final repro reproduces" true
     (match Fuzz.run_one ~config ~certify:true ~seed:rseed repro with
@@ -248,7 +247,7 @@ let test_shrink_preserves_failure () =
   List.iter
     (fun candidate ->
       check_bool "removing any single unit kills the failure" true
-        (Fuzz.reproduces ~config ~execs:8 ~key candidate = None))
+        (Fuzz.reproduces ~config ~key candidate = None))
     (Fuzz.deletion_candidates repro)
 
 let test_shrink_deterministic () =

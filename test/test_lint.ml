@@ -327,7 +327,6 @@ let prop_lint_sound =
           g_na_locs = Rng.int rng 3;
           g_mutexes = Rng.int rng 3;
           g_profile = List.nth Fuzz.all_profiles (n mod 4);
-          g_sc_bias = Rng.int rng 30;
         }
       in
       let p = Fuzz.generate ~cfg ~seed:(Int64.of_int ((n * 733) + 11)) in

@@ -5,7 +5,7 @@
    dedup merges); the parity tests then check the end-to-end contract the
    CLI's `-j N` flag advertises — merged observables bit-identical to the
    sequential runner for every job count — on a real workload, a litmus
-   test and a bug hunt. *)
+   test and a campaign's first buggy execution. *)
 
 let check = Alcotest.(check bool)
 
@@ -88,11 +88,6 @@ let test_dedup_across_shards () =
   check "shard order irrelevant" true
     (Par.Merge.dedup ~key [ s1; s0 ] = merged)
 
-let test_first_win () =
-  check "lowest index wins" true
-    (Par.Merge.first_win [ Some (7, "b"); None; Some (2, "a") ] = Some (2, "a"));
-  check "all none" true (Par.Merge.first_win [ None; None ] = None)
-
 (* ---------- Merge.check_ranges: partial-failure audit ------------------ *)
 
 let test_check_ranges_unit () =
@@ -171,20 +166,6 @@ let test_degraded_merge_deterministic () =
     = full.Tester.executions
       - Tester.shard_executions (List.nth shards 2))
 
-(* ---------- Winner protocol ------------------------------------------- *)
-
-let test_winner () =
-  let w = Par.Winner.create () in
-  check "empty" true (Par.Winner.best w = None);
-  check "not beaten when empty" false (Par.Winner.beaten w ~index:0);
-  Par.Winner.propose w 9;
-  Par.Winner.propose w 4;
-  Par.Winner.propose w 6;
-  check "minimum kept" true (Par.Winner.best w = Some 4);
-  check "higher index beaten" true (Par.Winner.beaten w ~index:5);
-  check "own index not beaten" false (Par.Winner.beaten w ~index:4);
-  check "lower index not beaten" false (Par.Winner.beaten w ~index:3)
-
 (* ---------- shard_size ------------------------------------------------- *)
 
 let test_shard_size () =
@@ -240,47 +221,73 @@ let test_litmus_parity () =
       check (Printf.sprintf "histogram jobs=%d" jobs) true (seq = par))
     [ 1; 2; 4 ]
 
-let test_find_buggy_parity () =
+(* The buggy seqlock at seed 1: execution 3 is its first buggy one. *)
+let seqlock_campaign () =
   let w =
-    match Registry.find "ms-queue" with
+    match Registry.find "seqlock" with
     | Some w -> w
-    | None -> Alcotest.fail "ms-queue missing"
+    | None -> Alcotest.fail "seqlock missing"
   in
-  let config = Tool.config ~seed:31L ~max_steps:150_000 Tool.C11tester in
-  let body =
-    w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale
+  ( Tool.config ~seed:1L ~max_steps:150_000 Tool.C11tester,
+    w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale )
+
+(* [first_buggy] is the lowest buggy index of a sequential scan of the
+   campaign's executions, at every job count. *)
+let first_buggy_parity ~config body =
+  let iters = 24 in
+  let rec scan i =
+    if i >= iters then None
+    else
+      let seed = Rng.substream config.Engine.seed ~index:i in
+      if Engine.buggy (Engine.run { config with Engine.seed } body) then Some i
+      else scan (i + 1)
   in
-  let seq = Tester.find_buggy ~config ~attempts:20 body in
-  check "hunt finds a bug" true (seq <> None);
+  let expected = scan 0 in
   List.iter
     (fun jobs ->
-      let par = Tester.find_buggy ~jobs ~config ~attempts:20 body in
-      check (Printf.sprintf "same winner jobs=%d" jobs) true (seq = par))
-    [ 1; 2; 4 ]
+      let s = Tester.run ~jobs ~config ~iters body in
+      check (Printf.sprintf "first_buggy jobs=%d" jobs) true
+        (s.Tester.first_buggy = expected))
+    [ 1; 2; 3; 4 ];
+  expected
 
-let test_find_buggy_ring () =
-  (* The ring contract: on Some _, the caller's ring holds exactly the
-     winning execution's events — same as the sequential hunt's. *)
+let test_first_buggy_parity () =
+  let config, body = seqlock_campaign () in
+  check "the first buggy execution is past worker 0's first" true
+    (first_buggy_parity ~config body = Some 3)
+
+let test_first_buggy_without_bug () =
   let w =
-    match Registry.find "ms-queue" with
+    match Registry.find "spsc-queue" with
     | Some w -> w
-    | None -> Alcotest.fail "ms-queue missing"
+    | None -> Alcotest.fail "spsc-queue missing"
   in
-  let config = Tool.config ~seed:31L ~max_steps:150_000 Tool.C11tester in
+  let config = Tool.config ~seed:5L ~max_steps:150_000 Tool.C11tester in
   let body =
-    w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale
+    w.Registry.run ~variant:Variant.Correct ~scale:w.Registry.default_scale
   in
-  let obs_seq = Obs.create ~ring_capacity:65536 in
-  let obs_par = Obs.create ~ring_capacity:65536 in
-  let seq = Tester.find_buggy ~obs:obs_seq ~config ~attempts:20 body in
-  let par =
-    Tester.find_buggy ~obs:obs_par ~jobs:4 ~config ~attempts:20 body
+  check "no buggy execution" true (first_buggy_parity ~config body = None)
+
+(* Replaying a campaign's first buggy execution is buggy and fills the
+   ring with the same events at every job count. *)
+let test_replay_ring_parity () =
+  let config, body = seqlock_campaign () in
+  let replay jobs =
+    let s = Tester.run ~jobs ~config ~iters:24 body in
+    let obs = Obs.create ~ring_capacity:65536 in
+    match s.Tester.first_buggy with
+    | None -> Alcotest.fail "no buggy execution"
+    | Some index ->
+      let o = Tester.replay ~obs ~config ~index body in
+      check (Printf.sprintf "replay is buggy jobs=%d" jobs) true (Engine.buggy o);
+      Obs.ring_events obs |> List.map (Format.asprintf "%a" Obs.pp_event)
   in
-  check "both found" true (seq <> None && par <> None);
-  let render obs =
-    List.map (Format.asprintf "%a" Obs.pp_event) (Obs.ring_events obs)
-  in
-  check "identical ring" true (render obs_seq = render obs_par)
+  let ring = replay 1 in
+  check "ring holds events" true (ring <> []);
+  List.iter
+    (fun jobs ->
+      check (Printf.sprintf "identical ring jobs=%d" jobs) true (replay jobs = ring))
+    [ 2; 3; 4 ]
 
 (* Counters and gauges merge exactly across domains, so a campaign's
    metrics are the same for every job count; only histogram percentile
@@ -311,25 +318,6 @@ let test_metrics_parity () =
       check (Printf.sprintf "gauges jobs=%d" jobs) true (g = g1))
     [ 2; 4 ]
 
-let test_collect_parity_no_bug () =
-  (* A hunt with no bug must return None for every job count. *)
-  let w =
-    match Registry.find "spsc-queue" with
-    | Some w -> w
-    | None -> Alcotest.fail "spsc-queue missing"
-  in
-  let config = Tool.config ~seed:5L ~max_steps:150_000 Tool.C11tester in
-  let body =
-    w.Registry.run ~variant:Variant.Correct ~scale:w.Registry.default_scale
-  in
-  List.iter
-    (fun jobs ->
-      check
-        (Printf.sprintf "no bug jobs=%d" jobs)
-        true
-        (Tester.find_buggy ~jobs ~config ~attempts:4 body = None))
-    [ 1; 3 ]
-
 let suite =
   [
     Alcotest.test_case "add zero identity" `Quick test_add_zero;
@@ -337,18 +325,16 @@ let suite =
     Alcotest.test_case "histogram single shard" `Quick
       test_histogram_single_shard;
     Alcotest.test_case "dedup across shards" `Quick test_dedup_across_shards;
-    Alcotest.test_case "first win" `Quick test_first_win;
     Alcotest.test_case "check_ranges audit" `Quick test_check_ranges_unit;
     Alcotest.test_case "degraded merge deterministic" `Slow
       test_degraded_merge_deterministic;
-    Alcotest.test_case "winner protocol" `Quick test_winner;
     Alcotest.test_case "shard sizes partition" `Quick test_shard_size;
     Alcotest.test_case "workload parity" `Slow test_workload_parity;
     Alcotest.test_case "litmus parity" `Quick test_litmus_parity;
-    Alcotest.test_case "find_buggy parity" `Slow test_find_buggy_parity;
-    Alcotest.test_case "find_buggy ring parity" `Slow
-      test_find_buggy_ring;
-    Alcotest.test_case "hunt without bug" `Quick test_collect_parity_no_bug;
+    Alcotest.test_case "first_buggy parity" `Slow test_first_buggy_parity;
+    Alcotest.test_case "first_buggy without bug" `Quick
+      test_first_buggy_without_bug;
+    Alcotest.test_case "replay ring parity" `Slow test_replay_ring_parity;
     Alcotest.test_case "metrics parity across jobs" `Quick test_metrics_parity;
   ]
   @ List.map QCheck_alcotest.to_alcotest

@@ -336,28 +336,43 @@ let test_cache_warm_replay () =
       (summary_string b)
   | _ -> Alcotest.fail "expected M_run"
 
-let test_cache_key_sensitivity () =
-  let e = Lazy.force exe in
-  let key ~workers ~worker c = Svc.cache_key ~exe:e ~workers ~jobs:1 ~worker c in
-  let base = run_spec 24 in
-  check "key is stable" true
-    (key ~workers:2 ~worker:0 base = key ~workers:2 ~worker:0 base);
-  check "worker index in key" true
-    (key ~workers:2 ~worker:0 base <> key ~workers:2 ~worker:1 base);
-  check "worker count in key" true
-    (key ~workers:2 ~worker:0 base <> key ~workers:4 ~worker:0 base);
-  let other_seed =
+(* The first buggy execution a --workers campaign reports, cold and from a
+   warm cache, is the -j 1 campaign's: the one --trace replays.  The
+   buggy seqlock's first buggy execution at seed 1 is execution 3, which
+   worker 0 of 2 does not run. *)
+let test_first_buggy_fabric () =
+  let w =
+    match Registry.find "seqlock" with
+    | Some w -> w
+    | None -> Alcotest.fail "seqlock missing"
+  in
+  let config = Tool.config ~seed:1L ~max_steps:150_000 Tool.C11tester in
+  let expected =
+    (Tester.run ~config ~iters:24
+       (w.Registry.run ~variant:Variant.Buggy ~scale:w.Registry.default_scale))
+      .Tester.first_buggy
+  in
+  check "-j 1 first_buggy" true (expected = Some 3);
+  let spec =
     Svc.Run_c
       {
-        workload = "ms-queue";
+        workload = w.Registry.name;
         buggy = true;
-        scale = (ms_queue ()).Registry.default_scale;
-        config = { run_config with Engine.seed = 100L };
+        scale = w.Registry.default_scale;
+        config;
         iters = 24;
       }
   in
-  check "engine config in key" true
-    (key ~workers:2 ~worker:0 base <> key ~workers:2 ~worker:0 other_seed)
+  let dir = fresh_dir () in
+  List.iter
+    (fun what ->
+      match run_campaign ~cache:(open_cache dir) ~workers:2 ~jobs:1 spec with
+      | Svc.M_run s, st ->
+        check (what ^ " ran as expected") true
+          ((st.Svc.st_executions_run = 0) = (what = "warm"));
+        check (what ^ " first_buggy = -j 1") true (s.Tester.first_buggy = expected)
+      | _ -> Alcotest.fail "expected M_run")
+    [ "cold"; "warm" ]
 
 let test_cache_corrupt_entry_is_miss () =
   let dir = fresh_dir () in
@@ -425,9 +440,8 @@ let test_cache_wrong_kind_is_error () =
   | Ok _ -> Alcotest.fail "accepted a payload of another campaign kind"
 
 (* The cache key of one spec of each kind, against a stand-in executable
-   with fixed contents.  A fingerprint that drops or renames a field lets
-   two different campaigns share an entry and replay the wrong result;
-   these pins make such a change visible. *)
+   with fixed contents: a change to how keys are made, or to a campaign
+   type, moves them. *)
 let pin_config =
   {
     Engine.mode = Execution.Full_c11;
@@ -449,7 +463,6 @@ let pin_gen =
     g_na_locs = 2;
     g_mutexes = 2;
     g_profile = Fuzz.Mixed;
-    g_sc_bias = 0;
   }
 
 let pinned_keys =
@@ -462,9 +475,9 @@ let pinned_keys =
           config = pin_config;
           iters = 24;
         },
-      "499fefd0b70b7d1eae14ea8e68ee76f4" );
+      "d06b5c3db8cf10597a65fcd06c8804e5" );
     ( Svc.Litmus_c { name = "mp_relaxed"; config = pin_config; iters = 300 },
-      "4639c4f2a586151f6784d88419c875f2" );
+      "ae34e75db7f35512bb348a04057f684f" );
     ( Svc.Fuzz_c
         {
           cfg =
@@ -472,18 +485,16 @@ let pinned_keys =
               Fuzz.c_programs = 120;
               c_seed = 11L;
               c_jobs = 1;
-              c_shrink_execs = 8;
               c_gen = pin_gen;
               c_mutation = None;
-              c_lint_execs = 2;
               c_corpus = Some (Corpus.plan ~mutate_pct:60 ~round:40 []);
             };
           coverage = true;
           range = Some (40, 80);
         },
-      "ad75976ba92576beb72fa5734cdc06f9" );
+      "dc4ba91b1c25aed3044c0b5dbd41af47" );
     ( Svc.Sweep_c { sw_family = "rwlock"; sw_iters = 30; sw_seed = 13L },
-      "627ba28aea64fef666aca96232284889" );
+      "bb235c3af8237d5f215cda586cb73a72" );
     ( Svc.Lint_c
         {
           lt_targets = [ "mp_relaxed"; "sb_sc" ];
@@ -491,7 +502,7 @@ let pinned_keys =
           lt_seed = 7L;
           lt_gen = pin_gen;
         },
-      "5c4a8271beeabd090933d9521ea60067" );
+      "302f23bbfb86da0839c239a972924295" );
   ]
 
 let test_cache_key_pins () =
@@ -508,6 +519,192 @@ let test_cache_key_pins () =
             expected
             (Svc.cache_key ~exe ~workers:2 ~jobs:1 ~worker:1 spec))
         pinned_keys)
+
+(* Changing any one field of a campaign changes its key: two campaigns
+   that differ anywhere must not share a cache entry. *)
+let test_cache_key_sensitivity () =
+  let e = Lazy.force exe in
+  let key ?(workers = 2) ?(worker = 0) c =
+    Svc.cache_key ~exe:e ~workers ~jobs:1 ~worker c
+  in
+  let base = run_spec 24 in
+  check "key is stable" true (key base = key base);
+  check "worker index in key" true (key base <> key ~worker:1 base);
+  check "worker count in key" true (key base <> key ~workers:4 base);
+  check "jobs in key" true
+    (key base <> Svc.cache_key ~exe:e ~workers:2 ~jobs:2 ~worker:0 base);
+  let configs =
+    let c = pin_config in
+    [
+      { c with Engine.mode = Execution.Total_mo };
+      { c with sched = Schedule.Controlled_random { batch_stores = false } };
+      { c with volatile_mode = Engine.Volatile_nonatomic };
+      { c with prune = Pruner.Conservative { interval = 65 } };
+      { c with max_steps = 150_001 };
+      { c with seed = 100L };
+      { c with certify = false };
+      { c with mutation = Some Execution.Drop_mo_edge };
+      { c with coverage = false };
+    ]
+  in
+  let gens =
+    let g = pin_gen in
+    [
+      { g with Fuzz.g_threads = 4 };
+      { g with g_ops = 9 };
+      { g with g_atomic_locs = 4 };
+      { g with g_na_locs = 3 };
+      { g with g_mutexes = 3 };
+      { g with g_profile = Fuzz.Sc_heavy };
+    ]
+  in
+  let entry seed =
+    {
+      Corpus.en_digest = "d0";
+      en_index = 3;
+      en_seed = 5L;
+      en_keys = [ "shape:d0" ];
+      en_program = Fuzz.generate ~cfg:pin_gen ~seed;
+    }
+  in
+  let run ?(workload = "ms-queue") ?(buggy = true) ?(scale = 3)
+      ?(config = pin_config) ?(iters = 24) () =
+    Svc.Run_c { workload; buggy; scale; config; iters }
+  in
+  let litmus ?(name = "mp_relaxed") ?(config = pin_config) ?(iters = 300) () =
+    Svc.Litmus_c { name; config; iters }
+  in
+  let base_cfg =
+    {
+      Fuzz.c_programs = 120;
+      c_seed = 11L;
+      c_jobs = 1;
+      c_gen = pin_gen;
+      c_mutation = None;
+      c_corpus = Some (Corpus.plan ~round:40 [ entry 5L ]);
+    }
+  in
+  let fuzz ?(cfg = base_cfg) ?(coverage = true) ?(range = Some (40, 80)) () =
+    Svc.Fuzz_c { cfg; coverage; range }
+  in
+  let sweep ?(family = "rwlock") ?(iters = 30) ?(seed = 13L) () =
+    Svc.Sweep_c { sw_family = family; sw_iters = iters; sw_seed = seed }
+  in
+  let lint ?(targets = [ "mp_relaxed"; "sb_sc" ]) ?(programs = 5) ?(seed = 7L)
+      ?(gen = pin_gen) () =
+    Svc.Lint_c
+      { lt_targets = targets; lt_programs = programs; lt_seed = seed; lt_gen = gen }
+  in
+  let plan ?(pct = 60) ?(round = 40) entries =
+    Some (Corpus.plan ~mutate_pct:pct ~round entries)
+  in
+  let cases =
+    [
+      ( run (),
+        [
+          run ~workload:"seqlock" ();
+          run ~buggy:false ();
+          run ~scale:4 ();
+          run ~iters:25 ();
+        ]
+        @ List.map (fun config -> run ~config ()) configs );
+      ( litmus (),
+        [ litmus ~name:"sb_sc" (); litmus ~iters:301 () ]
+        @ List.map (fun config -> litmus ~config ()) configs );
+      ( fuzz (),
+        [
+          fuzz ~coverage:false ();
+          fuzz ~range:(Some (40, 81)) ();
+          fuzz ~range:None ();
+          fuzz ~cfg:{ base_cfg with Fuzz.c_programs = 121 } ();
+          fuzz ~cfg:{ base_cfg with Fuzz.c_seed = 12L } ();
+          fuzz ~cfg:{ base_cfg with Fuzz.c_jobs = 2 } ();
+          fuzz
+            ~cfg:
+              { base_cfg with Fuzz.c_mutation = Some Execution.Drop_mo_edge }
+            ();
+          fuzz ~cfg:{ base_cfg with Fuzz.c_corpus = None } ();
+          fuzz ~cfg:{ base_cfg with Fuzz.c_corpus = plan ~pct:61 [ entry 5L ] } ();
+          fuzz ~cfg:{ base_cfg with Fuzz.c_corpus = plan ~round:41 [ entry 5L ] } ();
+          (* same digest, index, seed and keys: only the program differs *)
+          fuzz ~cfg:{ base_cfg with Fuzz.c_corpus = plan [ entry 6L ] } ();
+        ]
+        @ List.map (fun gen -> fuzz ~cfg:{ base_cfg with Fuzz.c_gen = gen } ()) gens
+      );
+      ( sweep (),
+        [ sweep ~family:"seqlock" (); sweep ~iters:31 (); sweep ~seed:14L () ] );
+      ( lint (),
+        [
+          lint ~targets:[ "mp_relaxed" ] ();
+          lint ~programs:6 ();
+          lint ~seed:8L ();
+        ]
+        @ List.map (fun gen -> lint ~gen ()) gens );
+    ]
+  in
+  check "corpus entries' programs differ" true
+    ((entry 5L).Corpus.en_program <> (entry 6L).Corpus.en_program);
+  List.iteri
+    (fun i (base, variants) ->
+      List.iteri
+        (fun j v ->
+          check
+            (Printf.sprintf "kind %d, variant %d changes the key" i j)
+            true
+            (key v <> key base))
+        variants)
+    cases;
+  let all = List.concat_map (fun (b, vs) -> List.map key (b :: vs)) cases in
+  check "every key distinct" true
+    (List.length (List.sort_uniq compare all) = List.length all)
+
+(* A key depends on a spec's value, not on which of its sub-values are
+   physically shared: a copy without sharing gets the same key. *)
+let test_cache_key_ignores_sharing () =
+  let e = Lazy.force exe in
+  let key c = Svc.cache_key ~exe:e ~workers:2 ~jobs:1 ~worker:0 c in
+  let copy (c : Svc.campaign) : Svc.campaign =
+    Marshal.from_string (Marshal.to_string c [ Marshal.No_sharing ]) 0
+  in
+  let target = "mp_relaxed" in
+  let program = Fuzz.generate ~cfg:pin_gen ~seed:5L in
+  let entry digest =
+    {
+      Corpus.en_digest = digest;
+      en_index = 0;
+      en_seed = 5L;
+      en_keys = [];
+      en_program = program;
+    }
+  in
+  List.iter
+    (fun (what, spec) ->
+      let unshared = copy spec in
+      check (what ^ ": the copy shares less") true
+        (Marshal.to_string spec [] <> Marshal.to_string unshared []);
+      Alcotest.(check string) (what ^ ": same key") (key spec) (key unshared))
+    [
+      ( "lint",
+        Svc.Lint_c
+          {
+            lt_targets = [ target; target ];
+            lt_programs = 2;
+            lt_seed = 7L;
+            lt_gen = pin_gen;
+          } );
+      ( "corpus fuzz",
+        Svc.Fuzz_c
+          {
+            cfg =
+              {
+                fuzz_cfg with
+                Fuzz.c_gen = pin_gen;
+                c_corpus = Some (Corpus.plan [ entry "a"; entry "b" ]);
+              };
+            coverage = true;
+            range = Some (0, 10);
+          } );
+    ]
 
 (* ---------- crash re-claim and degraded summaries ---------------------- *)
 
@@ -791,6 +988,8 @@ let suite =
     Alcotest.test_case "in-process handles" `Quick test_in_process_handles;
     Alcotest.test_case "workers clamped to total" `Quick test_workers_clamped;
     Alcotest.test_case "cache warm replay" `Slow test_cache_warm_replay;
+    Alcotest.test_case "first_buggy across workers and cache" `Slow
+      test_first_buggy_fabric;
     Alcotest.test_case "cache key sensitivity" `Quick
       test_cache_key_sensitivity;
     Alcotest.test_case "cache corrupt entry is miss" `Quick
@@ -798,6 +997,8 @@ let suite =
     Alcotest.test_case "cache wrong-kind payload is an error" `Slow
       test_cache_wrong_kind_is_error;
     Alcotest.test_case "cache key pins" `Quick test_cache_key_pins;
+    Alcotest.test_case "cache key ignores sharing" `Quick
+      test_cache_key_ignores_sharing;
     Alcotest.test_case "crash re-claim recovers" `Slow
       test_crash_reclaim_recovers;
     Alcotest.test_case "crash degraded deterministic" `Slow
