@@ -33,5 +33,5 @@ let is_read a =
   | Load | Rmw -> true
   | Store | Na_store | Fence -> false
 
-let happens_before a b =
+let[@inline] happens_before a b =
   a.seq <> b.seq && Clockvec.covers b.hb_cv ~tid:a.tid ~seq:a.seq

@@ -1,4 +1,4 @@
-let search (keys : int array) n key =
+let[@inline] search (keys : int array) n key =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in

@@ -5,39 +5,46 @@ let bottom () = { data = [||] }
 (* Clocks are short (one slot per thread) and are created and copied on
    every action, so the common widths are built as array literals: an
    inline minor-heap allocation, where [Array.make] and [Array.copy] are
-   runtime calls ([caml_make_vect], [caml_array_sub]). *)
-let zeros4 () = [| 0; 0; 0; 0 |]
+   runtime calls ([caml_make_vect], [caml_array_sub]).
 
-(* Grow to at least [n] slots: doubling, never below 4. *)
-let ensure t n =
+   Every function a visible operation calls is split in two: an
+   [[@inline]] fast path, small enough to copy into each caller (the
+   compiler inlines across modules only bodies it is told to, or tiny
+   ones), and an [[@inline never]] cold path for growth and the rare
+   widths (DESIGN.md, "Hot and cold paths"). *)
+let[@inline] zeros4 () = [| 0; 0; 0; 0 |]
+
+(* The cold half of [ensure]: grow to at least [n] slots, doubling, never
+   below 4. *)
+let[@inline never] grow t n =
   let len = Array.length t.data in
-  if n > len then
-    if len = 0 && n <= 4 then t.data <- zeros4 ()
-    else begin
-      let data = Array.make (max n (max 4 (2 * len))) 0 in
-      Array.blit t.data 0 data 0 len;
-      t.data <- data
-    end
+  if len = 0 && n <= 4 then t.data <- zeros4 ()
+  else begin
+    let data = Array.make (max n (max 4 (2 * len))) 0 in
+    Array.blit t.data 0 data 0 len;
+    t.data <- data
+  end
 
-let of_slot ~tid ~seq =
-  let data = if tid < 4 then zeros4 () else Array.make (tid + 1) 0 in
+let[@inline] ensure t n = if n > Array.length t.data then grow t n
+
+let[@inline never] of_slot_wide ~tid ~seq =
+  let data = Array.make (tid + 1) 0 in
   Array.unsafe_set data tid seq;
   { data }
 
-let copy t =
-  let d = t.data in
+let[@inline] of_slot ~tid ~seq =
+  if tid < 4 then begin
+    let data = zeros4 () in
+    Array.unsafe_set data tid seq;
+    { data }
+  end
+  else of_slot_wide ~tid ~seq
+
+(* Copies of every width but 4: the empty clock, the 8-slot literal and
+   the generic copy. *)
+let[@inline never] copy_other d =
   match Array.length d with
   | 0 -> { data = [||] }
-  | 4 ->
-    {
-      data =
-        [|
-          Array.unsafe_get d 0;
-          Array.unsafe_get d 1;
-          Array.unsafe_get d 2;
-          Array.unsafe_get d 3;
-        |];
-    }
   | 8 ->
     {
       data =
@@ -54,9 +61,23 @@ let copy t =
     }
   | _ -> { data = Array.copy d }
 
-let get t i = if i < Array.length t.data then t.data.(i) else 0
+let[@inline] copy t =
+  let d = t.data in
+  if Array.length d = 4 then
+    {
+      data =
+        [|
+          Array.unsafe_get d 0;
+          Array.unsafe_get d 1;
+          Array.unsafe_get d 2;
+          Array.unsafe_get d 3;
+        |];
+    }
+  else copy_other d
 
-let set t i v =
+let[@inline] get t i = if i < Array.length t.data then t.data.(i) else 0
+
+let[@inline] set t i v =
   ensure t (i + 1);
   t.data.(i) <- v
 
@@ -64,7 +85,7 @@ let set t i v =
    propagation, shadow-cell coverage), and the vectors are short — one slot
    per thread.  Both get a physical-equality fast path, an empty fast path,
    and a single bounds check per loop iteration instead of one per slot. *)
-let merge dst src =
+let[@inline] merge dst src =
   if dst == src then false
   else begin
     let sd = src.data in
@@ -90,7 +111,7 @@ let union a b =
   ignore (merge t b);
   t
 
-let leq a b =
+let[@inline] leq a b =
   a == b
   ||
   let da = a.data and db = b.data in
@@ -116,11 +137,11 @@ let intersect a b =
   let data = Array.init n (fun i -> min a.data.(i) b.data.(i)) in
   { data }
 
-let covers t ~tid ~seq = get t tid >= seq
+let[@inline] covers t ~tid ~seq = get t tid >= seq
 
-let width t = Array.length t.data
+let[@inline] width t = Array.length t.data
 
-let raw t = t.data
+let[@inline] raw t = t.data
 
 let pp fmt t =
   Format.fprintf fmt "[%a]"

@@ -200,12 +200,17 @@ let create ?(obs = Obs.null) ?(prof = Profile.null) ?(metrics = Metrics.null)
 (* Is fault [m] installed?  A pattern match, where the polymorphic
    [t.mutation <> Some m] would be a runtime call on every load and store;
    with [None] it is one test. *)
-let has_mutation t m = match t.mutation with None -> false | Some m' -> m' == m
+let[@inline] has_mutation t m =
+  match t.mutation with None -> false | Some m' -> m' == m
 
-let thread t tid =
-  if tid < 0 || tid >= t.nthreads then
-    raise (Model_error (Printf.sprintf "unknown thread %d" tid));
-  t.threads.(tid)
+let[@inline never] unknown_thread tid =
+  raise (Model_error (Printf.sprintf "unknown thread %d" tid))
+
+(* [threads] holds at least [nthreads] slots, so the checked index is in
+   bounds. *)
+let[@inline] thread t tid =
+  if tid < 0 || tid >= t.nthreads then unknown_thread tid;
+  Array.unsafe_get t.threads tid
 
 let fresh_loc t ~atomic ~name =
   let loc = t.next_loc in
@@ -229,7 +234,7 @@ let fresh_loc t ~atomic ~name =
   | None -> ());
   loc
 
-let is_atomic_loc t loc =
+let[@inline] is_atomic_loc t loc =
   loc < Array.length t.atomic_locs && Array.unsafe_get t.atomic_locs loc
 
 let cert_sync_edge t ~from_tid ~from_seq ~to_tid ~to_seq =
@@ -246,7 +251,7 @@ let cert_sync_edge t ~from_tid ~from_seq ~to_tid ~to_seq =
 
 (* Current sequence number of the thread's own clock slot — the seq of its
    most recent event (action or synchronisation tick). *)
-let thread_now t ~tid = Clockvec.get (thread t tid).c tid
+let[@inline] thread_now t ~tid = Clockvec.get (thread t tid).c tid
 
 (* A second sink is called after the first, for every event. *)
 let add_cert_sink t sink =
@@ -275,7 +280,7 @@ let add_cert_sink t sink =
               sink.cs_release_drop ~seq);
         })
 
-let cert_feed t a =
+let[@inline] cert_feed t a =
   match t.cert_sink with Some s -> s.cs_action a | None -> ()
 
 (* Announce a release point (thread spawn/finish, mutex unlock): the
@@ -330,17 +335,17 @@ let new_thread t ~parent =
      | None -> ());
   tid
 
-let tick t ts =
+let[@inline] tick t ts =
   t.seq <- t.seq + 1;
   Clockvec.set ts.c ts.tid t.seq;
   t.seq
 
-let tick_sync t ~tid =
+let[@inline] tick_sync t ~tid =
   let ts = thread t tid in
   ignore (tick t ts);
   t.atomic_ops <- t.atomic_ops + 1
 
-let acquire_cv t ~tid cv =
+let[@inline] acquire_cv t ~tid cv =
   let p0 = if t.prof_on then Profile.now_ns () else 0 in
   ignore (Clockvec.merge (thread t tid).c cv);
   if t.prof_on then Profile.stop t.prof "cv_merge" p0
@@ -350,59 +355,61 @@ let release_snapshot t ~tid = Clockvec.copy (thread t tid).c
 (* ------------------------------------------------------------------ *)
 (* Location bookkeeping                                               *)
 
-let find_loc t loc =
+let[@inline] find_loc t loc =
   if loc < Array.length t.locs then Array.unsafe_get t.locs loc else None
 
-let get_loc t loc =
-  match find_loc t loc with
-  | Some li -> li
-  | None ->
-    let li =
-      {
-        li_loc = loc;
-        cells = [];
-        by_tid = [||];
-        cell_tids = [||];
-        ncells = 0;
-        last_sc = None;
-        newest = None;
-        store_count = 0;
-        rel_head = None;
-      }
-    in
-    let len = Array.length t.locs in
-    if loc >= len then
-      t.locs <-
-        (if loc < 16 then
-           let n = Sys.opaque_identity None in
-           [| n; n; n; n; n; n; n; n; n; n; n; n; n; n; n; n |]
-         else begin
-           let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
-           Array.blit t.locs 0 arr 0 len;
-           arr
-         end);
-    t.locs.(loc) <- Some li;
-    li
-
-(* Commit-order value of each location; what a plain non-atomic read sees. *)
-let set_value t loc v =
-  let len = Array.length t.values in
+let[@inline never] new_loc t loc =
+  let li =
+    {
+      li_loc = loc;
+      cells = [];
+      by_tid = [||];
+      cell_tids = [||];
+      ncells = 0;
+      last_sc = None;
+      newest = None;
+      store_count = 0;
+      rel_head = None;
+    }
+  in
+  let len = Array.length t.locs in
   if loc >= len then
-    t.values <-
+    t.locs <-
       (if loc < 16 then
-         let z = Sys.opaque_identity 0 in
-         [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+         let n = Sys.opaque_identity None in
+         [| n; n; n; n; n; n; n; n; n; n; n; n; n; n; n; n |]
        else begin
-         let arr = Array.make (max (loc + 1) (max 16 (2 * len))) 0 in
-         Array.blit t.values 0 arr 0 len;
+         let arr = Array.make (max (loc + 1) (max 16 (2 * len))) None in
+         Array.blit t.locs 0 arr 0 len;
          arr
        end);
+  t.locs.(loc) <- Some li;
+  li
+
+let[@inline] get_loc t loc =
+  match find_loc t loc with Some li -> li | None -> new_loc t loc
+
+(* Commit-order value of each location; what a plain non-atomic read sees. *)
+let[@inline never] grow_values t loc =
+  let len = Array.length t.values in
+  t.values <-
+    (if loc < 16 then
+       let z = Sys.opaque_identity 0 in
+       [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+     else begin
+       let arr = Array.make (max (loc + 1) (max 16 (2 * len))) 0 in
+       Array.blit t.values 0 arr 0 len;
+       arr
+     end)
+
+let[@inline] set_value t loc v =
+  if loc >= Array.length t.values then grow_values t loc;
   Array.unsafe_set t.values loc v
 
-let get_value t loc =
+let[@inline] get_value t loc =
   if loc < Array.length t.values then Array.unsafe_get t.values loc else 0
 
-let new_cell li tid i =
+let[@inline never] new_cell li tid i =
   let c =
     {
       cell_tid = tid;
@@ -438,13 +445,13 @@ let new_cell li tid i =
   li.ncells <- n + 1;
   c
 
-let get_cell li tid =
+let[@inline] get_cell li tid =
   let i = Bytid.search li.cell_tids li.ncells tid in
   if i < li.ncells && Array.unsafe_get li.cell_tids i = tid then
     Array.unsafe_get li.by_tid i
   else new_cell li tid i
 
-let record_store li (a : Action.t) =
+let[@inline] record_store li (a : Action.t) =
   let cell = get_cell li a.tid in
   Seqarr.push cell.c_stores a;
   Seqarr.push cell.c_accesses a;
@@ -457,7 +464,7 @@ let record_store li (a : Action.t) =
   end;
   li.store_count <- li.store_count + 1
 
-let record_load li (a : Action.t) =
+let[@inline] record_load li (a : Action.t) =
   Seqarr.push (get_cell li a.tid).c_accesses a
 
 (* Rebuild [last_sc]/[newest] from the cells' newest entries; the pruner
@@ -485,28 +492,31 @@ let last_sc_store li = li.last_sc
 (* ------------------------------------------------------------------ *)
 (* may-read-from (Figure 12)                                           *)
 
-let mrf_push t (a : Action.t) =
+let[@inline never] grow_mrf t =
   let n = t.mrf_n in
-  if n = Array.length t.mrf_buf then
-    t.mrf_buf <-
-      (if n = 0 then
-         [| dummy_action; dummy_action; dummy_action; dummy_action;
-            dummy_action; dummy_action; dummy_action; dummy_action;
-            dummy_action; dummy_action; dummy_action; dummy_action;
-            dummy_action; dummy_action; dummy_action; dummy_action |]
-       else begin
-         let arr = Array.make (2 * n) dummy_action in
-         Array.blit t.mrf_buf 0 arr 0 n;
-         arr
-       end);
-  t.mrf_buf.(n) <- a;
+  t.mrf_buf <-
+    (if n = 0 then
+       [| dummy_action; dummy_action; dummy_action; dummy_action;
+          dummy_action; dummy_action; dummy_action; dummy_action;
+          dummy_action; dummy_action; dummy_action; dummy_action;
+          dummy_action; dummy_action; dummy_action; dummy_action |]
+     else begin
+       let arr = Array.make (2 * n) dummy_action in
+       Array.blit t.mrf_buf 0 arr 0 n;
+       arr
+     end)
+
+let[@inline] mrf_push t (a : Action.t) =
+  let n = t.mrf_n in
+  if n = Array.length t.mrf_buf then grow_mrf t;
+  Array.unsafe_set t.mrf_buf n a;
   t.mrf_n <- n + 1
 
 (* Section 29.3 statement 3: a seq_cst load reads the last seq_cst store
    S, or some store that neither precedes S in sc nor happens before S.
    [sc] is [Some S] for a seq_cst load of a location with one, else
    [None] (every candidate kept). *)
-let sc_keep sc (x : Action.t) =
+let[@inline] sc_keep sc (x : Action.t) =
   match sc with
   | None -> true
   | Some (s : Action.t) ->
@@ -517,7 +527,7 @@ let sc_keep sc (x : Action.t) =
 (* One thread's stores, newest first, down to the newest one the loading
    thread's clock covers; [cd]/[nc] are that clock's slots, hoisted out
    of the loop. *)
-let mrf_cell t sc cd nc cell =
+let[@inline] mrf_cell t sc cd nc cell =
   let st = cell.c_stores in
   let u = cell.cell_tid in
   let bound = if u < nc then Array.unsafe_get cd u else 0 in
@@ -527,12 +537,6 @@ let mrf_cell t sc cd nc cell =
     if sc_keep sc x then mrf_push t x;
     if x.seq <= bound then i := -1 else decr i
   done
-
-let rec mrf_cells t sc cd nc = function
-  | [] -> ()
-  | cell :: rest ->
-    mrf_cell t sc cd nc cell;
-    mrf_cells t sc cd nc rest
 
 (* For each thread's stores (newest first): every store that does not
    happen before the load is a candidate; the newest store that does happen
@@ -545,10 +549,22 @@ let rec mrf_cells t sc cd nc = function
    order matches the old prepend-built list bit for bit (the seq_cst
    filter commutes with the reversal because both preserve relative
    order), keeping the downstream shuffle's RNG draws identical. *)
-let build_may_read_from_buf t li ts ~is_sc =
+let[@inline] build_may_read_from_buf t li ts ~is_sc =
   t.mrf_n <- 0;
   let cd = Clockvec.raw ts.c in
-  mrf_cells t (if is_sc then li.last_sc else None) cd (Array.length cd) li.cells;
+  let nc = Array.length cd in
+  let sc = if is_sc then li.last_sc else None in
+  let cells = ref li.cells in
+  while
+    match !cells with
+    | [] -> false
+    | cell :: rest ->
+      mrf_cell t sc cd nc cell;
+      cells := rest;
+      true
+  do
+    ()
+  done;
   let buf = t.mrf_buf in
   let i = ref 0 and j = ref (t.mrf_n - 1) in
   while !i < !j do
@@ -582,7 +598,7 @@ let[@inline] newer (acc : Action.t) (c : Action.t) = if c.seq > acc.seq then c e
    record yet): [u]'s entries all carry tid [u], so the newest one
    [current] covers is the newest at or below [current]'s slot for [u].
    Returns the newest of the four, [dummy_action] when all are empty. *)
-let prior_in_cell t cell ~(f_l : Action.t) ~is_sc_op ~current =
+let[@inline] prior_in_cell t cell ~(f_l : Action.t) ~is_sc_op ~current =
   let u = cell.cell_tid in
   let fences = t.threads.(u).sc_fences in
   let stores = cell.c_stores in
@@ -606,7 +622,7 @@ let prior_in_cell t cell ~(f_l : Action.t) ~is_sc_op ~current =
 
 (* The write a prior-set term stands for: a store itself, the store a
    load read from. *)
-let add_prior_write acc (a : Action.t) =
+let[@inline] add_prior_write acc (a : Action.t) =
   match a.kind with
   | Action.Store | Action.Rmw | Action.Na_store -> a :: acc
   | Action.Load -> ( match a.rf with Some w -> w :: acc | None -> acc)
@@ -616,12 +632,12 @@ let add_prior_write acc (a : Action.t) =
    In Full_c11 this is the rollback-free cycle check of Section 4.3
    (following [e]'s rmw chain as AddEdge will); with a total commit-order
    mo it is a plain order comparison. *)
-let edge_infeasible t ~(from : Action.t) ~(to_ : Action.t) =
+let[@inline] edge_infeasible t ~(from : Action.t) ~(to_ : Action.t) =
   match t.mode with
   | Full_c11 -> Mograph.edge_would_close_cycle t.graph ~from ~to_
   | Total_mo -> to_.seq <= from.seq
 
-let newest_fence (ts : thread_state) =
+let[@inline] newest_fence (ts : thread_state) =
   if Seqarr.is_empty ts.sc_fences then dummy_action else Seqarr.last ts.sc_fences
 
 (* The prior-set writes of every cell of [li], ascending by tid, pushed
@@ -643,7 +659,7 @@ let prior_cells t li ~f_l ~is_sc_op ~current acc =
    would put a cycle in the mo-graph.  Only threads with a cell at the
    location can contribute (all four terms read the cell), so the loop
    visits the cells, ascending by tid, not every thread. *)
-let read_prior_base t li ts ~load_mo =
+let[@inline] read_prior_base t li ts ~load_mo =
   prior_cells t li ~f_l:(newest_fence ts)
     ~is_sc_op:(Memorder.is_seq_cst load_mo) ~current:ts.c []
 
@@ -661,7 +677,7 @@ let rec any_infeasible t ~to_ = function
   | [] -> false
   | e :: rest -> edge_infeasible t ~from:e ~to_ || any_infeasible t ~to_ rest
 
-let read_prior_set t base (s : Action.t) =
+let[@inline] read_prior_set t base (s : Action.t) =
   let pset = without s base in
   if any_infeasible t ~to_:s pset then None else Some pset
 
@@ -671,7 +687,7 @@ let read_prior_set t base (s : Action.t) =
    pre-check with [rmw_write_feasible].  [current] is the acting thread's
    clock to run the happens-before scans against — [ts.c] at commit time,
    or a what-if clock for the RMW pre-check. *)
-let write_prior_set t li ts ~store_mo ~current =
+let[@inline] write_prior_set t li ts ~store_mo ~current =
   let is_sc_op = Memorder.is_seq_cst store_mo in
   let acc =
     if is_sc_op then match last_sc_store li with Some x -> [ x ] | None -> []
@@ -737,7 +753,7 @@ let add_edges t pset (s : Action.t) =
 (* ------------------------------------------------------------------ *)
 (* Transition rules (Figure 11)                                        *)
 
-let mk_action ts kind ~loc ~mo ~value ~volatile ~seq =
+let[@inline] mk_action ts kind ~loc ~mo ~value ~volatile ~seq =
   {
     Action.seq;
     tid = ts.tid;
@@ -755,7 +771,7 @@ let mk_action ts kind ~loc ~mo ~value ~volatile ~seq =
 
 (* Fisher–Yates over the scratch buffer, drawing from the RNG in exactly
    the order [Rng.shuffle_in_place] does on a materialised array. *)
-let shuffle_scratch t =
+let[@inline] shuffle_scratch t =
   let buf = t.mrf_buf in
   for i = t.mrf_n - 1 downto 1 do
     let j = Rng.int t.rng (i + 1) in
@@ -764,25 +780,25 @@ let shuffle_scratch t =
     buf.(j) <- tmp
   done
 
+(* The clock the [Race_ignores_sync] fault hands the detector. *)
+let[@inline never] own_slot hb ~tid =
+  Clockvec.of_slot ~tid ~seq:(Clockvec.get hb tid)
+
 (* All race-detector calls funnel through here so the "race_check" span
    and the check counter cover atomic and non-atomic accesses alike. *)
-let race_check t ~loc ~tid ~seq ~hb ~is_write ~cls =
+let[@inline] race_check t ~loc ~tid ~seq ~hb ~is_write ~cls =
   let p0 = if t.prof_on then Profile.now_ns () else 0 in
   (* [Race_ignores_sync] fault: the detector sees only the accessing
      thread's own clock slot, so every cross-thread conflict reads as a
      race, synchronised or not.  The certifier passes such executions;
      the fuzzer's lint differential must flag the races it reports on
      statically race-free programs. *)
-  let hb =
-    if has_mutation t Race_ignores_sync then
-      Clockvec.of_slot ~tid ~seq:(Clockvec.get hb tid)
-    else hb
-  in
+  let hb = if has_mutation t Race_ignores_sync then own_slot hb ~tid else hb in
   Race.on_access t.race ~loc ~tid ~seq ~hb ~is_write ~cls;
   if t.prof_on then Profile.stop t.prof "race_check" p0;
   if t.metrics_on then Metrics.incr t.metrics "race.checks"
 
-let race_atomic t (a : Action.t) ~is_write =
+let[@inline] race_atomic t (a : Action.t) ~is_write =
   race_check t ~loc:a.loc ~tid:a.tid ~seq:a.seq ~hb:a.hb_cv ~is_write
     ~cls:Race.Atomic_access
 
@@ -797,7 +813,7 @@ let emit_access t kind ~tid ~loc ~mo ~value ~detail ~seq =
    fault downgrades every acquire-side merge to the relaxed path — a
    dropped synchronizes-with edge the certifier's hb differential must
    catch. *)
-let acquire_merge t ts ~mo rf_cv =
+let[@inline] acquire_merge t ts ~mo rf_cv =
   if Memorder.is_acquire mo && not (has_mutation t Skip_acquire_merge) then
     ignore (Clockvec.merge ts.c rf_cv)
   else ignore (Clockvec.merge ts.facq rf_cv)
@@ -859,44 +875,45 @@ let atomic_load t ~tid ~loc ~mo ~volatile =
    release-fence clock, as if it were relaxed — acquirers synchronise
    with a stale clock, which the certifier's reconstructed sw/hb must
    expose. *)
-let store_rf_cv t ts ~mo =
+let[@inline] store_rf_cv t ts ~mo =
   if Memorder.is_release mo && not (has_mutation t Weak_release_store) then
     Clockvec.copy ts.c
   else Clockvec.copy ts.frel
 
-(* The reads-from clock of a plain store, and the C++11-style
-   release-sequence bookkeeping used by the Total_mo baselines: a release
-   store heads a new sequence; in Total_mo a later relaxed store by the
-   same thread continues it (2011 rules), while any other thread's plain
-   store breaks it. *)
-let store_rf_cv_with_relseq_inner t li ts ~mo =
-  match t.mode with
-  | Full_c11 -> store_rf_cv t ts ~mo
-  | Total_mo ->
-    if Memorder.is_release mo then begin
-      let cv = Clockvec.copy ts.c in
-      li.rel_head <- Some (ts.tid, cv);
-      cv
-    end
-    else begin
-      match li.rel_head with
-      | Some (owner, head_cv) when owner = ts.tid ->
-        Clockvec.union head_cv ts.frel
-      | Some _ | None ->
-        li.rel_head <- None;
-        Clockvec.copy ts.frel
-    end
+(* The reads-from clock of a plain store in Total_mo, with the C++11-style
+   release-sequence bookkeeping of those baselines: a release store heads
+   a new sequence, a later relaxed store by the same thread continues it
+   (2011 rules), and any other thread's plain store breaks it.  Out of
+   line: Full_c11 never takes it. *)
+let[@inline never] store_rf_cv_total_mo li ts ~mo =
+  if Memorder.is_release mo then begin
+    let cv = Clockvec.copy ts.c in
+    li.rel_head <- Some (ts.tid, cv);
+    cv
+  end
+  else begin
+    match li.rel_head with
+    | Some (owner, head_cv) when owner = ts.tid ->
+      Clockvec.union head_cv ts.frel
+    | Some _ | None ->
+      li.rel_head <- None;
+      Clockvec.copy ts.frel
+  end
 
-let store_rf_cv_with_relseq t li ts ~mo =
+let[@inline] store_rf_cv_with_relseq t li ts ~mo =
   let p0 = if t.prof_on then Profile.now_ns () else 0 in
-  let cv = store_rf_cv_with_relseq_inner t li ts ~mo in
+  let cv =
+    match t.mode with
+    | Full_c11 -> store_rf_cv t ts ~mo
+    | Total_mo -> store_rf_cv_total_mo li ts ~mo
+  in
   if t.prof_on then Profile.stop t.prof "release_seq" p0;
   cv
 
 (* tsan-lineage tools conservatively treat every atomic RMW as
    acquire-release regardless of the requested order — one of the reasons
    they miss the relaxed-RMW lock bugs of Section 8.1. *)
-let effective_rmw_mo t mo =
+let[@inline] effective_rmw_mo t mo =
   match t.mode with
   | Full_c11 -> mo
   | Total_mo -> Memorder.join mo Memorder.Acq_rel

@@ -27,15 +27,15 @@ let of_string = function
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-let is_acquire = function
+let[@inline] is_acquire = function
   | Acquire | Consume | Acq_rel | Seq_cst -> true
   | Relaxed | Release -> false
 
-let is_release = function
+let[@inline] is_release = function
   | Release | Acq_rel | Seq_cst -> true
   | Relaxed | Consume | Acquire -> false
 
-let is_seq_cst = function
+let[@inline] is_seq_cst = function
   | Seq_cst -> true
   | Relaxed | Consume | Acquire | Release | Acq_rel -> false
 

@@ -74,15 +74,19 @@ let new_node t (a : Action.t) =
   a.mo_node <- Cached (n, t.id);
   n
 
-let get_node t (a : Action.t) =
+(* The node of an action whose cache misses: one of another graph, one
+   pruned, or a store seen for the first time. *)
+let[@inline never] get_node_slow t (a : Action.t) =
+  match Itbl.find_opt t.nodes a.seq with
+  | Some n ->
+    a.mo_node <- Cached (n, t.id);
+    n
+  | None -> new_node t a
+
+let[@inline] get_node t (a : Action.t) =
   match a.mo_node with
   | Cached (n, gid) when gid = t.id && not n.pruned -> n
-  | _ -> (
-    match Itbl.find_opt t.nodes a.seq with
-    | Some n ->
-      a.mo_node <- Cached (n, t.id);
-      n
-    | None -> new_node t a)
+  | _ -> get_node_slow t a
 
 (* The node no graph holds: what [live_node] answers for a store without
    a live node, so callers that ask per pair allocate no option. *)
@@ -111,13 +115,15 @@ let absent =
     mark = 0;
   }
 
-let live_node t (a : Action.t) =
+let[@inline never] live_node_slow t (a : Action.t) =
+  match Itbl.find t.nodes a.seq with
+  | n -> n
+  | exception Not_found -> absent
+
+let[@inline] live_node t (a : Action.t) =
   match a.mo_node with
   | Cached (n, gid) when gid = t.id && not n.pruned -> n
-  | _ -> (
-    match Itbl.find t.nodes a.seq with
-    | n -> n
-    | exception Not_found -> absent)
+  | _ -> live_node_slow t a
 
 let find_node t a =
   let n = live_node t a in
@@ -145,12 +151,20 @@ let hub_keys t =
     t.hub_keys <- Some h;
     h
 
-let rec scan_edges edges to_ i =
-  i >= 0 && (Array.unsafe_get edges i == to_ || scan_edges edges to_ (i - 1))
+let[@inline never] hub_has_edge t from to_ =
+  Itbl.mem (hub_keys t) (edge_key from to_)
 
-let has_edge t from to_ =
-  if from.nedges <= scan_limit then scan_edges from.edges to_ (from.nedges - 1)
-  else Itbl.mem (hub_keys t) (edge_key from to_)
+(* A loop, not a recursive function, so the scan inlines into callers. *)
+let[@inline] has_edge t from to_ =
+  if from.nedges <= scan_limit then begin
+    let edges = from.edges in
+    let i = ref (from.nedges - 1) in
+    while !i >= 0 && Array.unsafe_get edges !i != to_ do
+      decr i
+    done;
+    !i >= 0
+  end
+  else hub_has_edge t from to_
 
 let push_edge t from to_ =
   let n = from.nedges in
@@ -193,7 +207,7 @@ let succs n =
   go (n.nedges - 1) []
 
 (* Merge procedure of Figure 6. *)
-let merge dst src =
+let[@inline] merge dst src =
   if Clockvec.leq src.cv dst.cv then false else Clockvec.merge dst.cv src.cv
 
 (* Breadth-first clock propagation with a generation-stamped frontier: a
@@ -257,7 +271,7 @@ let add_rmw_edge t from rmw =
      clock over its out-edges unconditionally. *)
   propagate_from t rmw
 
-let reaches t (a : Action.t) (b : Action.t) =
+let[@inline] reaches t (a : Action.t) (b : Action.t) =
   if a.seq = b.seq then true
   else
     let na = get_node t a and nb = get_node t b in
@@ -274,11 +288,12 @@ let rec chain_end_unless to_ n =
   | Some r -> if r == to_ then absent else chain_end_unless to_ r
   | None -> n
 
-let edge_would_close_cycle t ~from ~to_ =
+let[@inline] edge_would_close_cycle t ~from ~to_ =
   from.Action.seq <> to_.Action.seq
   &&
   let nf = get_node t from and nt = get_node t to_ in
-  let eff = chain_end_unless nt nf in
+  (* most stores head no rmw chain: walk only when one does *)
+  let eff = match nf.rmw with None -> nf | Some _ -> chain_end_unless nt nf in
   eff != absent && (eff == nt || Clockvec.leq nt.cv eff.cv)
 
 let reaches_dfs t (a : Action.t) (b : Action.t) =

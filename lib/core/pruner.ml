@@ -184,7 +184,9 @@ let observed_sweep exec f =
       };
   stats
 
-let maybe_prune policy exec ~ops =
+(* A pruning policy's step, out of line: the scheduling loop calls
+   [maybe_prune] once per step, and most runs do not prune. *)
+let[@inline never] prune_due policy exec ~ops =
   match policy with
   | No_prune -> None
   | Conservative { interval } ->
@@ -195,3 +197,8 @@ let maybe_prune policy exec ~ops =
     if interval > 0 && ops mod interval = 0 then
       Some (observed_sweep exec (fun () -> prune_aggressive exec ~window))
     else None
+
+let[@inline] maybe_prune policy exec ~ops =
+  match policy with
+  | No_prune -> None
+  | Conservative _ | Aggressive _ -> prune_due policy exec ~ops

@@ -94,9 +94,9 @@ let name_location t ~loc name =
 let loc_name t loc =
   match if loc >= 0 && loc < Array.length t.names then t.names.(loc) else None with
   | Some n -> n
-  | None -> Printf.sprintf "loc%d" loc
+  | None -> "loc" ^ string_of_int loc
 
-let new_shadow t loc =
+let[@inline never] new_shadow t loc =
   let s =
     {
       na_w = { v = [||]; n = 0; cov_tid = -1 };
@@ -121,87 +121,86 @@ let new_shadow t loc =
   t.shadows.(loc) <- s;
   s
 
-let shadow t loc =
+let[@inline] shadow t loc =
   if loc < Array.length t.shadows then
     let s = Array.unsafe_get t.shadows loc in
     if s == no_shadow then new_shadow t loc else s
   else new_shadow t loc
 
-(* The slow path: scan the prior slot for entries unordered with [hb],
-   reporting each, ascending by tid.  Returns whether any conflict was
-   found, so the caller can install the coverage witness on a clean
-   scan. *)
-let report_conflicts t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
+(* A conflict: the access at [seq] by [tid] is unordered with [u]'s
+   prior access at [s].  Out of line, like the growth below: it builds
+   the report and formats the trace event, and a clean run of an
+   execution never reaches it. *)
+let[@inline never] report t ~prior_is_write ~prior_class ~loc ~u ~s ~tid ~seq
     ~is_write ~cls =
-  let found_any = ref false in
-  (* Raw slot scan: the common miss (entry covered by [hb]) is two loads
-     and two compares per entry.  Conflicts take the boxed slow path
-     below. *)
-  let hd = Clockvec.raw hb in
-  let nh = Array.length hd in
-  let v = slot.v in
-  for i = 0 to slot.n - 1 do
-    let x = Array.unsafe_get v i in
-    let u = entry_tid x in
-    if u <> tid then begin
-      let s = x land seq_mask in
-      if s > (if u < nh then Array.unsafe_get hd u else 0) then begin
-        found_any := true;
-        let r =
-          {
-            loc;
-            loc_name = loc_name t loc;
-            first_tid = u;
-            first_seq = s;
-            first_is_write = prior_is_write;
-            first_class = prior_class;
-            second_tid = tid;
-            second_seq = seq;
-            second_is_write = is_write;
-            second_class = cls;
-          }
-        in
-        t.found <- r :: t.found;
-        t.count <- t.count + 1;
-        Metrics.incr t.metrics "race.reports";
-        if Obs.enabled t.obs then
-          Obs.emit t.obs
-            {
-              Obs.step = seq;
-              tid;
-              kind = Obs.Race_check;
-              loc;
-              mo = "";
-              value = 0;
-              detail =
-                Printf.sprintf "%s: t%d #%d vs t%d #%d" r.loc_name u s tid seq;
-            }
-      end
-    end
-  done;
-  !found_any
+  let r =
+    {
+      loc;
+      loc_name = loc_name t loc;
+      first_tid = u;
+      first_seq = s;
+      first_is_write = prior_is_write;
+      first_class = prior_class;
+      second_tid = tid;
+      second_seq = seq;
+      second_is_write = is_write;
+      second_class = cls;
+    }
+  in
+  t.found <- r :: t.found;
+  t.count <- t.count + 1;
+  Metrics.incr t.metrics "race.reports";
+  if Obs.enabled t.obs then
+    Obs.emit t.obs
+      {
+        Obs.step = seq;
+        tid;
+        kind = Obs.Race_check;
+        loc;
+        mo = "";
+        value = 0;
+        detail = Printf.sprintf "%s: t%d #%d vs t%d #%d" r.loc_name u s tid seq;
+      }
 
-(* Check the access against one prior slot.  A top-level function, not a
-   closure over the access: it runs up to four times per access. *)
-let check t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb ~is_write
-    ~cls =
+(* Check the access against one prior slot.  It runs up to four times per
+   access, each copy specialised to its slot by inlining.  On an epoch
+   miss it scans the slot for entries unordered with [hb], reporting
+   each, ascending by tid, and installs the coverage witness on a clean
+   scan.  The scan reads the raw slot: the common miss (entry covered by
+   [hb]) is two loads and two compares per entry. *)
+let[@inline] check t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
+    ~is_write ~cls =
   if slot.cov_tid = tid then begin
     (* Same-epoch fast path: this thread's clock already covered every
        other entry and nothing foreign was written since. *)
     if t.metrics_on then Metrics.incr t.metrics "race.epoch_hits"
   end
-  else if
-    not
-      (report_conflicts t slot ~prior_is_write ~prior_class ~loc ~tid ~seq ~hb
-         ~is_write ~cls)
-  then slot.cov_tid <- tid
+  else begin
+    let clean = ref true in
+    let hd = Clockvec.raw hb in
+    let nh = Array.length hd in
+    let v = slot.v in
+    for i = 0 to slot.n - 1 do
+      let x = Array.unsafe_get v i in
+      let u = entry_tid x in
+      if u <> tid then begin
+        let s = x land seq_mask in
+        if s > (if u < nh then Array.unsafe_get hd u else 0) then begin
+          clean := false;
+          report t ~prior_is_write ~prior_class ~loc ~u ~s ~tid ~seq ~is_write
+            ~cls
+        end
+      end
+    done;
+    if !clean then slot.cov_tid <- tid
+  end
 
 (* Insert [tid]'s first entry at index [i], doubling the array when
    full.  A slot is never emptied, so [n = 0] is a class's first entry:
    a one-slot literal, with no runtime call.  Later entries open their
    slot by a loop, not a blit, which is a call even when it moves
    nothing. *)
-let insert slot i ~tid ~seq =
+let[@inline never] insert slot i ~tid ~seq =
   let n = slot.n in
   if n = 0 then slot.v <- [| entry ~tid ~seq |]
   else begin
@@ -221,7 +220,7 @@ let insert slot i ~tid ~seq =
 (* Record [tid]'s access at [seq], inserting its entry on the class's
    first access by [tid].  Entries order as their tids, so [tid]'s entry,
    if any, is the first one at or above [entry ~tid ~seq:0]. *)
-let record slot ~tid ~seq =
+let[@inline] record slot ~tid ~seq =
   let v = slot.v and n = slot.n in
   let i = Bytid.search v n (entry ~tid ~seq:0) in
   if i < n && entry_tid (Array.unsafe_get v i) = tid then
@@ -278,12 +277,20 @@ let pp_report fmt r =
     (class_to_string r.second_class)
     (rw r.second_is_write) r.second_tid r.second_seq
 
+(* The bytes of [Printf.sprintf "%s|%s%s|%s%s"] over the same pieces,
+   without interpreting a format: a campaign keys every report it
+   merges. *)
 let dedup_key r =
-  Printf.sprintf "%s|%s%s|%s%s" r.loc_name
-    (class_to_string r.first_class)
-    (rw r.first_is_write)
-    (class_to_string r.second_class)
-    (rw r.second_is_write)
+  String.concat ""
+    [
+      r.loc_name;
+      "|";
+      class_to_string r.first_class;
+      rw r.first_is_write;
+      "|";
+      class_to_string r.second_class;
+      rw r.second_is_write;
+    ]
 
 let report_to_json r =
   Jsonx.Obj

@@ -40,8 +40,10 @@ let substream base ~index =
   if index < 0 then invalid_arg "Rng.substream: index must be non-negative";
   mix64 (Int64.add base (Int64.mul golden_gamma (Int64.of_int (index + 1))))
 
-let int t bound =
-  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+let[@inline never] bad_bound () = invalid_arg "Rng.int: bound must be positive"
+
+let[@inline] int t bound =
+  if bound <= 0 then bad_bound ();
   let r = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   r mod bound
 

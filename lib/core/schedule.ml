@@ -21,7 +21,7 @@ let make_state () =
     steps = 0;
   }
 
-let note_executed st ~tid ~was_rlx_or_rel_store =
+let[@inline] note_executed st ~tid ~was_rlx_or_rel_store =
   st.last_tid <- tid;
   st.last_was_store <- was_rlx_or_rel_store
 
@@ -30,14 +30,14 @@ let note_executed st ~tid ~was_rlx_or_rel_store =
    in exactly the order the original list-based code did — the engine's
    fixed-seed determinism contract depends on that. *)
 
-let arr_mem x (arr : int array) n =
+let[@inline] arr_mem x (arr : int array) n =
   let i = ref 0 in
   while !i < n && Array.unsafe_get arr !i <> x do
     incr i
   done;
   !i < n
 
-let random_pick_n rng (enabled : int array) n =
+let[@inline] random_pick_n rng (enabled : int array) n =
   if n = 1 then enabled.(0) else enabled.(Rng.int rng n)
 
 let ensure_priorities st rng n =
@@ -48,17 +48,11 @@ let ensure_priorities st rng n =
     st.priorities <- p
   end
 
-let pick_n t st rng ~(enabled : int array) ~n ~pending_is_rlx_store =
-  if n <= 0 then invalid_arg "Schedule.pick: no enabled thread";
-  st.steps <- st.steps + 1;
+(* The policies but the default one, out of line: the engine's scheduling
+   loop inlines [pick_n]. *)
+let[@inline never] pick_other t st rng ~(enabled : int array) ~n =
   match t with
-  | Controlled_random { batch_stores } ->
-    if
-      batch_stores && st.last_was_store
-      && arr_mem st.last_tid enabled n
-      && pending_is_rlx_store st.last_tid
-    then st.last_tid
-    else random_pick_n rng enabled n
+  | Controlled_random _ -> assert false (* [pick_n] handles it *)
   | Bursty { mean_burst } ->
     if st.burst_left > 0 && arr_mem st.last_tid enabled n then begin
       st.burst_left <- st.burst_left - 1;
@@ -101,6 +95,22 @@ let pick_n t st rng ~(enabled : int array) ~n ~pending_is_rlx_store =
        done
      with Exit -> ());
     if !chosen >= 0 then !chosen else enabled.(0)
+
+let[@inline never] no_enabled () =
+  invalid_arg "Schedule.pick: no enabled thread"
+
+let[@inline] pick_n t st rng ~(enabled : int array) ~n ~pending_is_rlx_store =
+  if n <= 0 then no_enabled ();
+  st.steps <- st.steps + 1;
+  match t with
+  | Controlled_random { batch_stores } ->
+    if
+      batch_stores && st.last_was_store
+      && arr_mem st.last_tid enabled n
+      && pending_is_rlx_store st.last_tid
+    then st.last_tid
+    else random_pick_n rng enabled n
+  | Bursty _ | Priority _ | Round_robin -> pick_other t st rng ~enabled ~n
 
 let pick t st rng ~enabled ~pending_is_rlx_store =
   match enabled with

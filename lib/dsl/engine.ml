@@ -174,21 +174,24 @@ let add_condvar st =
   st.ncondvars <- st.ncondvars + 1;
   st.ncondvars - 1
 
-let mutex st m =
-  if m < 0 || m >= st.nmutexes then
-    raise (Execution.Model_error "unknown mutex");
-  st.mutexes.(m)
+let[@inline never] unknown name =
+  raise (Execution.Model_error ("unknown " ^ name))
 
-let condvar st c =
-  if c < 0 || c >= st.ncondvars then
-    raise (Execution.Model_error "unknown condition variable");
-  st.condvars.(c)
+(* [mutexes] and [condvars] hold at least [nmutexes]/[ncondvars] slots,
+   so the checked index is in bounds. *)
+let[@inline] mutex st m =
+  if m < 0 || m >= st.nmutexes then unknown "mutex";
+  Array.unsafe_get st.mutexes m
+
+let[@inline] condvar st c =
+  if c < 0 || c >= st.ncondvars then unknown "condition variable";
+  Array.unsafe_get st.condvars c
 
 (* ------------------------------------------------------------------ *)
 (* Enabledness: a thread is disabled while it waits on a held mutex, an
    unfinished thread or a condition variable (Section 3). *)
 
-let thread_enabled st th =
+let[@inline] thread_enabled st th =
   match th.status with
   | Not_started _ -> true
   | Pending (Op.Mutex_lock m, _) | Relock (m, _) ->
@@ -202,9 +205,11 @@ let thread_enabled st th =
    return how many there are — ran on every scheduling decision, so no
    per-step list, and over the unfinished threads only: a finished
    thread is never enabled, so skipping it leaves the buffer unchanged. *)
-let collect_enabled st =
-  if Array.length st.enabled_buf < st.nlive then
-    st.enabled_buf <- Array.make (2 * st.nlive) 0;
+let[@inline never] grow_enabled st =
+  st.enabled_buf <- Array.make (2 * st.nlive) 0
+
+let[@inline] collect_enabled st =
+  if Array.length st.enabled_buf < st.nlive then grow_enabled st;
   let buf = st.enabled_buf in
   let live = st.live in
   let n = ref 0 in
@@ -424,12 +429,13 @@ let record_crash st = function
     st.uncaught <- Printexc.to_string e :: st.uncaught;
     raise Abort_execution
 
-let bump_steps st =
+let[@inline never] step_limit st =
+  st.step_limit_hit <- true;
+  raise Abort_execution
+
+let[@inline] bump_steps st =
   st.steps <- st.steps + 1;
-  if st.steps > st.config.max_steps then begin
-    st.step_limit_hit <- true;
-    raise Abort_execution
-  end
+  if st.steps > st.config.max_steps then step_limit st
 
 (* ------------------------------------------------------------------ *)
 (* Inline fast path.  Non-atomic reads and writes never schedule: the
@@ -455,26 +461,26 @@ type inline_ctx = state
 let inline_ctx_key : state option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let current_inline_ctx () =
+let[@inline] current_inline_ctx () =
   match Domain.DLS.get inline_ctx_key with
   | Some st as c when st.running >= 0 -> c
   | Some _ | None -> None
 
-let inline_na_read st ~loc =
+let[@inline] inline_na_read st ~loc =
   bump_steps st;
   Execution.na_read st.exec ~tid:st.running ~loc
 
-let inline_na_write st ~loc v =
+let[@inline] inline_na_write st ~loc v =
   bump_steps st;
   Execution.na_write st.exec ~tid:st.running ~loc v
 
-let fiber_start st th body =
+let[@inline] fiber_start st th body =
   st.running <- th.tid;
   let r = Fiber.start body in
   st.running <- -1;
   r
 
-let fiber_resume st th k v =
+let[@inline] fiber_resume st th k v =
   st.running <- th.tid;
   let r = Fiber.resume k v in
   st.running <- -1;
@@ -497,21 +503,22 @@ let rec settle st th (step : Fiber.step) =
 
 (* C11obs: synchronisation operations (thread and lock traffic) trace as
    Sync events; memory accesses are emitted by {!Execution} itself. *)
-let emit_sync st ~tid detail =
-  let obs = st.exec.Execution.obs in
-  if Obs.enabled obs then
-    Obs.emit obs
-      {
-        Obs.step = st.exec.Execution.seq;
-        tid;
-        kind = Obs.Sync;
-        loc = -1;
-        mo = "";
-        value = 0;
-        detail;
-      }
+let[@inline never] emit_sync_event st ~tid detail =
+  Obs.emit st.exec.Execution.obs
+    {
+      Obs.step = st.exec.Execution.seq;
+      tid;
+      kind = Obs.Sync;
+      loc = -1;
+      mo = "";
+      value = 0;
+      detail;
+    }
 
-let sync_detail = function
+let[@inline] emit_sync st ~tid detail =
+  if st.exec.Execution.obs_on then emit_sync_event st ~tid detail
+
+let[@inline] sync_detail = function
   | Op.Spawn _ -> Some "spawn"
   | Op.Join _ -> Some "join"
   | Op.Mutex_lock _ -> Some "mutex_lock"
@@ -525,7 +532,7 @@ let sync_detail = function
     None
 
 (* Execute the chosen thread's pending scheduling-point operation. *)
-let run_thread st tid =
+let[@inline] run_thread st tid =
   let th = st.threads.(tid) in
   bump_steps st;
   match th.status with

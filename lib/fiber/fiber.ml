@@ -9,7 +9,7 @@ exception Cancelled
 
 type _ Effect.t += Visible : Op.t -> int Effect.t
 
-let perform op = Effect.perform (Visible op)
+let[@inline] perform op = Effect.perform (Visible op)
 
 let handler : (unit, step) Effect.Deep.handler =
   {
@@ -26,7 +26,7 @@ let handler : (unit, step) Effect.Deep.handler =
 
 let start f = Effect.Deep.match_with f () handler
 
-let resume k v = Effect.Deep.continue k v
+let[@inline] resume k v = Effect.Deep.continue k v
 
 let cancel k =
   match Effect.Deep.discontinue k Cancelled with

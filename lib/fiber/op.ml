@@ -23,14 +23,14 @@ type t =
   | Cond_broadcast of int
   | Yield
 
-let is_inline = function
+let[@inline] is_inline = function
   | Na_read _ | Na_write _ | Alloc _ | Mutex_create | Cond_create -> true
   | Load _ | Store _ | Rmw _ | Fence _ | Spawn _ | Join _ | Mutex_lock _
   | Mutex_trylock _ | Mutex_unlock _ | Cond_wait _ | Cond_signal _
   | Cond_broadcast _ | Yield ->
     false
 
-let is_rlx_or_rel_store = function
+let[@inline] is_rlx_or_rel_store = function
   | Store { mo; _ } ->
     (* anything below seq_cst on the store side: no acquire half, not sc *)
     not (Memorder.is_acquire mo || Memorder.is_seq_cst mo)

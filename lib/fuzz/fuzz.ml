@@ -269,10 +269,10 @@ let validate = Progir.validate
 
 let to_closure p () =
   let atomics =
-    Array.init p.p_atomic_locs (fun i -> C11.Atomic.make ~name:(Printf.sprintf "a%d" i) 0)
+    Array.init p.p_atomic_locs (fun i -> C11.Atomic.make ~name:(Progir.atomic_name i) 0)
   in
   let nas =
-    Array.init p.p_na_locs (fun i -> C11.Nonatomic.make ~name:(Printf.sprintf "n%d" i) 0)
+    Array.init p.p_na_locs (fun i -> C11.Nonatomic.make ~name:(Progir.na_name i) 0)
   in
   let mutexes = Array.init p.p_mutexes (fun _ -> C11.Mutex.create ()) in
   (* results are accumulated so loads are not dead code, but never used

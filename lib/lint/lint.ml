@@ -432,9 +432,8 @@ let analyze ?(label = "") p =
   let atomic, plain = accesses p in
   let verdicts =
     List.init p.p_atomic_locs (fun i ->
-        (Printf.sprintf "a%d" i, verdict_of atomic.(i)))
-    @ List.init p.p_na_locs (fun i ->
-          (Printf.sprintf "n%d" i, verdict_of plain.(i)))
+        (Progir.atomic_name i, verdict_of atomic.(i)))
+    @ List.init p.p_na_locs (fun i -> (Progir.na_name i, verdict_of plain.(i)))
   in
   let hits =
     overstrong_hits p atomic

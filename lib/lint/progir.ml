@@ -44,6 +44,22 @@ type program = {
   p_threads : op array array;
 }
 
+(* Location names, formatted once: every execution of a generated
+   program names its locations, and so does every analysis of one.  The
+   table covers any program the generator builds; an index past it is
+   formatted. *)
+let name_table_size = 64
+let atomic_names = Array.init name_table_size (fun i -> "a" ^ string_of_int i)
+let na_names = Array.init name_table_size (fun i -> "n" ^ string_of_int i)
+
+let atomic_name i =
+  if i >= 0 && i < name_table_size then Array.unsafe_get atomic_names i
+  else "a" ^ string_of_int i
+
+let na_name i =
+  if i >= 0 && i < name_table_size then Array.unsafe_get na_names i
+  else "n" ^ string_of_int i
+
 let op_count p =
   Array.fold_left (fun acc ops -> acc + Array.length ops) 0 p.p_threads
 

@@ -53,6 +53,14 @@ type program = {
   p_threads : op array array;
 }
 
+(** The names a program's atomic and non-atomic location [i] run under
+    (["a<i>"], ["n<i>"]): in race reports, lint verdicts and printed
+    programs.  A table for the indices generated programs use, formatted
+    past it. *)
+val atomic_name : int -> string
+
+val na_name : int -> string
+
 (** Total ops across all thread bodies. *)
 val op_count : program -> int
 

@@ -456,12 +456,11 @@ let lint_instance ~targets ~programs ~seed ~gen =
        (fun ~profile:_ ~metrics:_ ~progress ~start ~stride ->
          lint_shard ~progress ~targets:tarr ~gen ~seed ~total ~start ~stride))
     (fun shards ->
-      (* every index is analyzed exactly once, so the targets are already
-         distinct — dedup_indexed here is just the ascending-index merge *)
+      (* every index is analyzed exactly once, in one shard, so the merge
+         is the shards' results in ascending index order; a target named
+         twice is analyzed, and reported, twice *)
       let results =
-        Par.Merge.dedup_indexed
-          ~key:(fun (r : Lint.result) -> r.Lint.res_target)
-          shards
+        List.sort (fun (i, _) (j, _) -> Int.compare i j) (List.concat shards)
       in
       ( results,
         {

@@ -121,6 +121,88 @@ let prop_merge_reports_change =
       let changed = Clockvec.merge a' b in
       changed = not (Clockvec.leq b a))
 
+(* ---------- clocks of every width against an int-array model ---------- *)
+
+(* Only 4-slot clocks are copied inline; the empty clock, the 8-slot
+   literal, the generic copy, [of_slot] past tid 3 and every growth take
+   the out-of-line paths, so the widths here run past 32. *)
+let max_width = 40
+
+let mget m i = if i < Array.length m then m.(i) else 0
+
+(* Slot by slot against the model, past the widest clock. *)
+let agrees cv m =
+  let ok = ref true in
+  for i = 0 to max_width + 8 do
+    if Clockvec.get cv i <> mget m i then ok := false
+  done;
+  !ok
+
+(* A clock of [Array.length m] slots: by [set] over every slot, or by
+   [of_slot] for the last slot and [set] for the others. *)
+let build (by_slot, m) =
+  let n = Array.length m in
+  let cv =
+    if by_slot && n > 0 then Clockvec.of_slot ~tid:(n - 1) ~seq:m.(n - 1)
+    else Clockvec.bottom ()
+  in
+  Array.iteri
+    (fun i v -> if not (by_slot && i = n - 1) then Clockvec.set cv i v)
+    m;
+  cv
+
+let arb_model =
+  QCheck.make
+    ~print:(fun (by_slot, m) ->
+      Printf.sprintf "%s [%s]"
+        (if by_slot then "of_slot" else "set")
+        (String.concat "; " (Array.to_list (Array.map string_of_int m))))
+    QCheck.Gen.(
+      pair bool
+        (map Array.of_list
+           (list_size (int_range 0 max_width)
+              (frequency [ (2, return 0); (3, int_range 1 30) ]))))
+
+let test_of_slot_every_tid () =
+  for tid = 0 to max_width do
+    let cv = Clockvec.of_slot ~tid ~seq:(tid + 7) in
+    let m = Array.make (tid + 1) 0 in
+    m.(tid) <- tid + 7;
+    check (Printf.sprintf "of_slot ~tid:%d" tid) true (agrees cv m)
+  done
+
+let prop_get_set_copy =
+  QCheck.Test.make ~name:"get/set/copy agree with the model at any width"
+    ~count:300
+    (QCheck.triple arb_model (QCheck.int_range 0 max_width) (QCheck.int_range 1 50))
+    (fun (spec, j, v) ->
+      let m = snd spec in
+      let cv = build spec in
+      let c = Clockvec.copy cv in
+      Clockvec.set c j v;
+      let m' =
+        Array.init (max (Array.length m) (j + 1)) (fun i -> if i = j then v else mget m i)
+      in
+      agrees cv m && agrees c m')
+
+let prop_merge_leq_union =
+  QCheck.Test.make ~name:"merge/leq/union agree with the model at any width"
+    ~count:300
+    (QCheck.pair arb_model arb_model)
+    (fun (sa, sb) ->
+      let ma = snd sa and mb = snd sb in
+      let a = build sa and b = build sb in
+      let w = max (Array.length ma) (Array.length mb) in
+      let mmax = Array.init w (fun i -> max (mget ma i) (mget mb i)) in
+      let model_leq = List.for_all (fun i -> mget ma i <= mget mb i) (List.init w Fun.id) in
+      let model_grows = List.exists (fun i -> mget mb i > mget ma i) (List.init w Fun.id) in
+      let u = Clockvec.union a b in
+      let a' = Clockvec.copy a in
+      let changed = Clockvec.merge a' b in
+      Clockvec.leq a b = model_leq
+      && agrees u mmax && agrees a' mmax && changed = model_grows
+      && agrees a ma && agrees b mb)
+
 let suite =
   [
     Alcotest.test_case "bottom" `Quick test_bottom;
@@ -132,6 +214,7 @@ let suite =
     Alcotest.test_case "intersect" `Quick test_intersect;
     Alcotest.test_case "covers" `Quick test_covers;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
+    Alcotest.test_case "of_slot at every tid to 40" `Quick test_of_slot_every_tid;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -141,4 +224,6 @@ let suite =
         prop_leq_partial_order;
         prop_merge_equals_union;
         prop_merge_reports_change;
+        prop_get_set_copy;
+        prop_merge_leq_union;
       ]

@@ -308,6 +308,42 @@ let test_parallel_parity () =
       check_bool (Printf.sprintf "-j %d byte-identical" jobs) true (s1 = sn))
     [ 2; 4 ]
 
+(* The precomputed location names are the strings [Printf] would format,
+   inside the table and past it: race reports, lint verdicts, corpus
+   files and fuzz report digests all carry them. *)
+let test_location_names () =
+  for i = 0 to 40 do
+    Alcotest.(check string) "atomic name" (Printf.sprintf "a%d" i) (Progir.atomic_name i);
+    Alcotest.(check string) "na name" (Printf.sprintf "n%d" i) (Progir.na_name i)
+  done;
+  List.iter
+    (fun i ->
+      Alcotest.(check string) "atomic name past the table" (Printf.sprintf "a%d" i)
+        (Progir.atomic_name i);
+      Alcotest.(check string) "na name past the table" (Printf.sprintf "n%d" i)
+        (Progir.na_name i))
+    [ 63; 64; 65; 1000 ]
+
+(* A target named twice is analyzed twice and reported twice, in the
+   order given, at every -j. *)
+let test_repeated_target () =
+  let targets = [ "mp_relaxed"; "mp_relaxed"; "sb_sc" ] in
+  List.iter
+    (fun jobs ->
+      match
+        Svc.run ~jobs
+          (Svc.lint_instance ~targets ~programs:0 ~seed:7L
+             ~gen:Fuzz.default_gen_cfg)
+      with
+      | Ok (results, _) ->
+        check_bool
+          (Printf.sprintf "-j %d: three results in index order" jobs)
+          true
+          (List.map (fun (i, r) -> (i, r.Lint.res_target)) results
+          = [ (0, "mp_relaxed"); (1, "mp_relaxed"); (2, "sb_sc") ])
+      | Error msg -> Alcotest.fail msg)
+    [ 1; 2 ]
+
 (* ---------- the soundness property (the differential headline) ------- *)
 
 (* >= 1k programs across all four profiles: a statically race-free
@@ -379,6 +415,8 @@ let suite =
     ("c11lint-v1 round trip", `Quick, test_ndjson_roundtrip);
     ("c11lint-v1 rejects malformed", `Quick, test_ndjson_rejects_malformed);
     ("merge parity across jobs", `Quick, test_parallel_parity);
+    ("repeated target analyzed twice", `Quick, test_repeated_target);
+    ("location names match Printf", `Quick, test_location_names);
     ("lint-unsound finding kind", `Quick, test_lint_unsound_kind);
     QCheck_alcotest.to_alcotest prop_lint_sound;
   ]

@@ -210,6 +210,102 @@ let prop_sparse_matches_dense =
         history;
       Race.races sparse = Dense.races dense)
 
+(* ---------- report keys against their Printf reference ---------- *)
+
+(* The format [Race.dedup_key] and the unnamed-location fallback used
+   before they were assembled by concatenation; the bytes must not move,
+   since campaign reports and cached shards are keyed by them. *)
+let printf_key r =
+  let cls = function Race.Na_access -> "na" | Race.Atomic_access -> "atomic" in
+  let rw b = if b then "write" else "read" in
+  Printf.sprintf "%s|%s%s|%s%s" r.Race.loc_name (cls r.Race.first_class)
+    (rw r.Race.first_is_write) (cls r.Race.second_class) (rw r.Race.second_is_write)
+
+let gen_report =
+  QCheck.Gen.(
+    let cls = oneofl [ Race.Na_access; Race.Atomic_access ] in
+    (* names with format directives, the key's separator and bytes past
+       ASCII, next to plain ones *)
+    let name =
+      oneof
+        [
+          oneofl [ ""; "x"; "%d"; "%s|%%"; "a|b"; "\xc3\xa9t\xc3\xa9"; "\xff\x00|" ];
+          string_size
+            ~gen:(oneofl [ 'a'; '%'; '|'; 's'; '\xe2'; '\x82'; '\xac' ])
+            (int_range 0 12);
+          map (Printf.sprintf "loc%d") (int_range (-3) 100_000);
+        ]
+    in
+    map
+      (fun ((loc_name, c1, w1), (c2, w2)) ->
+        {
+          Race.loc = 0;
+          loc_name;
+          first_tid = 0;
+          first_seq = 1;
+          first_is_write = w1;
+          first_class = c1;
+          second_tid = 1;
+          second_seq = 2;
+          second_is_write = w2;
+          second_class = c2;
+        })
+      (pair (triple name cls bool) (pair cls bool)))
+
+let prop_dedup_key_printf =
+  QCheck.Test.make ~name:"dedup_key matches its Printf reference" ~count:500
+    (QCheck.make ~print:(fun r -> String.escaped (printf_key r)) gen_report)
+    (fun r -> Race.dedup_key r = printf_key r)
+
+(* Every class and read/write combination of both sides, over names with
+   the separator, a directive and non-ASCII bytes. *)
+let test_dedup_key_combinations () =
+  let classes = [ Race.Na_access; Race.Atomic_access ] and bools = [ false; true ] in
+  List.iter
+    (fun loc_name ->
+      List.iter
+        (fun c1 ->
+          List.iter
+            (fun w1 ->
+              List.iter
+                (fun c2 ->
+                  List.iter
+                    (fun w2 ->
+                      let r =
+                        {
+                          Race.loc = 3;
+                          loc_name;
+                          first_tid = 0;
+                          first_seq = 1;
+                          first_is_write = w1;
+                          first_class = c1;
+                          second_tid = 1;
+                          second_seq = 2;
+                          second_is_write = w2;
+                          second_class = c2;
+                        }
+                      in
+                      Alcotest.(check string) "key" (printf_key r) (Race.dedup_key r))
+                    bools)
+                classes)
+            bools)
+        classes)
+    [ "flag"; "a|b"; "100%"; "%s%d"; "caf\xc3\xa9" ]
+
+(* A location without a name reports as [loc<n>], as [Printf "loc%d"]. *)
+let test_unnamed_location_name () =
+  List.iter
+    (fun loc ->
+      let t = Race.create () in
+      access t ~loc ~tid:0 ~seq:1 ~hb:(cv [ 1 ]) ~w:true ();
+      access t ~loc ~tid:1 ~seq:2 ~hb:(cv [ 0; 2 ]) ~w:true ();
+      match Race.races t with
+      | [ r ] ->
+        Alcotest.(check string) "fallback name" (Printf.sprintf "loc%d" loc)
+          r.Race.loc_name
+      | _ -> Alcotest.fail "expected exactly one race")
+    [ 0; 1; 9; 10; 15; 16; 17; 99; 1000 ]
+
 let suite =
   [
     Alcotest.test_case "unordered writes race" `Quick test_unordered_write_write;
@@ -223,5 +319,9 @@ let suite =
     Alcotest.test_case "same thread" `Quick test_same_thread_never_races;
     Alcotest.test_case "report contents" `Quick test_report_contents;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "dedup_key class combinations" `Quick
+      test_dedup_key_combinations;
+    Alcotest.test_case "unnamed location name" `Quick test_unnamed_location_name;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_sparse_matches_dense ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_sparse_matches_dense; prop_dedup_key_printf ]
