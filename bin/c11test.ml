@@ -210,7 +210,11 @@ let trace_out_arg =
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let profile_arg =
-  let doc = "Time the engine's hot phases and print a profile table." in
+  let doc =
+    "Time the engine's hot phases and print a profile table; with \
+     certification on, also how many locations the certifier checked and \
+     how many its pair-by-pair pass explained."
+  in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
 let certify_arg =
@@ -410,7 +414,8 @@ let run_cmd =
           || progress = Some "-"
         in
         let metrics =
-          if json <> None then Metrics.create () else Metrics.null
+          if json <> None || profile_flag then Metrics.create ()
+          else Metrics.null
         in
         let profile =
           if profile_flag || json <> None then Profile.create ()
@@ -456,8 +461,15 @@ let run_cmd =
                 events
             end
         end;
-        if profile_flag && not quiet then
+        if profile_flag && not quiet then begin
           Format.printf "@.%a@." Profile.pp_table profile;
+          (* counted in process only: worker processes return no metrics *)
+          if certify && workers = None && cache = None then
+            Format.printf
+              "certify: %d locations checked, %d explained by the pair pass@."
+              (Metrics.counter_value metrics "certify.locations")
+              (Metrics.counter_value metrics "certify.locations_explained")
+        end;
         (match json with
         | None -> ()
         | Some path ->
@@ -553,6 +565,20 @@ let litmus_cmd =
   Cmd.v
     (Cmd.info "litmus" ~doc:"Explore the outcome histogram of a litmus test")
     term
+
+(* [fuzz]'s and [lint]'s generator flags: a generated program must stay
+   inside Progir's bounds.  Prints what is wrong. *)
+let bad_gen_size ~programs ~ops ~threads =
+  if programs < 0 || ops < 1 || threads < 1 then begin
+    Printf.eprintf "--programs must be >= 0, --ops and --threads >= 1\n";
+    true
+  end
+  else if ops > Progir.max_ops || threads >= Progir.max_threads then begin
+    Printf.eprintf "--ops must be <= %d and --threads <= %d\n" Progir.max_ops
+      (Progir.max_threads - 1);
+    true
+  end
+  else false
 
 let fuzz_cmd =
   let programs_arg =
@@ -654,10 +680,7 @@ let fuzz_cmd =
       | Ok mutation ->
         with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
         with_corpus corpus_spec @@ fun corpus ->
-        if programs < 0 || ops < 1 || threads < 1 then begin
-          Printf.eprintf "--programs must be >= 0, --ops and --threads >= 1\n";
-          2
-        end
+        if bad_gen_size ~programs ~ops ~threads then 2
         else if mutate_pct < 0 || mutate_pct > 100 || round < 1 then begin
           Printf.eprintf
             "--mutate-pct must be in [0, 100] and --round positive\n";
@@ -925,10 +948,7 @@ let lint_cmd =
         Printf.eprintf "unknown lint target %S; try `c11test list'\n" t;
         2
       | None ->
-        if programs < 0 || ops < 1 || threads < 1 then begin
-          Printf.eprintf "--programs must be >= 0, --ops and --threads >= 1\n";
-          2
-        end
+        if bad_gen_size ~programs ~ops ~threads then 2
         else begin
           with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
           let targets =

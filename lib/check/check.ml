@@ -407,21 +407,46 @@ let check_rf_wf c =
     c.trace
 
 (* Per-location mo-graph families: coherence (cycle, CoWW, CoWR) and the
-   Theorem-1 differential, over one dense view of the location.  The
-   view holds the location's actions (ascending seq) with their
-   certified clocks, write <-> action index maps, the writes' live graph
-   nodes, mo reachability between the location's writes as a w×w bitset,
-   and the union relation as linked adjacency lists in flat arrays.
-   Every pair check is an array read, and all of it lives in one scratch
+   Theorem-1 differential.  Each location is first decided over bit rows
+   (see [decide] below); only a location the decision rejects runs the
+   pair-by-pair pass [check_location], which explains the rejection.
+
+   The pair pass works over one dense view of the location.  The view
+   holds the location's actions (ascending seq) with their certified
+   clocks, write <-> action index maps, the writes' live graph nodes, mo
+   reachability between the location's writes as a w×w bitset, and the
+   union relation as linked adjacency lists in flat arrays.  Every pair
+   check is an array read.  Both passes keep their buffers in one scratch
    per domain that grows to the largest location seen and is reused for
-   the next: checking a location allocates nothing but its
-   violations. *)
+   the next: checking a location allocates nothing but its violations. *)
 type scratch = {
-  mutable acts : Action.t array;
-      (** actions grouped by location, ascending seq within a group *)
-  mutable clk : int array array;  (** their certified clocks, [||] if none *)
+  mutable idx : int array;
+      (** window indices grouped by location, ascending within a group *)
   mutable lstart : int array;  (** grouping: loc -> end of its group *)
-  mutable grouped : int;  (** [acts.(0 .. grouped - 1)] are in use *)
+  (* the decision's rows, over a view of n actions in (n + 62) / 63 words
+     per row (see [decide]) *)
+  mutable vseq : int array;  (** view action -> seq *)
+  mutable vtid : int array;  (** view action -> tid *)
+  mutable vlive : int array;  (** the view's live writes, ascending *)
+  mutable vrf : int array;
+      (** view action -> its same-location store's view index, -1 if
+          outside the view, -2 if none *)
+  mutable wmask : int array;  (** one row: the view's writes *)
+  mutable live : int array;  (** one row: the writes with a live node *)
+  mutable cowr : int array;  (** one row: the reads CoWR constrains *)
+  mutable searched : int array;  (** one row: writes whose search is done *)
+  mutable rel : int array;
+      (** rows: certified-hb predecessors, then those of the union *)
+  mutable mo_rows : int array;  (** rows: mo successors, by graph search *)
+  mutable mo_pred : int array;  (** rows: mo predecessors *)
+  mutable row : int array;  (** one row: clock-vector reachability *)
+  mutable white : int array;  (** one row: cycle search, not yet visited *)
+  mutable gray : int array;  (** one row: cycle search, on the path *)
+  mutable stack : int array;  (** cycle search path *)
+  (* the pair pass's view *)
+  mutable acts : Action.t array;
+      (** the explained location's actions, ascending seq; cleared after *)
+  mutable clk : int array array;  (** their certified clocks, [||] if none *)
   mutable off : int;  (** the view is [acts.(off .. off + n - 1)] *)
   mutable n : int;
   mutable wof : int array;  (** view action -> write index, or -1 *)
@@ -430,7 +455,9 @@ type scratch = {
   mutable wnode : Mograph.node array;
       (** write -> its live graph node, or [Mograph.absent] *)
   mutable reach : Bytes.t;  (** bit [i * nw + j]: write i -mo->⁺ write j *)
-  mutable stamp : int array;  (** write -> last traversal (1-based) to meet it *)
+  mutable stamp : int array;
+      (** write (view action, in the decision) -> last traversal
+          (1-based) to meet it *)
   other : (int, int) Hashtbl.t;
       (** the same for a node outside the view (a retired write), by seq *)
   mutable head : int array;  (** view action -> its newest out-edge, or -1 *)
@@ -446,10 +473,25 @@ let no_action = Mograph.absent.Mograph.action
 
 let new_scratch () =
   {
+    idx = [||];
+    lstart = [||];
+    vseq = [||];
+    vtid = [||];
+    vlive = [||];
+    vrf = [||];
+    wmask = [||];
+    live = [||];
+    cowr = [||];
+    searched = [||];
+    rel = [||];
+    mo_rows = [||];
+    mo_pred = [||];
+    row = [||];
+    white = [||];
+    gray = [||];
+    stack = [||];
     acts = [||];
     clk = [||];
-    lstart = [||];
-    grouped = 0;
     off = 0;
     n = 0;
     wof = [||];
@@ -477,6 +519,7 @@ let oversized sc =
   Array.length sc.acts > 4096
   || Array.length sc.edst > 65536
   || Bytes.length sc.reach > 65536
+  || Array.length sc.rel > 65536
 
 (* [a] if it holds [n] ints, else a larger copy *)
 let ints a n =
@@ -488,20 +531,22 @@ let ints a n =
     b
   end
 
-(* Group [n] actions (with their clocks) by location into the scratch,
-   keeping their order within a location; fences (loc -1) are left out.
-   Afterwards location [l]'s group is [acts.(lstart.(l-1) .. lstart.(l) -
+(* Group the indices of [n] actions by location into [sc.idx], keeping
+   their order within a location; fences (loc -1) are left out.
+   Afterwards location [l]'s group is [idx.(lstart.(l-1) .. lstart.(l) -
    1)] (from 0 for [l = 0]).  Returns the number of location slots. *)
-let group_by_loc sc (acts : Action.t array) (clks : int array array) n =
+let group_by_loc sc (acts : Action.t array) n =
   let nloc = ref 0 in
   for i = 0 to n - 1 do
     let l = acts.(i).Action.loc in
     if l >= !nloc then nloc := l + 1
   done;
   let nloc = !nloc in
-  let ls = ints sc.lstart (nloc + 1) in
-  sc.lstart <- ls;
-  Array.fill ls 0 (nloc + 1) 0;
+  if Array.length sc.lstart <= nloc then sc.lstart <- ints sc.lstart (nloc + 1);
+  let ls = sc.lstart in
+  for l = 0 to nloc do
+    ls.(l) <- 0
+  done;
   (* counts at l + 1, prefix sums: ls.(l) = start of l's group *)
   for i = 0 to n - 1 do
     let l = acts.(i).Action.loc in
@@ -510,32 +555,18 @@ let group_by_loc sc (acts : Action.t array) (clks : int array array) n =
   for l = 1 to nloc do
     ls.(l) <- ls.(l) + ls.(l - 1)
   done;
-  if Array.length sc.acts < n then begin
-    let cap = max n (2 * Array.length sc.acts) in
-    sc.acts <- Array.make cap no_action;
-    sc.clk <- Array.make cap [||]
-  end;
+  if Array.length sc.idx < n then sc.idx <- ints sc.idx n;
+  let idx = sc.idx in
   (* scatter: ls.(l) advances from l's start to its end *)
   for i = 0 to n - 1 do
-    let a = acts.(i) in
-    let l = a.Action.loc in
+    let l = acts.(i).Action.loc in
     if l >= 0 then begin
       let p = ls.(l) in
-      sc.acts.(p) <- a;
-      sc.clk.(p) <- clks.(i);
+      idx.(p) <- i;
       ls.(l) <- p + 1
     end
   done;
-  sc.grouped <- (if nloc > 0 then ls.(nloc - 1) else 0);
   nloc
-
-(* Drop the references the scratch holds into the execution, and the
-   scratch itself if it grew large. *)
-let release_scratch sc =
-  Array.fill sc.acts 0 sc.grouped no_action;
-  Array.fill sc.clk 0 sc.grouped [||];
-  sc.grouped <- 0;
-  if oversized sc then Domain.DLS.set scratch_key (new_scratch ())
 
 (* index within the view of the action with this seq, or -1 *)
 let act_index sc seq =
@@ -830,22 +861,423 @@ let check_location sc ~graph ~graph_exact ~loc ~off ~n found =
   Array.fill sc.wnode 0 nw Mograph.absent;
   !found
 
+(* The pair pass over one location of [acts]: its actions and clocks are
+   copied into the view [check_location] reads, and the copies dropped
+   afterwards so the scratch keeps nothing of the execution. *)
+let explain sc ~graph ~graph_exact ~loc (acts : Action.t array) clks ~off ~n
+    found =
+  if Array.length sc.acts < n then begin
+    let cap = max n (2 * Array.length sc.acts) in
+    sc.acts <- Array.make cap no_action;
+    sc.clk <- Array.make cap [||]
+  end;
+  for k = 0 to n - 1 do
+    let i = sc.idx.(off + k) in
+    sc.acts.(k) <- acts.(i);
+    sc.clk.(k) <- clks.(i)
+  done;
+  let found = check_location sc ~graph ~graph_exact ~loc ~off:0 ~n found in
+  Array.fill sc.acts 0 n no_action;
+  Array.fill sc.clk 0 n [||];
+  found
+
+(* ------------------------------------------------------------------ *)
+(* The per-location decision.
+
+   [decide] answers, exactly, whether [check_location] would report
+   anything for a location, without building its adjacency lists or
+   visiting pairs one at a time.  A relation over the location's view of
+   n actions is a matrix of bit rows: row [i] holds the actions [i]
+   relates to, in [(n + 62) / 63] words of 63 bits, so one code path
+   serves every view size.  The rows are
+
+   - [rel]: certified-hb predecessors, read off the view's clocks;
+   - [mo_rows] and [mo_pred]: mo successors and predecessors among the
+     view's writes, by explicit search of the final mo-graph (edges and
+     rmw links, never clock vectors, so Theorem 1 is still checked
+     against an independent computation);
+   - [live] and [wmask]: one row each, the writes with a live node and
+     all writes.
+
+   CoWW, CoWR and Theorem 1 are then row comparisons, and the coherence
+   cycle is a search for a cycle in the union, built in [rel] as
+   predecessor rows (the reversed union has a cycle exactly when the
+   union has).  Every part follows [check_location]'s definition to the
+   letter: the same view lookup for a seq, the same live-node tests, the
+   same excluded pairs. *)
+
+let word_bits = 63
+
+let[@inline] set_bit rows nwd i j =
+  let w = (i * nwd) + (j / word_bits) in
+  rows.(w) <- rows.(w) lor (1 lsl (j mod word_bits))
+
+let[@inline] has_bit rows nwd i j =
+  rows.((i * nwd) + (j / word_bits)) land (1 lsl (j mod word_bits)) <> 0
+
+(* index of the lowest set bit of a non-zero word *)
+let lowest_bit x =
+  let b = ref 0 and x = ref x in
+  if !x land 0xFFFFFFFF = 0 then begin
+    b := 32;
+    x := !x lsr 32
+  end;
+  if !x land 0xFFFF = 0 then begin
+    b := !b + 16;
+    x := !x lsr 16
+  end;
+  if !x land 0xFF = 0 then begin
+    b := !b + 8;
+    x := !x lsr 8
+  end;
+  if !x land 0xF = 0 then begin
+    b := !b + 4;
+    x := !x lsr 4
+  end;
+  if !x land 0x3 = 0 then begin
+    b := !b + 2;
+    x := !x lsr 2
+  end;
+  if !x land 0x1 = 0 then !b + 1 else !b
+
+(* view index of the action with this seq, or -1: [act_index]'s search *)
+let view_index sc n seq =
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if sc.vseq.(mid) < seq then lo := mid + 1 else hi := mid
+  done;
+  if n > 0 && sc.vseq.(!lo) = seq then !lo else -1
+
+(* [reach_from] over rows: the search from the live write [k] sets the
+   bits of the view writes it meets in [k]'s mo row.  It does not enter a
+   view write whose own search has finished: that write's row already
+   holds every view write past it. *)
+let rec row_reach sc ~n ~nwd k (node : Mograph.node) =
+  let seq = node.Mograph.action.Action.seq in
+  let j = view_index sc n seq in
+  let j = if j >= 0 && has_bit sc.wmask 0 0 j then j else -1 in
+  let fresh =
+    if j >= 0 then sc.stamp.(j) <> k + 1
+    else
+      match Hashtbl.find sc.other seq with
+      | t -> t <> k + 1
+      | exception Not_found -> true
+  in
+  if fresh then begin
+    if j >= 0 then begin
+      sc.stamp.(j) <- k + 1;
+      if j <> k then set_bit sc.mo_rows nwd k j
+    end
+    else Hashtbl.replace sc.other seq (k + 1);
+    if j >= 0 && j <> k && has_bit sc.searched 0 0 j then
+      for w = 0 to nwd - 1 do
+        let c = (k * nwd) + w in
+        sc.mo_rows.(c) <- sc.mo_rows.(c) lor sc.mo_rows.((j * nwd) + w)
+      done
+    else begin
+      for e = 0 to node.Mograph.nedges - 1 do
+        row_reach sc ~n ~nwd k node.Mograph.edges.(e)
+      done;
+      match node.Mograph.rmw with
+      | Some r -> row_reach sc ~n ~nwd k r
+      | None -> ()
+    end
+  end
+
+(* Push [u] onto the cycle search's path: it is visited, and on the path
+   until popped.  True when one of its successors is already on the
+   path, or is [u] itself. *)
+let push_path sc ~nwd depth u =
+  let w = u / word_bits and bit = 1 lsl (u mod word_bits) in
+  sc.white.(w) <- sc.white.(w) land lnot bit;
+  sc.gray.(w) <- sc.gray.(w) lor bit;
+  sc.stack.(depth) <- u;
+  let back = ref false in
+  for w = 0 to nwd - 1 do
+    if sc.rel.((u * nwd) + w) land sc.gray.(w) <> 0 then back := true
+  done;
+  !back
+
+(* Depth-first search over [rel] for a cycle.  A node's successors are
+   tested against the path once, when it is pushed: while it is the top
+   of the stack the path does not change, so every back edge is seen. *)
+let has_cycle sc ~n ~nwd =
+  let rel = sc.rel and white = sc.white and gray = sc.gray in
+  for w = 0 to nwd - 1 do
+    let m = n - (w * word_bits) in
+    white.(w) <- (if m >= word_bits then -1 else (1 lsl m) - 1);
+    gray.(w) <- 0
+  done;
+  let found = ref false and depth = ref 0 and root = ref 0 in
+  while (not !found) && !root < n do
+    if has_bit white 0 0 !root then begin
+      found := push_path sc ~nwd 0 !root;
+      depth := 1;
+      while (not !found) && !depth > 0 do
+        let v = sc.stack.(!depth - 1) in
+        (* its first successor not yet visited *)
+        let u = ref (-1) and w = ref 0 in
+        while !u < 0 && !w < nwd do
+          let x = rel.((v * nwd) + !w) land white.(!w) in
+          if x <> 0 then u := (!w * word_bits) + lowest_bit x;
+          incr w
+        done;
+        if !u >= 0 then begin
+          found := push_path sc ~nwd !depth !u;
+          incr depth
+        end
+        else begin
+          let w = v / word_bits in
+          gray.(w) <- gray.(w) land lnot (1 lsl (v mod word_bits));
+          decr depth
+        end
+      done
+    end;
+    incr root
+  done;
+  !found
+
+(* Size the decision's buffers for a view of [n] actions in rows of [nwd]
+   words.  They only grow, so a view no larger than the last writes no
+   field. *)
+let size_rows sc ~n ~nwd =
+  if Array.length sc.vseq < n then begin
+    sc.vseq <- ints sc.vseq n;
+    sc.vtid <- ints sc.vtid n;
+    sc.vlive <- ints sc.vlive n;
+    sc.vrf <- ints sc.vrf n;
+    sc.stack <- ints sc.stack n
+  end;
+  if Array.length sc.stamp < n then sc.stamp <- ints sc.stamp n;
+  if Array.length sc.live < nwd then begin
+    sc.wmask <- ints sc.wmask nwd;
+    sc.live <- ints sc.live nwd;
+    sc.cowr <- ints sc.cowr nwd;
+    sc.searched <- ints sc.searched nwd;
+    sc.row <- ints sc.row nwd;
+    sc.white <- ints sc.white nwd;
+    sc.gray <- ints sc.gray nwd
+  end;
+  let cells = n * nwd in
+  if Array.length sc.rel < cells then begin
+    sc.rel <- ints sc.rel cells;
+    sc.mo_rows <- ints sc.mo_rows cells;
+    sc.mo_pred <- ints sc.mo_pred cells
+  end
+
+(* Read the view's actions: seqs, tids, the write rows and the live
+   writes, then each read's same-location store (its view index, -1
+   outside the view, -2 for none) and the reads CoWR constrains.  Returns
+   the number of live writes. *)
+let read_view sc ~graph ~graph_exact (acts : Action.t array) ~off ~n ~nwd =
+  for w = 0 to nwd - 1 do
+    sc.wmask.(w) <- 0;
+    sc.live.(w) <- 0;
+    sc.cowr.(w) <- 0
+  done;
+  let nlive = ref 0 in
+  for k = 0 to n - 1 do
+    let a = acts.(sc.idx.(off + k)) in
+    sc.vseq.(k) <- a.Action.seq;
+    sc.vtid.(k) <- a.Action.tid;
+    sc.stamp.(k) <- 0;
+    if Action.is_write a then begin
+      set_bit sc.wmask 0 0 k;
+      if Mograph.live_node graph a != Mograph.absent then begin
+        set_bit sc.live 0 0 k;
+        sc.vlive.(!nlive) <- k;
+        incr nlive
+      end
+    end
+  done;
+  for k = 0 to n - 1 do
+    let a = acts.(sc.idx.(off + k)) in
+    sc.vrf.(k) <- -2;
+    if Action.is_read a then
+      match a.rf with
+      | Some s when s.loc = a.loc ->
+        sc.vrf.(k) <- view_index sc n s.seq;
+        if graph_exact && Mograph.live_node graph s != Mograph.absent then
+          set_bit sc.cowr 0 0 k
+      | Some _ | None -> ()
+  done;
+  !nlive
+
+(* One word of a certified-hb predecessor row: bit [i - lo] is set when
+   [bc], the clock of the row's action, covers view action [i], for [i]
+   in [lo .. hi].  No branch depends on the pair. *)
+let hb_word sc (bc : int array) lo hi =
+  let len = Array.length bc in
+  let acc = ref 0 in
+  for i = hi downto lo do
+    let t = sc.vtid.(i) in
+    let covered = if t < len then Bool.to_int (bc.(t) >= sc.vseq.(i)) else 0 in
+    acc := (!acc lsl 1) lor covered
+  done;
+  !acc
+
+(* [rel]: each view action's certified-hb predecessors, itself left out *)
+let hb_rows sc (clks : int array array) ~off ~n ~nwd =
+  for j = 0 to n - 1 do
+    let bc = clks.(sc.idx.(off + j)) in
+    for w = 0 to nwd - 1 do
+      let lo = w * word_bits in
+      let hi = if n <= lo + word_bits then n - 1 else lo + word_bits - 1 in
+      sc.rel.((j * nwd) + w) <- hb_word sc bc lo hi
+    done;
+    let c = (j * nwd) + (j / word_bits) in
+    sc.rel.(c) <- sc.rel.(c) land lnot (1 lsl (j mod word_bits))
+  done
+
+(* [mo_rows] by search, later writes first (the mo successors of a write
+   are mostly later writes, whose rows are then complete), and
+   [mo_pred] as their transpose *)
+let search_mo sc ~graph (acts : Action.t array) ~off ~n ~nwd =
+  for c = 0 to (n * nwd) - 1 do
+    sc.mo_rows.(c) <- 0;
+    sc.mo_pred.(c) <- 0
+  done;
+  for w = 0 to nwd - 1 do
+    sc.searched.(w) <- 0
+  done;
+  if Hashtbl.length sc.other > 0 then Hashtbl.clear sc.other;
+  for k = n - 1 downto 0 do
+    if has_bit sc.live 0 0 k then begin
+      row_reach sc ~n ~nwd k (Mograph.live_node graph acts.(sc.idx.(off + k)));
+      (* a cycle back to [k] brings its own bit in through a finished row *)
+      let c = (k * nwd) + (k / word_bits) in
+      sc.mo_rows.(c) <- sc.mo_rows.(c) land lnot (1 lsl (k mod word_bits));
+      set_bit sc.searched 0 0 k;
+      for w = 0 to nwd - 1 do
+        let x = ref sc.mo_rows.((k * nwd) + w) in
+        while !x <> 0 do
+          set_bit sc.mo_pred nwd ((w * word_bits) + lowest_bit !x) k;
+          x := !x land (!x - 1)
+        done
+      done
+    end
+  done
+
+(* CoWW and CoWR as row comparisons over [rel], [mo_pred] and [live] *)
+let completeness_ok sc ~n ~nwd =
+  let rel = sc.rel and live = sc.live and mo_pred = sc.mo_pred in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < n do
+    let r = !k * nwd in
+    (* CoWW: a live write's live hb-predecessors are mo-predecessors *)
+    if has_bit live 0 0 !k then
+      for w = 0 to nwd - 1 do
+        if rel.(r + w) land live.(w) land lnot mo_pred.(r + w) <> 0 then
+          ok := false
+      done;
+    (* CoWR: a read's live hb-predecessors, other than its store, are
+       mo-predecessors of that store (of nothing, if it is not a view
+       write) *)
+    if has_bit sc.cowr 0 0 !k then begin
+      let si = sc.vrf.(!k) in
+      for w = 0 to nwd - 1 do
+        let x = rel.(r + w) land live.(w) in
+        let x =
+          if si < 0 then x
+          else
+            x land lnot mo_pred.((si * nwd) + w)
+            land
+            if si / word_bits = w then lnot (1 lsl (si mod word_bits))
+            else -1
+        in
+        if x <> 0 then ok := false
+      done
+    end;
+    incr k
+  done;
+  !ok
+
+(* Theorem 1: each live write's clock-vector reachability row, over the
+   live writes, equals its searched mo row *)
+let theorem1_ok sc ~graph (acts : Action.t array) ~off ~nwd ~nlive =
+  let row = sc.row and vlive = sc.vlive in
+  let ok = ref true and x = ref 0 in
+  while !ok && !x < nlive do
+    let a = vlive.(!x) in
+    let wa = acts.(sc.idx.(off + a)) in
+    for w = 0 to nwd - 1 do
+      row.(w) <- 0
+    done;
+    for y = 0 to nlive - 1 do
+      let b = vlive.(y) in
+      if b <> a && Mograph.reaches graph wa acts.(sc.idx.(off + b)) then
+        set_bit row 0 0 b
+    done;
+    for w = 0 to nwd - 1 do
+      if row.(w) <> sc.mo_rows.((a * nwd) + w) land sc.live.(w) then ok := false
+    done;
+    incr x
+  done;
+  !ok
+
+(* Turn [rel] into the predecessor rows of the union: hb is there; add
+   mo, then for each read the rf edge from its store and the fr edges to
+   the store's mo successors *)
+let union_rows sc ~n ~nwd =
+  let rel = sc.rel in
+  for c = 0 to (n * nwd) - 1 do
+    rel.(c) <- rel.(c) lor sc.mo_pred.(c)
+  done;
+  for r = 0 to n - 1 do
+    let si = sc.vrf.(r) in
+    if si >= 0 then begin
+      set_bit rel nwd r si;
+      for w = 0 to nwd - 1 do
+        let x = ref sc.mo_rows.((si * nwd) + w) in
+        while !x <> 0 do
+          let k = (w * word_bits) + lowest_bit !x in
+          if k <> r then set_bit rel nwd k r;
+          x := !x land (!x - 1)
+        done
+      done
+    end
+  done
+
+(* Would [check_location] report nothing for the location whose window
+   indices are [idx.(off .. off + n - 1)]? *)
+let decide sc ~graph ~graph_exact (acts : Action.t array) clks ~off ~n =
+  let nwd = (n + word_bits - 1) / word_bits in
+  size_rows sc ~n ~nwd;
+  let nlive = read_view sc ~graph ~graph_exact acts ~off ~n ~nwd in
+  hb_rows sc clks ~off ~n ~nwd;
+  search_mo sc ~graph acts ~off ~n ~nwd;
+  ((not graph_exact)
+  || completeness_ok sc ~n ~nwd
+     && theorem1_ok sc ~graph acts ~off ~nwd ~nlive)
+  &&
+  (union_rows sc ~n ~nwd;
+   not (has_cycle sc ~n ~nwd))
+
 (* Every location's families, ascending by location, over [n] actions
-   and their clocks; returns [found] with the violations pushed on. *)
+   and their clocks: a location the decision finds clean adds nothing,
+   and one it rejects runs the pair pass, which pushes its violations
+   onto [found].  Returns [found], the locations checked and the
+   locations explained. *)
 let check_locations ~graph ~graph_exact (acts : Action.t array) clks n found =
   let sc = Domain.DLS.get scratch_key in
-  let nloc = group_by_loc sc acts clks n in
+  let nloc = group_by_loc sc acts n in
   let found = ref found and start = ref 0 in
+  let checked = ref 0 and explained = ref 0 in
   for l = 0 to nloc - 1 do
     let stop = sc.lstart.(l) in
-    if stop > !start then
-      found :=
-        check_location sc ~graph ~graph_exact ~loc:l ~off:!start
-          ~n:(stop - !start) !found;
+    let off = !start and n = stop - !start in
+    if n > 0 then begin
+      incr checked;
+      if not (decide sc ~graph ~graph_exact acts clks ~off ~n) then begin
+        incr explained;
+        found := explain sc ~graph ~graph_exact ~loc:l acts clks ~off ~n !found
+      end
+    end;
     start := stop
   done;
-  release_scratch sc;
-  !found
+  if oversized sc then Domain.DLS.set scratch_key (new_scratch ());
+  (!found, !checked, !explained)
 
 let not_immediate_detail (r : Action.t) (s : Action.t) =
   Printf.sprintf "rmw #%d reads-from #%d but does not immediately mo-follow it"
@@ -944,42 +1376,54 @@ let na_total_mo =
   "Total_mo executions use 2011 release sequences, outside the certified \
    fragment"
 
+(* The post-hoc state for a recorded execution, before any check *)
+let cert_of (exec : Execution.t) ~actions ~sync_edges =
+  let trace = Array.of_list actions in
+  let by_seq = Hashtbl.create (Array.length trace) in
+  Array.iter (fun (a : Action.t) -> Hashtbl.replace by_seq a.seq a) trace;
+  let c =
+    {
+      nthreads = exec.Execution.nthreads;
+      trace;
+      by_seq;
+      edges = Array.of_list sync_edges;
+      acv = Hashtbl.create (Array.length trace);
+      heads = Hashtbl.create 64;
+      last_rel_fence = Hashtbl.create 64;
+      violations = [];
+    }
+  in
+  (* F^rel tracking: remember, for every store, its thread's most recent
+     release fence at the moment the store executed. *)
+  let last_rel = Hashtbl.create 8 in
+  Array.iter
+    (fun (a : Action.t) ->
+      match a.kind with
+      | Action.Fence ->
+        if Memorder.is_release a.mo then Hashtbl.replace last_rel a.tid a
+      | Action.Store | Action.Rmw -> (
+        match Hashtbl.find_opt last_rel a.tid with
+        | Some f -> Hashtbl.replace c.last_rel_fence a.seq f
+        | None -> ())
+      | Action.Load | Action.Na_store -> ())
+    trace;
+  c
+
+(* the trace's certified clocks, [||] for an action without one *)
+let trace_clocks c =
+  Array.map
+    (fun (a : Action.t) ->
+      match Hashtbl.find_opt c.acv a.seq with Some x -> x | None -> [||])
+    c.trace
+
 let certify (exec : Execution.t) ~actions ~sync_edges =
   if not exec.Execution.cert_on then
     Not_applicable "no certification sink was installed"
   else if exec.Execution.mode <> Execution.Full_c11 then
     Not_applicable na_total_mo
   else begin
-    let trace = Array.of_list actions in
-    let edges = Array.of_list sync_edges in
-    let by_seq = Hashtbl.create (Array.length trace) in
-    Array.iter (fun (a : Action.t) -> Hashtbl.replace by_seq a.seq a) trace;
-    let c =
-      {
-        nthreads = exec.Execution.nthreads;
-        trace;
-        by_seq;
-        edges;
-        acv = Hashtbl.create (Array.length trace);
-        heads = Hashtbl.create 64;
-        last_rel_fence = Hashtbl.create 64;
-        violations = [];
-      }
-    in
-    (* F^rel tracking: remember, for every store, its thread's most recent
-       release fence at the moment the store executed. *)
-    let last_rel = Hashtbl.create 8 in
-    Array.iter
-      (fun (a : Action.t) ->
-        match a.kind with
-        | Action.Fence ->
-          if Memorder.is_release a.mo then Hashtbl.replace last_rel a.tid a
-        | Action.Store | Action.Rmw -> (
-          match Hashtbl.find_opt last_rel a.tid with
-          | Some f -> Hashtbl.replace c.last_rel_fence a.seq f
-          | None -> ())
-        | Action.Load | Action.Na_store -> ())
-      trace;
+    let c = cert_of exec ~actions ~sync_edges in
+    let trace = c.trace and edges = c.edges in
     check_sync_wf c;
     build_hb c;
     check_hb_irreflexive c;
@@ -987,15 +1431,11 @@ let certify (exec : Execution.t) ~actions ~sync_edges =
     check_rf_wf c;
     let graph = exec.Execution.graph in
     let graph_exact = exec.Execution.pruned_count = 0 in
-    let clks =
-      Array.map
-        (fun (a : Action.t) ->
-          match Hashtbl.find_opt c.acv a.seq with Some x -> x | None -> [||])
-        trace
+    let found, _, _ =
+      check_locations ~graph ~graph_exact trace (trace_clocks c)
+        (Array.length trace) c.violations
     in
-    c.violations <-
-      check_locations ~graph ~graph_exact trace clks (Array.length trace)
-        c.violations;
+    c.violations <- found;
     let locations =
       let seen = Hashtbl.create 16 in
       Array.iter
@@ -1170,6 +1610,8 @@ module Stream = struct
     mutable n_sc : int;
     mutable n_edges : int;
     mutable n_retired : int;
+    mutable n_checked_locs : int;  (* locations finalize checked *)
+    mutable n_explained_locs : int;  (* of those, the pair pass explained *)
     mutable frozen : bool;  (* any violation: retirement halts for good *)
     mutable finalized : verdict option;
   }
@@ -1228,12 +1670,16 @@ module Stream = struct
       n_sc = 0;
       n_edges = 0;
       n_retired = 0;
+      n_checked_locs = 0;
+      n_explained_locs = 0;
       frozen = false;
       finalized = None;
     }
 
   let certified_ops s = s.n_actions
   let retired_ops s = s.n_retired
+  let checked_locations s = s.n_checked_locs
+  let explained_locations s = s.n_explained_locs
 
   (* growable int arrays, zero-filled: a short array reads as 0s, exactly
      like the post-hoc fixed-width clocks *)
@@ -1942,9 +2388,11 @@ module Stream = struct
       let graph_exact = exec.Execution.pruned_count = 0 in
       (* mo-graph families over the live residue, with the post-hoc code
          reading the stream's certified clocks *)
-      let mo_found =
+      let mo_found, checked, explained =
         check_locations ~graph ~graph_exact s.w_act s.w_clk s.w_n []
       in
+      s.n_checked_locs <- checked;
+      s.n_explained_locs <- explained;
       let rmw = reprobe_rmw graph [] s.v_rmw @ probe_window_rmw s graph in
       match
         (s.v_sync, s.v_irr, s.v_diff, s.v_rf, mo_found, rmw, s.v_sc_pair,
@@ -1992,4 +2440,30 @@ module Stream = struct
       cs_release = (fun ~tid ~seq -> feed_release s ~tid ~seq);
       cs_release_drop = (fun ~seq -> feed_release_drop s ~seq);
     }
+end
+
+module Internal = struct
+  let location_verdicts ?(perturb = ignore) exec ~actions ~sync_edges =
+    let c = cert_of exec ~actions ~sync_edges in
+    build_hb c;
+    let clks = trace_clocks c in
+    perturb clks;
+    let graph = exec.Execution.graph in
+    let graph_exact = exec.Execution.pruned_count = 0 in
+    let sc = Domain.DLS.get scratch_key in
+    let nloc = group_by_loc sc c.trace (Array.length c.trace) in
+    let out = ref [] and start = ref 0 in
+    for l = 0 to nloc - 1 do
+      let stop = sc.lstart.(l) in
+      let off = !start and n = stop - !start in
+      if n > 0 then begin
+        let clean = decide sc ~graph ~graph_exact c.trace clks ~off ~n in
+        let found =
+          explain sc ~graph ~graph_exact ~loc:l c.trace clks ~off ~n []
+        in
+        out := (l, clean, List.rev found) :: !out
+      end;
+      start := stop
+    done;
+    List.rev !out
 end

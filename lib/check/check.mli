@@ -156,4 +156,29 @@ module Stream : sig
 
   (** Actions whose window storage has been retired (freed). *)
   val retired_ops : t -> int
+
+  (** Locations {!finalize} checked (0 before it runs). *)
+  val checked_locations : t -> int
+
+  (** Of those, the locations the bit-row decision rejected and the
+      pair-by-pair pass explained: 0 on an execution that certifies. *)
+  val explained_locations : t -> int
+end
+
+(** Internal helpers exposed for tests. *)
+module Internal : sig
+  (** [location_verdicts exec ~actions ~sync_edges] runs, for every
+      location of a recorded execution (ascending), both the bit-row
+      decision and the pair-by-pair pass, on the post-hoc certified
+      clocks: [(loc, decided_clean, violations)], with the pass's
+      violations in detection order.  The decision is exact when a
+      location is decided clean just when [violations] is empty.
+      [perturb] may change the clocks (one per action, in trace order)
+      before both passes read them. *)
+  val location_verdicts :
+    ?perturb:(int array array -> unit) ->
+    Execution.t ->
+    actions:Action.t list ->
+    sync_edges:Execution.sync_edge list ->
+    (int * bool * violation list) list
 end

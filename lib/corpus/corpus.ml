@@ -220,11 +220,15 @@ let dup_unit rng p =
     let lo = List.fold_left min max_int unit in
     let hi = List.fold_left max (-1) unit in
     let seg = Array.sub ops lo (hi - lo + 1) in
-    let out =
-      Array.concat [ Array.sub ops 0 (hi + 1); seg;
-                     Array.sub ops (hi + 1) (Array.length ops - hi - 1) ]
-    in
-    with_thread p t out
+    (* a copy that would take the body past Progir's op bound leaves the
+       program as it is *)
+    if Array.length ops + Array.length seg > Progir.max_ops then p
+    else
+      let out =
+        Array.concat [ Array.sub ops 0 (hi + 1); seg;
+                       Array.sub ops (hi + 1) (Array.length ops - hi - 1) ]
+      in
+      with_thread p t out
 
 let rotate_mo rng p =
   let sites =

@@ -703,6 +703,12 @@ let run ?(obs = Obs.null) ?(profile = Profile.null) ?(metrics = Metrics.null)
       Profile.stop profile "certify" p_cert;
       if metrics_on then begin
         Metrics.incr metrics "certify.executions";
+        Metrics.incr metrics
+          ~by:(Check.Stream.checked_locations s)
+          "certify.locations";
+        Metrics.incr metrics
+          ~by:(Check.Stream.explained_locations s)
+          "certify.locations_explained";
         match v with
         | Check.Rejected vs ->
           Metrics.incr metrics ~by:(List.length vs) "certify.violations"

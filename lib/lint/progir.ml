@@ -122,6 +122,16 @@ let units_of ops =
     ops;
   List.rev !units
 
+(* Bounds on every count a program carries, far above what generation (by
+   default 3 spawned threads, 8 ops, 3 atomic and 2 plain locations, 2
+   mutexes) and corpus mutation produce: a decoded corpus entry past one
+   is refused, where running it could exhaust memory. *)
+let max_threads = 64
+let max_ops = 1024
+let max_atomic_locs = 64
+let max_na_locs = 64
+let max_mutexes = 64
+
 let validate p =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let check_op t i held op =
@@ -151,10 +161,25 @@ let validate p =
       | top :: _ -> err "thread %d op %d: unlock %d but innermost held is %d" t i m top
       | [] -> err "thread %d op %d: unlock %d while holding nothing" t i m)
   in
+  let ( let* ) = Result.bind in
+  let over what n bound =
+    if n > bound then err "%s %d over the bound %d" what n bound else Ok ()
+  in
   if Array.length p.p_threads = 0 then Error "no main thread"
   else if p.p_atomic_locs < 0 || p.p_na_locs < 0 || p.p_mutexes < 0 then
     Error "negative location count"
   else begin
+    let* () = over "threads" (Array.length p.p_threads) max_threads in
+    let* () = over "atomic locations" p.p_atomic_locs max_atomic_locs in
+    let* () = over "plain locations" p.p_na_locs max_na_locs in
+    let* () = over "mutexes" p.p_mutexes max_mutexes in
+    let* () =
+      Array.fold_left
+        (fun acc ops ->
+          let* () = acc in
+          over "ops in a thread" (Array.length ops) max_ops)
+        (Ok ()) p.p_threads
+    in
     let result = ref (Ok ()) in
     Array.iteri
       (fun t ops ->

@@ -64,9 +64,20 @@ val na_name : int -> string
 (** Total ops across all thread bodies. *)
 val op_count : program -> int
 
-(** Structural well-formedness: location/mutex indices in range, lock
-    discipline respected on every thread (balanced, properly nested,
-    ordered). *)
+(** Upper bounds on a program's counts: thread bodies (main included),
+    ops per body, atomic locations, plain locations and mutexes.  They
+    sit far above what the fuzzer's generator and corpus mutation
+    produce. *)
+
+val max_threads : int
+val max_ops : int
+val max_atomic_locs : int
+val max_na_locs : int
+val max_mutexes : int
+
+(** Structural well-formedness: counts non-negative and within the bounds
+    above, location/mutex indices in range, lock discipline respected on
+    every thread (balanced, properly nested, ordered). *)
 val validate : program -> (unit, string) result
 
 (** {1 Op-unit editing machinery}

@@ -348,6 +348,136 @@ let test_versioned_workload_flagged () =
   check "correct variant certified" true
     (correct.Tester.certified_executions = 50)
 
+(* ---------- the bit-row decision against the pair pass ---------- *)
+
+(* One piece of damage to a finished run, so that a single family can
+   fail on its own: one clock entry set to an arbitrary seq (certified hb
+   can become any relation, cycles and backward pairs included), one read
+   rewired to an arbitrary write, or one mo edge or rmw link dropped or
+   an mo edge added behind the clock vectors' back.  Returns the clock
+   perturbation for the first kind. *)
+let damage rng kind ~actions ~graph =
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let writes = List.filter Action.is_write actions in
+  let nodes = ref [] in
+  Mograph.iter_nodes graph (fun n -> nodes := n :: !nodes);
+  let nodes = List.rev !nodes in
+  (match kind with
+  | 1 -> (
+    match List.filter Action.is_read actions with
+    | [] -> ()
+    | reads when writes <> [] -> (pick reads).rf <- Some (pick writes)
+    | _ -> ())
+  | 2 -> (
+    match List.filter (fun n -> n.Mograph.nedges > 0) nodes with
+    | [] -> ()
+    | ns ->
+      let n = pick ns in
+      let k = Rng.int rng n.Mograph.nedges in
+      n.Mograph.edges.(k) <- n.Mograph.edges.(n.Mograph.nedges - 1);
+      n.Mograph.nedges <- n.Mograph.nedges - 1)
+  | 3 -> (
+    match List.filter (fun n -> n.Mograph.rmw <> None) nodes with
+    | [] -> ()
+    | ns -> (pick ns).Mograph.rmw <- None)
+  | 4 when nodes <> [] ->
+    let n = pick nodes and target = pick nodes in
+    n.Mograph.edges <-
+      Array.append (Array.sub n.Mograph.edges 0 n.Mograph.nedges) [| target |];
+    n.Mograph.nedges <- n.Mograph.nedges + 1
+  | _ -> ());
+  fun (clks : int array array) ->
+    let max_seq =
+      List.fold_left (fun m (a : Action.t) -> max m a.seq) 0 actions
+    in
+    let with_clock = List.filter (fun i -> Array.length clks.(i) > 0) in
+    match with_clock (List.init (Array.length clks) Fun.id) with
+    | is when kind = 0 && is <> [] ->
+      let i = pick is in
+      let c = Array.copy clks.(i) in
+      c.(Rng.int rng (Array.length c)) <- Rng.int rng (max_seq + 2);
+      clks.(i) <- c
+    | _ -> ()
+
+(* Both per-location passes over one recorded run of a fuzz program,
+   damaged first when [damaged] is given: (loc, decided clean, the pair
+   pass's violations).  A mutant can leave an RMW no store to read, which
+   ends the run with nothing to certify. *)
+let location_verdicts ?(mutation = None) ?damaged prog ~seed =
+  let config =
+    { (Fuzz.engine_config ~mutation) with Engine.seed; certify = true }
+  in
+  match Recorder.run config (Fuzz.to_closure prog) with
+  | _, r ->
+    let exec = Recorder.exec r and actions = Recorder.actions r in
+    let perturb =
+      match damaged with
+      | None -> ignore
+      | Some (rng, kind) ->
+        damage rng kind ~actions ~graph:exec.Execution.graph
+    in
+    Check.Internal.location_verdicts ~perturb exec ~actions
+      ~sync_edges:(Recorder.sync_edges r)
+  | exception Execution.Model_error _ -> []
+
+let mutants = None :: List.map Option.some Execution.all_mutations
+
+(* A location is decided clean exactly when the pair pass reports nothing
+   for it: on random programs, on the fault-free engine and under each
+   seeded mutant, undamaged and with each kind of damage, with small
+   views and (one location, long bodies) views of several words. *)
+let prop_decision_exact =
+  let wide_cfg =
+    { Fuzz.default_gen_cfg with Fuzz.g_ops = 48; g_atomic_locs = 1 }
+  in
+  QCheck.Test.make ~name:"bit-row decision exact on random programs"
+    ~count:1000
+    QCheck.(
+      quad (int_bound 100_000)
+        (int_bound (List.length mutants - 1))
+        bool (int_bound 5))
+    (fun (pi, m, wide, kind) ->
+      let cfg = if wide then wide_cfg else Fuzz.default_gen_cfg in
+      let prog = Fuzz.generate ~cfg ~seed:(Rng.substream 11L ~index:pi) in
+      let damaged =
+        if kind < 5 then Some (Rng.create (Int64.of_int (pi + 1)), kind)
+        else None
+      in
+      List.for_all
+        (fun (loc, clean, vs) ->
+          clean = (vs = [])
+          || QCheck.Test.fail_reportf "loc %d decided %s, pair pass found %d"
+               loc
+               (if clean then "clean" else "rejected")
+               (List.length vs))
+        (location_verdicts ~mutation:(List.nth mutants m) ?damaged prog
+           ~seed:(Fuzz.exec_seed prog ~attempt:0)))
+
+(* The decision rejects exactly the locations of two pinned rejections
+   (test_stream's): the default fuzz campaign's coherence cycle on loc 0,
+   and the CoWW and Theorem-1 violations a dropped mo edge causes on locs
+   1 and 2. *)
+let test_decision_pinned () =
+  List.iter
+    (fun (name, mutation, prog_seed, exec_seed, want) ->
+      let prog = Fuzz.generate ~cfg:Fuzz.default_gen_cfg ~seed:prog_seed in
+      let got =
+        List.filter_map
+          (fun (loc, clean, vs) ->
+            if clean <> (vs = []) then
+              Alcotest.failf "%s: loc %d decided clean %b with %d violations"
+                name loc clean (List.length vs);
+            if clean then None else Some loc)
+          (location_verdicts ~mutation prog ~seed:exec_seed)
+      in
+      Alcotest.(check (list int)) name want got)
+    [
+      ("seed-1 coherence finding", None, 0xe3471902d31f2cbL,
+       0x6a9a6f2de8b37cc8L, [ 0 ]);
+      ("drop-mo-edge", Some Execution.Drop_mo_edge, 0xbdd732262feb6e95L,
+       0x57e1faba65107204L, [ 1; 2 ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "certify: direct mp" `Quick test_positive_direct;
@@ -375,4 +505,7 @@ let suite =
     Alcotest.test_case "pruned run certifies" `Quick test_certify_pruned;
     Alcotest.test_case "versioned workload flagged" `Quick
       test_versioned_workload_flagged;
+    QCheck_alcotest.to_alcotest prop_decision_exact;
+    Alcotest.test_case "decision rejects the pinned locations" `Quick
+      test_decision_pinned;
   ]

@@ -129,6 +129,61 @@ let test_corrupt_entry_skipped_deleted () =
         (Sys.file_exists (Filename.concat dir n)))
     [ "bbbb.json"; "cccc.json"; "dddd.json" ]
 
+(* Every count a program carries is bounded at decode: a corpus entry
+   naming 99,999,999 plain locations would exhaust memory when run, so it
+   is refused, and the corpus skips it like any other corrupt entry. *)
+let test_counts_bounded () =
+  let p = Fuzz.generate ~cfg:gen_cfg ~seed:5L in
+  let with_field key v = function
+    | Jsonx.Obj fields ->
+      Jsonx.Obj (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields)
+    | _ -> Alcotest.fail "expected a JSON object"
+  in
+  let decodes j = Result.is_ok (Progir.program_of_json j) in
+  let pj = Progir.program_to_json p in
+  check_bool "the program decodes" true (decodes pj);
+  List.iter
+    (fun (key, bound) ->
+      check_bool (key ^ " at its bound decodes") true
+        (decodes (with_field key (Jsonx.Int bound) pj));
+      check_bool (key ^ " past its bound refused") false
+        (decodes (with_field key (Jsonx.Int (bound + 1)) pj));
+      check_bool (key ^ " of 99999999 refused") false
+        (decodes (with_field key (Jsonx.Int 99999999) pj)))
+    [
+      ("atomic_locs", Progir.max_atomic_locs);
+      ("na_locs", Progir.max_na_locs);
+      ("mutexes", Progir.max_mutexes);
+    ];
+  let shaped threads ops =
+    Progir.program_to_json
+      {
+        p with
+        Progir.p_threads = Array.init threads (fun _ -> Array.make ops Progir.Yield);
+      }
+  in
+  check_bool "threads and ops at their bounds decode" true
+    (decodes (shaped Progir.max_threads Progir.max_ops));
+  check_bool "threads past the bound refused" false
+    (decodes (shaped (Progir.max_threads + 1) 1));
+  check_bool "ops past the bound refused" false
+    (decodes (shaped 1 (Progir.max_ops + 1)));
+  let dir = fresh_dir () in
+  let c = open_corpus dir in
+  let e = entry_of ~digest:"ffff" p in
+  check_bool "entry stored" true (Corpus.store c e);
+  let oc = open_out (Filename.concat dir "ffff.json") in
+  output_string oc
+    (Jsonx.to_string
+       (with_field "program"
+          (with_field "na_locs" (Jsonx.Int 99999999) pj)
+          (Corpus.entry_to_json e)));
+  close_out oc;
+  check_int "the entry past the bound is skipped" 0
+    (List.length (Corpus.load c));
+  check_bool "and deleted" false
+    (Sys.file_exists (Filename.concat dir "ffff.json"))
+
 let test_open_dir_rejects () =
   let file = Filename.temp_file "c11corpus" ".notadir" in
   (match Corpus.open_dir file with
@@ -245,6 +300,8 @@ let suite =
       test_store_load_roundtrip;
     Alcotest.test_case "corrupt entries skipped and deleted" `Quick
       test_corrupt_entry_skipped_deleted;
+    Alcotest.test_case "counts past the bounds refused at decode" `Quick
+      test_counts_bounded;
     Alcotest.test_case "open_dir rejects non-directory" `Quick
       test_open_dir_rejects;
     Alcotest.test_case "campaign -j parity" `Quick test_campaign_jobs_parity;

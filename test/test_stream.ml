@@ -424,6 +424,58 @@ let test_pinned_retirement () =
         runs)
     pinned_retirement
 
+(* ---------- a view wider than one word ---------- *)
+
+(* Two threads each make 40 relaxed stores and 40 relaxed loads on one
+   atomic: with its initialising store, the location's view holds 161
+   actions, three words per bit row.  Both certifiers read the same run;
+   under [Drop_mo_edge] the decision must hand the location to the pair
+   pass, which explains it. *)
+let test_wide_view () =
+  let body () =
+    let x = C11.Atomic.make ~name:"x" 0 in
+    let ops k () =
+      for i = 1 to 40 do
+        C11.Atomic.store ~mo:Memorder.Relaxed x ((k * 100) + i);
+        ignore (C11.Atomic.load ~mo:Memorder.Relaxed x)
+      done
+    in
+    let t = C11.Thread.spawn (ops 1) in
+    ops 2 ();
+    C11.Thread.join t
+  in
+  List.iter
+    (fun mutation ->
+      let name =
+        match mutation with
+        | Some m -> Execution.mutation_name m
+        | None -> "fault-free"
+      in
+      let metrics = Metrics.create () in
+      let r = Recorder.create () in
+      let o =
+        Engine.run ~metrics ~inspect:(Recorder.attach r)
+          { Engine.default_config with certify = true; seed = 5L; mutation }
+          body
+      in
+      let stream = Option.get o.Engine.certificate in
+      let post = Recorder.certify r in
+      if post <> stream then pp_pair name 5L post stream;
+      let counter = Metrics.counter_value metrics in
+      check (name ^ ": one location checked") true
+        (counter "certify.locations" = 1);
+      let explained = counter "certify.locations_explained" in
+      match mutation with
+      | None ->
+        check "fault-free: certified, nothing explained" true
+          (explained = 0
+          && match stream with Check.Certified _ -> true | _ -> false)
+      | Some _ ->
+        check (name ^ ": rejected and explained") true
+          (explained > 0
+          && match stream with Check.Rejected _ -> true | _ -> false))
+    [ None; Some Execution.Drop_mo_edge ]
+
 let suite =
   [
     Alcotest.test_case "litmus catalog equivalence" `Quick
@@ -450,4 +502,6 @@ let suite =
       test_pinned_violations;
     Alcotest.test_case "pinned retirement under drop-mo-edge" `Quick
       test_pinned_retirement;
+    Alcotest.test_case "a view wider than one word, both certifiers" `Quick
+      test_wide_view;
   ]
