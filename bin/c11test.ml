@@ -567,15 +567,16 @@ let litmus_cmd =
     term
 
 (* [fuzz]'s and [lint]'s generator flags: a generated program must stay
-   inside Progir's bounds.  Prints what is wrong. *)
+   inside Progir's bounds, trailing unlocks included.  Prints what is
+   wrong. *)
 let bad_gen_size ~programs ~ops ~threads =
   if programs < 0 || ops < 1 || threads < 1 then begin
     Printf.eprintf "--programs must be >= 0, --ops and --threads >= 1\n";
     true
   end
-  else if ops > Progir.max_ops || threads >= Progir.max_threads then begin
-    Printf.eprintf "--ops must be <= %d and --threads <= %d\n" Progir.max_ops
-      (Progir.max_threads - 1);
+  else if ops > Fuzz.max_gen_ops || threads > Fuzz.max_gen_threads then begin
+    Printf.eprintf "--ops must be <= %d and --threads <= %d\n" Fuzz.max_gen_ops
+      Fuzz.max_gen_threads;
     true
   end
   else false

@@ -411,20 +411,20 @@ let check_rf_wf c =
    (see [decide] below); only a location the decision rejects runs the
    pair-by-pair pass [check_location], which explains the rejection.
 
-   The pair pass works over one dense view of the location.  The view
-   holds the location's actions (ascending seq) with their certified
-   clocks, write <-> action index maps, the writes' live graph nodes, mo
-   reachability between the location's writes as a w×w bitset, and the
-   union relation as linked adjacency lists in flat arrays.  Every pair
-   check is an array read.  Both passes keep their buffers in one scratch
-   per domain that grows to the largest location seen and is reused for
-   the next: checking a location allocates nothing but its violations. *)
+   Both passes read one dense view of the location, which the decision
+   fills: its window indices (ascending seq), their seqs and tids, each
+   read's store, the location's live writes, and mo reachability between
+   its writes as bit rows.  The pair pass adds the union relation as
+   linked adjacency lists in flat arrays.  Every pair check is an array
+   read.  The buffers live in one scratch per domain that grows to the
+   largest location seen and is reused for the next: checking a location
+   allocates nothing but its violations. *)
 type scratch = {
   mutable idx : int array;
       (** window indices grouped by location, ascending within a group *)
   mutable lstart : int array;  (** grouping: loc -> end of its group *)
-  (* the decision's rows, over a view of n actions in (n + 62) / 63 words
-     per row (see [decide]) *)
+  (* the view's rows, over n actions in (n + 62) / 63 words per row (see
+     [decide]) *)
   mutable vseq : int array;  (** view action -> seq *)
   mutable vtid : int array;  (** view action -> tid *)
   mutable vlive : int array;  (** the view's live writes, ascending *)
@@ -443,23 +443,11 @@ type scratch = {
   mutable white : int array;  (** one row: cycle search, not yet visited *)
   mutable gray : int array;  (** one row: cycle search, on the path *)
   mutable stack : int array;  (** cycle search path *)
-  (* the pair pass's view *)
-  mutable acts : Action.t array;
-      (** the explained location's actions, ascending seq; cleared after *)
-  mutable clk : int array array;  (** their certified clocks, [||] if none *)
-  mutable off : int;  (** the view is [acts.(off .. off + n - 1)] *)
-  mutable n : int;
-  mutable wof : int array;  (** view action -> write index, or -1 *)
-  mutable wr : int array;  (** write index -> view action *)
-  mutable nw : int;
-  mutable wnode : Mograph.node array;
-      (** write -> its live graph node, or [Mograph.absent] *)
-  mutable reach : Bytes.t;  (** bit [i * nw + j]: write i -mo->⁺ write j *)
   mutable stamp : int array;
-      (** write (view action, in the decision) -> last traversal
-          (1-based) to meet it *)
+      (** view write -> last search (1-based) to meet it *)
   other : (int, int) Hashtbl.t;
       (** the same for a node outside the view (a retired write), by seq *)
+  (* the pair pass's union relation *)
   mutable head : int array;  (** view action -> its newest out-edge, or -1 *)
   mutable enext : int array;  (** edge -> next older edge of its source *)
   mutable edst : int array;  (** edge -> target view action *)
@@ -490,15 +478,6 @@ let new_scratch () =
     white = [||];
     gray = [||];
     stack = [||];
-    acts = [||];
-    clk = [||];
-    off = 0;
-    n = 0;
-    wof = [||];
-    wr = [||];
-    nw = 0;
-    wnode = [||];
-    reach = Bytes.empty;
     stamp = [||];
     other = Hashtbl.create 8;
     head = [||];
@@ -516,9 +495,8 @@ let scratch_key = Domain.DLS.new_key new_scratch
 (* A scratch grown for a large residue is dropped after use, so it does
    not pin its buffers for the domain's life. *)
 let oversized sc =
-  Array.length sc.acts > 4096
+  Array.length sc.idx > 4096
   || Array.length sc.edst > 65536
-  || Bytes.length sc.reach > 65536
   || Array.length sc.rel > 65536
 
 (* [a] if it holds [n] ints, else a larger copy *)
@@ -568,103 +546,35 @@ let group_by_loc sc (acts : Action.t array) n =
   done;
   nloc
 
-(* index within the view of the action with this seq, or -1 *)
-let act_index sc seq =
-  let lo = ref sc.off and hi = ref (sc.off + sc.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if sc.acts.(mid).Action.seq < seq then lo := mid + 1 else hi := mid
-  done;
-  if sc.n > 0 && sc.acts.(!lo).Action.seq = seq then !lo - sc.off else -1
+(* [f loc ~off ~n] for each location of [n] actions that has any,
+   ascending: its window indices are [sc.idx.(off .. off + n - 1)] *)
+let iter_locations sc (acts : Action.t array) n f =
+  let nloc = group_by_loc sc acts n in
+  let start = ref 0 in
+  for l = 0 to nloc - 1 do
+    let stop = sc.lstart.(l) in
+    if stop > !start then f l ~off:!start ~n:(stop - !start);
+    start := stop
+  done
 
-let write_index sc seq =
-  let i = act_index sc seq in
-  if i < 0 then -1 else sc.wof.(i)
+(* Bit rows: row [i] of a relation over a view of n actions is [nwd =
+   (n + 62) / 63] words of 63 bits each (see [decide]). *)
+let word_bits = 63
 
-(* mo reachability between two write indices; -1 (not a write of the
-   view) reaches and is reached by nothing *)
-let mo sc wi wj =
-  wi >= 0 && wj >= 0
-  &&
-  let b = (wi * sc.nw) + wj in
-  Char.code (Bytes.get sc.reach (b lsr 3)) land (1 lsl (b land 7)) <> 0
+let[@inline] set_bit rows nwd i j =
+  let w = (i * nwd) + (j / word_bits) in
+  rows.(w) <- rows.(w) lor (1 lsl (j mod word_bits))
 
-(* Strict certified happens-before between two of the view's actions *)
-let view_hb sc i j =
+let[@inline] has_bit rows nwd i j =
+  rows.((i * nwd) + (j / word_bits)) land (1 lsl (j mod word_bits)) <> 0
+
+(* Strict certified happens-before between two of the view's actions,
+   read off [j]'s clock *)
+let view_hb sc (clks : int array array) ~off i j =
   i <> j
   &&
-  let bc = sc.clk.(sc.off + j) and a = sc.acts.(sc.off + i) in
-  a.Action.tid < Array.length bc && bc.(a.Action.tid) >= a.Action.seq
-
-(* Reachability over the final mo-graph by explicit search (edges + rmw
-   links), never by clock vectors: one traversal per live write, setting
-   the bits of the same-location writes it reaches.  Visits are stamped
-   per traversal, in an array for the view's writes and in a table for
-   any other node met on the way (a write the stream already retired). *)
-let rec reach_from sc i (node : Mograph.node) =
-  let seq = node.Mograph.action.Action.seq in
-  let j = write_index sc seq in
-  let fresh =
-    if j >= 0 then sc.stamp.(j) <> i + 1
-    else
-      match Hashtbl.find sc.other seq with
-      | t -> t <> i + 1
-      | exception Not_found -> true
-  in
-  if fresh then begin
-    if j >= 0 then begin
-      sc.stamp.(j) <- i + 1;
-      if j <> i then begin
-        let b = (i * sc.nw) + j in
-        let byte = Char.code (Bytes.get sc.reach (b lsr 3)) in
-        Bytes.set sc.reach (b lsr 3)
-          (Char.unsafe_chr (byte lor (1 lsl (b land 7))))
-      end
-    end
-    else Hashtbl.replace sc.other seq (i + 1);
-    for k = 0 to node.Mograph.nedges - 1 do
-      reach_from sc i node.Mograph.edges.(k)
-    done;
-    match node.Mograph.rmw with Some r -> reach_from sc i r | None -> ()
-  end
-
-(* Make [acts.(off .. off + n - 1)] the view and fill its write maps,
-   nodes and reachability. *)
-let set_view sc ~graph ~off ~n =
-  sc.off <- off;
-  sc.n <- n;
-  sc.wof <- ints sc.wof n;
-  let nw = ref 0 in
-  for i = 0 to n - 1 do
-    if Action.is_write sc.acts.(off + i) then begin
-      sc.wof.(i) <- !nw;
-      incr nw
-    end
-    else sc.wof.(i) <- -1
-  done;
-  let nw = !nw in
-  sc.nw <- nw;
-  sc.wr <- ints sc.wr nw;
-  sc.stamp <- ints sc.stamp nw;
-  if Array.length sc.wnode < nw then
-    sc.wnode <- Array.make (max nw (2 * Array.length sc.wnode)) Mograph.absent;
-  for i = 0 to n - 1 do
-    let w = sc.wof.(i) in
-    if w >= 0 then begin
-      sc.wr.(w) <- i;
-      sc.wnode.(w) <- Mograph.live_node graph sc.acts.(off + i);
-      sc.stamp.(w) <- 0
-    end
-  done;
-  let bytes = ((nw * nw) + 7) / 8 in
-  if Bytes.length sc.reach < bytes then
-    sc.reach <- Bytes.create (max bytes (2 * Bytes.length sc.reach));
-  Bytes.fill sc.reach 0 bytes '\000';
-  if Hashtbl.length sc.other > 0 then Hashtbl.clear sc.other;
-  for i = 0 to nw - 1 do
-    let node = sc.wnode.(i) in
-    if node != Mograph.absent then reach_from sc i node
-  done
+  let bc = clks.(sc.idx.(off + j)) and t = sc.vtid.(i) in
+  t < Array.length bc && bc.(t) >= sc.vseq.(i)
 
 (* adjacency for the union relation: [i]'s list runs newest edge first *)
 let add_edge sc i j =
@@ -704,9 +614,9 @@ let cycle_from sc root =
         done;
         let l = ref [] in
         for k = d downto !p do
-          l := sc.acts.(sc.off + sc.path.(k)).Action.seq :: !l
+          l := sc.vseq.(sc.path.(k)) :: !l
         done;
-        cycle := sc.acts.(sc.off + j).Action.seq :: !l;
+        cycle := sc.vseq.(j) :: !l;
         depth := 0
       | '\002' -> ()
       | _ ->
@@ -718,8 +628,7 @@ let cycle_from sc root =
   done;
   !cycle
 
-let find_cycle sc =
-  let n = sc.n in
+let find_cycle sc n =
   if Bytes.length sc.color < n then begin
     sc.color <- Bytes.create (max n (2 * Bytes.length sc.color));
     sc.path <- Array.make (Bytes.length sc.color) 0;
@@ -736,7 +645,8 @@ let find_cycle sc =
 let push found axiom actions detail =
   found := { axiom; actions; detail } :: !found
 
-(* Per-location coherence over the view [acts.(off .. off + n - 1)]:
+(* Per-location coherence over the view of the location whose window
+   indices are [idx.(off .. off + n - 1)], as [decide] left it:
    acyclicity of hb|loc ∪ rf ∪ mo ∪ fr over the location's actions, plus
    — when the graph is exact (nothing pruned) — the completeness
    obligations CoWW and CoWR that catch a dropped mo edge (a merely
@@ -745,9 +655,12 @@ let push found axiom actions detail =
    reachability must agree with explicit search for every live
    same-location write pair.  Violations are pushed onto [found] (newest
    first), which is returned. *)
-let check_location sc ~graph ~graph_exact ~loc ~off ~n found =
-  set_view sc ~graph ~off ~n;
-  let nw = sc.nw in
+let check_location sc ~graph ~graph_exact ~loc (acts : Action.t array) clks
+    ~off ~n found =
+  let nwd = (n + word_bits - 1) / word_bits in
+  let hb i j = view_hb sc clks ~off i j
+  and mo i j = has_bit sc.mo_rows nwd i j
+  and live k = has_bit sc.live 0 0 k in
   let found = ref found in
   sc.head <- ints sc.head n;
   Array.fill sc.head 0 n (-1);
@@ -756,26 +669,20 @@ let check_location sc ~graph ~graph_exact ~loc ~off ~n found =
     for j = 0 to n - 1 do
       (* one edge for hb and mo alike: a second copy right behind the
          first never changes what the search below finds *)
-      if i <> j && (view_hb sc i j || mo sc sc.wof.(i) sc.wof.(j)) then
-        add_edge sc i j
+      if i <> j && (hb i j || mo i j) then add_edge sc i j
     done;
-    let a = sc.acts.(off + i) in
-    if Action.is_read a then
-      match a.rf with
-      | Some s when s.loc = a.loc ->
-        (* a store outside the view has no incoming edge here, so its
-           out-edges cannot close a cycle *)
-        let si = act_index sc s.seq in
-        if si >= 0 then add_edge sc si i;
-        (* fr = rf⁻¹ ; mo *)
-        let ws = if si >= 0 then sc.wof.(si) else -1 in
-        for w = 0 to nw - 1 do
-          let k = sc.wr.(w) in
-          if k <> si && k <> i && mo sc ws w then add_edge sc i k
-        done
-      | Some _ | None -> ()
+    (* a store outside the view (-1) has no incoming edge here, so its
+       out-edges cannot close a cycle *)
+    let si = sc.vrf.(i) in
+    if si >= 0 then begin
+      add_edge sc si i;
+      (* fr = rf⁻¹ ; mo *)
+      for k = 0 to n - 1 do
+        if k <> si && k <> i && mo si k then add_edge sc i k
+      done
+    end
   done;
-  (match find_cycle sc with
+  (match find_cycle sc n with
   | [] -> ()
   | cyc ->
     push found Coherence cyc
@@ -785,19 +692,12 @@ let check_location sc ~graph ~graph_exact ~loc ~off ~n found =
   if graph_exact then begin
     let count = ref 0 in
     (* CoWW: hb-ordered same-location writes must be mo-ordered *)
-    for wa = 0 to nw - 1 do
-      for wb = 0 to nw - 1 do
-        let a = sc.wr.(wa) and b = sc.wr.(wb) in
-        if
-          !count < cap && a <> b
-          && sc.wnode.(wa) != Mograph.absent
-          && sc.wnode.(wb) != Mograph.absent
-          && view_hb sc a b
-          && not (mo sc wa wb)
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if !count < cap && a <> b && live a && live b && hb a b && not (mo a b)
         then begin
           incr count;
-          let sa = sc.acts.(off + a).Action.seq
-          and sb = sc.acts.(off + b).Action.seq in
+          let sa = sc.vseq.(a) and sb = sc.vseq.(b) in
           push found Coherence [ sa; sb ]
             (Printf.sprintf
                "loc %d: CoWW incomplete — write #%d happens before write #%d \
@@ -809,77 +709,47 @@ let check_location sc ~graph ~graph_exact ~loc ~off ~n found =
     (* CoWR: a write hb-visible to a read must be mo-before the write the
        read actually observed *)
     for r = 0 to n - 1 do
-      let ra = sc.acts.(off + r) in
-      if Action.is_read ra then
-        match ra.rf with
-        | Some s
-          when s.loc = ra.loc && Mograph.live_node graph s != Mograph.absent ->
-          let ws = write_index sc s.seq in
-          for w = 0 to nw - 1 do
-            let k = sc.wr.(w) in
-            if
-              !count < cap && w <> ws && k <> r
-              && sc.wnode.(w) != Mograph.absent
-              && view_hb sc k r
-              && not (mo sc w ws)
-            then begin
-              incr count;
-              let sk = sc.acts.(off + k).Action.seq in
-              push found Coherence [ sk; ra.seq; s.seq ]
-                (Printf.sprintf
-                   "loc %d: CoWR incomplete — write #%d happens before read \
-                    #%d but is not mo-before its store #%d"
-                   loc sk ra.seq s.seq)
-            end
-          done
-        | Some _ | None -> ()
+      let ra = acts.(sc.idx.(off + r)) in
+      match ra.rf with
+      | Some s when has_bit sc.cowr 0 0 r ->
+        let si = sc.vrf.(r) in
+        for k = 0 to n - 1 do
+          if
+            !count < cap && k <> si && k <> r && live k && hb k r
+            && not (si >= 0 && mo k si)
+          then begin
+            incr count;
+            let sk = sc.vseq.(k) in
+            push found Coherence [ sk; ra.seq; s.seq ]
+              (Printf.sprintf
+                 "loc %d: CoWR incomplete — write #%d happens before read \
+                  #%d but is not mo-before its store #%d"
+                 loc sk ra.seq s.seq)
+          end
+        done
+      | Some _ | None -> ()
     done;
-    (* Theorem 1: clock-vector reachability against the search above *)
+    (* Theorem 1: clock-vector reachability against the search *)
     let count = ref 0 in
-    for wa = 0 to nw - 1 do
-      for wb = 0 to nw - 1 do
-        if
-          !count < cap && wa <> wb
-          && sc.wnode.(wa) != Mograph.absent
-          && sc.wnode.(wb) != Mograph.absent
-        then begin
-          let a = sc.acts.(off + sc.wr.(wa)) and b = sc.acts.(off + sc.wr.(wb)) in
-          let cv = Mograph.reaches graph a b in
-          let dfs = mo sc wa wb in
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if !count < cap && a <> b && live a && live b then begin
+          let wa = acts.(sc.idx.(off + a)) and wb = acts.(sc.idx.(off + b)) in
+          let cv = Mograph.reaches graph wa wb in
+          let dfs = mo a b in
           if cv <> dfs then begin
             incr count;
-            push found Theorem1_differential [ a.seq; b.seq ]
+            push found Theorem1_differential [ wa.seq; wb.seq ]
               (Printf.sprintf
                  "loc %d: #%d reaches #%d is %b by clock vectors but %b by \
                   graph search"
-                 loc a.seq b.seq cv dfs)
+                 loc wa.seq wb.seq cv dfs)
           end
         end
       done
     done
   end;
-  Array.fill sc.wnode 0 nw Mograph.absent;
   !found
-
-(* The pair pass over one location of [acts]: its actions and clocks are
-   copied into the view [check_location] reads, and the copies dropped
-   afterwards so the scratch keeps nothing of the execution. *)
-let explain sc ~graph ~graph_exact ~loc (acts : Action.t array) clks ~off ~n
-    found =
-  if Array.length sc.acts < n then begin
-    let cap = max n (2 * Array.length sc.acts) in
-    sc.acts <- Array.make cap no_action;
-    sc.clk <- Array.make cap [||]
-  end;
-  for k = 0 to n - 1 do
-    let i = sc.idx.(off + k) in
-    sc.acts.(k) <- acts.(i);
-    sc.clk.(k) <- clks.(i)
-  done;
-  let found = check_location sc ~graph ~graph_exact ~loc ~off:0 ~n found in
-  Array.fill sc.acts 0 n no_action;
-  Array.fill sc.clk 0 n [||];
-  found
 
 (* ------------------------------------------------------------------ *)
 (* The per-location decision.
@@ -902,18 +772,9 @@ let explain sc ~graph ~graph_exact ~loc (acts : Action.t array) clks ~off ~n
    CoWW, CoWR and Theorem 1 are then row comparisons, and the coherence
    cycle is a search for a cycle in the union, built in [rel] as
    predecessor rows (the reversed union has a cycle exactly when the
-   union has).  Every part follows [check_location]'s definition to the
-   letter: the same view lookup for a seq, the same live-node tests, the
-   same excluded pairs. *)
-
-let word_bits = 63
-
-let[@inline] set_bit rows nwd i j =
-  let w = (i * nwd) + (j / word_bits) in
-  rows.(w) <- rows.(w) lor (1 lsl (j mod word_bits))
-
-let[@inline] has_bit rows nwd i j =
-  rows.((i * nwd) + (j / word_bits)) land (1 lsl (j mod word_bits)) <> 0
+   union has).  The pair pass reads the same view, the same mo rows and
+   the same stores, so what the two must agree on is each family's
+   definition: the same live-node tests and the same excluded pairs. *)
 
 (* index of the lowest set bit of a non-zero word *)
 let lowest_bit x =
@@ -940,7 +801,7 @@ let lowest_bit x =
   end;
   if !x land 0x1 = 0 then !b + 1 else !b
 
-(* view index of the action with this seq, or -1: [act_index]'s search *)
+(* view index of the action with this seq, or -1 *)
 let view_index sc n seq =
   let lo = ref 0 and hi = ref (n - 1) in
   while !lo < !hi do
@@ -949,10 +810,13 @@ let view_index sc n seq =
   done;
   if n > 0 && sc.vseq.(!lo) = seq then !lo else -1
 
-(* [reach_from] over rows: the search from the live write [k] sets the
-   bits of the view writes it meets in [k]'s mo row.  It does not enter a
-   view write whose own search has finished: that write's row already
-   holds every view write past it. *)
+(* mo reachability by explicit search of the final mo-graph (edges and
+   rmw links), never by clock vectors: the search from the live write [k]
+   sets the bits of the view writes it meets in [k]'s mo row.  Visits are
+   stamped per search, in [stamp] for the view's writes and in [other]
+   for any other node met on the way (a write the stream already
+   retired).  It does not enter a view write whose own search has
+   finished: that write's row already holds every view write past it. *)
 let rec row_reach sc ~n ~nwd k (node : Mograph.node) =
   let seq = node.Mograph.action.Action.seq in
   let j = view_index sc n seq in
@@ -1261,21 +1125,14 @@ let decide sc ~graph ~graph_exact (acts : Action.t array) clks ~off ~n =
    locations explained. *)
 let check_locations ~graph ~graph_exact (acts : Action.t array) clks n found =
   let sc = Domain.DLS.get scratch_key in
-  let nloc = group_by_loc sc acts n in
-  let found = ref found and start = ref 0 in
-  let checked = ref 0 and explained = ref 0 in
-  for l = 0 to nloc - 1 do
-    let stop = sc.lstart.(l) in
-    let off = !start and n = stop - !start in
-    if n > 0 then begin
+  let found = ref found and checked = ref 0 and explained = ref 0 in
+  iter_locations sc acts n (fun loc ~off ~n ->
       incr checked;
       if not (decide sc ~graph ~graph_exact acts clks ~off ~n) then begin
         incr explained;
-        found := explain sc ~graph ~graph_exact ~loc:l acts clks ~off ~n !found
-      end
-    end;
-    start := stop
-  done;
+        found :=
+          check_location sc ~graph ~graph_exact ~loc acts clks ~off ~n !found
+      end);
   if oversized sc then Domain.DLS.set scratch_key (new_scratch ());
   (!found, !checked, !explained)
 
@@ -2451,19 +2308,12 @@ module Internal = struct
     let graph = exec.Execution.graph in
     let graph_exact = exec.Execution.pruned_count = 0 in
     let sc = Domain.DLS.get scratch_key in
-    let nloc = group_by_loc sc c.trace (Array.length c.trace) in
-    let out = ref [] and start = ref 0 in
-    for l = 0 to nloc - 1 do
-      let stop = sc.lstart.(l) in
-      let off = !start and n = stop - !start in
-      if n > 0 then begin
+    let out = ref [] in
+    iter_locations sc c.trace (Array.length c.trace) (fun loc ~off ~n ->
         let clean = decide sc ~graph ~graph_exact c.trace clks ~off ~n in
         let found =
-          explain sc ~graph ~graph_exact ~loc:l c.trace clks ~off ~n []
+          check_location sc ~graph ~graph_exact ~loc c.trace clks ~off ~n []
         in
-        out := (l, clean, List.rev found) :: !out
-      end;
-      start := stop
-    done;
+        out := (loc, clean, List.rev found) :: !out);
     List.rev !out
 end

@@ -168,13 +168,14 @@ end
 (** Internal helpers exposed for tests. *)
 module Internal : sig
   (** [location_verdicts exec ~actions ~sync_edges] runs, for every
-      location of a recorded execution (ascending), both the bit-row
-      decision and the pair-by-pair pass, on the post-hoc certified
-      clocks: [(loc, decided_clean, violations)], with the pass's
-      violations in detection order.  The decision is exact when a
-      location is decided clean just when [violations] is empty.
-      [perturb] may change the clocks (one per action, in trace order)
-      before both passes read them. *)
+      location of a recorded execution (ascending), the bit-row decision
+      and then the pair-by-pair pass over the view it filled, on the
+      post-hoc certified clocks: [(loc, decided_clean, violations)], with
+      the pass's violations in detection order.  [Check.certify] runs the
+      pass only where the decision rejects; here it runs everywhere, and
+      the decision is exact when a location is decided clean just when
+      [violations] is empty.  [perturb] may change the clocks (one per
+      action, in trace order) before both passes read them. *)
   val location_verdicts :
     ?perturb:(int array array -> unit) ->
     Execution.t ->

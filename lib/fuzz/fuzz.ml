@@ -38,6 +38,11 @@ let default_gen_cfg =
     g_profile = Mixed;
   }
 
+(* main runs one body more than [g_threads], and a body unlocks each
+   mutex it still holds after its [g_ops] draws *)
+let max_gen_threads = Progir.max_threads - 1
+let max_gen_ops = Progir.max_ops - default_gen_cfg.g_mutexes
+
 type op = Progir.op =
   | Load of { loc : int; mo : Memorder.t }
   | Store of { loc : int; mo : Memorder.t; value : int }

@@ -61,6 +61,15 @@ type gen_cfg = {
 
 val default_gen_cfg : gen_cfg
 
+(** The largest [g_threads] and [g_ops] whose programs, with
+    [default_gen_cfg]'s other knobs, stay inside {!Progir}'s bounds: main
+    runs one body more than [g_threads], and a body unlocks each mutex it
+    still holds after its [g_ops] draws, so it can run [g_mutexes] ops
+    past [g_ops]. *)
+val max_gen_threads : int
+
+val max_gen_ops : int
+
 (** One operation of a generated thread body.  [loc] indexes the
     program's atomic locations, [na] its plain locations, [m] its
     mutexes. *)

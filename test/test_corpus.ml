@@ -184,6 +184,49 @@ let test_counts_bounded () =
   check_bool "and deleted" false
     (Sys.file_exists (Filename.concat dir "ffff.json"))
 
+(* The largest generator sizes [fuzz] and [lint] accept still produce
+   programs inside Progir's bounds, trailing unlocks included, so a
+   corpus that stores one loads it back.  Each search stops at the first
+   seed that reaches the edge: a body longer than [--ops], or main plus
+   [--threads] spawned bodies. *)
+let test_largest_gen_sizes_roundtrip () =
+  let rec first cfg reaches seed =
+    if seed > 50_000 then Alcotest.fail "no generated program reaches the edge"
+    else begin
+      let p = Fuzz.generate ~cfg ~seed:(Int64.of_int seed) in
+      (match Progir.validate p with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "seed %d: %s" seed msg);
+      if reaches p then p else first cfg reaches (seed + 1)
+    end
+  in
+  let longest_body p =
+    Array.fold_left (fun m b -> max m (Array.length b)) 0 p.Progir.p_threads
+  in
+  let long =
+    first
+      { Fuzz.default_gen_cfg with Fuzz.g_ops = Fuzz.max_gen_ops }
+      (fun p -> longest_body p > Fuzz.max_gen_ops)
+      0
+  in
+  let wide =
+    first
+      {
+        Fuzz.default_gen_cfg with
+        Fuzz.g_threads = Fuzz.max_gen_threads;
+        g_ops = 1;
+      }
+      (fun p -> Array.length p.Progir.p_threads = Fuzz.max_gen_threads + 1)
+      0
+  in
+  let dir = fresh_dir () in
+  let c = open_corpus dir in
+  check_bool "long entry stored" true
+    (Corpus.store c (entry_of ~digest:"eeee" long));
+  check_bool "wide entry stored" true
+    (Corpus.store c (entry_of ~digest:"ffff" wide));
+  check_int "both load back" 2 (List.length (Corpus.load c))
+
 let test_open_dir_rejects () =
   let file = Filename.temp_file "c11corpus" ".notadir" in
   (match Corpus.open_dir file with
@@ -302,6 +345,8 @@ let suite =
       test_corrupt_entry_skipped_deleted;
     Alcotest.test_case "counts past the bounds refused at decode" `Quick
       test_counts_bounded;
+    Alcotest.test_case "largest generator sizes stored and loaded" `Quick
+      test_largest_gen_sizes_roundtrip;
     Alcotest.test_case "open_dir rejects non-directory" `Quick
       test_open_dir_rejects;
     Alcotest.test_case "campaign -j parity" `Quick test_campaign_jobs_parity;
