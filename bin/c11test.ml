@@ -24,7 +24,8 @@
          (racy/torn sweep cells are expected matrix content, not bugs)
      2 — usage errors (unknown workload/litmus test/lint target/pruning
          policy/fuzz profile/mutant/sweep family, non-positive --jobs or
-         --workers, unwritable --coverage/--progress path, --cache or
+         --workers, an unwritable output path (--json, --coverage,
+         --progress, --findings, --ndjson, --trace-out), --cache or
          --corpus directory, missing, empty or malformed `report' input,
          and any command line cmdliner cannot parse)
 
@@ -255,15 +256,6 @@ let progress_arg =
     & opt ~vopt:(Some "-") (some string) None
     & info [ "progress" ] ~docv:"FILE" ~doc)
 
-let with_out_file path f =
-  if path = "-" then f stdout
-  else
-    match open_out path with
-    | oc -> Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-    | exception Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" path msg;
-      exit 1
-
 let output_ndjson oc docs =
   List.iter
     (fun j ->
@@ -273,7 +265,7 @@ let output_ndjson oc docs =
 
 (* A command's --json report.  The fabric's fields are present only when
    it ran, so single-process reports (and their goldens) are unchanged. *)
-let write_report path fields svc_stats =
+let write_report oc fields svc_stats =
   let fabric =
     match svc_stats with
     | None -> []
@@ -283,61 +275,69 @@ let write_report path fields svc_stats =
         ("svc", Svc.stats_to_json st);
       ]
   in
-  with_out_file path (fun oc ->
-      output_string oc (Jsonx.to_pretty_string (Jsonx.Obj (fields @ fabric)));
-      output_char oc '\n')
+  output_string oc (Jsonx.to_pretty_string (Jsonx.Obj (fields @ fabric)));
+  output_char oc '\n'
 
-(* Coverage/progress sinks are opened before the campaign starts, so an
-   unwritable path is a usage error (exit 2) rather than a failure after
-   minutes of work.  Returns the channel and whether we own (must close)
-   it. *)
-let open_sink = function
-  | "-" -> Ok (stdout, false)
-  | path -> (
-    match open_out path with
-    | oc -> Ok (oc, true)
-    | exception Sys_error msg -> Error msg)
+(* The files a command writes: --json, its own NDJSON artifact (fuzz
+   --findings, sweep/lint --ndjson, run --trace-out), --coverage, and the
+   --progress stream. *)
+type sinks = {
+  json : out_channel option;
+  ndjson : out_channel option;
+  coverage : out_channel option;
+  progress : Progress.t;
+}
 
-let close_sink = function
-  | None -> ()
-  | Some (oc, owned) -> if owned then close_out oc else flush oc
-
-(* [with_sinks ~coverage ~progress k] opens both optional sinks and calls
-   [k cov_sink progress_handle]; [usage] errors exit 2.  [total] sizes the
-   progress stream's `total' field. *)
-let with_sinks ~coverage ~progress ~total k =
+(* [with_sinks ?json ?ndjson ?coverage ?progress ~total k] opens every
+   named output (`-' is stdout) before the campaign starts, so an
+   unwritable path is a usage error (exit 2) found before any work, not a
+   failure after minutes of it.  [total] sizes the progress stream's
+   `total' field. *)
+let with_sinks ?json ?ndjson ?coverage ?progress ~total k =
+  let opened = ref [] in
+  let close_all () =
+    List.iter close_out !opened;
+    flush stdout
+  in
   let open_opt = function
     | None -> Ok None
+    | Some "-" -> Ok (Some stdout)
     | Some path -> (
-      match open_sink path with
-      | Ok s -> Ok (Some s)
-      | Error msg ->
+      match open_out path with
+      | oc ->
+        opened := oc :: !opened;
+        Ok (Some oc)
+      | exception Sys_error msg ->
         Printf.eprintf "cannot write %s: %s\n" path msg;
         Error ())
   in
-  match (open_opt coverage, open_opt progress) with
-  | Error (), _ | _, Error () -> 2
-  | Ok cov_sink, Ok prog_sink ->
-    let progress_handle =
-      match prog_sink with
+  let opened_sinks =
+    let ( let* ) = Result.bind in
+    let* json = open_opt json in
+    let* ndjson = open_opt ndjson in
+    let* coverage = open_opt coverage in
+    let* progress = open_opt progress in
+    let progress =
+      match progress with
       | None -> Progress.null
-      | Some (oc, _) ->
-        Progress.create ~out:oc ~interval_ns:250_000_000 ~total
+      | Some oc -> Progress.create ~out:oc ~interval_ns:250_000_000 ~total
     in
-    Fun.protect
-      ~finally:(fun () ->
-        close_sink cov_sink;
-        close_sink prog_sink)
-      (fun () -> k cov_sink progress_handle)
+    Ok { json; ndjson; coverage; progress }
+  in
+  match opened_sinks with
+  | Error () ->
+    close_all ();
+    2
+  | Ok sinks -> Fun.protect ~finally:close_all (fun () -> k sinks)
 
-let emit_coverage cov_sink = function
+let emit_coverage sinks = function
   | None -> ()
-  | Some summary -> (
-    match cov_sink with
-    | None -> ()
-    | Some (oc, _) ->
-      output_ndjson oc (Cov.summary_to_ndjson summary);
-      flush oc)
+  | Some summary ->
+    Option.iter
+      (fun oc ->
+        output_ndjson oc (Cov.summary_to_ndjson summary);
+        flush oc)
+      sinks.coverage
 
 let prune_of_string = function
   | "none" -> Ok Pruner.No_prune
@@ -392,8 +392,8 @@ let run_cmd =
           else prune
         in
         let certify = certify || tier in
-        with_sinks ~coverage ~progress ~total:iters
-        @@ fun cov_sink progress_handle ->
+        with_sinks ?json ?ndjson:trace_out ?coverage ?progress ~total:iters
+        @@ fun sinks ->
         let config =
           {
             (Tool.config ~prune
@@ -427,11 +427,11 @@ let run_cmd =
             w.Registry.name (Variant.to_string variant) (Tool.name tool) iters
             scale
             (placement ~sep:"," ~workers ~cache_spec ~jobs);
-        campaign ~profile ~metrics ~progress:progress_handle ~jobs ~workers
+        campaign ~profile ~metrics ~progress:sinks.progress ~jobs ~workers
           ?cache
           (Svc.run_instance w ~buggy ~scale ~config ~iters)
         @@ fun summary svc_stats ->
-        emit_coverage cov_sink summary.Tester.coverage;
+        emit_coverage sinks summary.Tester.coverage;
         if not quiet then
           Format.printf "%a@." Tester.pp_summary summary;
         if verbose && not quiet then
@@ -447,9 +447,7 @@ let run_cmd =
           | Some index ->
             let obs = Obs.create ~ring_capacity:(max 65536 trace_last) in
             ignore (Tester.replay ~obs ~config ~index body);
-            Option.iter
-              (fun path -> with_out_file path (fun oc -> Obs.write_ndjson oc obs))
-              trace_out;
+            Option.iter (fun oc -> Obs.write_ndjson oc obs) sinks.ndjson;
             if trace_last > 0 && not quiet then begin
               let events = Obs.ring_events obs in
               let skip = max 0 (List.length events - trace_last) in
@@ -470,11 +468,11 @@ let run_cmd =
               (Metrics.counter_value metrics "certify.locations")
               (Metrics.counter_value metrics "certify.locations_explained")
         end;
-        (match json with
+        (match sinks.json with
         | None -> ()
-        | Some path ->
+        | Some oc ->
           let gc = Gc.quick_stat () in
-          write_report path
+          write_report oc
             [
               ("schema", Jsonx.String "c11obs-run-v1");
               ("workload", Jsonx.String w.Registry.name);
@@ -515,8 +513,7 @@ let litmus_cmd =
       2
     | Some t ->
       with_campaign_opts ~jobs ~workers ~cache_spec @@ fun cache ->
-      with_sinks ~coverage ~progress ~total:iters
-      @@ fun cov_sink progress_handle ->
+      with_sinks ?coverage ?progress ~total:iters @@ fun sinks ->
       let config =
         {
           (Tool.config tool) with
@@ -531,11 +528,11 @@ let litmus_cmd =
           (Tool.name tool) iters
           (placement ~sep:" on" ~workers ~cache_spec ~jobs)
           t.Litmus.description;
-      campaign ~progress:progress_handle ~jobs ~workers ?cache
+      campaign ~progress:sinks.progress ~jobs ~workers ?cache
         (Svc.litmus_instance t ~config ~iters)
       @@ fun (summary, hist) _ ->
       let hist = Litmus.rank_hist hist in
-      emit_coverage cov_sink summary.Tester.coverage;
+      emit_coverage sinks summary.Tester.coverage;
       if not quiet then begin
         List.iter
           (fun (o, n) ->
@@ -655,7 +652,7 @@ let fuzz_cmd =
   let run programs ops threads profile_name seed jobs findings
       json mutant_name coverage progress workers cache_spec corpus_spec
       mutate_pct round =
-    match Fuzz.profile_of_string profile_name with
+    match Progir.profile_of_string profile_name with
     | None ->
       Printf.eprintf
         "unknown fuzz profile %S; try mixed, sc-heavy, rmw-chain or \
@@ -688,8 +685,8 @@ let fuzz_cmd =
           2
         end
         else begin
-          with_sinks ~coverage ~progress ~total:programs
-          @@ fun cov_sink progress_handle ->
+          with_sinks ?json ?ndjson:findings ?coverage ?progress ~total:programs
+          @@ fun sinks ->
           let corpus_plan =
             Option.map
               (fun c ->
@@ -721,7 +718,7 @@ let fuzz_cmd =
           if not quiet then
             Printf.printf
               "fuzzing %d programs (profile %s, <=%d threads, <=%d ops%s%s%s)%s\n"
-              programs (Fuzz.profile_name profile) threads ops
+              programs (Progir.profile_name profile) threads ops
               ", certifying all"
               (match mutation with
               | None -> ""
@@ -732,11 +729,11 @@ let fuzz_cmd =
                 Printf.sprintf ", corpus %d entries"
                   (List.length pl.Corpus.pl_entries))
               (placement ~sep:" on" ~workers ~cache_spec ~jobs);
-          campaign ~profile:profiler ~metrics ~progress:progress_handle ~jobs
+          campaign ~profile:profiler ~metrics ~progress:sinks.progress ~jobs
             ~workers ?cache
             (Svc.fuzz_instance ~coverage:(coverage <> None) cfg)
           @@ fun report svc_stats ->
-          emit_coverage cov_sink report.Fuzz.r_coverage;
+          emit_coverage sinks report.Fuzz.r_coverage;
           (* persist the campaign's admissions; store is first-wins, so a
              digest already on disk (from a prior campaign) is skipped *)
           (match (corpus, report.Fuzz.r_corpus) with
@@ -758,22 +755,21 @@ let fuzz_cmd =
               Printf.printf "throughput: %.0f programs/sec (execution phase)\n"
                 rate
           end;
-          (match findings with
+          Option.iter
+            (fun oc ->
+              output_ndjson oc
+                (List.map Fuzz.finding_to_json report.Fuzz.r_findings))
+            sinks.ndjson;
+          (match sinks.json with
           | None -> ()
-          | Some path ->
-            with_out_file path (fun oc ->
-                output_ndjson oc
-                  (List.map Fuzz.finding_to_json report.Fuzz.r_findings)));
-          (match json with
-          | None -> ()
-          | Some path ->
-            write_report path
+          | Some oc ->
+            write_report oc
               [
                 ("schema", Jsonx.String "c11fuzz-v1");
                 ("programs", Jsonx.Int programs);
                 ("seed", Jsonx.Int seed);
                 ("jobs", Jsonx.Int jobs);
-                ("gen_profile", Jsonx.String (Fuzz.profile_name profile));
+                ("gen_profile", Jsonx.String (Progir.profile_name profile));
                 ( "mutant",
                   match mutation with
                   | None -> Jsonx.Null
@@ -840,8 +836,7 @@ let sweep_cmd =
       end
       else begin
         let total = Sweep.total ~family ~iters in
-        with_sinks ~coverage:None ~progress ~total
-        @@ fun _cov_sink progress_handle ->
+        with_sinks ?json ?ndjson ?progress ~total @@ fun sinks ->
         let quiet =
           json = Some "-" || ndjson = Some "-" || progress = Some "-"
         in
@@ -852,20 +847,18 @@ let sweep_cmd =
             (List.length family.Sweep.fa_cells)
             iters
             (placement ~sep:" on" ~workers ~cache_spec ~jobs);
-        campaign ~progress:progress_handle ~jobs ~workers ?cache
+        campaign ~progress:sinks.progress ~jobs ~workers ?cache
           (Svc.sweep_instance family ~iters ~seed:seed64)
         @@ fun result svc_stats ->
         if not quiet then
           Format.printf "%a@." Sweep.pp_matrix result;
-        (match ndjson with
+        Option.iter
+          (fun oc -> output_ndjson oc (Sweep.result_to_ndjson result))
+          sinks.ndjson;
+        (match sinks.json with
         | None -> ()
-        | Some path ->
-          with_out_file path (fun oc ->
-              output_ndjson oc (Sweep.result_to_ndjson result)));
-        (match json with
-        | None -> ()
-        | Some path ->
-          write_report path
+        | Some oc ->
+          write_report oc
             [
               ("schema", Jsonx.String "c11sweep-campaign-v1");
               ("family", Jsonx.String family.Sweep.fa_name);
@@ -936,7 +929,7 @@ let lint_cmd =
   in
   let run targets programs ops threads profile_name seed jobs verbose json
       ndjson progress workers cache_spec =
-    match Fuzz.profile_of_string profile_name with
+    match Progir.profile_of_string profile_name with
     | None ->
       Printf.eprintf
         "unknown fuzz profile %S; try mixed, sc-heavy, rmw-chain or \
@@ -957,24 +950,7 @@ let lint_cmd =
             else List.map fst Lmodel.all @ List.map fst Wmodel.all
           in
           let total = List.length targets + programs in
-          (* the NDJSON sink opens before any analysis runs, so an
-             unwritable path is a usage error like --coverage/--progress *)
-          let nd_sink =
-            match ndjson with
-            | None -> Ok None
-            | Some path -> (
-              match open_sink path with
-              | Ok s -> Ok (Some s)
-              | Error msg ->
-                Printf.eprintf "cannot write %s: %s\n" path msg;
-                Error ())
-          in
-          match nd_sink with
-          | Error () -> 2
-          | Ok nd_sink ->
-          Fun.protect ~finally:(fun () -> close_sink nd_sink) @@ fun () ->
-          with_sinks ~coverage:None ~progress ~total
-          @@ fun _cov_sink progress_handle ->
+          with_sinks ?json ?ndjson ?progress ~total @@ fun sinks ->
           let gen =
             {
               Fuzz.default_gen_cfg with
@@ -992,14 +968,12 @@ let lint_cmd =
               "linting %d named target(s) and %d generated program(s)%s\n"
               (List.length targets) programs
               (placement ~sep:" on" ~workers ~cache_spec ~jobs);
-          campaign ~progress:progress_handle ~jobs ~workers ?cache
+          campaign ~progress:sinks.progress ~jobs ~workers ?cache
             (Svc.lint_instance ~targets ~programs ~seed:seed64 ~gen)
           @@ fun results svc_stats ->
-          (match nd_sink with
-          | None -> ()
-          | Some (oc, _) ->
-            output_ndjson oc (Lint.campaign_to_ndjson results);
-            flush oc);
+          Option.iter
+            (fun oc -> output_ndjson oc (Lint.campaign_to_ndjson results))
+            sinks.ndjson;
           let unclean = List.filter (fun (_, r) -> not (Lint.clean r)) results in
           let racy =
             List.filter (fun (_, r) -> not r.Lint.res_race_free) results
@@ -1044,17 +1018,17 @@ let lint_cmd =
                 if n > 0 then Printf.printf "  %-24s %d\n" rule n)
               rule_counts
           end;
-          (match json with
+          (match sinks.json with
           | None -> ()
-          | Some path ->
-            write_report path
+          | Some oc ->
+            write_report oc
               [
                 ("schema", Jsonx.String "c11lint-report-v1");
                 ("targets", Jsonx.Int (List.length results));
                 ("programs", Jsonx.Int programs);
                 ("seed", Jsonx.Int seed);
                 ("jobs", Jsonx.Int jobs);
-                ("gen_profile", Jsonx.String (Fuzz.profile_name profile));
+                ("gen_profile", Jsonx.String (Progir.profile_name profile));
                 ("clean", Jsonx.Int (List.length results - List.length unclean));
                 ("race_potential", Jsonx.Int (List.length racy));
                 ( "rule_hits",
@@ -1124,11 +1098,7 @@ let report_cmd =
              (fun () -> read_channel ic))
       | exception Sys_error msg -> Error msg
   in
-  let schema_of j =
-    match Option.bind (Jsonx.member "schema" j) Jsonx.to_str with
-    | Some s -> Ok s
-    | None -> Error "record has no \"schema\" member"
-  in
+  let schema_of = Jsonx.req "record" Jsonx.string "schema" in
   let pp_int_row label n = Printf.printf "  %-22s %d\n" label n in
   let schemas =
     [
@@ -1199,9 +1169,7 @@ let report_cmd =
        result_of_ndjson and exits 2. *)
     let sweep_campaigns docs =
       let is_campaign (_, _, j) =
-        match Jsonx.member "record" j with
-        | Some r -> Jsonx.to_str r = Some "campaign"
-        | None -> false
+        Jsonx.member "record" j = Some (Jsonx.String "campaign")
       in
       List.fold_left
         (fun groups d ->
@@ -1212,12 +1180,10 @@ let report_cmd =
       |> List.rev_map List.rev
     in
     let ( let* ) = Result.bind in
-    let rec all_ok f = function
-      | [] -> Ok []
-      | x :: rest ->
-        let* y = f x in
-        let* ys = all_ok f rest in
-        Ok (y :: ys)
+    (* formats read a record at a time: an error names the record's line *)
+    let each f =
+      Jsonx.map_result (fun (path, line, j) ->
+          Result.map_error (fun msg -> (path, line, msg)) (f j))
     in
     (* every section decoded before anything is printed *)
     let decoded =
@@ -1240,25 +1206,15 @@ let report_cmd =
         | ds -> Result.map Option.some (decode Lint.campaign_of_ndjson ds)
       in
       let* sweeps =
-        all_ok (decode Sweep.result_of_ndjson)
+        Jsonx.map_result (decode Sweep.result_of_ndjson)
           (sweep_campaigns (section "c11sweep-v1"))
       in
-      let* corpus =
-        all_ok
-          (fun (path, line, j) ->
-            match Corpus.entry_of_json j with
-            | Ok e -> Ok e
-            | Error msg -> Error (path, line, msg))
-          (section "c11corpus-v1")
+      let* corpus = each Corpus.entry_of_json (section "c11corpus-v1") in
+      let* progress = each Progress.record_of_json (section "c11progress-v1") in
+      let* findings =
+        each Fuzz.finding_record_of_json (section "c11fuzz-finding-v1")
       in
-      let plain s = List.map (fun (_, _, j) -> j) (section s) in
-      Ok
-        ( cov,
-          plain "c11progress-v1",
-          plain "c11fuzz-finding-v1",
-          lint,
-          sweeps,
-          corpus )
+      Ok (cov, progress, findings, lint, sweeps, corpus)
     in
     match decoded with
     | Error (path, 0, msg) ->
@@ -1268,7 +1224,7 @@ let report_cmd =
     | Error (path, line, msg) ->
       Printf.eprintf "report: %s: line %d: %s\n" path line msg;
       2
-    | Ok (cov, progress_docs, finding_docs, lint, sweeps, corpus) -> (
+    | Ok (cov, progress, findings, lint, sweeps, corpus) -> (
         (* coverage *)
         (match cov with
         | None -> ()
@@ -1296,65 +1252,35 @@ let report_cmd =
                 top
             end);
         (* progress *)
-        (match progress_docs with
+        (match progress with
         | [] -> ()
-        | docs ->
-          let int_of j k =
-            Option.bind (Jsonx.member k j) Jsonx.to_int
-          in
-          let float_of j k =
-            Option.bind (Jsonx.member k j) Jsonx.to_float
-          in
+        | records ->
           let high_water =
             List.fold_left
-              (fun acc j ->
-                max acc (Option.value ~default:0 (int_of j "gc_top_heap_words")))
-              0 docs
-          in
-          let final =
-            List.find_opt
-              (fun j ->
-                Option.bind (Jsonx.member "kind" j) Jsonx.to_str
-                = Some "final")
-              docs
+              (fun acc r -> max acc r.Progress.gc_top_heap_words)
+              0 records
           in
           print_endline "progress (c11progress-v1):";
-          pp_int_row "heartbeats" (List.length docs);
-          (match final with
+          pp_int_row "heartbeats" (List.length records);
+          (match List.find_opt (fun r -> r.Progress.final) records with
           | None -> print_endline "  (no final record)"
-          | Some j ->
-            (match int_of j "done" with
-            | Some d -> pp_int_row "executions done" d
-            | None -> ());
-            (match int_of j "novel" with
-            | Some n -> pp_int_row "novel shapes" n
-            | None -> ());
-            (match int_of j "findings" with
-            | Some n -> pp_int_row "findings" n
-            | None -> ());
-            (match float_of j "exec_per_s" with
-            | Some r -> Printf.printf "  %-22s %.0f\n" "exec/s" r
-            | None -> ()));
+          | Some r ->
+            pp_int_row "executions done" r.Progress.done_;
+            pp_int_row "novel shapes" r.Progress.novel;
+            pp_int_row "findings" r.Progress.findings;
+            Printf.printf "  %-22s %.0f\n" "exec/s" r.Progress.exec_per_s);
           pp_int_row "gc high-water words" high_water);
         (* findings *)
-        (match finding_docs with
+        (match findings with
         | [] -> ()
-        | docs ->
+        | records ->
           Printf.printf "findings (c11fuzz-finding-v1): %d\n"
-            (List.length docs);
+            (List.length records);
           List.iter
-            (fun j ->
-              let str k =
-                Option.value ~default:"?"
-                  (Option.bind (Jsonx.member k j) Jsonx.to_str)
-              in
-              let int k =
-                Option.value ~default:(-1)
-                  (Option.bind (Jsonx.member k j) Jsonx.to_int)
-              in
-              Printf.printf "  program %d  %s  (%d -> %d ops)\n" (int "index")
-                (str "key") (int "ops_before") (int "ops_after"))
-            docs);
+            (fun f ->
+              Printf.printf "  program %d  %s  (%d -> %d ops)\n" f.Fuzz.fr_index
+                f.Fuzz.fr_key f.Fuzz.fr_ops_before f.Fuzz.fr_ops_after)
+            records);
         (* static analysis *)
         (match lint with
         | None -> ()

@@ -1539,12 +1539,13 @@ module Stream = struct
   let explained_locations s = s.n_explained_locs
 
   (* growable int arrays, zero-filled: a short array reads as 0s, exactly
-     like the post-hoc fixed-width clocks *)
+     like the post-hoc fixed-width clocks.  Widths round as the engine's
+     clocks do, so they too stay bounded by the execution's threads. *)
   let grown arr n =
     let len = Array.length arr in
     if len >= n then arr
     else begin
-      let a = Array.make (max n (max 4 (2 * len))) 0 in
+      let a = Array.make (Clockvec.round_width n) 0 in
       Array.blit arr 0 a 0 len;
       a
     end

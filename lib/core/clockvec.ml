@@ -14,13 +14,23 @@ let bottom () = { data = [||] }
    widths (DESIGN.md, "Hot and cold paths"). *)
 let[@inline] zeros4 () = [| 0; 0; 0; 0 |]
 
-(* The cold half of [ensure]: grow to at least [n] slots, doubling, never
-   below 4. *)
+(* A width is the smallest power of two >= [n], never below 4: it
+   depends only on the thread ids a clock has seen.  Growing to twice a
+   clock's own width would let clocks passed among many threads widen
+   each other without bound. *)
+let round_width n =
+  let w = ref 4 in
+  while !w < n do
+    w := 2 * !w
+  done;
+  !w
+
+(* The cold half of [ensure]: grow to [round_width n] slots. *)
 let[@inline never] grow t n =
   let len = Array.length t.data in
   if len = 0 && n <= 4 then t.data <- zeros4 ()
   else begin
-    let data = Array.make (max n (max 4 (2 * len))) 0 in
+    let data = Array.make (round_width n) 0 in
     Array.blit t.data 0 data 0 len;
     t.data <- data
   end

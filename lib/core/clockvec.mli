@@ -50,6 +50,12 @@ val covers : t -> tid:int -> seq:int -> bool
 (** Number of slots ever touched (an upper bound on thread ids + 1). *)
 val width : t -> int
 
+(** [round_width n] is the width a clock grows to when it needs [n]
+    slots: the smallest power of two [>= n], never below 4.  So no clock
+    of an execution whose thread ids are below [n] is wider than
+    [round_width n]. *)
+val round_width : int -> int
+
 (** The underlying slot array, for read-only scans on hot paths (the race
     detector's conflict loop).  Callers must not mutate it, and must not
     hold it across a {!set} or {!merge} (growth may reallocate). *)

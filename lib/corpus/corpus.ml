@@ -23,46 +23,15 @@ let entry_to_json e =
 
 let entry_of_json j =
   let ( let* ) = Result.bind in
-  let str_field k =
-    match Option.bind (Jsonx.member k j) Jsonx.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "entry: missing string field %S" k)
-  in
-  let* sch = str_field "schema" in
-  if sch <> schema then Error (Printf.sprintf "entry: unexpected schema %S" sch)
-  else
-    let* digest = str_field "digest" in
-    let* index =
-      match Option.bind (Jsonx.member "index" j) Jsonx.to_int with
-      | Some i -> Ok i
-      | None -> Error "entry: missing integer field \"index\""
-    in
-    let* seed =
-      let* s = str_field "seed" in
-      match Int64.of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "entry: bad seed %S" s)
-    in
-    let* keys =
-      match Option.bind (Jsonx.member "keys" j) Jsonx.to_list with
-      | None -> Error "entry: missing keys"
-      | Some ks ->
-        List.fold_left
-          (fun acc kj ->
-            let* ks = acc in
-            match Jsonx.to_str kj with
-            | Some k -> Ok (k :: ks)
-            | None -> Error "entry: non-string key")
-          (Ok []) ks
-        |> Result.map List.rev
-    in
-    let* program =
-      match Jsonx.member "program" j with
-      | Some pj -> Progir.program_of_json pj
-      | None -> Error "entry: missing program"
-    in
-    Ok { en_digest = digest; en_index = index; en_seed = seed; en_keys = keys;
-         en_program = program }
+  let field ty k = Jsonx.req "entry" ty k j in
+  let* () = field (Jsonx.literal schema) "schema" in
+  let* en_digest = field Jsonx.string "digest" in
+  let* en_index = field Jsonx.int "index" in
+  let* en_seed = field Jsonx.int64 "seed" in
+  let* en_keys = field (Jsonx.list_of Jsonx.string) "keys" in
+  let* program = field Jsonx.obj "program" in
+  let* en_program = Progir.program_of_json program in
+  Ok { en_digest; en_index; en_seed; en_keys; en_program }
 
 (* ------------------------------------------------------------------ *)
 (* Storage *)

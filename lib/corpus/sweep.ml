@@ -554,125 +554,59 @@ let result_to_json r =
 
 let result_of_ndjson lines =
   let ( let* ) = Result.bind in
-  let str j k =
-    match Option.bind (Jsonx.member k j) Jsonx.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "c11sweep-v1: missing string field %S" k)
-  in
-  let int j k =
-    match Option.bind (Jsonx.member k j) Jsonx.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "c11sweep-v1: missing integer field %S" k)
-  in
+  let field ty k j = Jsonx.req schema ty k j in
   let parse_cell j =
-    let* index = int j "index" in
-    let* id = str j "id" in
-    let* params =
-      match Jsonx.member "params" j with
-      | Some (Jsonx.Obj kvs) ->
-        List.fold_left
-          (fun acc (k, vj) ->
-            let* ps = acc in
-            match Jsonx.to_str vj with
-            | Some v -> Ok ((k, v) :: ps)
-            | None -> Error "c11sweep-v1: non-string param value")
-          (Ok []) kvs
-        |> Result.map List.rev
-      | _ -> Error "c11sweep-v1: missing params object"
-    in
-    let* execs = int j "execs" in
-    let* racy = int j "racy" in
-    let* torn = int j "torn" in
-    let* cert_rejected = int j "cert_rejected" in
-    let* deadlocks = int j "deadlocks" in
-    let* rules =
-      match Option.bind (Jsonx.member "lint_rules" j) Jsonx.to_list with
-      | None -> Error "c11sweep-v1: missing lint_rules"
-      | Some rs ->
-        List.fold_left
-          (fun acc rj ->
-            let* rs = acc in
-            match Jsonx.to_str rj with
-            | Some r -> Ok (r :: rs)
-            | None -> Error "c11sweep-v1: non-string lint rule")
-          (Ok []) rs
-        |> Result.map List.rev
-    in
-    let* verdict =
-      let* v = str j "verdict" in
-      match verdict_of_name v with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "c11sweep-v1: unknown verdict %S" v)
-    in
+    let* cr_index = field Jsonx.int "index" j in
+    let* cr_id = field Jsonx.string "id" j in
+    let* cr_params = field (Jsonx.obj_of Jsonx.string) "params" j in
+    let* st_execs = field Jsonx.int "execs" j in
+    let* st_racy = field Jsonx.int "racy" j in
+    let* st_torn = field Jsonx.int "torn" j in
+    let* st_cert_rejected = field Jsonx.int "cert_rejected" j in
+    let* st_deadlocks = field Jsonx.int "deadlocks" j in
+    let* cr_lint_rules = field (Jsonx.list_of Jsonx.string) "lint_rules" j in
+    let* cr_verdict = field (Jsonx.enum "verdict" verdict_of_name) "verdict" j in
     Ok
       {
-        cr_index = index;
-        cr_id = id;
-        cr_params = params;
-        cr_stats =
-          {
-            st_execs = execs;
-            st_racy = racy;
-            st_torn = torn;
-            st_cert_rejected = cert_rejected;
-            st_deadlocks = deadlocks;
-          };
-        cr_lint_rules = rules;
-        cr_verdict = verdict;
+        cr_index;
+        cr_id;
+        cr_params;
+        cr_stats = { st_execs; st_racy; st_torn; st_cert_rejected; st_deadlocks };
+        cr_lint_rules;
+        cr_verdict;
       }
   in
-  let* campaign, cells =
-    List.fold_left
-      (fun acc j ->
-        let* campaign, cells = acc in
-        let* sch = str j "schema" in
-        if sch <> schema then
-          Error (Printf.sprintf "c11sweep-v1: unexpected schema %S" sch)
-        else
-          let* record = str j "record" in
-          match record with
-          | "campaign" -> (
-            match campaign with
-            | None -> Ok (Some j, cells)
-            | Some _ -> Error "c11sweep-v1: duplicate campaign record")
-          | "cell" ->
-            let* c = parse_cell j in
-            Ok (campaign, c :: cells)
-          | r -> Error (Printf.sprintf "c11sweep-v1: unknown record %S" r))
-      (Ok (None, []))
-      lines
+  let rec go campaign cells = function
+    | [] -> Ok (campaign, cells)
+    | j :: rest -> (
+      let* () = field (Jsonx.literal schema) "schema" j in
+      let* record = field Jsonx.string "record" j in
+      match (record, campaign) with
+      | "campaign", None -> go (Some j) cells rest
+      | "campaign", Some _ -> Error "c11sweep-v1: duplicate campaign record"
+      | "cell", _ ->
+        let* c = parse_cell j in
+        go campaign (c :: cells) rest
+      | r, _ -> Error (Printf.sprintf "c11sweep-v1: unknown record %S" r))
   in
+  let* campaign, cells = go None [] lines in
   match campaign with
   | None -> Error "c11sweep-v1: missing campaign record"
   | Some j ->
-    let* family = str j "family" in
-    let* row = str j "row" in
-    let* col = str j "col" in
-    let* iters = int j "iters" in
-    let* seed =
-      let* s = str j "seed" in
-      match Int64.of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "c11sweep-v1: bad seed %S" s)
-    in
-    let* ncells = int j "cells" in
-    let cells =
+    let* rs_family = field Jsonx.string "family" j in
+    let* rs_row = field Jsonx.string "row" j in
+    let* rs_col = field Jsonx.string "col" j in
+    let* rs_iters = field Jsonx.int "iters" j in
+    let* rs_seed = field Jsonx.int64 "seed" j in
+    let* ncells = field Jsonx.int "cells" j in
+    let rs_cells =
       List.sort (fun a b -> compare a.cr_index b.cr_index) (List.rev cells)
     in
-    if List.length cells <> ncells then
+    if List.length rs_cells <> ncells then
       Error
         (Printf.sprintf "c11sweep-v1: campaign announces %d cells, found %d"
-           ncells (List.length cells))
-    else
-      Ok
-        {
-          rs_family = family;
-          rs_row = row;
-          rs_col = col;
-          rs_iters = iters;
-          rs_seed = seed;
-          rs_cells = cells;
-        }
+           ncells (List.length rs_cells))
+    else Ok { rs_family; rs_row; rs_col; rs_iters; rs_seed; rs_cells }
 
 (* ------------------------------------------------------------------ *)
 (* Matrix rendering *)

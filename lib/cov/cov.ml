@@ -587,21 +587,12 @@ let summary_to_ndjson s =
 
 let summary_of_ndjson docs =
   let ( let* ) = Result.bind in
-  let int_field j k =
-    match Option.bind (Jsonx.member k j) Jsonx.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "missing integer field %S" k)
-  in
-  let str_field j k =
-    match Option.bind (Jsonx.member k j) Jsonx.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field %S" k)
-  in
+  let field ty k j = Jsonx.req schema ty k j in
   let entry_of j =
-    let* key = str_field j "key" in
-    let* count = int_field j "count" in
-    let* first = int_field j "first" in
-    Ok { e_key = key; e_count = count; e_first = first }
+    let* e_key = field Jsonx.string "key" j in
+    let* e_count = field Jsonx.int "count" j in
+    let* e_first = field Jsonx.int "first" j in
+    Ok { e_key; e_count; e_first }
   in
   let rec go docs campaign shapes races violations lint mo =
     match docs with
@@ -621,35 +612,32 @@ let summary_of_ndjson docs =
             s_mo = List.sort (fun (a, _) (b, _) -> String.compare a b) mo;
           })
     | j :: rest -> (
-      let* sch = str_field j "schema" in
-      if sch <> schema then
-        Error (Printf.sprintf "unexpected schema %S (want %s)" sch schema)
-      else
-        let* kind = str_field j "kind" in
-        match kind with
-        | "campaign" ->
-          if campaign <> None then Error "duplicate campaign record"
-          else
-            let* executions = int_field j "executions" in
-            let* events = int_field j "events" in
-            go rest (Some (executions, events)) shapes races violations lint mo
-        | "shape" ->
-          let* e = entry_of j in
-          go rest campaign (e :: shapes) races violations lint mo
-        | "race_site" ->
-          let* e = entry_of j in
-          go rest campaign shapes (e :: races) violations lint mo
-        | "violation" ->
-          let* e = entry_of j in
-          go rest campaign shapes races (e :: violations) lint mo
-        | "lint_rule" ->
-          let* e = entry_of j in
-          go rest campaign shapes races violations (e :: lint) mo
-        | "mo" ->
-          let* order = str_field j "order" in
-          let* count = int_field j "count" in
-          go rest campaign shapes races violations lint ((order, count) :: mo)
-        | k -> Error (Printf.sprintf "unknown record kind %S" k))
+      let* () = field (Jsonx.literal schema) "schema" j in
+      let* kind = field Jsonx.string "kind" j in
+      match kind with
+      | "campaign" ->
+        if campaign <> None then Error "duplicate campaign record"
+        else
+          let* executions = field Jsonx.int "executions" j in
+          let* events = field Jsonx.int "events" j in
+          go rest (Some (executions, events)) shapes races violations lint mo
+      | "shape" ->
+        let* e = entry_of j in
+        go rest campaign (e :: shapes) races violations lint mo
+      | "race_site" ->
+        let* e = entry_of j in
+        go rest campaign shapes (e :: races) violations lint mo
+      | "violation" ->
+        let* e = entry_of j in
+        go rest campaign shapes races (e :: violations) lint mo
+      | "lint_rule" ->
+        let* e = entry_of j in
+        go rest campaign shapes races violations (e :: lint) mo
+      | "mo" ->
+        let* order = field Jsonx.string "order" j in
+        let* count = field Jsonx.int "count" j in
+        go rest campaign shapes races violations lint ((order, count) :: mo)
+      | k -> Error (Printf.sprintf "unknown record kind %S" k))
   in
   go docs None [] [] [] [] []
 

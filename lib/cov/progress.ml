@@ -1,3 +1,19 @@
+(* the reader's record comes first, so the writer's [state] fields win
+   where a field name is shared *)
+type record = {
+  final : bool;
+  done_ : int;
+  total : int;
+  novel : int;
+  findings : int;
+  certified_ops : int;
+  retired_prefix_ops : int;
+  elapsed_s : float;
+  exec_per_s : float;
+  gc_top_heap_words : int;
+  gc_heap_words : int;
+}
+
 type state = {
   out : out_channel;
   interval_ns : int;
@@ -132,3 +148,24 @@ let finish ?novel ?findings t =
       (match findings with Some n -> Atomic.set s.findings n | None -> ());
       emit s "final" ~now:(Profile.now_ns ())
     end
+
+let record_of_json j : (record, string) result =
+  let ( let* ) = Result.bind in
+  let field ty k = Jsonx.req schema ty k j in
+  let count k = Result.map (Option.value ~default:0) (Jsonx.opt schema Jsonx.int k j) in
+  let kind = function "heartbeat" -> Some false | "final" -> Some true | _ -> None in
+  let* () = field (Jsonx.literal schema) "schema" in
+  let* final = field (Jsonx.enum "kind" kind) "kind" in
+  let* done_ = field Jsonx.int "done" in
+  let* total = field Jsonx.int "total" in
+  let* novel = field Jsonx.int "novel" in
+  let* findings = field Jsonx.int "findings" in
+  let* certified_ops = count "certified_ops" in
+  let* retired_prefix_ops = count "retired_prefix_ops" in
+  let* elapsed_s = field Jsonx.float "elapsed_s" in
+  let* exec_per_s = field Jsonx.float "exec_per_s" in
+  let* gc_top_heap_words = field Jsonx.int "gc_top_heap_words" in
+  let* gc_heap_words = field Jsonx.int "gc_heap_words" in
+  Ok
+    { final; done_; total; novel; findings; certified_ops; retired_prefix_ops;
+      elapsed_s; exec_per_s; gc_top_heap_words; gc_heap_words }

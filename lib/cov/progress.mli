@@ -56,3 +56,24 @@ val observe :
     known, [?novel] / [?findings] override the shard-local sums with the
     exact merged counts.  Idempotent: only the first call emits. *)
 val finish : ?novel:int -> ?findings:int -> t -> unit
+
+(** {1 Reading} *)
+
+(** One [c11progress-v1] record as {!create}'s stream writes it.
+    [certified_ops] and [retired_prefix_ops] read 0 where the record
+    carries neither (certify-off campaigns). *)
+type record = {
+  final : bool;  (** the [final] record, not a heartbeat *)
+  done_ : int;
+  total : int;
+  novel : int;
+  findings : int;
+  certified_ops : int;
+  retired_prefix_ops : int;
+  elapsed_s : float;
+  exec_per_s : float;
+  gc_top_heap_words : int;
+  gc_heap_words : int;
+}
+
+val record_of_json : Jsonx.t -> (record, string) result

@@ -6,18 +6,10 @@
    observables of (campaign_cfg) alone. *)
 
 (* ------------------------------------------------------------------ *)
-(* Programs
+(* Programs: the IR lives in lib/lint/progir.ml, shared with the static
+   analyzer. *)
 
-   The IR itself lives in lib/lint/progir.ml so the static analyzer can
-   reason about programs without depending on the engine; the type
-   equations below make Fuzz.Load and Progir.Load the same constructor,
-   so every existing pattern-match keeps compiling. *)
-
-type profile = Progir.profile = Mixed | Sc_heavy | Rmw_chain | Mixed_atomicity
-
-let profile_name = Progir.profile_name
-let profile_of_string = Progir.profile_of_string
-let all_profiles = Progir.all_profiles
+open Progir
 
 type gen_cfg = {
   g_threads : int;
@@ -42,32 +34,6 @@ let default_gen_cfg =
    mutex it still holds after its [g_ops] draws *)
 let max_gen_threads = Progir.max_threads - 1
 let max_gen_ops = Progir.max_ops - default_gen_cfg.g_mutexes
-
-type op = Progir.op =
-  | Load of { loc : int; mo : Memorder.t }
-  | Store of { loc : int; mo : Memorder.t; value : int }
-  | Add of { loc : int; mo : Memorder.t; delta : int }
-  | Cas of { loc : int; mo : Memorder.t; expected : int; desired : int }
-  | Xchg of { loc : int; mo : Memorder.t; value : int }
-  | Fence of Memorder.t
-  | Na_read of { na : int }
-  | Na_write of { na : int; value : int }
-  | Reuse_load of { loc : int }
-  | Reuse_store of { loc : int; value : int }
-  | Lock of { m : int }
-  | Unlock of { m : int }
-  | Yield
-
-type program = Progir.program = {
-  p_seed : int64;
-  p_profile : profile;
-  p_atomic_locs : int;
-  p_na_locs : int;
-  p_mutexes : int;
-  p_threads : op array array;
-}
-
-let op_count = Progir.op_count
 
 (* ------------------------------------------------------------------ *)
 (* Generation *)
@@ -263,11 +229,6 @@ let generate ~cfg ~seed =
     p_mutexes = mutexes;
     p_threads = threads;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Validation *)
-
-let validate = Progir.validate
 
 (* ------------------------------------------------------------------ *)
 (* Interpretation *)
@@ -501,12 +462,8 @@ let reproduces ~config ~key p =
 (* Shrinking *)
 
 (* The op-unit editing machinery (lock/unlock pairs as one unit, index
-   removal, thread surgery) is hoisted into Progir so corpus mutation
+   removal, thread surgery) lives in Progir, so corpus mutation
    (lib/corpus) edits programs with the identical notion of a unit. *)
-let remove_indices = Progir.remove_indices
-let with_thread = Progir.with_thread
-let without_thread = Progir.without_thread
-let units_of = Progir.units_of
 
 let deletion_candidates p =
   let thread_cands =
@@ -1183,10 +1140,12 @@ let kind_to_json = function
   | Lint_unsound { race } ->
     Jsonx.Obj [ ("kind", Jsonx.String "lint_unsound"); ("race", Jsonx.String race) ]
 
+let finding_schema = "c11fuzz-finding-v1"
+
 let finding_to_json f =
   Jsonx.Obj
     [
-      ("schema", Jsonx.String "c11fuzz-finding-v1");
+      ("schema", Jsonx.String finding_schema);
       ("index", Jsonx.Int f.f_index);
       ("seed", Jsonx.String (Printf.sprintf "0x%Lx" f.f_seed));
       ("key", Jsonx.String f.f_key);
@@ -1197,6 +1156,40 @@ let finding_to_json f =
       ("ops_after", Jsonx.Int f.f_ops_after);
       ("repro", Jsonx.String (program_to_string f.f_repro));
     ]
+
+type finding_record = {
+  fr_index : int;
+  fr_seed : int64;
+  fr_key : string;
+  fr_kind : string;
+  fr_exec_seed : int64;
+  fr_shrink_steps : int;
+  fr_ops_before : int;
+  fr_ops_after : int;
+  fr_repro : string;
+}
+
+let finding_record_of_json j =
+  let ( let* ) = Result.bind in
+  let field ty k j = Jsonx.req finding_schema ty k j in
+  let kind = function
+    | ("cert_rejected" | "engine_crash" | "deadlock" | "lint_unsound") as k -> Some k
+    | _ -> None
+  in
+  let* () = field (Jsonx.literal finding_schema) "schema" j in
+  let* fr_index = field Jsonx.int "index" j in
+  let* fr_seed = field Jsonx.int64 "seed" j in
+  let* fr_key = field Jsonx.string "key" j in
+  let* finding = field Jsonx.obj "finding" j in
+  let* fr_kind = field (Jsonx.enum "finding kind" kind) "kind" finding in
+  let* fr_exec_seed = field Jsonx.int64 "exec_seed" j in
+  let* fr_shrink_steps = field Jsonx.int "shrink_steps" j in
+  let* fr_ops_before = field Jsonx.int "ops_before" j in
+  let* fr_ops_after = field Jsonx.int "ops_after" j in
+  let* fr_repro = field Jsonx.string "repro" j in
+  Ok
+    { fr_index; fr_seed; fr_key; fr_kind; fr_exec_seed; fr_shrink_steps;
+      fr_ops_before; fr_ops_after; fr_repro }
 
 let report_to_json r =
   Jsonx.Obj

@@ -30,22 +30,10 @@
     winning indices, same shrunk repros) at any [--jobs]. *)
 
 (* ------------------------------------------------------------------ *)
-(** {1 Programs} *)
+(** {1 Programs}
 
-(** Generation profile: which op mix the generator favours.  The IR
-    itself lives in {!Progir} (shared with the static analyzer
-    {!Lint}); [Fuzz] re-exports it with type equations. *)
-type profile = Progir.profile =
-  | Mixed  (** every op kind, relaxed-leaning memory orders *)
-  | Sc_heavy  (** bias memory orders towards [Seq_cst] *)
-  | Rmw_chain  (** bias towards RMWs contending on one location *)
-  | Mixed_atomicity
-      (** include memory-reuse accesses: raw non-atomic loads/stores to
-          atomic locations (Section 7.2 of the paper) *)
-
-val profile_name : profile -> string
-val profile_of_string : string -> profile option
-val all_profiles : profile list
+    The program IR is {!Progir}'s, shared with the static analyzer
+    {!Lint}. *)
 
 (** Generator knobs.  Each program draws its actual thread/op/location
     counts uniformly up to these bounds, so one configuration covers many
@@ -56,7 +44,7 @@ type gen_cfg = {
   g_atomic_locs : int;  (** max atomic locations (>= 1) *)
   g_na_locs : int;  (** max plain non-atomic locations (>= 0) *)
   g_mutexes : int;  (** max mutexes (>= 0) *)
-  g_profile : profile;
+  g_profile : Progir.profile;
 }
 
 val default_gen_cfg : gen_cfg
@@ -70,61 +58,21 @@ val max_gen_threads : int
 
 val max_gen_ops : int
 
-(** One operation of a generated thread body.  [loc] indexes the
-    program's atomic locations, [na] its plain locations, [m] its
-    mutexes. *)
-type op = Progir.op =
-  | Load of { loc : int; mo : Memorder.t }
-  | Store of { loc : int; mo : Memorder.t; value : int }
-  | Add of { loc : int; mo : Memorder.t; delta : int }
-  | Cas of { loc : int; mo : Memorder.t; expected : int; desired : int }
-  | Xchg of { loc : int; mo : Memorder.t; value : int }
-  | Fence of Memorder.t
-  | Na_read of { na : int }
-  | Na_write of { na : int; value : int }
-  | Reuse_load of { loc : int }  (** raw non-atomic load of an atomic *)
-  | Reuse_store of { loc : int; value : int }
-  | Lock of { m : int }
-  | Unlock of { m : int }
-  | Yield
-
-(** A generated program.  [p_threads.(0)] is the main thread's own body;
-    main first spawns threads [1 .. n-1], then runs its body, then joins
-    them all.  Replayable from [p_seed] alone (with the generating
-    {!gen_cfg}); shrunk descendants keep the original seed. *)
-type program = Progir.program = {
-  p_seed : int64;
-  p_profile : profile;
-  p_atomic_locs : int;
-  p_na_locs : int;
-  p_mutexes : int;
-  p_threads : op array array;
-}
-
 (** [generate ~cfg ~seed] draws a well-formed program: every generated
-    program satisfies {!validate}.  Mutex use follows an ordered
+    program satisfies {!Progir.validate}.  Mutex use follows an ordered
     discipline (lock only mutexes above the innermost held one, unlock
     innermost-first, bodies close every lock they open), so generated
     programs never deadlock on their own — an observed deadlock is an
     engine finding. *)
-val generate : cfg:gen_cfg -> seed:int64 -> program
-
-(** Structural well-formedness: location/mutex indices in range, lock
-    discipline respected on every thread (balanced, properly nested,
-    ordered), profiles other than {!Mixed_atomicity} free of reuse
-    accesses at generation time (shrinking preserves validity too). *)
-val validate : program -> (unit, string) result
-
-(** Total ops across all thread bodies. *)
-val op_count : program -> int
+val generate : cfg:gen_cfg -> seed:int64 -> Progir.program
 
 (** [to_closure p] compiles the program to a thunk for {!Engine.run}. *)
-val to_closure : program -> unit -> unit
+val to_closure : Progir.program -> unit -> unit
 
 (** Renders the program as a ready-to-paste OCaml DSL test function. *)
-val pp_program : Format.formatter -> program -> unit
+val pp_program : Format.formatter -> Progir.program -> unit
 
-val program_to_string : program -> string
+val program_to_string : Progir.program -> string
 
 (* ------------------------------------------------------------------ *)
 (** {1 Oracle} *)
@@ -155,7 +103,7 @@ val engine_config : mutation:Execution.mutation option -> Engine.config
 
 (** [exec_seed p ~attempt] is the seed of the program's [attempt]-th
     execution ([Rng.substream p.p_seed]). *)
-val exec_seed : program -> attempt:int -> int64
+val exec_seed : Progir.program -> attempt:int -> int64
 
 (** [run_one ~config ~certify ~seed p] executes the program once and
     classifies the outcome; engine exceptions are caught and classified,
@@ -168,14 +116,14 @@ val run_one :
   config:Engine.config ->
   certify:bool ->
   seed:int64 ->
-  program ->
+  Progir.program ->
   status
 
 (** [reproduces ~config ~key p] probes up to 8 executions (certifying
     each) and returns the seed of the first that fails with exactly
     [key], if any.  [p] is linted at most once, however many executions
     race. *)
-val reproduces : config:Engine.config -> key:string -> program -> int64 option
+val reproduces : config:Engine.config -> key:string -> Progir.program -> int64 option
 
 (* ------------------------------------------------------------------ *)
 (** {1 Shrinking} *)
@@ -184,7 +132,7 @@ val reproduces : config:Engine.config -> key:string -> program -> int64 option
     which {!shrink}'s fixpoint is minimal: every program with one op unit
     removed (a lock and its matching unlock count as one unit) and every
     program with one whole thread removed. *)
-val deletion_candidates : program -> program list
+val deletion_candidates : Progir.program -> Progir.program list
 
 (** [shrink ~config ~key p] greedily reduces [p] while the failure
     keyed [key] still reproduces: passes of thread deletion, op-unit
@@ -194,11 +142,11 @@ val deletion_candidates : program -> program list
     the number of accepted reductions; [on_accept] observes every
     accepted intermediate (each is guaranteed to reproduce [key]). *)
 val shrink :
-  ?on_accept:(program -> unit) ->
+  ?on_accept:(Progir.program -> unit) ->
   config:Engine.config ->
   key:string ->
-  program ->
-  program * int64 * int
+  Progir.program ->
+  Progir.program * int64 * int
 
 (* ------------------------------------------------------------------ *)
 (** {1 Campaigns} *)
@@ -208,7 +156,7 @@ type finding = {
   f_seed : int64;  (** program seed: replays via {!generate} *)
   f_key : string;
   f_kind : finding_kind;  (** classification of the original failure *)
-  f_repro : program;  (** shrunk minimal reproducer *)
+  f_repro : Progir.program;  (** shrunk minimal reproducer *)
   f_exec_seed : int64;  (** execution seed that reproduces on [f_repro] *)
   f_shrink_steps : int;
   f_ops_before : int;
@@ -341,6 +289,23 @@ val run_rounds :
   (report, 'e) result
 
 val finding_to_json : finding -> Jsonx.t
+
+(** A [c11fuzz-finding-v1] record read back: {!finding_to_json}'s fields,
+    with the finding's kind by name (["cert_rejected"], ...) and the
+    shrunk repro as the DSL snippet it was rendered to. *)
+type finding_record = {
+  fr_index : int;
+  fr_seed : int64;
+  fr_key : string;
+  fr_kind : string;
+  fr_exec_seed : int64;
+  fr_shrink_steps : int;
+  fr_ops_before : int;
+  fr_ops_after : int;
+  fr_repro : string;
+}
+
+val finding_record_of_json : Jsonx.t -> (finding_record, string) result
 val report_to_json : report -> Jsonx.t
 val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -526,139 +526,79 @@ let campaign_to_ndjson results =
 
 (* Parse side — the read half of [c11test report]. *)
 
-let member_str j k = Option.bind (Jsonx.member k j) Jsonx.to_str
-let member_int j k = Option.bind (Jsonx.member k j) Jsonx.to_int
-let member_bool j k =
-  match Jsonx.member k j with Some (Jsonx.Bool b) -> Some b | _ -> None
+let ( let* ) = Result.bind
+let field ty k j = Jsonx.req schema ty k j
 
 let access_of_json j =
-  match
-    ( member_int j "thread",
-      member_int j "op",
-      member_bool j "write",
-      member_bool j "atomic",
-      Option.bind (member_str j "mo") Memorder.of_string )
-  with
-  | Some t, Some o, Some w, Some a, Some mo ->
-    let locks =
-      match Jsonx.member "locks" j with
-      | Some (Jsonx.List l) -> List.filter_map Jsonx.to_int l
-      | _ -> []
-    in
-    Ok
-      {
-        ac_thread = t;
-        ac_op = o;
-        ac_write = w;
-        ac_atomic = a;
-        ac_mo = mo;
-        ac_lockset = locks;
-      }
-  | _ -> Error "malformed access"
+  let* ac_thread = field Jsonx.int "thread" j in
+  let* ac_op = field Jsonx.int "op" j in
+  let* ac_write = field Jsonx.bool "write" j in
+  let* ac_atomic = field Jsonx.bool "atomic" j in
+  let* ac_mo = field (Jsonx.enum "memory order" Memorder.of_string) "mo" j in
+  let* ac_lockset = field (Jsonx.list_of Jsonx.int) "locks" j in
+  Ok { ac_thread; ac_op; ac_write; ac_atomic; ac_mo; ac_lockset }
 
 let verdict_of_json j =
-  match (member_str j "loc", member_str j "verdict") with
-  | Some loc, Some "race_free" -> Ok (loc, Race_free)
-  | Some loc, Some "protected" ->
-    let ls =
-      match Jsonx.member "mutexes" j with
-      | Some (Jsonx.List l) -> List.filter_map Jsonx.to_int l
-      | _ -> []
-    in
+  let* loc = field Jsonx.string "loc" j in
+  let* verdict = field Jsonx.string "verdict" j in
+  match verdict with
+  | "race_free" -> Ok (loc, Race_free)
+  | "protected" ->
+    let* ls = field (Jsonx.list_of Jsonx.int) "mutexes" j in
     Ok (loc, Protected ls)
-  | Some loc, Some "potential_race" -> (
-    match
-      ( Option.map access_of_json (Jsonx.member "first" j),
-        Option.map access_of_json (Jsonx.member "second" j) )
-    with
-    | Some (Ok a), Some (Ok b) ->
-      Ok (loc, Potential_race { w_first = a; w_second = b })
-    | _ -> Error "malformed witness")
-  | _ -> Error "malformed verdict"
+  | "potential_race" ->
+    let* w_first = Result.bind (field Jsonx.obj "first" j) access_of_json in
+    let* w_second = Result.bind (field Jsonx.obj "second" j) access_of_json in
+    Ok (loc, Potential_race { w_first; w_second })
+  | v -> Error (Printf.sprintf "%s: unknown verdict %S" schema v)
 
 let hit_of_json j =
-  match
-    ( member_str j "rule",
-      member_int j "thread",
-      member_int j "op",
-      member_str j "detail" )
-  with
-  | Some r, Some t, Some o, Some d ->
-    Ok { h_rule = r; h_thread = t; h_op = o; h_detail = d }
-  | _ -> Error "malformed lint hit"
-
-let collect f l =
-  List.fold_left
-    (fun acc x ->
-      match (acc, f x) with
-      | Error e, _ -> Error e
-      | _, Error e -> Error e
-      | Ok xs, Ok v -> Ok (v :: xs))
-    (Ok []) l
-  |> Result.map List.rev
+  let* h_rule = field Jsonx.string "rule" j in
+  let* h_thread = field Jsonx.int "thread" j in
+  let* h_op = field Jsonx.int "op" j in
+  let* h_detail = field Jsonx.string "detail" j in
+  Ok { h_rule; h_thread; h_op; h_detail }
 
 let result_of_json j =
-  match
-    ( member_int j "index",
-      member_str j "target",
-      member_int j "ops",
-      member_bool j "race_free" )
-  with
-  | Some index, Some target, Some ops, Some rf -> (
-    let verdicts =
-      match Jsonx.member "verdicts" j with
-      | Some (Jsonx.List l) -> collect verdict_of_json l
-      | _ -> Error "missing verdicts"
-    in
-    let hits =
-      match Jsonx.member "lints" j with
-      | Some (Jsonx.List l) -> collect hit_of_json l
-      | _ -> Error "missing lints"
-    in
-    match (verdicts, hits) with
-    | Ok vs, Ok hs ->
-      Ok
-        ( index,
-          {
-            res_target = target;
-            res_ops = ops;
-            res_verdicts = vs;
-            res_hits = hs;
-            res_race_free = rf;
-          } )
-    | Error e, _ | _, Error e -> Error e)
-  | _ -> Error "malformed target record"
+  (* a target's own fields keep the complaint `report' has always printed *)
+  let* index, res_target, res_ops, res_race_free =
+    Result.map_error
+      (fun _ -> "malformed target record")
+      (let* index = field Jsonx.int "index" j in
+       let* target = field Jsonx.string "target" j in
+       let* ops = field Jsonx.int "ops" j in
+       let* race_free = field Jsonx.bool "race_free" j in
+       Ok (index, target, ops, race_free))
+  in
+  let* verdicts = field Jsonx.list "verdicts" j in
+  let* res_verdicts = Jsonx.map_result verdict_of_json verdicts in
+  let* hits = field Jsonx.list "lints" j in
+  let* res_hits = Jsonx.map_result hit_of_json hits in
+  Ok (index, { res_target; res_ops; res_verdicts; res_hits; res_race_free })
 
 let campaign_of_ndjson docs =
-  let targets = ref [] in
-  let declared = ref None in
-  let err = ref None in
-  List.iter
-    (fun j ->
-      if !err = None then
-        match member_str j "schema" with
-        | Some s when s = schema -> (
-          match member_str j "kind" with
-          | Some "campaign" -> declared := member_int j "targets"
-          | Some "target" -> (
-            match result_of_json j with
-            | Ok r -> targets := r :: !targets
-            | Error e -> err := Some e)
-          | _ -> err := Some "unknown c11lint-v1 record kind")
-        | _ -> err := Some "record is not c11lint-v1")
-    docs;
-  match !err with
-  | Some e -> Error e
-  | None ->
-    let results =
-      List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !targets)
-    in
-    (match !declared with
-    | Some n when n <> List.length results ->
-      Error
-        (Printf.sprintf "campaign record declares %d targets, found %d" n
-           (List.length results))
-    | _ -> Ok results)
+  let rec go declared targets = function
+    | [] -> Ok (declared, targets)
+    | j :: rest -> (
+      let* () = field (Jsonx.literal schema) "schema" j in
+      let* kind = field Jsonx.string "kind" j in
+      match kind with
+      | "campaign" ->
+        let* n = field Jsonx.int "targets" j in
+        go (Some n) targets rest
+      | "target" ->
+        let* r = result_of_json j in
+        go declared (r :: targets) rest
+      | k -> Error (Printf.sprintf "%s: unknown record kind %S" schema k))
+  in
+  let* declared, targets = go None [] docs in
+  let results = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev targets) in
+  match declared with
+  | Some n when n <> List.length results ->
+    Error
+      (Printf.sprintf "campaign record declares %d targets, found %d" n
+         (List.length results))
+  | _ -> Ok results
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing. *)

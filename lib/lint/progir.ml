@@ -1,7 +1,5 @@
-(* The generated-program IR.  Born in lib/fuzz; hoisted here so the
-   static analyzer (Lint) and the fuzzer can share it without a
-   dependency cycle — Fuzz re-exports every type below with equations,
-   so Fuzz.Load and Progir.Load are the same constructor. *)
+(* The generated-program IR, here so the static analyzer (Lint) and the
+   fuzzer can share it without a dependency cycle. *)
 
 type profile = Mixed | Sc_heavy | Rmw_chain | Mixed_atomicity
 
@@ -260,127 +258,78 @@ let program_to_json p =
 
 let op_of_json j =
   let ( let* ) = Result.bind in
-  let int_field k =
-    match Option.bind (Jsonx.member k j) Jsonx.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "op: missing integer field %S" k)
-  in
-  let mo_field () =
-    match Option.bind (Option.bind (Jsonx.member "mo" j) Jsonx.to_str) Memorder.of_string with
-    | Some mo -> Ok mo
-    | None -> Error "op: missing or unknown memory order"
-  in
-  match Option.bind (Jsonx.member "k" j) Jsonx.to_str with
-  | None -> Error "op: missing tag"
-  | Some tag -> (
-    match tag with
-    | "load" ->
-      let* loc = int_field "loc" in
-      let* mo = mo_field () in
-      Ok (Load { loc; mo })
-    | "store" ->
-      let* loc = int_field "loc" in
-      let* mo = mo_field () in
-      let* value = int_field "value" in
-      Ok (Store { loc; mo; value })
-    | "add" ->
-      let* loc = int_field "loc" in
-      let* mo = mo_field () in
-      let* delta = int_field "delta" in
-      Ok (Add { loc; mo; delta })
-    | "cas" ->
-      let* loc = int_field "loc" in
-      let* mo = mo_field () in
-      let* expected = int_field "expected" in
-      let* desired = int_field "desired" in
-      Ok (Cas { loc; mo; expected; desired })
-    | "xchg" ->
-      let* loc = int_field "loc" in
-      let* mo = mo_field () in
-      let* value = int_field "value" in
-      Ok (Xchg { loc; mo; value })
-    | "fence" ->
-      let* mo = mo_field () in
-      Ok (Fence mo)
-    | "na_read" ->
-      let* na = int_field "na" in
-      Ok (Na_read { na })
-    | "na_write" ->
-      let* na = int_field "na" in
-      let* value = int_field "value" in
-      Ok (Na_write { na; value })
-    | "reuse_load" ->
-      let* loc = int_field "loc" in
-      Ok (Reuse_load { loc })
-    | "reuse_store" ->
-      let* loc = int_field "loc" in
-      let* value = int_field "value" in
-      Ok (Reuse_store { loc; value })
-    | "lock" ->
-      let* m = int_field "m" in
-      Ok (Lock { m })
-    | "unlock" ->
-      let* m = int_field "m" in
-      Ok (Unlock { m })
-    | "yield" -> Ok Yield
-    | t -> Error (Printf.sprintf "op: unknown tag %S" t))
+  let int k = Jsonx.req "op" Jsonx.int k j in
+  let mo () = Jsonx.req "op" (Jsonx.enum "memory order" Memorder.of_string) "mo" j in
+  let* tag = Jsonx.req "op" Jsonx.string "k" j in
+  match tag with
+  | "load" ->
+    let* loc = int "loc" in
+    let* mo = mo () in
+    Ok (Load { loc; mo })
+  | "store" ->
+    let* loc = int "loc" in
+    let* mo = mo () in
+    let* value = int "value" in
+    Ok (Store { loc; mo; value })
+  | "add" ->
+    let* loc = int "loc" in
+    let* mo = mo () in
+    let* delta = int "delta" in
+    Ok (Add { loc; mo; delta })
+  | "cas" ->
+    let* loc = int "loc" in
+    let* mo = mo () in
+    let* expected = int "expected" in
+    let* desired = int "desired" in
+    Ok (Cas { loc; mo; expected; desired })
+  | "xchg" ->
+    let* loc = int "loc" in
+    let* mo = mo () in
+    let* value = int "value" in
+    Ok (Xchg { loc; mo; value })
+  | "fence" ->
+    let* mo = mo () in
+    Ok (Fence mo)
+  | "na_read" ->
+    let* na = int "na" in
+    Ok (Na_read { na })
+  | "na_write" ->
+    let* na = int "na" in
+    let* value = int "value" in
+    Ok (Na_write { na; value })
+  | "reuse_load" ->
+    let* loc = int "loc" in
+    Ok (Reuse_load { loc })
+  | "reuse_store" ->
+    let* loc = int "loc" in
+    let* value = int "value" in
+    Ok (Reuse_store { loc; value })
+  | "lock" ->
+    let* m = int "m" in
+    Ok (Lock { m })
+  | "unlock" ->
+    let* m = int "m" in
+    Ok (Unlock { m })
+  | "yield" -> Ok Yield
+  | t -> Error (Printf.sprintf "op: unknown tag %S" t)
 
 let program_of_json j =
   let ( let* ) = Result.bind in
-  let int_field k =
-    match Option.bind (Jsonx.member k j) Jsonx.to_int with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "program: missing integer field %S" k)
-  in
-  let* seed =
-    match Option.bind (Jsonx.member "seed" j) Jsonx.to_str with
-    | Some s -> (
-      match Int64.of_string_opt s with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "program: bad seed %S" s))
-    | None -> Error "program: missing seed"
-  in
-  let* profile =
-    match
-      Option.bind (Option.bind (Jsonx.member "profile" j) Jsonx.to_str) profile_of_string
-    with
-    | Some p -> Ok p
-    | None -> Error "program: missing or unknown profile"
-  in
-  let* atomic_locs = int_field "atomic_locs" in
-  let* na_locs = int_field "na_locs" in
-  let* mutexes = int_field "mutexes" in
+  let field ty k = Jsonx.req "program" ty k j in
+  let* p_seed = field Jsonx.int64 "seed" in
+  let* p_profile = field (Jsonx.enum "profile" profile_of_string) "profile" in
+  let* p_atomic_locs = field Jsonx.int "atomic_locs" in
+  let* p_na_locs = field Jsonx.int "na_locs" in
+  let* p_mutexes = field Jsonx.int "mutexes" in
+  let* threads = field (Jsonx.list_of Jsonx.list) "threads" in
   let* threads =
-    match Option.bind (Jsonx.member "threads" j) Jsonx.to_list with
-    | None -> Error "program: missing threads"
-    | Some ts ->
-      List.fold_left
-        (fun acc tj ->
-          let* bodies = acc in
-          match Jsonx.to_list tj with
-          | None -> Error "program: thread body is not a list"
-          | Some ops ->
-            let* body =
-              List.fold_left
-                (fun acc oj ->
-                  let* ops = acc in
-                  let* op = op_of_json oj in
-                  Ok (op :: ops))
-                (Ok []) ops
-            in
-            Ok (Array.of_list (List.rev body) :: bodies))
-        (Ok []) ts
-      |> Result.map (fun bodies -> Array.of_list (List.rev bodies))
+    Jsonx.map_result
+      (fun ops -> Result.map Array.of_list (Jsonx.map_result op_of_json ops))
+      threads
   in
   let p =
-    {
-      p_seed = seed;
-      p_profile = profile;
-      p_atomic_locs = atomic_locs;
-      p_na_locs = na_locs;
-      p_mutexes = mutexes;
-      p_threads = threads;
-    }
+    { p_seed; p_profile; p_atomic_locs; p_na_locs; p_mutexes;
+      p_threads = Array.of_list threads }
   in
   let* () = validate p in
   Ok p

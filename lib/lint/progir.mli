@@ -6,11 +6,7 @@
     [1 .. n-1], runs its own body [p_threads.(0)], then joins them all.
     Bodies are straight-line — no control flow — so the set of accesses
     each thread performs is exact, which is what makes the static
-    verdicts of {!Lint} sound rather than heuristic.
-
-    {!Fuzz} re-exports every type here with type equations; existing
-    code pattern-matching [Fuzz.Load] etc. is unaffected by the
-    hoist. *)
+    verdicts of {!Lint} sound rather than heuristic. *)
 
 type profile =
   | Mixed  (** every op kind, relaxed-leaning memory orders *)

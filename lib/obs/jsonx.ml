@@ -293,13 +293,64 @@ let parse s =
   with Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Accessors *)
+(* Decoding *)
 
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
 
-let to_int = function Int i -> Some i | _ -> None
-let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
-let to_str = function String s -> Some s | _ -> None
-let to_list = function List xs -> Some xs | _ -> None
+type 'a ty = { name : string; get : t -> 'a option }
+
+let int = { name = "integer"; get = (function Int i -> Some i | _ -> None) }
+
+let float =
+  {
+    name = "number";
+    get = (function Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None);
+  }
+
+let string = { name = "string"; get = (function String s -> Some s | _ -> None) }
+let bool = { name = "boolean"; get = (function Bool b -> Some b | _ -> None) }
+let list = { name = "list"; get = (function List xs -> Some xs | _ -> None) }
+let obj = { name = "object"; get = (function Obj _ as j -> Some j | _ -> None) }
+let enum name of_string = { name; get = (fun j -> Option.bind (string.get j) of_string) }
+let int64 = enum "int64 string" Int64.of_string_opt
+
+let literal s =
+  { name = Printf.sprintf "%S" s; get = (fun j -> if j = String s then Some () else None) }
+
+let map_result f xs =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> ( match f x with Ok y -> go (y :: acc) rest | Error e -> Error e)
+  in
+  go [] xs
+
+(* [get] of every element, or [None] *)
+let all get xs = Result.to_option (map_result (fun x -> Option.to_result ~none:() (get x)) xs)
+
+let list_of ty =
+  { name = ty.name ^ " list"; get = (fun j -> Option.bind (list.get j) (all ty.get)) }
+
+let obj_of ty =
+  {
+    name = ty.name ^ " object";
+    get =
+      (function
+      | Obj kvs -> all (fun (k, v) -> Option.map (fun v -> (k, v)) (ty.get v)) kvs
+      | _ -> None);
+  }
+
+let missing record ty key =
+  Error (Printf.sprintf "%s: missing %s field %S" record ty.name key)
+
+let req record ty key j =
+  match Option.bind (member key j) ty.get with
+  | Some v -> Ok v
+  | None -> missing record ty key
+
+let opt record ty key j =
+  match member key j with
+  | None -> Ok None
+  | Some v -> (
+    match ty.get v with Some v -> Ok (Some v) | None -> missing record ty key)

@@ -114,16 +114,16 @@ let event_to_json e =
     ]
 
 let event_of_json j =
-  let ( let* ) = Option.bind in
-  let* step = Option.bind (Jsonx.member "step" j) Jsonx.to_int in
-  let* tid = Option.bind (Jsonx.member "tid" j) Jsonx.to_int in
-  let* kind_s = Option.bind (Jsonx.member "kind" j) Jsonx.to_str in
-  let* kind = kind_of_string kind_s in
-  let* loc = Option.bind (Jsonx.member "loc" j) Jsonx.to_int in
-  let* mo = Option.bind (Jsonx.member "mo" j) Jsonx.to_str in
-  let* value = Option.bind (Jsonx.member "value" j) Jsonx.to_int in
-  let* detail = Option.bind (Jsonx.member "detail" j) Jsonx.to_str in
-  Some { step; tid; kind; loc; mo; value; detail }
+  let ( let* ) = Result.bind in
+  let field ty k = Jsonx.req "event" ty k j in
+  let* step = field Jsonx.int "step" in
+  let* tid = field Jsonx.int "tid" in
+  let* kind = field (Jsonx.enum "kind" kind_of_string) "kind" in
+  let* loc = field Jsonx.int "loc" in
+  let* mo = field Jsonx.string "mo" in
+  let* value = field Jsonx.int "value" in
+  let* detail = field Jsonx.string "detail" in
+  Ok { step; tid; kind; loc; mo; value; detail }
 
 (* ------------------------------------------------------------------ *)
 (* NDJSON export *)

@@ -67,7 +67,7 @@ val kind_to_string : kind -> string
 val kind_of_string : string -> kind option
 val pp_event : Format.formatter -> event -> unit
 val event_to_json : event -> Jsonx.t
-val event_of_json : Jsonx.t -> event option
+val event_of_json : Jsonx.t -> (event, string) result
 
 (** [write_ndjson oc t] writes the buffered events to [oc], oldest first,
     one JSON object per line, and flushes [oc]. *)

@@ -612,45 +612,49 @@ let spawn ~exe spec =
   (try Unix.close in_w with Unix.Unix_error _ -> ());
   (pid, out_r)
 
-let int_of j k = Option.value ~default:0 (Option.bind (Jsonx.member k j) Jsonx.to_int)
-
 (* One protocol line from worker [st].  Stray non-JSON output is ignored
    (stderr is the diagnostics channel; stdout discipline is on us). *)
 let handle_line st ~on_counts line =
+  (* a shard record or heartbeat that does not decode is dropped: a lost
+     payload makes the worker's range a crash at EOF, a lost heartbeat
+     keeps the previous counts *)
+  let drop what reason =
+    Printf.eprintf "c11test: worker %d: dropping %s record (%s)\n%!" st.w_index
+      what reason
+  in
   match Jsonx.parse line with
   | Error _ -> ()
   | Ok j -> (
-    match Option.bind (Jsonx.member "schema" j) Jsonx.to_str with
-    | Some s when s = schema -> (
-      match Option.bind (Jsonx.member "kind" j) Jsonx.to_str with
-      | Some "shard" -> (
-        let field k = Option.bind (Jsonx.member k j) Jsonx.to_str in
-        (* a missing, mismatched or undecodable payload is no payload: the
-           worker's range is treated as a crash at EOF *)
-        let drop reason =
-          Printf.eprintf "c11test: worker %d: dropping shard record (%s)\n%!"
-            st.w_index reason
+    let ( let* ) = Result.bind in
+    match Jsonx.req schema Jsonx.string "schema" j with
+    | Ok s when s = schema -> (
+      match Jsonx.req schema Jsonx.string "kind" j with
+      | Ok "shard" -> (
+        let payload =
+          let* b64 = Jsonx.req schema Jsonx.string "payload" j in
+          let* md5 = Jsonx.req schema Jsonx.string "md5" j in
+          Option.to_result ~none:"payload digest mismatch" (checked_bytes ~md5 b64)
         in
-        match (field "payload", field "md5") with
-        | Some b64, Some md5 -> (
-          match checked_bytes ~md5 b64 with
-          | None -> drop "payload digest mismatch"
-          | Some bytes -> (
-            match Marshal.from_string bytes 0 with
-            | p -> st.w_payload <- Some p
-            | exception e -> drop (Printexc.to_string e)))
-        | _ -> drop "no payload or md5")
+        match payload with
+        | Error reason -> drop "shard" reason
+        | Ok bytes -> (
+          match Marshal.from_string bytes 0 with
+          | p -> st.w_payload <- Some p
+          | exception e -> drop "shard" (Printexc.to_string e)))
       | _ -> () (* hello / done: informational ack *))
-    | Some "c11progress-v1" ->
-      st.w_counts <-
-        {
-          done_ = int_of j "done";
-          novel = int_of j "novel";
-          findings = int_of j "findings";
-          certified = int_of j "certified_ops";
-          retired = int_of j "retired_prefix_ops";
-        };
-      on_counts ()
+    | Ok "c11progress-v1" -> (
+      match Progress.record_of_json j with
+      | Error reason -> drop "progress" reason
+      | Ok r ->
+        st.w_counts <-
+          {
+            done_ = r.done_;
+            novel = r.novel;
+            findings = r.findings;
+            certified = r.certified_ops;
+            retired = r.retired_prefix_ops;
+          };
+        on_counts ())
     | _ -> ())
 
 let drain_lines st ~on_counts =

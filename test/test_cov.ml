@@ -167,13 +167,13 @@ let test_stream_fuzz_profiles () =
         n :=
           !n
           + agree
-              ~what:(Printf.sprintf "%s program %d" (Fuzz.profile_name profile) i)
+              ~what:(Printf.sprintf "%s program %d" (Progir.profile_name profile) i)
               config (Fuzz.to_closure p)
       done;
       check
-        (Printf.sprintf "%s: every program compared" (Fuzz.profile_name profile))
+        (Printf.sprintf "%s: every program compared" (Progir.profile_name profile))
         true (!n = 150))
-    Fuzz.all_profiles
+    Progir.all_profiles
 
 let test_stream_litmus () =
   let n = ref 0 in

@@ -19,7 +19,7 @@ let gen_cfg_of_seed seed =
     g_atomic_locs = 1 + Rng.int rng 4;
     g_na_locs = Rng.int rng 3;
     g_mutexes = Rng.int rng 3;
-    g_profile = List.nth Fuzz.all_profiles (Rng.int rng 4);
+    g_profile = List.nth Progir.all_profiles (Rng.int rng 4);
   }
 
 (* ---------- generator validity (satellite: 1k seeds) ------------------ *)
@@ -29,7 +29,7 @@ let prop_generated_valid =
     QCheck.small_nat (fun n ->
       let cfg = gen_cfg_of_seed n in
       let p = Fuzz.generate ~cfg ~seed:(Int64.of_int (n * 7919)) in
-      match Fuzz.validate p with
+      match Progir.validate p with
       | Ok () -> true
       | Error e -> QCheck.Test.fail_reportf "invalid program: %s" e)
 
@@ -61,11 +61,11 @@ let prop_generated_runnable =
 
 let count_ops pred ps =
   List.fold_left
-    (fun acc (p : Fuzz.program) ->
+    (fun acc (p : Progir.program) ->
       Array.fold_left
         (fun acc ops ->
           Array.fold_left (fun acc op -> if pred op then acc + 1 else acc) acc ops)
-        acc p.Fuzz.p_threads)
+        acc p.Progir.p_threads)
     0 ps
 
 let programs_for profile n =
@@ -75,18 +75,18 @@ let programs_for profile n =
   List.init n (fun i -> Fuzz.generate ~cfg ~seed:(Int64.of_int ((i * 97) + 3)))
 
 let test_grammar_reach () =
-  let ps = programs_for Fuzz.Mixed 300 in
+  let ps = programs_for Progir.Mixed 300 in
   let reached pred = count_ops pred ps > 0 in
-  check_bool "loads" true (reached (function Fuzz.Load _ -> true | _ -> false));
-  check_bool "stores" true (reached (function Fuzz.Store _ -> true | _ -> false));
-  check_bool "rmws" true (reached (function Fuzz.Add _ -> true | _ -> false));
-  check_bool "cas" true (reached (function Fuzz.Cas _ -> true | _ -> false));
-  check_bool "exchange" true (reached (function Fuzz.Xchg _ -> true | _ -> false));
-  check_bool "fences" true (reached (function Fuzz.Fence _ -> true | _ -> false));
-  check_bool "na reads" true (reached (function Fuzz.Na_read _ -> true | _ -> false));
-  check_bool "na writes" true (reached (function Fuzz.Na_write _ -> true | _ -> false));
-  check_bool "locks" true (reached (function Fuzz.Lock _ -> true | _ -> false));
-  check_bool "yields" true (reached (function Fuzz.Yield -> true | _ -> false));
+  check_bool "loads" true (reached (function Progir.Load _ -> true | _ -> false));
+  check_bool "stores" true (reached (function Progir.Store _ -> true | _ -> false));
+  check_bool "rmws" true (reached (function Progir.Add _ -> true | _ -> false));
+  check_bool "cas" true (reached (function Progir.Cas _ -> true | _ -> false));
+  check_bool "exchange" true (reached (function Progir.Xchg _ -> true | _ -> false));
+  check_bool "fences" true (reached (function Progir.Fence _ -> true | _ -> false));
+  check_bool "na reads" true (reached (function Progir.Na_read _ -> true | _ -> false));
+  check_bool "na writes" true (reached (function Progir.Na_write _ -> true | _ -> false));
+  check_bool "locks" true (reached (function Progir.Lock _ -> true | _ -> false));
+  check_bool "yields" true (reached (function Progir.Yield -> true | _ -> false));
   (* every memory order appears on some atomic op *)
   List.iter
     (fun mo ->
@@ -94,21 +94,21 @@ let test_grammar_reach () =
         (Printf.sprintf "order %s reached" (Memorder.to_string mo))
         true
         (reached (function
-          | Fuzz.Load { mo = m; _ }
-          | Fuzz.Store { mo = m; _ }
-          | Fuzz.Add { mo = m; _ }
-          | Fuzz.Cas { mo = m; _ }
-          | Fuzz.Xchg { mo = m; _ }
-          | Fuzz.Fence m ->
+          | Progir.Load { mo = m; _ }
+          | Progir.Store { mo = m; _ }
+          | Progir.Add { mo = m; _ }
+          | Progir.Cas { mo = m; _ }
+          | Progir.Xchg { mo = m; _ }
+          | Progir.Fence m ->
             m = mo
           | _ -> false)))
     Memorder.all;
   (* reuse accesses are exclusive to the mixed-atomicity profile *)
   check_int "no reuse ops outside mixed-atomicity" 0
-    (count_ops (function Fuzz.Reuse_load _ | Fuzz.Reuse_store _ -> true | _ -> false) ps);
-  let reuse = programs_for Fuzz.Mixed_atomicity 100 in
+    (count_ops (function Progir.Reuse_load _ | Progir.Reuse_store _ -> true | _ -> false) ps);
+  let reuse = programs_for Progir.Mixed_atomicity 100 in
   check_bool "mixed-atomicity reaches reuse ops" true
-    (count_ops (function Fuzz.Reuse_load _ | Fuzz.Reuse_store _ -> true | _ -> false)
+    (count_ops (function Progir.Reuse_load _ | Progir.Reuse_store _ -> true | _ -> false)
        reuse
     > 0)
 
@@ -117,25 +117,25 @@ let test_sc_heavy_bias () =
     let mo_count pred = count_ops pred ps in
     let sc =
       mo_count (function
-        | Fuzz.Load { mo; _ } | Fuzz.Store { mo; _ } | Fuzz.Add { mo; _ } ->
+        | Progir.Load { mo; _ } | Progir.Store { mo; _ } | Progir.Add { mo; _ } ->
           Memorder.is_seq_cst mo
         | _ -> false)
     and all =
       mo_count (function
-        | Fuzz.Load _ | Fuzz.Store _ | Fuzz.Add _ -> true
+        | Progir.Load _ | Progir.Store _ | Progir.Add _ -> true
         | _ -> false)
     in
     float_of_int sc /. float_of_int (max 1 all)
   in
-  let mixed = sc_share (programs_for Fuzz.Mixed 200) in
-  let heavy = sc_share (programs_for Fuzz.Sc_heavy 200) in
+  let mixed = sc_share (programs_for Progir.Mixed 200) in
+  let heavy = sc_share (programs_for Progir.Sc_heavy 200) in
   check_bool
     (Printf.sprintf "sc-heavy (%.2f) > mixed (%.2f)" heavy mixed)
     true (heavy > mixed +. 0.2)
 
 (* ---------- clean campaign: the zero-rejection oracle ------------------ *)
 
-let campaign_cfg ?(programs = 300) ?(jobs = 1) ?(profile = Fuzz.Mixed)
+let campaign_cfg ?(programs = 300) ?(jobs = 1) ?(profile = Progir.Mixed)
     ?(mutation = None) ~seed () =
   {
     Fuzz.default_campaign_cfg with
@@ -186,7 +186,7 @@ let test_mutant mutation () =
     (Printf.sprintf "shrunk to %d ops (<= 12)" f.Fuzz.f_ops_after)
     true
     (f.Fuzz.f_ops_after <= 12);
-  check_bool "repro still well-formed" true (Fuzz.validate f.Fuzz.f_repro = Ok ());
+  check_bool "repro still well-formed" true (Progir.validate f.Fuzz.f_repro = Ok ());
   (* the shrunk repro fails under the mutant with the same key... *)
   let mconfig = Fuzz.engine_config ~mutation:(Some mutation) in
   (match
@@ -213,7 +213,7 @@ let test_mutant mutation () =
 let test_shrink_preserves_failure () =
   let mutation = Some Execution.Drop_mo_edge in
   let config = Fuzz.engine_config ~mutation in
-  let cfg = { Fuzz.default_gen_cfg with Fuzz.g_profile = Fuzz.Mixed } in
+  let cfg = { Fuzz.default_gen_cfg with Fuzz.g_profile = Progir.Mixed } in
   (* find a failing program directly *)
   let rec find i =
     if i > 200 then Alcotest.fail "no failing program in 200 tries"
@@ -235,7 +235,7 @@ let test_shrink_preserves_failure () =
   check_int "every accepted reduction observed" steps (List.length !intermediates);
   List.iter
     (fun q ->
-      check_bool "intermediate stays well-formed" true (Fuzz.validate q = Ok ());
+      check_bool "intermediate stays well-formed" true (Progir.validate q = Ok ());
       check_bool "intermediate still fails with the same key" true
         (Fuzz.reproduces ~config ~key q <> None))
     !intermediates;
@@ -345,9 +345,63 @@ let test_supplied_lint_verdict () =
   done;
   check_bool "forced verdicts produced Lint_unsound findings" true (!forced > 0)
 
+(* ---------- clock widths -------------------------------------------- *)
+
+(* Clocks passed among many threads once widened each other without
+   bound: programs 0 and 1 of `fuzz --programs 2 --seed 1 --threads 15
+   --ops 128' exhausted memory.  Every action clock must stay within the
+   width the program's threads need; a sink stops the execution at the
+   first clock past it, so a regression fails fast instead of exhausting
+   memory. *)
+exception Too_wide
+
+let test_clock_widths_bounded () =
+  let cfg = { Fuzz.default_gen_cfg with Fuzz.g_threads = 15; g_ops = 128 } in
+  List.iter
+    (fun i ->
+      let p = Fuzz.generate ~cfg ~seed:(Rng.substream 1L ~index:i) in
+      let bound = Clockvec.round_width (Array.length p.Progir.p_threads) in
+      let widest = ref 0 in
+      let check cv =
+        widest := max !widest (Clockvec.width cv);
+        if !widest > bound then raise Too_wide
+      in
+      let sink =
+        {
+          Execution.cs_action =
+            (fun a ->
+              check a.Action.hb_cv;
+              Option.iter check a.Action.rf_cv);
+          cs_edge = ignore;
+          cs_release = (fun ~tid:_ ~seq:_ -> ());
+          cs_release_drop = (fun ~seq:_ -> ());
+        }
+      in
+      for attempt = 0 to 2 do
+        let config =
+          {
+            (Fuzz.engine_config ~mutation:None) with
+            Engine.seed = Fuzz.exec_seed p ~attempt;
+            certify = true;
+          }
+        in
+        (try
+           ignore
+             (Engine.run
+                ~inspect:(fun e -> Execution.add_cert_sink e sink)
+                config (Fuzz.to_closure p))
+         with Too_wide -> ());
+        if !widest > bound then
+          Alcotest.failf "program %d, execution %d: a clock %d slots wide, past %d"
+            i attempt !widest bound
+      done)
+    [ 0; 1 ]
+
 let suite =
   [
     Alcotest.test_case "grammar reach per profile" `Quick test_grammar_reach;
+    Alcotest.test_case "clock widths bounded by the threads" `Quick
+      test_clock_widths_bounded;
     Alcotest.test_case "sc-heavy profile biases seq_cst" `Quick test_sc_heavy_bias;
     Alcotest.test_case "clean campaign: zero rejections" `Quick test_clean_campaign;
     Alcotest.test_case "mutant: skip-acquire-merge caught" `Quick

@@ -362,7 +362,7 @@ let prop_lint_sound =
           g_atomic_locs = 1 + Rng.int rng 4;
           g_na_locs = Rng.int rng 3;
           g_mutexes = Rng.int rng 3;
-          g_profile = List.nth Fuzz.all_profiles (n mod 4);
+          g_profile = List.nth Progir.all_profiles (n mod 4);
         }
       in
       let p = Fuzz.generate ~cfg ~seed:(Int64.of_int ((n * 733) + 11)) in

@@ -25,4 +25,5 @@ let () =
       ("sweep", Test_sweep.suite);
       ("lint", Test_lint.suite);
       ("svc", Test_svc.suite);
+      ("readers", Test_readers.suite);
     ]

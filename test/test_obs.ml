@@ -57,8 +57,8 @@ let test_event_json_roundtrip () =
       | Error msg -> Alcotest.failf "parse error on %s: %s" s msg
       | Ok j -> (
         match Obs.event_of_json j with
-        | None -> Alcotest.failf "event_of_json failed on %s" s
-        | Some e' -> check "event survives JSON round-trip" true (e = e')))
+        | Error msg -> Alcotest.failf "event_of_json failed on %s: %s" s msg
+        | Ok e' -> check "event survives JSON round-trip" true (e = e')))
     all_kinds
 
 let test_ndjson_roundtrip () =
@@ -88,7 +88,7 @@ let test_ndjson_roundtrip () =
       in
       check "one line per event" true (List.length parsed = List.length all_kinds);
       check "NDJSON lines decode to the original events" true
-        (List.map Option.get parsed = Obs.ring_events t))
+        (List.map Result.get_ok parsed = Obs.ring_events t))
 
 (* --- metrics --- *)
 
@@ -159,10 +159,10 @@ let test_metrics_json () =
   | Error msg -> Alcotest.failf "metrics JSON unparsable: %s" msg
   | Ok j ->
     check "counter in JSON" true
-      (Jsonx.to_int (mem "ops" (mem "counters" j)) = Some 7);
+      (Jsonx.req "counters" Jsonx.int "ops" (mem "counters" j) = Ok 7);
     let lat = mem "lat" (mem "histograms" j) in
     check "histogram count in JSON" true
-      (Jsonx.to_int (mem "count" lat) = Some 2)
+      (Jsonx.req "lat" Jsonx.int "count" lat = Ok 2)
 
 (* --- profile --- *)
 

@@ -298,7 +298,7 @@ let compaction_violation (exec : Execution.t) (li : Execution.loc_info) =
    thread, every order, and (for WritePriorSet) both the thread's own
    clock and an RMW-style what-if clock. *)
 let prop_prior_sets_match_reference =
-  let profiles = Array.of_list Fuzz.all_profiles in
+  let profiles = Array.of_list Progir.all_profiles in
   QCheck.Test.make
     ~name:"cell-iterating prior sets equal the all-threads reference"
     ~count:300

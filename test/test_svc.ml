@@ -462,7 +462,7 @@ let pin_gen =
     g_atomic_locs = 3;
     g_na_locs = 2;
     g_mutexes = 2;
-    g_profile = Fuzz.Mixed;
+    g_profile = Progir.Mixed;
   }
 
 let pinned_keys =
@@ -555,7 +555,7 @@ let test_cache_key_sensitivity () =
       { g with g_atomic_locs = 4 };
       { g with g_na_locs = 3 };
       { g with g_mutexes = 3 };
-      { g with g_profile = Fuzz.Sc_heavy };
+      { g with g_profile = Progir.Sc_heavy };
     ]
   in
   let entry seed =
@@ -889,28 +889,24 @@ let test_progress_aggregated () =
      done
    with End_of_file -> close_in ic);
   Sys.remove path;
-  let docs =
+  let records =
     List.rev_map
       (fun l ->
-        match Jsonx.parse l with
-        | Ok j -> j
+        match Result.bind (Jsonx.parse l) Progress.record_of_json with
+        | Ok r -> r
         | Error e -> Alcotest.failf "bad progress line %s: %s" l e)
       !lines
   in
-  let kind j = Option.bind (Jsonx.member "kind" j) Jsonx.to_str in
-  let finals = List.filter (fun j -> kind j = Some "final") docs in
+  let finals = List.filter (fun r -> r.Progress.final) records in
   check "exactly one final record" true (List.length finals = 1);
   let final = List.hd finals in
-  let int_of k j = Option.bind (Jsonx.member k j) Jsonx.to_int in
-  check "final covers every execution" true
-    (int_of "done" final = Some 24);
+  check "final covers every execution" true (final.Progress.done_ = 24);
   match merged with
   | Svc.M_run s ->
     check "final findings match merged summary" true
-      (int_of "findings" final
-      = Some
-          (List.length s.Tester.distinct_races
-          + List.length s.Tester.distinct_cert_violations))
+      (final.Progress.findings
+      = List.length s.Tester.distinct_races
+        + List.length s.Tester.distinct_cert_violations)
   | _ -> Alcotest.fail "expected M_run"
 
 (* The final progress record of a fuzz campaign is the same whether it ran
